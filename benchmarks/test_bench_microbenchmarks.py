@@ -118,8 +118,8 @@ def test_columnar_sum_selection_throughput(benchmark):
     assert isinstance(refreshed, list)
 
 
-#: Scale of the exchange-transport microbenchmarks: a 100-host population
-#: queried at full fan-out, 2 simulated workers, 200 query ticks per round.
+#: Scale of the shard-exchange microbenchmark: a 100-host population queried
+#: at full fan-out, 2 simulated workers, 200 query ticks per round.
 EXCHANGE_BENCH_HOSTS = 100
 EXCHANGE_BENCH_TICKS = 200
 
@@ -127,11 +127,10 @@ EXCHANGE_BENCH_TICKS = 200
 def _exchange_bench_ticks():
     """Pre-draw the query sequence and per-worker owned entries.
 
-    Workload generation and the owned-entry cache lookups are common to both
-    transports (``_tick_local`` runs identically either way), so the
-    benchmarks hoist them and time only the per-tick exchange: encode, the
-    pipe round-trips, the coordinator merge, and each worker's refresh
-    screen over the merged state.
+    Workload generation and the owned-entry cache lookups are not part of
+    the exchange, so the benchmark hoists them and times only the per-tick
+    exchange: encode, the token round-trips, the coordinator merge, and each
+    worker's refresh screen over the merged state.
     """
     from repro.queries.constraints import PrecisionConstraintGenerator
     from repro.queries.workload import QueryWorkload
@@ -171,50 +170,13 @@ def _exchange_bench_ticks():
     return ticks
 
 
-def test_exchange_pipe_tick_throughput(benchmark):
-    # The pickled-pair exchange, per tick: each worker sends its owned
-    # (interval, exact value) map, the coordinator merges and broadcasts the
-    # merged map, and each worker decodes it and runs the SUM refresh
-    # screen.  Both sides run in one process (as they time-share the 1-core
-    # benchmark box anyway), over real multiprocessing pipes.
-    import multiprocessing
-
-    from repro.queries.refresh_selection import select_sum_refreshes
-
-    ticks = _exchange_bench_ticks()
-
-    def run_ticks():
-        pipes = [multiprocessing.Pipe() for _ in range(2)]
-        try:
-            for query, locals_by_worker, owners in ticks:
-                for (_, worker_end), local in zip(pipes, locals_by_worker):
-                    worker_end.send(("tick", local))
-                merged = {}
-                for coordinator_end, _ in pipes:
-                    _, partial = coordinator_end.recv()
-                    merged.update(partial)
-                for coordinator_end, _ in pipes:
-                    coordinator_end.send(merged)
-                for _, worker_end in pipes:
-                    reply = worker_end.recv()
-                    intervals = {key: reply[key][0] for key in query.keys}
-                    select_sum_refreshes(intervals, query.constraint)
-        finally:
-            for coordinator_end, worker_end in pipes:
-                coordinator_end.close()
-                worker_end.close()
-        return len(ticks)
-
-    count = benchmark(run_ticks)
-    assert count == EXCHANGE_BENCH_TICKS
-
-
 def test_exchange_shm_tick_throughput(benchmark):
-    # The shared-memory exchange on the same ticks: workers encode owned
-    # rows into their plane, pipes carry only constant-size tokens, the
-    # coordinator merges with one fancy-indexed copy, and each worker
-    # screens widths straight off the merged plane (no decode).  Compare
-    # against test_exchange_pipe_tick_throughput for the transport speedup.
+    # The shared-memory exchange, per tick: workers encode owned rows into
+    # their plane, pipes carry only constant-size tokens, the coordinator
+    # merges with one fancy-indexed copy, and each worker screens widths
+    # straight off the merged plane (no decode).  Both sides run in one
+    # process (as they time-share the 1-core benchmark box anyway), over
+    # real multiprocessing pipes.
     import multiprocessing
 
     import numpy as np
@@ -226,26 +188,26 @@ def test_exchange_shm_tick_throughput(benchmark):
 
     def run_ticks():
         pipes = [multiprocessing.Pipe() for _ in range(2)]
-        exchange = ExchangeArray(2, 1, EXCHANGE_BENCH_HOSTS)
+        exchange = ExchangeArray(2, EXCHANGE_BENCH_HOSTS)
         views = [ShmWorkerExchange(exchange, plane) for plane in range(2)]
         planes = exchange.array
-        merged_rows = planes[-1, 0]
+        merged_rows = planes[-1]
         positions = np.arange(EXCHANGE_BENCH_HOSTS)
         try:
             for query, locals_by_worker, owners in ticks:
                 for (_, worker_end), view, local in zip(
                     pipes, views, locals_by_worker
                 ):
-                    view.write_tick(0, query, local)
+                    view.write_tick(query, local)
                     worker_end.send(("tick", None))
                 for coordinator_end, _ in pipes:
                     coordinator_end.recv()
-                merged_rows[:] = planes[owners, 0, positions]
+                merged_rows[:] = planes[owners, positions]
                 for coordinator_end, _ in pipes:
                     coordinator_end.send(None)
                 for (_, worker_end), view in zip(pipes, views):
                     worker_end.recv()
-                    rows = view.merged_rows(0)
+                    rows = view.merged_rows()
                     widths = rows[:, 1] - rows[:, 0]
                     select_sum_refreshes_columnar(
                         query.keys, widths, query.constraint
@@ -336,39 +298,6 @@ def test_shard_worker_serial_throughput(benchmark):
     # The same 4-shard run executed serially through the routing
     # coordinator (the pre-PR4 behaviour of --shards).
     result = benchmark(_run_small_simulation, shards=4)
-    assert result.duration > 0
-
-
-def test_shard_worker_windowed_throughput(benchmark):
-    # The windowed exchange (--exchange-window 8): same 4-shard / 2-worker
-    # run with the per-query-tick pipe round-trip batched over windows of 8
-    # ticks.  Compare against test_shard_worker_concurrent_throughput (the
-    # per-tick exchange) for the round-trip amortisation.
-    def run_windowed():
-        streams = {
-            f"walk-{index}": RandomWalkStream(
-                RandomWalkGenerator(start=100.0, rng=random.Random(index))
-            )
-            for index in range(8)
-        }
-        config = SimulationConfig(
-            duration=200.0,
-            warmup=20.0,
-            query_period=1.0,
-            query_size=3,
-            constraint_average=20.0,
-            constraint_variation=1.0,
-            seed=3,
-            shards=4,
-            shard_workers=2,
-            exchange_window=8,
-        )
-        policy = AdaptivePrecisionPolicy(
-            PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
-        )
-        return CacheSimulation(config, streams, policy).run()
-
-    result = benchmark(run_windowed)
     assert result.duration > 0
 
 

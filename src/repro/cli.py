@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli run section45 --engine vector
     python -m repro.cli run section45 --kernel scheduler
     python -m repro.cli run section45 --core object
-    python -m repro.cli run section45 --shards 4 --shard-workers 2 --exchange-transport pipe
     python -m repro.cli run figure03 --profile figure03.prof
     python -m repro.cli run-all --workers 4
 
@@ -25,7 +24,8 @@ submission overhead on large sweeps without changing a row.
 ``--shards N`` runs an experiment's simulations behind the hash-partitioned
 multi-cache coordinator (:mod:`repro.sharding`); ``--shard-workers W`` (with
 ``--shards N``, W <= N) additionally executes each simulation's shards
-concurrently in W worker processes (:mod:`repro.sharding.workers`).
+concurrently in W worker processes (:mod:`repro.sharding.workers`), which
+exchange each query tick's rows through one shared-memory array.
 
 ``--engine {reference,vector}`` selects the stream-generation engine of the
 data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
@@ -36,24 +36,18 @@ switches to numpy batch synthesis for paper-scale sweeps.
 (:mod:`repro.simulation.kernel`): the merged-timeline batch kernel (default,
 bit-identical and faster) or the general heap scheduler fallback.
 
-``--exchange-window W`` batches the shard workers' per-query-tick exchange
-over windows of W ticks (:mod:`repro.sharding.workers`), cutting pipe
-round-trips; results are identical for every window size.
-
 ``--core {columnar,object}`` selects the cache-state representation
 (:mod:`repro.simulation.config`): the numpy struct-of-arrays columnar hot
 path (default) or the paper-exact per-object compat mode — bit-identical
-results either way.  ``--exchange-transport {shm,pipe}`` selects how
-concurrent shard workers exchange per-tick rows: one shared-memory array
-swap (default) or the pickled-pipe compat protocol.  Both set the
-process-wide config defaults, so they apply to every sub-run.
+results either way.  It sets the process-wide config default, so it
+applies to every sub-run.
 
 ``--profile FILE`` dumps a :mod:`cProfile` of the run to ``FILE``
 (``run-all`` derives one file per experiment from it; with ``--workers``
 pools only the parent process is profiled).
 
-Experiments whose plans do not take a shard count, worker count, engine,
-kernel or exchange window note on stderr that the flag was ignored.
+Experiments whose plans do not take a shard count, worker count, engine or
+kernel note on stderr that the flag was ignored.
 
 The serving layer (:mod:`repro.serving`) adds two more commands::
 
@@ -139,10 +133,7 @@ from repro.experiments.runner import plan_registry, run_plan
 from repro.simulation.config import (
     CORE_NAMES,
     DEFAULT_CORE,
-    DEFAULT_EXCHANGE_TRANSPORT,
-    EXCHANGE_TRANSPORT_NAMES,
     set_default_core,
-    set_default_exchange_transport,
 )
 from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES
 
@@ -235,17 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         subparser.add_argument(
-            "--exchange-window",
-            type=int,
-            default=None,
-            dest="exchange_window",
-            help=(
-                "batch the shard workers' per-query-tick exchange over "
-                "windows of this many ticks (default 1 = synchronise every "
-                "tick; results are identical for every window size)"
-            ),
-        )
-        subparser.add_argument(
             "--core",
             choices=CORE_NAMES,
             default=None,
@@ -254,18 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"(default: {DEFAULT_CORE}; 'columnar' is the numpy "
                 "struct-of-arrays hot path, 'object' the paper-exact "
                 "per-object compat mode; results are bit-identical)"
-            ),
-        )
-        subparser.add_argument(
-            "--exchange-transport",
-            choices=EXCHANGE_TRANSPORT_NAMES,
-            default=None,
-            dest="exchange_transport",
-            help=(
-                "shard-worker exchange transport "
-                f"(default: {DEFAULT_EXCHANGE_TRANSPORT}; 'shm' swaps rows "
-                "through one shared-memory array, 'pipe' pickles the full "
-                "payload over the worker pipes; results are identical)"
             ),
         )
         subparser.add_argument(
@@ -605,16 +573,14 @@ def _run_experiment(
     shard_workers: Optional[int] = None,
     kernel: Optional[str] = None,
     chunk_size: Optional[int] = None,
-    exchange_window: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one experiment, through its parallel plan when it declares one.
 
-    ``shards``, ``shard_workers``, ``exchange_window``, ``engine`` and
-    ``kernel`` are forwarded to experiments whose plan factory (or runner)
-    accepts the keyword; for the rest the flag is reported as ignored so a
-    sharded, concurrent or vector-engine sweep never silently reproduces the
-    default tables.  ``chunk_size`` shapes pool submission only (see
-    :func:`run_plan`).
+    ``shards``, ``shard_workers``, ``engine`` and ``kernel`` are forwarded
+    to experiments whose plan factory (or runner) accepts the keyword; for
+    the rest the flag is reported as ignored so a sharded, concurrent or
+    vector-engine sweep never silently reproduces the default tables.
+    ``chunk_size`` shapes pool submission only (see :func:`run_plan`).
     """
     plan_factory = plan_registry().get(experiment_id)
     runner = registry()[experiment_id]
@@ -623,7 +589,6 @@ def _run_experiment(
     for name, flag, value in (
         ("shards", "shards", shards),
         ("shard_workers", "shard-workers", shard_workers),
-        ("exchange_window", "exchange-window", exchange_window),
         ("engine", "engine", engine),
         ("kernel", "kernel", kernel),
     ):
@@ -712,13 +677,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
     if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:
         parser.error(f"--chunk-size must be at least 1, got {args.chunk_size}")
-    exchange_window = getattr(args, "exchange_window", None)
-    if exchange_window is not None and exchange_window < 1:
-        parser.error(f"--exchange-window must be at least 1, got {exchange_window}")
     if getattr(args, "core", None) is not None:
         set_default_core(args.core)
-    if getattr(args, "exchange_transport", None) is not None:
-        set_default_exchange_transport(args.exchange_transport)
     if args.command == "serve":
         return _run_serve(args, parser)
     if args.command == "loadgen":
@@ -749,7 +709,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 shard_workers=args.shard_workers,
                 kernel=args.kernel,
                 chunk_size=args.chunk_size,
-                exchange_window=args.exchange_window,
             ),
         )
         print(format_table(result))
@@ -767,7 +726,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     shard_workers=args.shard_workers,
                     kernel=args.kernel,
                     chunk_size=args.chunk_size,
-                    exchange_window=args.exchange_window,
                 ),
             )
             print(format_table(result))

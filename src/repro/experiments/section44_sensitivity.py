@@ -40,7 +40,6 @@ def lower_threshold_rows(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
@@ -54,7 +53,6 @@ def lower_threshold_rows(
         shards=shards,
         engine=engine,
         shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -100,7 +98,6 @@ def constraint_variation_rows(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
@@ -115,7 +112,6 @@ def constraint_variation_rows(
         shards=shards,
         engine=engine,
         shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -166,7 +162,6 @@ def plan(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
@@ -183,7 +178,6 @@ def plan(
                 shards=shards,
                 engine=engine,
                 shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -202,7 +196,6 @@ def plan(
                 shards=shards,
                 engine=engine,
                 shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -230,7 +223,6 @@ def run(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
@@ -242,7 +234,6 @@ def run(
             shards=shards,
             engine=engine,
             shard_workers=shard_workers,
-            exchange_window=exchange_window,
             kernel=kernel,
         ),
         workers=workers,

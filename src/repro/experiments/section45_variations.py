@@ -46,7 +46,6 @@ def _config(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> SimulationConfig:
     return SimulationConfig(
@@ -62,7 +61,6 @@ def _config(
         seed=seed,
         shards=shards,
         shard_workers=shard_workers,
-        exchange_window=exchange_window,
         engine=engine,
         kernel=kernel,
     )
@@ -87,7 +85,6 @@ def variation_rows(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (walk bias, placement variant) cell (picklable).
@@ -107,7 +104,6 @@ def variation_rows(
         shards=shards,
         engine=engine,
         shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     if variant == "centred":
@@ -140,7 +136,6 @@ def plan(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
@@ -157,7 +152,6 @@ def plan(
                 shards=shards,
                 engine=engine,
                 shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -187,7 +181,6 @@ def run(
     shards: int = 1,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
@@ -200,7 +193,6 @@ def run(
             shards=shards,
             engine=engine,
             shard_workers=shard_workers,
-            exchange_window=exchange_window,
             kernel=kernel,
         ),
         workers=workers,

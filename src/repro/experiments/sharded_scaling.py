@@ -57,7 +57,6 @@ def scaling_rows(
     seed: int,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one shard count (picklable sub-run unit).
@@ -80,7 +79,6 @@ def scaling_rows(
         shards=shard_count,
         engine=engine,
         shard_workers=(min(shard_workers, shard_count) if shard_count > 1 else 0),
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -114,7 +112,6 @@ def plan(
     shards: Optional[int] = None,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per shard count.
@@ -137,7 +134,6 @@ def plan(
                 seed=seed,
                 engine=engine,
                 shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -177,7 +173,6 @@ def run(
     shards: Optional[int] = None,
     engine: str = "reference",
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Sweep shard counts at a large host population."""
@@ -191,7 +186,6 @@ def run(
             shards=shards,
             engine=engine,
             shard_workers=shard_workers,
-            exchange_window=exchange_window,
             kernel=kernel,
         ),
         workers=workers,

@@ -192,7 +192,6 @@ def traffic_config(
     shards: int = 1,
     engine: str = DEFAULT_ENGINE,
     shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
@@ -203,8 +202,7 @@ def traffic_config(
     ``shards`` > 1 fronts the run with the hash-partitioned multi-cache
     coordinator (see :mod:`repro.sharding`); ``shard_workers`` > 1 runs
     those shards concurrently in worker processes
-    (:mod:`repro.sharding.workers`), and ``exchange_window`` > 1 batches
-    their per-query-tick exchange over windows of ticks.  ``engine`` records
+    (:mod:`repro.sharding.workers`).  ``engine`` records
     which stream engine generated the run's data (see
     :mod:`repro.data.engine`); ``kernel`` selects the event-execution
     strategy (:mod:`repro.simulation.kernel`).
@@ -225,7 +223,6 @@ def traffic_config(
         cache_capacity=cache_capacity,
         shards=shards,
         shard_workers=shard_workers,
-        exchange_window=exchange_window,
         engine=engine,
         kernel=kernel,
         value_refresh_cost=value_refresh_cost,

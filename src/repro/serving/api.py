@@ -17,9 +17,6 @@ Requests and responses are the typed messages of
 and the typed helpers (:meth:`query`, :meth:`register`, ...) parse the
 reply into its typed response.
 
-The pre-gateway entry point, ``repro.serving.loadgen.ServingClient``, still
-works as a thin deprecation shim over this class.
-
 Also here: :class:`ServeConfig`, the one dataclass describing a serving
 deployment (role, partitions, ports) that the CLI builds from its flags.
 """
@@ -29,7 +26,6 @@ from __future__ import annotations
 import asyncio
 import inspect
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -529,12 +525,3 @@ class ServeConfig:
                     f"log_level must be one of {sorted(LOG_LEVELS)}, not "
                     f"{self.log_level!r}"
                 )
-
-
-def deprecated_entry_point(old: str, new: str) -> None:
-    """Emit the standard migration warning for a pre-gateway entry point."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/SERVING.md, API migration)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

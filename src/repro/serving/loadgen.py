@@ -59,7 +59,7 @@ from repro.data.streams import TraceStream
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, REGISTRY
 from repro.data.trace import Trace
 from repro.queries.aggregates import AggregateKind
-from repro.serving.api import Client, deprecated_entry_point, dial
+from repro.serving.api import Client, dial
 from repro.serving.errors import (
     ConnectionLost,
     DeadlineExceeded,
@@ -337,43 +337,6 @@ class LoadgenReport:
                 f"of {self.invariant_checks} checked answers"
             )
         return "\n".join(lines)
-
-
-class ServingClient(Client):
-    """Deprecated: the pre-gateway name of :class:`repro.serving.api.Client`.
-
-    A thin shim kept for callers written against PR-5/6: same constructor,
-    same ``open()`` classmethod, same behaviour — every call goes straight
-    to :class:`Client`.  Constructing one emits a :class:`DeprecationWarning`
-    naming the replacement (asserted in ``tests/test_api_client.py``).
-    """
-
-    def __init__(
-        self,
-        transport: Any,
-        on_request: Optional[
-            Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
-        ] = None,
-        default_deadline: Optional[float] = None,
-    ) -> None:
-        deprecated_entry_point(
-            "repro.serving.loadgen.ServingClient", "repro.serving.api.Client"
-        )
-        super().__init__(transport, on_request, default_deadline)
-
-    @classmethod
-    async def open(
-        cls,
-        transport: Any,
-        on_request: Optional[
-            Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
-        ] = None,
-        default_deadline: Optional[float] = None,
-    ) -> "ServingClient":
-        """Wrap a connected transport and start its read loop (deprecated)."""
-        client = cls(transport, on_request, default_deadline)
-        client._reader = asyncio.ensure_future(client._read_loop())
-        return client
 
 
 def _trace_replay_parts(

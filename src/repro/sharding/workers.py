@@ -18,14 +18,16 @@ keys a bounded query refreshes depends on the cached intervals of *all* its
 keys, across shards — so workers synchronise at every query tick: each
 worker replays the global query workload (the workload RNG is seeded from
 the config and draws independently of simulation state, so every worker
-generates the identical query sequence), sends the ``(interval, exact
-value)`` pairs of its owned queried keys to the coordinator, receives the
-merged map, and runs the *same* refresh-selection logic over it —
-performing real refreshes for its own keys and substituting the broadcast
-exact values for remote ones.  Refresh selection depends only on the
-intervals and exact values (:mod:`repro.queries.refresh_selection`), which
-the merged map carries, so every worker derives the identical refresh
-sequence and applies exactly its own slice of it.
+generates the identical query sequence), writes the ``(interval, exact
+value)`` rows of its owned queried keys into its plane of a shared-memory
+:class:`ExchangeArray`, waits for the coordinator to gather the merged rows,
+and runs the *same* refresh-selection logic over them — performing real
+refreshes for its own keys and substituting the exchanged exact values for
+remote ones.  Refresh selection depends only on the intervals and exact
+values (:mod:`repro.queries.refresh_selection`), which the merged rows
+carry, so every worker derives the identical refresh sequence and applies
+exactly its own slice of it.  The worker pipes carry only constant-size
+control tokens.
 
 **Decomposability conditions.**  The merged run is bit-identical to the
 in-process sharded run when per-key state is all the policy carries.  The
@@ -50,6 +52,7 @@ import math
 import pickle
 import traceback
 import warnings
+from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
@@ -64,16 +67,10 @@ from typing import (
 
 import numpy as np
 
-try:  # pragma: no cover - stdlib on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None
-
 from repro.caching.cache import CacheStatistics
 from repro.caching.columnar import _reconstruct_interval
 from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
-from repro.data.merged import merge_timelines
 from repro.data.streams import UpdateStream
 from repro.experiments.runner import WorkerHandle, persistent_worker_pool
 from repro.intervals.interval import UNBOUNDED, Interval
@@ -88,7 +85,6 @@ from repro.sharding.coordinator import merge_cache_statistics
 from repro.sharding.partition import stable_key_hash
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import HORIZON_TOLERANCE
-from repro.simulation.kernel import MergedEventWalk
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.simulator import CacheSimulation
 
@@ -97,11 +93,11 @@ ExchangeEntry = Tuple[Interval, float]
 
 
 # Exchange-traffic metrics (the old bespoke ``ExchangeMeter``, absorbed by
-# ``repro.obs``).  Disabled with the process registry — the hot loops gate
+# ``repro.obs``).  Disabled with the process registry — the hot loop gates
 # the pickling measurement on one ``REGISTRY.enabled`` check, exactly the
 # discipline the meter's ``enabled`` flag enforced — and read back the same
-# headline figure: pickle bytes per query tick, the number the shm-vs-pipe
-# transport regression test pins.
+# headline figure: pickle bytes per query tick, which stays constant across
+# query fan-outs because the rows ride shared memory.
 _EXCHANGE_BYTES = REGISTRY.counter(
     "repro_exchange_bytes_pickled_total",
     "Bytes the exchange coordinator pickles through control pipes.",
@@ -124,6 +120,7 @@ def _record_exchange(payload: Any, count: int = 1) -> None:
     )
     _EXCHANGE_MESSAGES.inc(count)
 
+
 #: Below this query fan-out the exchange's numpy paths (fancy-indexed encode
 #: and the coordinator's gather) fall back to scalar loops: the vectorised
 #: forms pay a fixed setup cost that only amortises across enough rows.
@@ -136,14 +133,13 @@ _SCALAR_FANOUT_LIMIT = 16
 class ExchangeArray:
     """The shard exchange's shared-memory block: one float64 plane per party.
 
-    Shape ``(workers + 1, slots, rows, 3)``: plane ``w`` carries worker
-    ``w``'s owned rows for the current tick (or window of ticks — ``slots``
-    is the maximum window size), the last plane carries the coordinator's
-    merged rows.  A row is ``[interval low, interval high, exact value]``
-    for one position of the tick's query — both sides regenerate the
-    identical query sequence from the config seed, so a row's position *is*
-    its key and no keys ever cross the wire.  Unpublished entries are the
-    ``(-inf, +inf)`` unbounded encoding.
+    Shape ``(workers + 1, rows, 3)``: plane ``w`` carries worker ``w``'s
+    owned rows for the current tick, the last plane carries the
+    coordinator's merged rows.  A row is ``[interval low, interval high,
+    exact value]`` for one position of the tick's query — both sides
+    regenerate the identical query sequence from the config seed, so a row's
+    position *is* its key and no keys ever cross the wire.  Unpublished
+    entries are the ``(-inf, +inf)`` unbounded encoding.
 
     Lifecycle: the coordinator creates (and finally unlinks) the segment
     before spawning the pool; workers attach by name — the name travels in
@@ -160,17 +156,13 @@ class ExchangeArray:
 
     __slots__ = ("array", "name", "_shm")
 
-    def __init__(
-        self, workers: int, slots: int, rows: int, name: Optional[str] = None
-    ) -> None:
-        if _shared_memory is None:  # pragma: no cover - gated by callers
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        shape = (workers + 1, max(1, slots), max(1, rows), 3)
+    def __init__(self, workers: int, rows: int, name: Optional[str] = None) -> None:
+        shape = (workers + 1, max(1, rows), 3)
         size = int(np.prod(shape)) * np.dtype(np.float64).itemsize
         if name is None:
-            self._shm = _shared_memory.SharedMemory(create=True, size=size)
+            self._shm = shared_memory.SharedMemory(create=True, size=size)
         else:
-            self._shm = _shared_memory.SharedMemory(name=name)
+            self._shm = shared_memory.SharedMemory(name=name)
         self.array = np.ndarray(shape, dtype=np.float64, buffer=self._shm.buf)
         self.name = self._shm.name
 
@@ -196,9 +188,7 @@ class ShmWorkerExchange:
         self._array = exchange.array
         self._plane = plane
 
-    def write_tick(
-        self, slot: int, query: Query, local: Dict[Hashable, ExchangeEntry]
-    ) -> None:
+    def write_tick(self, query: Query, local: Dict[Hashable, ExchangeEntry]) -> None:
         """Encode the owned entries of one tick at the query's positions."""
         positions: List[int] = []
         encoded: List[Tuple[float, float, float]] = []
@@ -211,7 +201,7 @@ class ShmWorkerExchange:
                 encoded.append((interval.low, interval.high, value))
         if not positions:
             return
-        rows = self._array[self._plane, slot]
+        rows = self._array[self._plane]
         if len(positions) < _SCALAR_FANOUT_LIMIT:
             # Small fan-out: per-row stores beat the fancy-indexing setup.
             for position, row in zip(positions, encoded):
@@ -219,45 +209,38 @@ class ShmWorkerExchange:
         else:
             rows[positions] = encoded
 
-    def merged_rows(self, slot: int = 0) -> np.ndarray:
-        """The coordinator's merged rows for ``slot``, as a live view.
+    def merged_rows(self) -> np.ndarray:
+        """The coordinator's merged rows, as a live view.
 
         Safe to read without copying: the strict per-tick alternation means
         the coordinator never rewrites the merged plane until this worker
         sends its next exchange message.
         """
-        return self._array[-1, slot]
+        return self._array[-1]
 
     def read_merged(
-        self,
-        query: Query,
-        slot: int = 0,
-        local: Optional[Dict[Hashable, ExchangeEntry]] = None,
+        self, query: Query, local: Dict[Hashable, ExchangeEntry]
     ) -> Dict[Hashable, ExchangeEntry]:
         """Decode the coordinator's merged rows back into the exchange map.
 
-        ``local`` — the worker's own owned entries for this tick — is an
-        optional decode shortcut: the merged rows for those keys are the
-        float64 image of exactly these pairs (the worker wrote them, the
-        coordinator copied them), so reusing the live objects skips their
-        ``Interval`` reconstruction without changing a single bit.
+        ``local`` — the worker's own owned entries for this tick — is a
+        decode shortcut: the merged rows for those keys are the float64
+        image of exactly these pairs (the worker wrote them, the coordinator
+        copied them), so reusing the live objects skips their ``Interval``
+        reconstruction without changing a single bit.
         """
         # ``tolist()`` converts the plane in one C pass; per-element float()
         # on numpy scalars is several times slower at query fan-out sizes.
-        rows = self._array[-1, slot].tolist()
+        rows = self._array[-1].tolist()
         merged: Dict[Hashable, ExchangeEntry] = {}
-        if local:
-            for position, key in enumerate(query.keys):
-                entry = local.get(key)
-                if entry is None:
-                    low, high, value = rows[position]
-                    entry = (_reconstruct_interval(low, high), value)
-                merged[key] = entry
-        else:
-            for position, key in enumerate(query.keys):
+        for position, key in enumerate(query.keys):
+            entry = local.get(key)
+            if entry is None:
                 low, high, value = rows[position]
-                merged[key] = (_reconstruct_interval(low, high), value)
+                entry = (_reconstruct_interval(low, high), value)
+            merged[key] = entry
         return merged
+
 
 #: How many times one shard worker may be restarted before the run fails.
 #: A worker that keeps dying is deterministic about it (the replay is), so
@@ -268,22 +251,22 @@ MAX_WORKER_RESTARTS = 2
 class _ExchangeSupervisor:
     """Keeps the shard-worker exchange alive across worker deaths.
 
-    Every reply the coordinator broadcasts (merged tick maps, or windowed
-    ``(commit, refresh_map)`` tuples — the only inbound messages a worker
-    ever consumes) is journaled.  When a worker dies — EOF on receive,
-    broken pipe on send — a fresh process is started with the same target
-    and the journal is replayed to it: the worker deterministically re-runs
-    from the beginning, re-sending the same partials (received and
-    discarded) and receiving the recorded replies, until it stands exactly
-    where its peers are.  This is snapshot-free state resync: a worker's
-    state is a pure function of its (config, sources, replies) inputs,
-    which is the same determinism the equivalence tests pin.  A worker that
-    dies more than :data:`MAX_WORKER_RESTARTS` times fails the run.
+    Every reply the coordinator broadcasts (the only inbound messages a
+    worker ever consumes) is journaled.  When a worker dies — EOF on
+    receive, broken pipe on send — a fresh process is started with the same
+    target and the journal is replayed to it: the worker deterministically
+    re-runs from the beginning, re-sending the same tick tokens (received
+    and discarded) and receiving the recorded replies, until it stands
+    exactly where its peers are.  This is snapshot-free state resync: a
+    worker's state is a pure function of its (config, sources, replies)
+    inputs, which is the same determinism the equivalence tests pin.  A
+    worker that dies more than :data:`MAX_WORKER_RESTARTS` times fails the
+    run.
     """
 
     def __init__(self, handles: Sequence[WorkerHandle], grace: float = 5.0) -> None:
         self._handles = handles
-        self._journal: List[Any] = []
+        self._journal: List[Callable[[], Dict[Hashable, ExchangeEntry]]] = []
         self._grace = grace
 
     def receive(self, handle: WorkerHandle) -> Tuple[str, Any]:
@@ -298,20 +281,21 @@ class _ExchangeSupervisor:
                 raise RuntimeError(f"shard worker failed:\n{payload}")
             return tag, payload
 
-    def broadcast(self, reply: Any, journal_entry: Any = None) -> None:
-        """Journal one coordinator reply and deliver it to every worker.
+    def broadcast(
+        self, journal_entry: Callable[[], Dict[Hashable, ExchangeEntry]]
+    ) -> None:
+        """Journal one tick and send every worker the ``None`` "rows ready" token.
 
-        The shared-memory transport sends constant-size control tokens whose
-        payload lives in the exchange array — which the next tick overwrites,
-        so the token alone could never be replayed.  It passes
-        ``journal_entry``: either the replayable pipe-equivalent value or a
-        zero-argument callable producing it (materialised only if a resync
-        actually happens, keeping the hot path copy-light).
+        The token's payload lives in the exchange array, which the next tick
+        overwrites, so the token alone could never be replayed.
+        ``journal_entry`` is a zero-argument callable producing the tick's
+        merged map instead, materialised only if a resync actually happens
+        (keeping the hot path copy-light).
         """
-        self._journal.append(reply if journal_entry is None else journal_entry)
+        self._journal.append(journal_entry)
         for handle in self._handles:
             try:
-                handle.send(reply)
+                handle.send(None)
             except (BrokenPipeError, OSError):
                 # The replay below covers the just-journaled reply too.
                 self._resync(handle, "died before receiving a reply")
@@ -343,10 +327,9 @@ class _ExchangeSupervisor:
                 return self._resync(handle, "died again during resync replay")
             if tag == "error":
                 raise RuntimeError(f"shard worker failed during resync:\n{payload}")
-            # Shared-memory replies journal lazily (see broadcast); the
-            # replayed worker receives the materialised pipe-equivalent
-            # value, so resync never depends on overwritten exchange planes.
-            handle.send(entry() if callable(entry) else entry)
+            # The replayed worker receives the materialised merged map, so
+            # resync never depends on overwritten exchange planes.
+            handle.send(entry())
 
 
 class PrebuiltStream(UpdateStream):
@@ -378,8 +361,9 @@ class ShardWorkerSimulation(CacheSimulation):
     workload is built over the *full* key population (``workload_keys`` —
     every worker replays the global query sequence, since workload
     randomness never depends on simulation state), and query execution
-    exchanges owned ``(interval, exact value)`` pairs through ``channel``
-    before running the shared refresh selection (see the module docstring).
+    exchanges owned ``(interval, exact value)`` pairs through ``exchange``
+    (synchronised by tokens on ``channel``) before running the shared
+    refresh selection (see the module docstring).
     """
 
     def __init__(
@@ -390,29 +374,71 @@ class ShardWorkerSimulation(CacheSimulation):
         eviction_policy: Optional[EvictionPolicy],
         workload_keys: Sequence[Hashable],
         channel: Any,
-        exchange: Optional[ShmWorkerExchange] = None,
+        exchange: ShmWorkerExchange,
     ) -> None:
         super().__init__(
             config, streams, policy, eviction_policy, workload_keys=workload_keys
         )
         self._owned = frozenset(streams.keys())
         self._channel = channel
-        # With a shared-memory exchange attached the pipe carries only
-        # constant-size control messages; the interval/value payload rides
-        # the ExchangeArray planes (None replies mean "decode the merged
-        # plane"; a non-None reply is a resync replay's materialised map).
         self._exchange = exchange
 
-    def _tick_local(self, time: float) -> Tuple[Query, Dict[Hashable, ExchangeEntry]]:
-        """Generate the tick's query and collect the owned exchange pairs.
+    def _select_and_refresh(
+        self,
+        query: Query,
+        time: float,
+        merged: Dict[Hashable, ExchangeEntry],
+    ) -> None:
+        """Run the shared refresh selection over the merged exchange map."""
+        # Build the interval mapping in query-key order: refresh selection
+        # breaks width ties by mapping position, which must match the
+        # in-process run's ordering.
+        owned = self._owned
+        intervals = {key: merged[key][0] for key in query.keys}
 
-        The first half of a query tick: workload generation, the query-count
-        metric, and the stats-counted cache lookups of the owned queried keys
-        (exactly one per key, as in the in-process run) with their policy
-        read hooks.  Shared by the per-tick exchange below and the windowed
-        exchange's optimistic advance, which must replay precisely these
-        side effects.
+        def fetch_exact(key: Hashable) -> float:
+            if key in owned:
+                return self._query_initiated_refresh(key, time)
+            return merged[key][1]
+
+        run_query_refreshes(query.kind, intervals, query.constraint, fetch_exact)
+
+    def _select_and_refresh_rows(
+        self, query: Query, time: float, local: Dict[Hashable, ExchangeEntry]
+    ) -> None:
+        """Run refresh selection straight off the merged exchange rows.
+
+        SUM/AVG selection (:func:`select_sum_refreshes_columnar`) needs only
+        the interval widths — which are one vectorised subtraction over the
+        merged plane — and ``run_query_refreshes`` discards the fetched
+        values on that path, so remote fetches are no-ops and the merged
+        dict never needs to be materialised.  The width array is the float64
+        image of exactly the widths the decoded intervals would carry
+        (``high - low`` on identical operands), so the selected keys — and
+        therefore every owned refresh and policy draw — are bit-identical to
+        the decoded path, which MAX/MIN still takes.
         """
+        constraint = query.constraint
+        if math.isinf(constraint):
+            return
+        kind = query.kind
+        exchange = self._exchange
+        if kind is AggregateKind.SUM or kind is AggregateKind.AVG:
+            rows = exchange.merged_rows()
+            widths = rows[:, 1] - rows[:, 0]
+            limit = (
+                constraint * len(query.keys)
+                if kind is AggregateKind.AVG
+                else constraint
+            )
+            owned = self._owned
+            for key in select_sum_refreshes_columnar(query.keys, widths, limit):
+                if key in owned:
+                    self._query_initiated_refresh(key, time)
+            return
+        self._select_and_refresh(query, time, exchange.read_merged(query, local))
+
+    def _run_query(self, time: float) -> None:
         query = self._workload.generate(time)
         self._metrics.record_query(time)
         constraint = query.constraint
@@ -443,86 +469,15 @@ class ShardWorkerSimulation(CacheSimulation):
                         entry.interval if entry is not None else UNBOUNDED,
                         sources[key].value,
                     )
-        return query, local
-
-    def _select_and_refresh(
-        self,
-        query: Query,
-        time: float,
-        merged: Dict[Hashable, ExchangeEntry],
-    ) -> None:
-        """Run the shared refresh selection over the merged exchange map."""
-        # Build the interval mapping in query-key order: refresh selection
-        # breaks width ties by mapping position, which must match the
-        # in-process run's ordering.
-        owned = self._owned
-        intervals = {key: merged[key][0] for key in query.keys}
-
-        def fetch_exact(key: Hashable) -> float:
-            if key in owned:
-                return self._query_initiated_refresh(key, time)
-            return merged[key][1]
-
-        run_query_refreshes(query.kind, intervals, query.constraint, fetch_exact)
-
-    def _select_and_refresh_rows(
-        self,
-        query: Query,
-        time: float,
-        exchange: ShmWorkerExchange,
-        local: Dict[Hashable, ExchangeEntry],
-        slot: int = 0,
-    ) -> None:
-        """Run refresh selection straight off the merged exchange rows.
-
-        SUM/AVG selection (:func:`select_sum_refreshes_columnar`) needs only
-        the interval widths — which are one vectorised subtraction over the
-        merged plane — and ``run_query_refreshes`` discards the fetched
-        values on that path, so remote fetches are no-ops and the merged
-        dict never needs to be materialised.  The width array is the float64
-        image of exactly the widths the decoded intervals would carry
-        (``high - low`` on identical operands), so the selected keys — and
-        therefore every owned refresh and policy draw — are bit-identical to
-        the decoded path, which MAX/MIN still takes.
-        """
-        constraint = query.constraint
-        if math.isinf(constraint):
-            return
-        kind = query.kind
-        if kind is AggregateKind.SUM or kind is AggregateKind.AVG:
-            rows = exchange.merged_rows(slot)
-            widths = rows[:, 1] - rows[:, 0]
-            limit = (
-                constraint * len(query.keys)
-                if kind is AggregateKind.AVG
-                else constraint
-            )
-            owned = self._owned
-            for key in select_sum_refreshes_columnar(query.keys, widths, limit):
-                if key in owned:
-                    self._query_initiated_refresh(key, time)
-            return
-        self._select_and_refresh(
-            query, time, exchange.read_merged(query, slot, local=local)
-        )
-
-    def _run_query(self, time: float) -> None:
-        query, local = self._tick_local(time)
+        self._exchange.write_tick(query, local)
         channel = self._channel
-        exchange = self._exchange
-        if exchange is not None:
-            exchange.write_tick(0, query, local)
-            channel.send(("tick", None))
-            reply = channel.recv()
-            if reply is None:
-                self._select_and_refresh_rows(query, time, exchange, local)
-            else:
-                # Resync replay: the supervisor re-sent the materialised map.
-                self._select_and_refresh(query, time, reply)
+        channel.send(("tick", None))
+        reply = channel.recv()
+        if reply is None:
+            self._select_and_refresh_rows(query, time, local)
         else:
-            channel.send(("tick", local))
-            merged = channel.recv()
-            self._select_and_refresh(query, time, merged)
+            # Resync replay: the supervisor re-sent the materialised map.
+            self._select_and_refresh(query, time, reply)
 
     def run_worker(self) -> Dict[str, Any]:
         """Run the sub-simulation and return the mergeable partial payload."""
@@ -546,221 +501,6 @@ class ShardWorkerSimulation(CacheSimulation):
         }
 
 
-class ExchangeWindowController:
-    """The windowed exchange's shared adaptive window sizing.
-
-    Both the workers and the coordinator feed the controller the same
-    observable outcome — ``(tick_count, commit)`` of the window that just
-    closed — so the two sides stay in lock-step without any negotiation
-    traffic.  The policy is conservative about growing because every window
-    larger than 1 pays a snapshot, and a truncation before the window's
-    last tick additionally pays a restore-and-replay:
-
-    * **grow** multiplicatively (up to the configured limit) only after a
-      streak of *consecutive* fully committed windows — one quiet tick
-      inside a refresh-heavy stretch is common and must not balloon the
-      window.  The required streak itself backs off: it starts at 2 and
-      doubles (to at most 64) every time a grown window's snapshot turns out
-      wasted — i.e. the window truncated before its last tick — so a
-      workload that keeps punishing growth attempts sees them exponentially
-      rarely, while a genuinely quiet stretch still escalates quickly;
-    * **shrink** a truncated window to exactly the stretch that was usable:
-      the committed ticks plus the refreshing tick (which needs no rollback
-      when it is the last of its window).
-
-    Under refresh-heavy load the window therefore settles at 1, where the
-    protocol degenerates to the per-tick exchange with no snapshots at all
-    (the snapshot was this protocol's dominant cost on refresh-heavy runs —
-    see ``docs/PERFORMANCE.md``), while refresh-free stretches amortise one
-    round-trip over up to ``limit`` ticks.
-    """
-
-    __slots__ = ("limit", "window", "_streak", "_grow_at")
-
-    #: Ceiling for the growth-streak backoff: even a maximally punished
-    #: controller retries a window of 2 after this many quiet windows.
-    MAX_GROW_AT = 64
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        # Start at 1 — the conservative end of the documented ramp: the
-        # first windows pay no snapshot, and a refresh-free stretch doubles
-        # its way to the limit within a handful of windows.
-        self.window = 1
-        self._streak = 0
-        self._grow_at = 2
-
-    def observe(self, tick_count: int, commit: int) -> None:
-        """Advance the controller past one closed window."""
-        if commit >= tick_count:
-            self._streak += 1
-            if self._streak >= self._grow_at:
-                self.window = min(self.limit, max(self.window, 1) * 2)
-        else:
-            if tick_count > 1:
-                # The grown window paid a snapshot and still truncated:
-                # back off the next growth attempt.
-                self._grow_at = min(self.MAX_GROW_AT, self._grow_at * 2)
-            self._streak = 0
-            self.window = max(1, commit + 1)
-
-
-class WindowedShardWorkerSimulation(ShardWorkerSimulation):
-    """Shard worker batching the coordinator exchange over windows of ticks.
-
-    The per-tick exchange above pays one pipe round-trip per query tick even
-    when the tick needs no query-initiated refreshes — which is the common
-    case for loose constraints.  This variant (``config.exchange_window > 1``)
-    advances *optimistically*: it snapshots its mutable state at the window
-    start, executes up to a window of ticks assuming none of them refreshes,
-    and ships all their owned ``(interval, exact value)`` pairs in one
-    message.  The coordinator — which regenerates the identical query
-    sequence from the config seed — probes each tick's global refresh
-    selection against the merged maps and replies ``(commit, refresh map)``:
-
-    * the whole window committed: the optimistic state *is* the true state
-      (refresh-free ticks have only locally computable side effects — cache
-      lookups, hit statistics, read hooks — which the advance already
-      performed), so the window cost a single round-trip;
-    * truncated at the window's *last* tick: nothing was executed beyond the
-      refreshing tick, and its query half already ran during the optimistic
-      advance, so the worker simply runs the shared selection over the
-      attached merged map — no rollback;
-    * truncated earlier: the worker restores the snapshot, deterministically
-      replays the committed refresh-free ticks (every RNG's state was
-      captured, so each draw repeats exactly), runs the refreshing tick
-      through the shared selection, and opens the next window after it.
-
-    Window sizes adapt through :class:`ExchangeWindowController` (mirrored by
-    the coordinator), so refresh-heavy stretches fall back to per-tick behaviour
-    while refresh-free stretches amortise one round-trip over up to
-    ``exchange_window`` ticks.  Results are identical to the per-tick
-    exchange for every window size; the trade is snapshot/replay overhead
-    against round-trips.  Requires the batch kernel (the walk runs on the
-    merged timelines; ``SimulationConfig`` validates this).
-    """
-
-    def _execute(self) -> int:
-        config = self._config
-        merged_timeline = merge_timelines(
-            self._timelines, engine=config.stream_engine()
-        )
-        horizon = config.duration + HORIZON_TOLERANCE
-        walk = MergedEventWalk(merged_timeline, horizon)
-        controller = ExchangeWindowController(config.exchange_window)
-        period = config.query_period
-        channel = self._channel
-        processed = 0
-        query_time = period
-        while query_time <= horizon:
-            # The window's tick instants continue the run's single
-            # floating-point accumulation chain, exactly as the per-tick
-            # loops accumulate ``query_time += period``.
-            ticks: List[float] = []
-            next_time = query_time
-            while next_time <= horizon and len(ticks) < controller.window:
-                ticks.append(next_time)
-                next_time += period
-            # A rollback can only reach back past the refreshing tick when
-            # the window holds ticks beyond it, so single-tick windows (the
-            # refresh-heavy steady state) skip the snapshot entirely.
-            snapshot = self._snapshot(walk, processed) if len(ticks) > 1 else None
-            queries: List[Query] = []
-            locals_per_tick: List[Dict[Hashable, ExchangeEntry]] = []
-            exchange = self._exchange
-            for tick in ticks:
-                processed += walk.advance(tick, self._apply_update)
-                query, local = self._tick_local(tick)
-                if exchange is not None:
-                    exchange.write_tick(len(queries), query, local)
-                queries.append(query)
-                locals_per_tick.append(local)
-                processed += 1
-            if exchange is not None:
-                channel.send(("window", None))
-                commit, refresh_map = channel.recv()
-            else:
-                channel.send(("window", locals_per_tick))
-                commit, refresh_map = channel.recv()
-
-            def select_commit(query: Query, tick: float) -> None:
-                # A live shared-memory reply leaves the truncating tick's
-                # merged rows on the coordinator plane (selection runs off
-                # them without decoding); a non-None map is either the pipe
-                # transport's merged map or a resync replay's materialised
-                # rows.
-                if refresh_map is not None:
-                    self._select_and_refresh(query, tick, refresh_map)
-                else:
-                    self._select_and_refresh_rows(
-                        query, tick, exchange, locals_per_tick[commit]
-                    )
-
-            if commit >= len(ticks):
-                query_time = next_time
-            elif commit == len(ticks) - 1:
-                # Only the last tick refreshes: its query half already ran,
-                # nothing beyond it was executed — select and move on.
-                select_commit(queries[commit], ticks[commit])
-                query_time = ticks[commit] + period
-            else:
-                processed = self._restore(snapshot, walk)
-                for tick in ticks[:commit]:
-                    processed += walk.advance(tick, self._apply_update)
-                    self._tick_local(tick)
-                    processed += 1
-                tick = ticks[commit]
-                processed += walk.advance(tick, self._apply_update)
-                query, _ = self._tick_local(tick)
-                select_commit(query, tick)
-                processed += 1
-                query_time = tick + period
-            controller.observe(len(ticks), commit)
-        processed += walk.advance(horizon, self._apply_update)
-        return processed
-
-    def _snapshot(self, walk: MergedEventWalk, processed: int) -> tuple:
-        """Capture every mutable piece an optimistic window may touch.
-
-        One pickle covers the substrate objects (so cross-references survive)
-        including every RNG's state — the policy's shared draw stream, the
-        workload and constraint generators — which is what makes the
-        truncation replay bit-exact.  Pickling is safe here because the
-        worker's entire state was built from pickled inputs (policy, streams
-        and eviction policy crossed the process boundary to get here), and
-        it is measurably cheaper than ``copy.deepcopy`` — the snapshot is
-        the windowed exchange's main overhead.  The pre-materialised
-        timelines are immutable and shared; only the walk cursor is saved.
-        """
-        core = pickle.dumps(
-            (
-                self._sources,
-                self._cache,
-                self._metrics,
-                self._workload,
-                self._network,
-                self._policy,
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return core, walk.state(), processed
-
-    def _restore(self, snapshot: tuple, walk: MergedEventWalk) -> int:
-        """Adopt a snapshot's objects and rewind the walk; returns processed."""
-        core, walk_state, processed = snapshot
-        (
-            self._sources,
-            self._cache,
-            self._metrics,
-            self._workload,
-            self._network,
-            self._policy,
-        ) = pickle.loads(core)
-        walk.restore(walk_state)
-        self._rebind_hot_callables()
-        return processed
-
-
 def _worker_main(
     channel: Any,
     config: SimulationConfig,
@@ -768,12 +508,12 @@ def _worker_main(
     policy: PrecisionPolicy,
     eviction_policy: Optional[EvictionPolicy],
     workload_keys: Sequence[Hashable],
-    exchange_spec: Optional[Tuple[str, int, int, int, int]] = None,
+    exchange_spec: Tuple[str, int, int, int],
 ) -> None:
     """Worker process entry point: run the sub-simulation, report, exit.
 
-    ``exchange_spec`` — ``(segment name, workers, slots, rows, plane)`` —
-    attaches the shared-memory exchange; it rides the spawn arguments, so a
+    ``exchange_spec`` — ``(segment name, workers, rows, plane)`` — attaches
+    the shared-memory exchange; it rides the spawn arguments, so a
     supervisor restart re-attaches the replacement process to the same
     segment with no extra negotiation.
     """
@@ -783,24 +523,16 @@ def _worker_main(
             key: PrebuiltStream(initial_value, timeline)
             for key, (initial_value, timeline) in sources.items()
         }
-        exchange: Optional[ShmWorkerExchange] = None
-        if exchange_spec is not None:
-            name, workers, slots, rows, plane = exchange_spec
-            exchange_array = ExchangeArray(workers, slots, rows, name=name)
-            exchange = ShmWorkerExchange(exchange_array, plane)
-        simulation_class = (
-            WindowedShardWorkerSimulation
-            if config.exchange_window > 1
-            else ShardWorkerSimulation
-        )
-        simulation = simulation_class(
+        name, workers, rows, plane = exchange_spec
+        exchange_array = ExchangeArray(workers, rows, name=name)
+        simulation = ShardWorkerSimulation(
             config=config,
             streams=streams,
             policy=policy,
             eviction_policy=eviction_policy,
             workload_keys=workload_keys,
             channel=channel,
-            exchange=exchange,
+            exchange=ShmWorkerExchange(exchange_array, plane),
         )
         channel.send(("done", simulation.run_worker()))
     except BaseException:  # pragma: no cover - exercised via crash tests
@@ -877,33 +609,15 @@ def run_concurrent_shards(
         keys_by_worker[shard_of[key] % worker_count].append(key)
     populated = [index for index in range(worker_count) if keys_by_worker[index]]
 
-    # Shared-memory transport: one ExchangeArray created (and finally
-    # unlinked) here, attached by every worker via its spawn arguments.
-    # Row positions are query positions, so the planes are sized by the
-    # workload's fixed query fan-out; the windowed protocol needs one slot
-    # per tick of the largest window.
-    use_shm = config.exchange_transport == "shm" and _shared_memory is not None
-    exchange: Optional[ExchangeArray] = None
-    plane_of_key: Optional[Dict[Hashable, int]] = None
-    exchange_specs: Dict[int, Tuple[str, int, int, int, int]] = {}
-    if use_shm:
-        slots = config.exchange_window if config.exchange_window > 1 else 1
-        # The workload clamps its fan-out to the key population, so the row
-        # count is the *effective* query size, constant across ticks.
-        row_count = min(config.query_size, len(keys))
-        exchange = ExchangeArray(len(populated), slots, row_count)
-        plane_index = {worker: plane for plane, worker in enumerate(populated)}
-        plane_of_key = {
-            key: plane_index[shard_of[key] % worker_count] for key in keys
-        }
-        for index in populated:
-            exchange_specs[index] = (
-                exchange.name,
-                len(populated),
-                slots,
-                row_count,
-                plane_index[index],
-            )
+    # One ExchangeArray created (and finally unlinked) here, attached by
+    # every worker via its spawn arguments.  Row positions are query
+    # positions, so the planes are sized by the workload's fixed query
+    # fan-out — which the workload clamps to the key population, so the row
+    # count is the *effective* query size, constant across ticks.
+    row_count = min(config.query_size, len(keys))
+    exchange = ExchangeArray(len(populated), row_count)
+    plane_index = {worker: plane for plane, worker in enumerate(populated)}
+    plane_of_key = {key: plane_index[shard_of[key] % worker_count] for key in keys}
 
     worker_config = config.with_changes(shard_workers=0)
     targets = []
@@ -924,7 +638,7 @@ def run_concurrent_shards(
                     policy,
                     eviction_policy,
                     keys,
-                    exchange_specs.get(index),
+                    (exchange.name, len(populated), row_count, plane_index[index]),
                 ),
             )
         )
@@ -934,47 +648,39 @@ def run_concurrent_shards(
     try:
         with persistent_worker_pool(targets) as handles:
             supervisor = _ExchangeSupervisor(handles)
-            if config.exchange_window > 1:
-                ticks = _windowed_exchange_loop(
-                    config, handles, keys, horizon, supervisor, exchange, plane_of_key
-                )
-            else:
-                ticks = _tick_exchange_loop(
-                    config, handles, keys, horizon, supervisor, exchange, plane_of_key
-                )
+            ticks = _tick_exchange_loop(
+                config, handles, keys, horizon, supervisor, exchange, plane_of_key
+            )
             for handle in handles:
                 tag, payload = supervisor.receive(handle)
                 payloads.append(payload)
     finally:
-        if exchange is not None:
-            exchange.close()
-            exchange.unlink()
+        exchange.close()
+        exchange.unlink()
 
     return _merge_payloads(config, payloads, populated, worker_count, ticks)
 
 
-def _make_gather(planes: np.ndarray, query_size: int) -> Callable[[List[int], int], None]:
+def _make_gather(planes: np.ndarray, query_size: int) -> Callable[[List[int]], None]:
     """Build the coordinator's merge: worker planes -> the merged plane.
 
-    Returns ``gather(owners, slot)`` copying row ``p`` of worker plane
-    ``owners[p]`` at slot ``slot`` into the merged plane's slot-0 row ``p``
-    (the merged plane always publishes at slot 0 — that is where workers
-    decode, whichever window slot truncated).  One fancy-indexed copy at
-    real fan-outs; a scalar row loop below :data:`_SCALAR_FANOUT_LIMIT`,
+    Returns ``gather(owners)`` copying row ``p`` of worker plane
+    ``owners[p]`` into the merged plane's row ``p``.  One fancy-indexed copy
+    at real fan-outs; a scalar row loop below :data:`_SCALAR_FANOUT_LIMIT`,
     where the fancy-indexing setup dominates.
     """
-    merged_rows = planes[-1, 0]
+    merged_rows = planes[-1]
     if query_size < _SCALAR_FANOUT_LIMIT:
 
-        def gather(owners: List[int], slot: int) -> None:
+        def gather(owners: List[int]) -> None:
             for position, owner in enumerate(owners):
-                merged_rows[position] = planes[owner, slot, position]
+                merged_rows[position] = planes[owner, position]
 
     else:
         positions = np.arange(query_size)
 
-        def gather(owners: List[int], slot: int) -> None:
-            merged_rows[:] = planes[owners, slot, positions]
+        def gather(owners: List[int]) -> None:
+            merged_rows[:] = planes[owners, positions]
 
     return gather
 
@@ -982,7 +688,7 @@ def _make_gather(planes: np.ndarray, query_size: int) -> Callable[[List[int], in
 def _rows_to_map(
     keys: Sequence[Hashable], rows: np.ndarray
 ) -> Dict[Hashable, ExchangeEntry]:
-    """Decode exchange rows into the pipe transport's merged map shape."""
+    """Decode exchange rows into the merged ``key -> (interval, value)`` map."""
     return {
         key: (
             _reconstruct_interval(float(rows[position, 0]), float(rows[position, 1])),
@@ -992,24 +698,14 @@ def _rows_to_map(
     }
 
 
-def _journal_rows(keys: Tuple[Hashable, ...], rows: np.ndarray) -> Callable[[], Any]:
-    """Journal entry for a shm tick reply: copies now, materialises on resync."""
+def _journal_rows(
+    keys: Tuple[Hashable, ...], rows: np.ndarray
+) -> Callable[[], Dict[Hashable, ExchangeEntry]]:
+    """Journal entry for a tick reply: copies now, materialises on resync."""
     snapshot = rows.copy()
 
     def materialise() -> Dict[Hashable, ExchangeEntry]:
         return _rows_to_map(keys, snapshot)
-
-    return materialise
-
-
-def _journal_window(
-    commit: int, keys: Tuple[Hashable, ...], rows: np.ndarray
-) -> Callable[[], Any]:
-    """Journal entry for a truncated shm window reply."""
-    snapshot = rows.copy()
-
-    def materialise() -> Tuple[int, Dict[Hashable, ExchangeEntry]]:
-        return commit, _rows_to_map(keys, snapshot)
 
     return materialise
 
@@ -1020,193 +716,36 @@ def _tick_exchange_loop(
     keys: Sequence[Hashable],
     horizon: float,
     supervisor: _ExchangeSupervisor,
-    exchange: Optional[ExchangeArray] = None,
-    plane_of_key: Optional[Dict[Hashable, int]] = None,
+    exchange: ExchangeArray,
+    plane_of_key: Dict[Hashable, int],
 ) -> int:
-    """The per-tick coordinator loop: one merge-and-broadcast per query tick.
+    """The coordinator loop: one merge-and-broadcast per query tick.
 
-    Pipe transport merges the workers' pickled partial maps; the
-    shared-memory transport instead regenerates the tick's query (both sides
-    draw the identical sequence from the config seed), gathers each
-    position's row from its owning worker's plane into the merged plane with
-    one fancy-indexed copy, and broadcasts a constant-size ``None`` token.
+    Waits for every worker's tick token, regenerates the tick's query (both
+    sides draw the identical sequence from the config seed), gathers each
+    position's row from its owning worker's plane into the merged plane, and
+    broadcasts a constant-size ``None`` token.
     """
     registry = REGISTRY
-    query_time = config.query_period
-    ticks = 0
-    if exchange is None:
-        while query_time <= horizon:
-            partials = []
-            for handle in handles:
-                tag, payload = supervisor.receive(handle)
-                if registry.enabled:
-                    _record_exchange((tag, payload))
-                partials.append(payload)
-            merged: Dict[Hashable, ExchangeEntry] = {}
-            for partial in partials:
-                merged.update(partial)
-            supervisor.broadcast(merged)
-            if registry.enabled:
-                _record_exchange(merged, count=len(handles))
-                _EXCHANGE_TICKS.inc()
-            ticks += 1
-            query_time += config.query_period
-        return ticks
-    assert plane_of_key is not None
     workload = config.build_workload(keys)
     planes = exchange.array
-    merged_rows = planes[-1, 0]
+    merged_rows = planes[-1]
     gather = _make_gather(planes, workload.query_size)
+    query_time = config.query_period
+    ticks = 0
     while query_time <= horizon:
         for handle in handles:
             tag, payload = supervisor.receive(handle)
             if registry.enabled:
                 _record_exchange((tag, payload))
         query = workload.generate(query_time)
-        owners = [plane_of_key[key] for key in query.keys]
-        gather(owners, 0)
-        supervisor.broadcast(None, journal_entry=_journal_rows(query.keys, merged_rows))
+        gather([plane_of_key[key] for key in query.keys])
+        supervisor.broadcast(_journal_rows(query.keys, merged_rows))
         if registry.enabled:
             _record_exchange(None, count=len(handles))
             _EXCHANGE_TICKS.inc()
         ticks += 1
         query_time += config.query_period
-    return ticks
-
-
-def _query_needs_refreshes(query: Query, merged: Dict[Hashable, ExchangeEntry]) -> bool:
-    """Probe whether a tick's global refresh selection fetches anything.
-
-    Runs the *identical* selection the workers run
-    (:func:`repro.queries.refresh_selection.run_query_refreshes` over the
-    merged intervals in query-key order), with a fetch callback that records
-    the fetch and substitutes the exchanged exact value, so the coordinator's
-    commit decision agrees with every worker's subsequent replay.
-    """
-    constraint = query.constraint
-    if math.isinf(constraint):
-        return False
-    intervals = {key: merged[key][0] for key in query.keys}
-    fetched = False
-
-    def probe(key: Hashable) -> float:
-        nonlocal fetched
-        fetched = True
-        return merged[key][1]
-
-    run_query_refreshes(query.kind, intervals, constraint, probe)
-    return fetched
-
-
-def _rows_need_refreshes(query: Query, rows: np.ndarray) -> bool:
-    """:func:`_query_needs_refreshes` evaluated straight off exchange rows.
-
-    SUM/AVG — the overwhelmingly common probe — goes through the columnar
-    selector, whose vectorised screen is bit-faithful to the scalar
-    selection (see :func:`select_sum_refreshes_columnar`); other aggregates
-    decode the rows and reuse the map-based probe.
-    """
-    constraint = query.constraint
-    if math.isinf(constraint):
-        return False
-    kind = query.kind
-    if kind is AggregateKind.SUM or kind is AggregateKind.AVG:
-        widths = rows[:, 1] - rows[:, 0]
-        limit = constraint * len(query.keys) if kind is AggregateKind.AVG else constraint
-        return bool(select_sum_refreshes_columnar(query.keys, widths, limit))
-    return _query_needs_refreshes(query, _rows_to_map(query.keys, rows))
-
-
-def _windowed_exchange_loop(
-    config: SimulationConfig,
-    handles: Sequence[WorkerHandle],
-    keys: Sequence[Hashable],
-    horizon: float,
-    supervisor: _ExchangeSupervisor,
-    exchange: Optional[ExchangeArray] = None,
-    plane_of_key: Optional[Dict[Hashable, int]] = None,
-) -> int:
-    """Coordinator side of the windowed exchange (``exchange_window > 1``).
-
-    Receives each worker's optimistic window of per-tick owned pairs in one
-    message, regenerates the identical query sequence from the config seed
-    (:meth:`SimulationConfig.build_workload` draws independently of
-    simulation state), probes each tick's refresh selection against the
-    merged maps, and replies ``(commit, refresh map)``: the number of
-    leading refresh-free ticks every worker may keep, plus — when the window
-    truncates — the merged map of the first refreshing tick.  The workload
-    RNG stays in lock-step with the workers because exactly the committed
-    ticks and the truncating tick have been generated when a window closes.
-    """
-    registry = REGISTRY
-    workload = config.build_workload(keys)
-    period = config.query_period
-    controller = ExchangeWindowController(config.exchange_window)
-    query_time = period
-    ticks = 0
-    if exchange is not None:
-        assert plane_of_key is not None
-        planes = exchange.array
-        merged_rows = planes[-1, 0]
-        gather = _make_gather(planes, workload.query_size)
-    while query_time <= horizon:
-        tick_times: List[float] = []
-        next_time = query_time
-        while next_time <= horizon and len(tick_times) < controller.window:
-            tick_times.append(next_time)
-            next_time += period
-        locals_per_worker = []
-        for handle in handles:
-            tag, payload = supervisor.receive(handle)
-            if registry.enabled:
-                _record_exchange((tag, payload))
-            locals_per_worker.append(payload)
-        commit = len(tick_times)
-        refresh_map: Optional[Dict[Hashable, ExchangeEntry]] = None
-        refresh_keys: Optional[Tuple[Hashable, ...]] = None
-        if exchange is None:
-            for index, tick in enumerate(tick_times):
-                merged: Dict[Hashable, ExchangeEntry] = {}
-                for worker_locals in locals_per_worker:
-                    merged.update(worker_locals[index])
-                if _query_needs_refreshes(workload.generate(tick), merged):
-                    commit = index
-                    refresh_map = merged
-                    break
-            supervisor.broadcast((commit, refresh_map))
-            if registry.enabled:
-                _record_exchange((commit, refresh_map), count=len(handles))
-        else:
-            # Gather each probed tick's rows into the merged plane; when a
-            # tick truncates the window the plane already holds exactly the
-            # refresh map the workers will decode.
-            for index, tick in enumerate(tick_times):
-                query = workload.generate(tick)
-                owners = [plane_of_key[key] for key in query.keys]
-                gather(owners, index)
-                if _rows_need_refreshes(query, merged_rows):
-                    commit = index
-                    refresh_keys = query.keys
-                    break
-            if refresh_keys is not None:
-                supervisor.broadcast(
-                    (commit, None),
-                    journal_entry=_journal_window(commit, refresh_keys, merged_rows),
-                )
-            else:
-                supervisor.broadcast((commit, None))
-            if registry.enabled:
-                _record_exchange((commit, None), count=len(handles))
-        truncated = refresh_map is not None or refresh_keys is not None
-        if registry.enabled:
-            _EXCHANGE_TICKS.inc((commit + 1) if truncated else len(tick_times))
-        if truncated:
-            ticks += commit + 1
-            query_time = tick_times[commit] + period
-        else:
-            ticks += len(tick_times)
-            query_time = next_time
-        controller.observe(len(tick_times), commit)
     return ticks
 
 

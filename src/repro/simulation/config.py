@@ -28,16 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 CORE_NAMES = ("columnar", "object")
 DEFAULT_CORE = "columnar"
 
-#: The valid ``SimulationConfig.exchange_transport`` values for concurrent
-#: shard-worker runs: ``"shm"`` (default) swaps per-tick interval/value rows
-#: through one ``multiprocessing.shared_memory`` array plus a small control
-#: message; ``"pipe"`` pickles the full payload over the worker pipes (the
-#: pre-PR8 protocol, kept as the fallback/compat transport).
-EXCHANGE_TRANSPORT_NAMES = ("shm", "pipe")
-DEFAULT_EXCHANGE_TRANSPORT = "shm"
-
 _default_core = DEFAULT_CORE
-_default_exchange_transport = DEFAULT_EXCHANGE_TRANSPORT
 
 
 def set_default_core(name: str) -> None:
@@ -58,22 +49,6 @@ def set_default_core(name: str) -> None:
 def get_default_core() -> str:
     """The current process-wide default for ``SimulationConfig.core``."""
     return _default_core
-
-
-def set_default_exchange_transport(name: str) -> None:
-    """Set the process-wide default for ``SimulationConfig.exchange_transport``."""
-    global _default_exchange_transport
-    if name not in EXCHANGE_TRANSPORT_NAMES:
-        raise ValueError(
-            f"unknown exchange transport {name!r}; available: "
-            f"{', '.join(EXCHANGE_TRANSPORT_NAMES)}"
-        )
-    _default_exchange_transport = name
-
-
-def get_default_exchange_transport() -> str:
-    """The current process-wide default for ``SimulationConfig.exchange_transport``."""
-    return _default_exchange_transport
 
 
 @dataclass(frozen=True)
@@ -112,19 +87,10 @@ class SimulationConfig:
         (the default) runs every shard in-process through the routing
         coordinator; larger values partition sources by their owning shard
         and run each shard's sub-simulation concurrently in a worker process
-        (:mod:`repro.sharding.workers`), synchronising at query ticks and
-        merging per-shard metrics.  Requires ``shards > 1`` and at most
-        ``shards`` workers.
-    exchange_window:
-        Number of query ticks a concurrent shard-worker run batches into one
-        coordinator round-trip (:mod:`repro.sharding.workers`).  ``1`` (the
-        default) synchronises at every tick, exactly the original protocol;
-        larger windows advance each worker optimistically and roll back to
-        the window start whenever a tick needs query-initiated refreshes,
-        trading redundant re-execution for fewer pipe round-trips.  Results
-        are identical for every window size.  Ignored unless
-        ``shard_workers > 1``; windows larger than 1 require the batch
-        kernel.
+        (:mod:`repro.sharding.workers`), exchanging each query tick's
+        interval/value rows through one shared-memory array and merging
+        per-shard metrics.  Requires ``shards > 1`` and at most ``shards``
+        workers.
     kernel:
         Event-execution strategy.  ``"batch"`` (the default) replays the
         pre-materialised update timelines and the periodic query clock
@@ -154,13 +120,6 @@ class SimulationConfig:
         columnar path silently falls back to the object path whenever an
         observable (interval sampling, policy read/write observers, bounded
         capacity, sharding) requires per-event object semantics.
-    exchange_transport:
-        Transport of the concurrent shard-worker exchange.  ``"shm"`` (the
-        default) publishes per-tick interval/value rows through one
-        ``multiprocessing.shared_memory`` array and sends only a small
-        control message per round-trip; ``"pipe"`` pickles the payloads over
-        the worker pipes (the original protocol).  Bit-identical results;
-        ignored unless ``shard_workers > 1``.
     value_refresh_cost / query_refresh_cost:
         ``C_vr`` and ``C_qr`` charged per refresh.
     seed:
@@ -182,11 +141,9 @@ class SimulationConfig:
     cache_capacity: Optional[int] = None
     shards: int = 1
     shard_workers: int = 0
-    exchange_window: int = 1
     engine: str = DEFAULT_ENGINE
     kernel: str = DEFAULT_KERNEL
     core: str = field(default_factory=get_default_core)
-    exchange_transport: str = field(default_factory=get_default_exchange_transport)
     value_refresh_cost: float = 1.0
     query_refresh_cost: float = 2.0
     seed: int = 0
@@ -229,17 +186,6 @@ class SimulationConfig:
                     "shard_workers may not exceed the shard count "
                     f"({self.shard_workers} workers for {self.shards} shards)"
                 )
-        if self.exchange_window < 1:
-            raise ValueError("exchange_window must be at least 1")
-        if (
-            self.exchange_window > 1
-            and self.shard_workers > 1
-            and self.kernel != "batch"
-        ):
-            raise ValueError(
-                "exchange_window > 1 requires the batch kernel (the windowed "
-                "shard-worker exchange replays the merged timelines directly)"
-            )
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; available: "
@@ -258,11 +204,6 @@ class SimulationConfig:
         if self.core not in CORE_NAMES:
             raise ValueError(
                 f"unknown core {self.core!r}; available: {', '.join(CORE_NAMES)}"
-            )
-        if self.exchange_transport not in EXCHANGE_TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown exchange transport {self.exchange_transport!r}; "
-                f"available: {', '.join(EXCHANGE_TRANSPORT_NAMES)}"
             )
         if self.value_refresh_cost <= 0 or self.query_refresh_cost <= 0:
             raise ValueError("refresh costs must be positive")
@@ -298,9 +239,9 @@ class SimulationConfig:
         and neither draws from simulation state — so every caller handing
         this method the same key sequence regenerates the identical query
         stream.  That property is what lets shard workers replay the global
-        workload locally, the windowed exchange coordinator probe refresh
-        ticks, and the serving load generator drive a live server through
-        the exact offline query sequence.
+        workload locally, the exchange coordinator gather each tick's rows
+        by query position, and the serving load generator drive a live
+        server through the exact offline query sequence.
         """
         from repro.queries.workload import QueryWorkload
 

@@ -206,10 +206,8 @@ class MergedEventWalk:
     an explicit cursor: callers alternate :meth:`advance` (execute every
     update up to a query instant) with their own query handling, and may
     :meth:`state`/:meth:`restore` the cursor to rewind a partially executed
-    stretch.  Two callers rely on that shape: the windowed shard-worker
-    exchange (:mod:`repro.sharding.workers`) rolls optimistically executed
-    windows back, and the serving load generator
-    (:mod:`repro.serving.loadgen`) interleaves awaited RPCs with the walk.
+    stretch.  The serving load generator (:mod:`repro.serving.loadgen`)
+    relies on that shape to interleave awaited RPCs with the walk.
 
     The event order is exactly :func:`run_batch_kernel`'s: calling
     ``advance(t, handler)`` before handling the query at ``t`` executes every

@@ -176,24 +176,16 @@ class CacheSimulation:
         # batch run is executing (the ``_col_*`` companions hold the
         # precomputed value/change columns and the escape schedule).
         self._mirror: Optional[ColumnarState] = None
-        self._rebind_hot_callables()
-        self._ran = False
-
-    def _rebind_hot_callables(self) -> None:
-        """(Re)bind the hot-loop prebinds to the current substrate objects.
-
-        These callables are hit once per refresh or per query; binding them
-        once removes a chain of attribute lookups per event.  They are stable
-        for the life of an ordinary run; the windowed shard-worker exchange
-        (:mod:`repro.sharding.workers`) swaps the substrate objects when it
-        rolls a window back and calls this again to re-point the bindings.
-        """
+        # Hot-loop prebinds: these callables are hit once per refresh or per
+        # query, so binding them once removes a chain of attribute lookups
+        # per event.
         self._cache_get = self._cache.get
         self._record_refresh = self._metrics.record_refresh_components
         self._charge_value_refresh = self._network.charge_value_refresh
         self._charge_query_refresh = self._network.charge_query_refresh
         self._policy_value_refresh = self._policy.on_value_initiated_refresh
         self._policy_query_refresh = self._policy.on_query_initiated_refresh
+        self._ran = False
 
     # ------------------------------------------------------------------
     # Public accessors (useful to tests and experiments)

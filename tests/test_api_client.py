@@ -1,7 +1,6 @@
 """The one typed client API and its deployment-description dataclass.
 
-``repro.serving.api.Client`` replaced the pre-gateway ``ServingClient``;
-the shim must still work but warn, ``connect``/``dial`` must accept every
+``connect``/``dial`` on ``repro.serving.api.Client`` must accept every
 documented target form, and :class:`ServeConfig` must reject the flag
 combinations the CLI forwards to it.
 """
@@ -82,26 +81,6 @@ class TestClientConnect:
     def test_default_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             Client(None, default_deadline=0)
-
-
-class TestServingClientShim:
-    def test_open_warns_and_still_works(self):
-        from repro.serving.loadgen import ServingClient
-
-        async def drive():
-            server = _server()
-            with pytest.warns(DeprecationWarning, match="repro.serving.api.Client"):
-                client = await ServingClient.open(server.connect())
-            try:
-                assert isinstance(client, Client)
-                await client.register(["k"], [1.0], feeder="f")
-                answer = await client.query(["k"])
-                assert answer.low <= 1.0 <= answer.high
-            finally:
-                await client.close()
-                await server.close()
-
-        asyncio.run(drive())
 
 
 class TestServeConfig:

@@ -106,23 +106,11 @@ class TestParser:
 
     def test_core_defaults_to_none(self):
         args = build_parser().parse_args(["run", "section45"])
-        assert args.core is None and args.exchange_transport is None
+        assert args.core is None
 
     def test_unknown_core_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--core", "rowwise"])
-
-    def test_run_accepts_exchange_transport(self):
-        args = build_parser().parse_args(
-            ["run", "section45", "--exchange-transport", "pipe"]
-        )
-        assert args.exchange_transport == "pipe"
-
-    def test_unknown_exchange_transport_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "section45", "--exchange-transport", "carrier-pigeon"]
-            )
 
     def test_run_accepts_profile(self):
         args = build_parser().parse_args(
@@ -185,34 +173,6 @@ class TestMain:
         finally:
             simulation_config.set_default_core(simulation_config.DEFAULT_CORE)
         assert compat == columnar
-
-    def test_run_section45_pipe_transport_matches_shm(self, capsys):
-        from repro.simulation import config as simulation_config
-
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        shm = capsys.readouterr().out
-        try:
-            assert (
-                main(
-                    [
-                        "run",
-                        "section45",
-                        "--shards",
-                        "4",
-                        "--shard-workers",
-                        "2",
-                        "--exchange-transport",
-                        "pipe",
-                    ]
-                )
-                == 0
-            )
-            pipe = capsys.readouterr().out
-        finally:
-            simulation_config.set_default_exchange_transport(
-                simulation_config.DEFAULT_EXCHANGE_TRANSPORT
-            )
-        assert pipe == shm
 
     def test_run_profile_dumps_stats(self, capsys, tmp_path):
         import pstats
@@ -379,19 +339,6 @@ class TestServingParser:
                  "part_kill_every=10"]
             )
 
-    def test_run_accepts_exchange_window(self):
-        args = build_parser().parse_args(["run", "section45", "--exchange-window", "8"])
-        assert args.exchange_window == 8
-
-    def test_zero_exchange_window_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--exchange-window", "0"])
-
-    def test_exchange_window_ignored_with_note_for_unsupported_experiment(self, capsys):
-        assert main(["run", "table1", "--exchange-window", "4"]) == 0
-        captured = capsys.readouterr()
-        assert "--exchange-window ignored" in captured.err
-
 
 class TestServingMain:
     def test_loadgen_deterministic_matches_offline(self, capsys):
@@ -468,25 +415,3 @@ class TestServingMain:
         output = capsys.readouterr().out
         assert "latency_ms: p50=" in output
         assert "throughput=" in output
-
-    def test_exchange_window_table_matches_per_tick(self, capsys):
-        # Window 8 must print the identical committed table (CI diffs it too).
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        per_tick = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "run",
-                    "section45",
-                    "--shards",
-                    "4",
-                    "--shard-workers",
-                    "2",
-                    "--exchange-window",
-                    "8",
-                ]
-            )
-            == 0
-        )
-        windowed = capsys.readouterr().out
-        assert windowed == per_tick

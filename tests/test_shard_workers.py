@@ -135,29 +135,10 @@ def test_more_shards_than_populated_workers():
     _assert_results_equal(serial, merged)
 
 
-@pytest.mark.parametrize("window", [2, 8])
-def test_windowed_exchange_equals_serial(window):
-    """The optimistic windowed exchange reproduces the serial sharded run."""
-    serial = CacheSimulation(_config(4, 0), _walk_streams(8), _adaptive_policy()).run()
-    merged = CacheSimulation(
-        _config(4, 2, exchange_window=window), _walk_streams(8), _adaptive_policy()
-    ).run()
-    _assert_results_equal(serial, merged)
-
-
-def test_windowed_exchange_equals_per_tick_exchange():
-    """Window 8 and window 1 (the original protocol) agree field for field."""
-    per_tick = CacheSimulation(
-        _config(4, 2, exchange_window=1), _walk_streams(8), _adaptive_policy()
-    ).run()
-    windowed = CacheSimulation(
-        _config(4, 2, exchange_window=8), _walk_streams(8), _adaptive_policy()
-    ).run()
-    _assert_results_equal(per_tick, windowed)
-
-
-def test_windowed_exchange_with_mixed_aggregates_and_capacity():
-    """Truncation replay stays exact under extremum probes and evictions."""
+def test_concurrent_with_mixed_aggregates_and_capacity():
+    """MAX/MIN queries decode the merged rows (``ShmWorkerExchange.read_merged``)
+    instead of screening widths; under evictions and tracked keys the
+    merged run still equals the serial one."""
     from repro.queries.aggregates import AggregateKind
 
     kwargs = dict(
@@ -169,20 +150,9 @@ def test_windowed_exchange_with_mixed_aggregates_and_capacity():
         _config(4, 0, **kwargs), _walk_streams(10), _adaptive_policy()
     ).run()
     merged = CacheSimulation(
-        _config(4, 2, exchange_window=4, **kwargs),
-        _walk_streams(10),
-        _adaptive_policy(),
+        _config(4, 2, **kwargs), _walk_streams(10), _adaptive_policy()
     ).run()
     _assert_results_equal(serial, merged)
-
-
-def test_exchange_window_requires_batch_kernel():
-    with pytest.raises(ValueError, match="requires the batch kernel"):
-        _config(4, 2, exchange_window=2, kernel="scheduler")
-    # Without concurrent workers the window is inert, so any kernel is fine.
-    _config(4, 0, exchange_window=2, kernel="scheduler")
-    with pytest.raises(ValueError, match="at least 1"):
-        _config(4, 2, exchange_window=0)
 
 
 def test_nondecomposable_policy_warns():
@@ -249,43 +219,24 @@ def test_merge_cache_statistics_rollup():
 
 
 # ---------------------------------------------------------------------------
-# Exchange transports (PR 8): shared-memory rows vs pickled pipes
+# The shared-memory exchange: only constant-size tokens are pickled
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("exchange_window", [1, 4])
-def test_pipe_transport_equals_shm(exchange_window):
-    """Both transports are wire-level implementations of one exchange: the
-    merged results must match field for field at every window size."""
-    shm = CacheSimulation(
-        _config(4, 2, exchange_window=exchange_window, exchange_transport="shm"),
-        _walk_streams(8),
-        _adaptive_policy(),
-    ).run()
-    pipe = CacheSimulation(
-        _config(4, 2, exchange_window=exchange_window, exchange_transport="pipe"),
-        _walk_streams(8),
-        _adaptive_policy(),
-    ).run()
-    _assert_results_equal(shm, pipe)
-
-
-def test_shm_transport_drops_pickled_bytes_per_tick():
-    """The headline exchange saving: the shared-memory transport moves the
-    per-tick rows out of the pickled control messages, so the coordinator's
-    pickle traffic per query tick drops by well over the 10x acceptance
-    floor (the interval payload scales with fan-out; the token does not).
-    The coordinator's traffic is metered by the ``repro.obs`` registry
-    counters that replaced the old bespoke exchange meter."""
+def test_exchange_pickles_constant_bytes_per_tick():
+    """The interval/value rows ride the shared-memory exchange array, so the
+    coordinator pickles only constant-size control tokens: bytes per query
+    tick are identical at a 5-key and a 25-key query fan-out.  The traffic
+    is metered by the ``repro.obs`` registry counters."""
     from repro.obs.metrics import REGISTRY
 
-    def measure(transport):
+    def bytes_per_tick(query_size):
         REGISTRY.reset()
         REGISTRY.enable()
         try:
             CacheSimulation(
-                _config(4, 2, exchange_transport=transport),
-                _walk_streams(8),
+                _config(4, 2, duration=120.0, warmup=12.0, query_size=query_size),
+                _walk_streams(30),
                 _adaptive_policy(),
             ).run()
             ticks = REGISTRY.value("repro_exchange_ticks_total")
@@ -296,6 +247,4 @@ def test_shm_transport_drops_pickled_bytes_per_tick():
             REGISTRY.disable()
             REGISTRY.reset()
 
-    pipe_bytes_per_tick = measure("pipe")
-    shm_bytes_per_tick = measure("shm")
-    assert shm_bytes_per_tick * 10 <= pipe_bytes_per_tick
+    assert bytes_per_tick(5) == bytes_per_tick(25)

@@ -188,17 +188,10 @@ def _adaptive_policy(seed=3):
     )
 
 
-@pytest.mark.parametrize("exchange_window", [1, 4])
-def test_killed_worker_is_restarted_and_resynced(
-    tmp_path, monkeypatch, exchange_window
-):
+def test_killed_worker_is_restarted_and_resynced(tmp_path, monkeypatch):
     """SIGKILL one worker mid-run: the supervisor restarts it, replays the
     reply journal, and the merged result still equals the serial run."""
-    serial = CacheSimulation(
-        _config(4, 0, exchange_window=exchange_window),
-        _walk_streams(8),
-        _adaptive_policy(),
-    ).run()
+    serial = CacheSimulation(_config(4, 0), _walk_streams(8), _adaptive_policy()).run()
 
     sentinel = str(tmp_path / "crashed-once")
     original = shard_workers._worker_main
@@ -212,9 +205,7 @@ def test_killed_worker_is_restarted_and_resynced(
     monkeypatch.setattr(shard_workers, "_worker_main", crashy)
     with pytest.warns(RuntimeWarning, match="restarting and replaying"):
         merged = CacheSimulation(
-            _config(4, 2, exchange_window=exchange_window),
-            _walk_streams(8),
-            _adaptive_policy(),
+            _config(4, 2), _walk_streams(8), _adaptive_policy()
         ).run()
 
     assert os.path.exists(sentinel)  # the crash actually happened
