@@ -23,7 +23,11 @@ workloads:
 
 The functions below work against a ``fetch_exact`` callback supplied by the
 simulator; the callback performs the actual query-initiated refresh (cost
-accounting, new interval installation) and returns the exact value.
+accounting, new interval installation) and returns the exact value.  The
+generator core :func:`bounded_query_steps` hands out refreshes in *batches*:
+a SUM/AVG query's whole static selection in one batch, a MAX/MIN query's
+victims one per batch.  The synchronous drivers fetch a batch key by key;
+the serving layer sends a batch's refresh RPCs together.
 """
 
 from __future__ import annotations
@@ -225,17 +229,21 @@ def bounded_query_steps(
     kind: AggregateKind,
     intervals: Dict[Hashable, Interval],
     constraint: float,
-) -> "Generator[Hashable, float, QueryExecution]":
+) -> "Generator[List[Hashable], List[float], QueryExecution]":
     """Generator core of bounded-query execution: the single source of truth.
 
-    Yields each key to refresh in fetch order; the driver sends back the
-    fetched exact value, and the generator returns the completed
-    :class:`QueryExecution` (result bound, refreshed keys) once the
-    constraint holds.  Both the synchronous :func:`execute_bounded_query`
-    (blocking ``fetch_exact``) and the serving layer's asynchronous driver
-    (:mod:`repro.serving.execution`, awaiting a refresh RPC per step) drive
-    this one implementation, so validation, selection, AVG scaling and
-    result assembly cannot drift between the offline and online paths.
+    Yields each *batch* of keys to refresh, in fetch order; the driver sends
+    back the batch's fetched exact values (same order), and the generator
+    returns the completed :class:`QueryExecution` (result bound, refreshed
+    keys) once the constraint holds.  A SUM/AVG selection depends on the
+    widths alone, so all its victims form one batch; a MAX/MIN victim
+    depends on the values fetched before it, so each forms its own batch.
+    Both the synchronous :func:`execute_bounded_query` (blocking
+    ``fetch_exact``, key by key) and the serving layer's asynchronous driver
+    (:mod:`repro.serving.execution`, one pipelined round of refresh RPCs per
+    batch) drive this one implementation, so validation, selection, AVG
+    scaling and result assembly cannot drift between the offline and online
+    paths.
     """
     if not intervals:
         raise ValueError("a query must touch at least one value")
@@ -271,20 +279,23 @@ def bounded_query_steps(
                 constraint=constraint,
             )
         working = dict(intervals)
-        refreshed: List[Hashable] = []
-        for key in selected:
-            exact = yield key
+        exacts = yield selected
+        for key, exact in zip(selected, exacts):
             working[key] = Interval.exact(exact)
-            refreshed.append(key)
         return QueryExecution(
             result_bound=aggregate_bound(AggregateKind.SUM, list(working.values())),
-            refreshed_keys=refreshed,
+            refreshed_keys=selected,
             constraint=constraint,
         )
     if kind in (AggregateKind.MAX, AggregateKind.MIN):
-        working, refreshed = yield from extremum_refresh_steps(
-            intervals, constraint, kind
-        )
+        steps = extremum_refresh_steps(intervals, constraint, kind)
+        try:
+            victim = next(steps)
+            while True:
+                (exact,) = yield [victim]
+                victim = steps.send(exact)
+        except StopIteration as stop:
+            working, refreshed = stop.value
         return QueryExecution(
             result_bound=aggregate_bound(kind, list(working.values())),
             refreshed_keys=refreshed,
@@ -363,17 +374,21 @@ def extremum_refresh_steps(
     return working, refreshed
 
 
-def drive_refresh_steps(steps, fetch_exact: FetchExact):
-    """Drive a refresh-step generator with a blocking ``fetch_exact``.
+def drive_refresh_steps(steps, fetch: Callable):
+    """Drive a refresh-step generator with a blocking ``fetch``.
 
     The one synchronous driver shared by every generator core in this
-    module; the serving layer's asynchronous twin lives in
-    :mod:`repro.serving.execution` (it awaits a refresh RPC per step).
+    module: ``fetch`` receives whatever a step yields (one key from
+    :func:`extremum_refresh_steps`, a batch of keys from
+    :func:`bounded_query_steps`) and returns what the step expects back.
+    The serving layer's asynchronous twin lives in
+    :mod:`repro.serving.execution` (it awaits one round of refresh RPCs
+    per batch).
     """
     try:
-        victim = next(steps)
+        step = next(steps)
         while True:
-            victim = steps.send(fetch_exact(victim))
+            step = steps.send(fetch(step))
     except StopIteration as stop:
         return stop.value
 
@@ -403,8 +418,9 @@ def execute_bounded_query(
 ) -> QueryExecution:
     """Execute a bounded aggregate, refreshing just enough approximations.
 
-    A thin synchronous driver over :func:`bounded_query_steps` (the serving
-    layer drives the same generator asynchronously).
+    A thin synchronous driver over :func:`bounded_query_steps` that fetches
+    each batch key by key, in order (the serving layer drives the same
+    generator asynchronously, one pipelined batch at a time).
 
     Parameters
     ----------
@@ -422,7 +438,8 @@ def execute_bounded_query(
         returning the exact value.
     """
     return drive_refresh_steps(
-        bounded_query_steps(kind, intervals, constraint), fetch_exact
+        bounded_query_steps(kind, intervals, constraint),
+        lambda batch: [fetch_exact(key) for key in batch],
     )
 
 

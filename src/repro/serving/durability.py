@@ -111,9 +111,9 @@ class PartitionDurability:
     The owning server calls :meth:`load` once at construction (recovering
     snapshot and surviving records, truncating any torn tail), replays the
     records through its own apply paths, then :meth:`append`\\ s one record
-    per applied op and calls :meth:`checkpoint` whenever
-    :attr:`checkpoint_due` says the log has grown past ``checkpoint_every``
-    records.
+    per applied op (a query's batch of refreshes in one call) and calls
+    :meth:`checkpoint` whenever :attr:`checkpoint_due` says the log has
+    grown past ``checkpoint_every`` records.
     """
 
     def __init__(
@@ -236,20 +236,29 @@ class PartitionDurability:
     # ------------------------------------------------------------------
     # The append path
     # ------------------------------------------------------------------
-    def append(self, record: Dict[str, Any]) -> None:
-        """Write one op record (write-ahead: call *before* applying)."""
+    def append(self, *records: Dict[str, Any]) -> None:
+        """Write op records (write-ahead: call *before* applying them).
+
+        Several records go out as one ``write`` + ``flush`` (one ``fsync``
+        under ``"always"``), in argument order with consecutive sequence
+        numbers — a query's batch of refreshes logs this way.
+        """
         if self._file is None:
             raise RuntimeError("durability not loaded; call load() first")
-        self._sequence += 1
-        frame = _encode_record({"n": self._sequence, **record})
-        self._file.write(frame)
+        frames = []
+        for record in records:
+            self._sequence += 1
+            frames.append(_encode_record({"n": self._sequence, **record}))
+        blob = b"".join(frames)
+        self._file.write(blob)
         self._file.flush()
         if self.fsync == "always":
             os.fsync(self._file.fileno())
-        self.records_appended += 1
-        self.bytes_appended += len(frame)
-        self._records_since_checkpoint += 1
-        _WAL_RECORD_BYTES.observe(float(len(frame)))
+        self.records_appended += len(frames)
+        self.bytes_appended += len(blob)
+        self._records_since_checkpoint += len(frames)
+        for frame in frames:
+            _WAL_RECORD_BYTES.observe(float(len(frame)))
 
     @property
     def checkpoint_due(self) -> bool:

@@ -10,6 +10,10 @@ generator core (:func:`~repro.queries.refresh_selection.bounded_query_steps`)
 exactly one place, so an online query refreshes exactly the keys — in
 exactly the order — the offline simulator would.  That property is what the
 deterministic load generator's equivalence test pins.
+
+The driver awaits one ``fetch_batch(keys) -> values`` call per batch the
+core yields: a SUM/AVG query's whole selection at once (the server sends
+those refresh RPCs together), a MAX/MIN query's victims one at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from repro.queries.aggregates import AggregateKind, aggregate_bound, sum_bound
 from repro.queries.refresh_selection import QueryExecution, bounded_query_steps
 from repro.sharding.aggregates import merge_aggregate_bounds
 
-AsyncFetchExact = Callable[[Hashable], Awaitable[float]]
+#: ``fetch_batch(keys)`` — refresh every key of one batch and return their
+#: exact values in the same order.
+AsyncFetchBatch = Callable[[List[Hashable]], Awaitable[List[float]]]
 
 #: ``degrade(key, snapshot_interval)`` — the honest widened bound for a key
 #: whose owner is down (the server's mirror-drift model; the gateway's
@@ -34,19 +40,19 @@ async def execute_bounded_query_async(
     kind: AggregateKind,
     intervals: Dict[Hashable, Interval],
     constraint: float,
-    fetch_exact: AsyncFetchExact,
+    fetch_batch: AsyncFetchBatch,
 ) -> QueryExecution:
     """Async twin of :func:`repro.queries.refresh_selection.execute_bounded_query`.
 
-    Same parameters and result; ``fetch_exact`` is awaited per refresh (the
-    serving layer's refresh RPC).  Every refresh *choice* is made by the
-    shared generator core between awaits.
+    Same result; ``fetch_batch`` is awaited once per batch of refreshes
+    (the serving layer's refresh RPCs).  Every refresh *choice* is made by
+    the shared generator core between awaits.
     """
     steps = bounded_query_steps(kind, intervals, constraint)
     try:
-        victim = next(steps)
+        batch = next(steps)
         while True:
-            victim = steps.send(await fetch_exact(victim))
+            batch = steps.send(await fetch_batch(batch))
     except StopIteration as stop:
         return stop.value
 
@@ -58,7 +64,7 @@ async def execute_partitioned_query(
     constraint: float,
     degraded: Sequence[Hashable],
     degrade: DegradeFn,
-    fetch_exact: AsyncFetchExact,
+    fetch_batch: AsyncFetchBatch,
 ) -> Interval:
     """One selection pass; degraded keys answer from widened snapshots.
 
@@ -76,13 +82,13 @@ async def execute_partitioned_query(
     costs — their intervals are an honest read-only estimate from
     ``degrade``.
 
-    ``fetch_exact`` may raise (the server's ``_FeederLost``; the gateway's
-    key-down signal) — the caller catches, extends ``degraded`` and
-    re-runs.
+    ``fetch_batch`` may raise (the server's ``_FeederLost``; the gateway's
+    key-down signal) after completing a prefix of its batch — the caller
+    catches, extends ``degraded`` and re-runs.
     """
     if not degraded:
         execution = await execute_bounded_query_async(
-            kind, dict(intervals), constraint, fetch_exact
+            kind, dict(intervals), constraint, fetch_batch
         )
         return execution.result_bound
     down_set = set(degraded)
@@ -117,7 +123,7 @@ async def execute_partitioned_query(
         live_constraint = constraint
         selection_kind = kind
     execution = await execute_bounded_query_async(
-        selection_kind, live, live_constraint, fetch_exact
+        selection_kind, live, live_constraint, fetch_batch
     )
     return merge_aggregate_bounds(
         kind,

@@ -815,6 +815,12 @@ class GatewayServer(BaseFrameServer):
             down_bounds[key] = self._mirror_degraded_interval(key, time)
             raise _KeyDown(key)
 
+        async def fetch_batch(batch: List[Hashable]) -> List[float]:
+            # Key by key: each refresh_key lands on its owning partition in
+            # selection order (pipelining across partitions would need a
+            # per-partition install order or a multi-key partition op).
+            return [await fetch_exact(key) for key in batch]
+
         while True:
             degraded = [key for key in keys if key in down_bounds]
             try:
@@ -825,7 +831,7 @@ class GatewayServer(BaseFrameServer):
                     constraint,
                     degraded,
                     lambda key, snapshot: down_bounds[key],
-                    fetch_exact,
+                    fetch_batch,
                 )
                 break
             except _KeyDown:

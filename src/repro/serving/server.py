@@ -20,7 +20,8 @@ around the events is a real server:
   in the hit rate, as offline) and the shared refresh-selection logic runs
   asynchronously (:mod:`repro.serving.execution`); each selected refresh is
   an RPC *back to the owning feeder connection*, awaited without blocking
-  other connections.
+  other connections.  A SUM/AVG query's refresh RPCs are sent together and
+  awaited as one batch, then installed in selection order.
 * **Admission control** keeps overload graceful: at most
   ``max_inflight_queries`` queries execute concurrently, at most
   ``admission_queue_limit`` more may wait, and anything beyond that is
@@ -55,7 +56,19 @@ import asyncio
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.caching.cache import ApproximateCache
 from repro.caching.eviction import EvictionPolicy
@@ -396,7 +409,7 @@ class BaseFrameServer:
     async def _teardown_connection(self, connection: _Connection) -> None:
         # Order matters: ``closing`` goes first so no query can register a
         # *new* refresh-RPC future against this connection (the ownership
-        # check in ``_query_initiated_refresh`` then takes the mirror
+        # check in ``_query_initiated_refreshes`` then takes the mirror
         # fallback, and the check-to-register stretch has no await points),
         # then the already-registered futures are failed, and only then are
         # the in-flight query tasks awaited — every one of them can now
@@ -478,32 +491,80 @@ class BaseFrameServer:
     # Server-initiated refresh RPCs
     # ------------------------------------------------------------------
     async def _refresh_rpc(self, owner: _Connection, key: Hashable) -> float:
-        rpc_id = next(owner.rpc_ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        owner.pending[rpc_id] = future
-        self.statistics.refresh_rpcs += 1
-        if TRACER.enabled:
-            # The RPC id is the frame position on the server-initiated
-            # direction of this connection — deterministic like frames read.
-            TRACER.record(
-                "refresh_rpc",
-                conn=owner.ordinal,
-                frame=f"r{rpc_id}",
-                key=repr(key),
-            )
+        """One refresh RPC: the one-element :meth:`_refresh_rpcs` call."""
+        (outcome,) = await self._refresh_rpcs([(owner, key)])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    async def _refresh_rpcs(
+        self, requests: Sequence[Tuple[_Connection, Hashable]]
+    ) -> List[Union[float, Exception]]:
+        """Pipelined refresh RPCs: one round trip for every ``(owner, key)``.
+
+        Registers every reply future, sends every ``refresh`` frame, then
+        awaits the replies under one ``refresh_timeout`` deadline taken
+        after the sends — the bound each RPC had when they were awaited one
+        by one, since they all leave together.  Returns one outcome per
+        request, in request order: the exact value, or the exception that
+        RPC failed with (``ConnectionResetError`` for a lost, rejected or
+        timed-out refresh).  Every future's result is read and every
+        ``pending`` entry popped, whatever happens, so nothing is left
+        unretrieved.
+        """
+        loop = asyncio.get_running_loop()
+        issued: List[Tuple[_Connection, Hashable, int, asyncio.Future]] = []
+        for owner, key in requests:
+            rpc_id = next(owner.rpc_ids)
+            future = loop.create_future()
+            owner.pending[rpc_id] = future
+            issued.append((owner, key, rpc_id, future))
+            self.statistics.refresh_rpcs += 1
+            if TRACER.enabled:
+                # The RPC id is the frame position on the server-initiated
+                # direction of this connection — deterministic like frames
+                # read.
+                TRACER.record(
+                    "refresh_rpc",
+                    conn=owner.ordinal,
+                    frame=f"r{rpc_id}",
+                    key=repr(key),
+                )
+        timeout = self._refresh_timeout
+
+        def expire() -> None:
+            for _, key, _, future in issued:
+                if not future.done():
+                    future.set_exception(
+                        ConnectionResetError(
+                            f"refresh of {key!r} timed out after "
+                            f"{timeout:g}s (unresponsive feeder)"
+                        )
+                    )
+
+        deadline = None
         try:
-            await owner.send(Refresh(key=key).to_wire(rpc_id))
-            if self._refresh_timeout is None:
-                return float(await future)
-            try:
-                return float(await asyncio.wait_for(future, self._refresh_timeout))
-            except asyncio.TimeoutError:
-                raise ConnectionResetError(
-                    f"refresh of {key!r} timed out after "
-                    f"{self._refresh_timeout:g}s (unresponsive feeder)"
-                ) from None
+            for owner, key, rpc_id, _ in issued:
+                await owner.send(Refresh(key=key).to_wire(rpc_id))
+            if timeout is not None:
+                deadline = loop.call_later(timeout, expire)
+            outcomes: List[Union[float, Exception]] = []
+            for _, _, _, future in issued:
+                try:
+                    outcome = float(await future)
+                except (ConnectionResetError, TypeError, ValueError) as exc:
+                    outcome = exc
+                outcomes.append(outcome)
+            return outcomes
         finally:
-            owner.pending.pop(rpc_id, None)
+            if deadline is not None:
+                deadline.cancel()
+            for owner, _, rpc_id, future in issued:
+                owner.pending.pop(rpc_id, None)
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()
 
     def _complete_refresh_rpc(
         self, connection: _Connection, frame: Dict[str, Any]
@@ -706,6 +767,11 @@ class CacheServer(BaseFrameServer):
             "Keys touched per bounded query.",
             buckets=SIZE_BUCKETS,
         )
+        self._refresh_batch_histogram = registry.histogram(
+            "repro_refresh_batch_size",
+            "Refresh RPCs sent together in one pipelined batch.",
+            buckets=SIZE_BUCKETS,
+        )
         registry.collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
@@ -798,16 +864,7 @@ class CacheServer(BaseFrameServer):
                 self._snapshot_intervals(list(record["keys"]), record["c"], time)
             elif kind == "qr":
                 time = self._advance_clock(record["t"])
-                key = record["key"]
-                source = self._sources[key]
-                source.value = float(record["v"])
-                decision = self._policy.on_query_initiated_refresh(
-                    key, source.value, time
-                )
-                cost = self._network.charge_query_refresh()
-                self.statistics.query_refreshes += 1
-                self.statistics.total_cost += cost
-                self._install(key, decision, time)
+                self._apply_query_refresh(record["key"], float(record["v"]), time)
             elif kind == "reg":
                 feeder = record.get("f")
                 if feeder is not None:
@@ -1156,11 +1213,14 @@ class CacheServer(BaseFrameServer):
 
         refreshed: List[Hashable] = []
 
-        async def fetch_exact(key: Hashable) -> float:
-            value = await self._query_initiated_refresh(key, time)
-            refreshed.append(key)
-            intervals[key] = Interval.exact(value)
-            return value
+        async def fetch_batch(batch: List[Hashable]) -> List[float]:
+            values, failure = await self._query_initiated_refreshes(batch, time)
+            for key, value in zip(batch, values):
+                refreshed.append(key)
+                intervals[key] = Interval.exact(value)
+            if failure is not None:
+                raise failure
+            return values
 
         # A refresh RPC can race its feeder's death.  When one dies
         # mid-selection the failed key joins the degraded set and the
@@ -1180,7 +1240,7 @@ class CacheServer(BaseFrameServer):
                     lambda key, snapshot: self._degraded_interval(
                         key, snapshot, time
                     ),
-                    fetch_exact,
+                    fetch_batch,
                 )
                 break
             except _FeederLost:
@@ -1280,14 +1340,15 @@ class CacheServer(BaseFrameServer):
         if key not in self._sources:
             raise ProtocolError(f"refresh_key of unknown key {key!r}")
         time = self._advance_clock(request.time)
-        try:
-            value = await self._query_initiated_refresh(key, time)
-        except _FeederLost:
+        values, failure = await self._query_initiated_refreshes([key], time)
+        if isinstance(failure, _FeederLost):
             snapshot = self._current_interval(key, time)
             interval = self._degraded_interval(key, snapshot, time)
             return {"down": True, "low": interval.low, "high": interval.high}
+        if failure is not None:
+            raise failure
         self._durable_checkpoint_if_due()
-        return {"value": value}
+        return {"value": values[0]}
 
     def _current_interval(self, key: Hashable, time: float) -> Interval:
         """The key's cached interval *without* touching hit statistics."""
@@ -1355,44 +1416,99 @@ class CacheServer(BaseFrameServer):
             # containment bound of keys already down before the crash.
             self._durability.append({"k": "down", "keys": stamped, "t": self._clock})
 
-    async def _query_initiated_refresh(self, key: Hashable, time: float) -> float:
-        """Fetch the exact value of ``key``: the refresh RPC to its feeder.
+    async def _query_initiated_refreshes(
+        self, keys: List[Hashable], time: float
+    ) -> Tuple[List[float], Optional[Exception]]:
+        """Refresh a batch of keys: pipelined RPCs, then installs in order.
 
-        Raises the internal :class:`_FeederLost` retry signal when the
-        owner is gone or dies mid-RPC — the caller's next selection pass
-        treats the key as degraded (widened mirror answer) instead of
-        surfacing ``ConnectionResetError`` to the client.
+        *Fetch* sends every key's refresh RPC to its feeder before awaiting
+        any (:meth:`_refresh_rpcs`).  *Install* then applies, key by key in
+        ``keys`` order, the policy decision, the cost charge and the
+        install — so policy RNG draws, WAL order and costs are exactly
+        those of refreshing the keys one after another.  The batch's ``qr``
+        records are written together, before any of them is installed.
+
+        Returns the installed values and the failure the caller raises
+        once it has recorded them (``None`` when the whole batch
+        installed).  Failures keep the sequential rule: the answered prefix
+        up to the first key whose owner is gone, closing, lost mid-flight
+        or timed out is installed, later answers are dropped (not
+        installed, charged or logged), and the failure is the internal
+        :class:`_FeederLost` retry signal — the caller's next selection
+        pass treats the key as degraded (widened mirror answer) instead of
+        surfacing ``ConnectionResetError`` to the client.  A lost or
+        timed-out RPC also counts in ``refreshes_failed`` and fences its
+        connection.
         """
-        source = self._sources[key]
-        owner = self._owners.get(key)
-        if owner is None or owner.closing:
-            raise _FeederLost(key)
-        try:
-            value = await self._refresh_rpc(owner, key)
-        except ConnectionResetError:
-            # The feeder died with the refresh in flight.  Count the loss,
-            # fence the connection so this query's retry pass (and every
-            # later query) takes the degraded mirror path, and convert to
-            # the retry signal — the client sees a widened answer, never a
-            # hard error.
-            self.statistics.refreshes_failed += 1
-            owner.closing = True
-            self._mark_connection_down(owner)
-            raise _FeederLost(key) from None
-        if self._durability is not None:
-            # The fetched exact value cannot be re-fetched at replay (the
-            # feeder RPC is gone), so the record carries it; the policy
-            # decision and install replay through the same code below.
-            self._durability.append(
-                {"k": "qr", "key": key, "v": float(value), "t": time}
-            )
-        source.value = float(value)
-        decision = self._policy.on_query_initiated_refresh(key, source.value, time)
+        sources = self._sources
+        owners = self._owners
+        requests: List[Tuple[_Connection, Hashable]] = []
+        issued_counts: List[int] = []
+        for key in keys:
+            source = sources.get(key)
+            owner = owners.get(key)
+            if source is None or owner is None or owner.closing:
+                break
+            requests.append((owner, key))
+            issued_counts.append(source.update_count)
+        outcomes: List[Union[float, Exception]] = []
+        if requests:
+            self._refresh_batch_histogram.observe(float(len(requests)))
+            outcomes = await self._refresh_rpcs(requests)
+        # The installable prefix: answered RPCs up to the first failure.
+        values: List[float] = []
+        for (_, key), issued_count, outcome in zip(requests, issued_counts, outcomes):
+            if isinstance(outcome, Exception):
+                break
+            source = sources[key]
+            if source.update_count != issued_count:
+                # An update overtook the reply: the feeder's newer value is
+                # already in the mirror, and installing the reply around
+                # the older one would publish an interval that misses it.
+                outcome = source.value
+            values.append(outcome)
+        if values and self._durability is not None:
+            # The fetched exact values cannot be re-fetched at replay (the
+            # feeder RPCs are gone), so the records carry them; the policy
+            # decisions and installs replay through the same code below.
+            records = [
+                {"k": "qr", "key": key, "v": value, "t": time}
+                for (_, key), value in zip(requests, values)
+            ]
+            self._durability.append(*records)
+        for (_, key), value in zip(requests, values):
+            self._apply_query_refresh(key, value, time)
+        if len(values) == len(keys):
+            return values, None
+        failed_key = keys[len(values)]
+        if len(values) == len(requests):
+            # Not sent: an unknown key errors as a lookup always did; a key
+            # with no live owner degrades.
+            if failed_key not in sources:
+                return values, KeyError(failed_key)
+            return values, _FeederLost(failed_key)
+        error = outcomes[len(values)]
+        if not isinstance(error, ConnectionResetError):
+            return values, error
+        # The feeder died (or stopped answering) with the refresh in
+        # flight.  Count the loss, fence the connection so this query's
+        # retry pass (and every later query) takes the degraded mirror
+        # path, and convert to the retry signal — the client sees a
+        # widened answer, never a hard error.
+        owner = requests[len(values)][0]
+        self.statistics.refreshes_failed += 1
+        owner.closing = True
+        self._mark_connection_down(owner)
+        return values, _FeederLost(failed_key)
+
+    def _apply_query_refresh(self, key: Hashable, value: float, time: float) -> None:
+        """Install one query-initiated refresh's exact value (live or replay)."""
+        self._sources[key].value = value
+        decision = self._policy.on_query_initiated_refresh(key, value, time)
         cost = self._network.charge_query_refresh()
         self.statistics.query_refreshes += 1
         self.statistics.total_cost += cost
         self._install(key, decision, time)
-        return source.value
 
     # ------------------------------------------------------------------
     # Shared installation path (mirror of the simulator's ``_install``)

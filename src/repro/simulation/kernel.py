@@ -204,9 +204,8 @@ class MergedEventWalk:
     fastest shape for an uninterrupted run but leaves callers no way to pause
     between events.  This class exposes the identical update stream through
     an explicit cursor: callers alternate :meth:`advance` (execute every
-    update up to a query instant) with their own query handling, and may
-    :meth:`state`/:meth:`restore` the cursor to rewind a partially executed
-    stretch.  The serving load generator (:mod:`repro.serving.loadgen`)
+    update up to a query instant) with their own query handling.  The
+    serving load generator (:mod:`repro.serving.loadgen`)
     relies on that shape to interleave awaited RPCs with the walk.
 
     The event order is exactly :func:`run_batch_kernel`'s: calling
@@ -241,19 +240,6 @@ class MergedEventWalk:
             heapq.heapify(heap)
             self._heap = heap
             self._sequence = sequence
-
-    def state(self) -> tuple:
-        """Snapshot the cursor (cheap: indices plus a shallow heap copy)."""
-        if self._heap is not None:
-            return (self._position, list(self._heap), self._sequence)
-        return (self._position, None, self._sequence)
-
-    def restore(self, state: tuple) -> None:
-        """Rewind the cursor to a snapshot taken by :meth:`state`."""
-        position, heap, sequence = state
-        self._position = position
-        self._heap = list(heap) if heap is not None else None
-        self._sequence = sequence
 
     def advance(self, until: float, handle_update) -> int:
         """Execute every pending update with ``time <= min(until, horizon)``.

@@ -54,6 +54,25 @@ class TestWalRoundTrip:
         _, again = PartitionDurability(tmp_path).load()
         assert [record["n"] for record in again] == [1, 2, 3]
 
+    def test_one_append_writes_several_records_in_order(self, tmp_path):
+        """A query's refresh batch is one append: consecutive sequence
+        numbers, argument order, every framed byte counted."""
+        batch = [
+            {"k": "qr", "key": key, "v": float(index), "t": 1.0}
+            for index, key in enumerate("abc")
+        ]
+        writer = PartitionDurability(tmp_path)
+        writer.load()
+        writer.append({"k": "snap", "keys": list("abc"), "c": 0.0, "t": 1.0})
+        writer.append(*batch)
+        assert writer.records_appended == 4
+        assert writer.checkpoint_due is False
+        writer.close()
+        _, records = PartitionDurability(tmp_path).load()
+        assert [record["n"] for record in records] == [1, 2, 3, 4]
+        assert [record.get("key") for record in records] == [None, "a", "b", "c"]
+        assert writer.bytes_appended == writer.wal_path.stat().st_size
+
     def test_checkpoint_truncates_and_recovery_skips_covered_records(
         self, tmp_path
     ):

@@ -384,34 +384,3 @@ def test_merged_event_walk_matches_kernel_on_vector_static_merge():
     assert mode == MODE_STATIC
     assert walk_events == kernel_events
     assert walk_processed == kernel_processed
-
-
-@pytest.mark.parametrize("engine_name", [None, "vector"])
-def test_merged_event_walk_snapshot_restore_replays_identically(engine_name):
-    """Rewinding the cursor replays the exact same event stretch."""
-    from repro.simulation.kernel import MergedEventWalk
-
-    rng = random.Random(7)
-    timelines = {
-        f"src-{index}": [
-            (float(time), rng.random())
-            for time in sorted(rng.choices(range(1, 30), k=15))
-        ]
-        for index in range(4)
-    }
-    engine = get_engine(engine_name) if engine_name else None
-    merged = merge_timelines(timelines, engine=engine)
-    walk = MergedEventWalk(merged, 30.0)
-    first = []
-    walk.advance(10.0, lambda *event: first.append(event))
-    state = walk.state()
-    middle = []
-    walk.advance(20.0, lambda *event: middle.append(event))
-    walk.restore(state)
-    replayed = []
-    walk.advance(20.0, lambda *event: replayed.append(event))
-    assert replayed == middle
-    tail = []
-    walk.advance(30.0, lambda *event: tail.append(event))
-    total = len(first) + len(middle) + len(tail)
-    assert total == sum(len(t) for t in timelines.values())

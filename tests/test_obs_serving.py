@@ -19,6 +19,7 @@ from repro.experiments.workloads import (
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.prom import parse_text
+from repro.queries.aggregates import AggregateKind
 from repro.serving.api import Client
 from repro.serving.gateway import GatewayServer
 from repro.serving.http import HttpEdge
@@ -81,6 +82,36 @@ class TestServerMetricsOp:
         (keys_histogram,) = _samples(snapshot, "repro_query_keys")
         assert keys_histogram["count"] == 1
         assert keys_histogram["sum"] == 2.0
+
+    def test_refresh_batch_histogram_counts_victims_per_batch(self):
+        """SUM sends its victims as one batch; MAX sends one per batch."""
+
+        async def drive():
+            server = _server(_registry(role="partition"))
+            values = {"h0": 1.0, "h1": 2.0, "h2": 3.0, "h3": 4.0, "h4": 5.0}
+            feeder = await Client.from_transport(
+                server.connect(), on_refresh=values.__getitem__
+            )
+            await feeder.register(list(values), list(values.values()), feeder="f0")
+            querier = await Client.from_transport(server.connect())
+            try:
+                await querier.query(["h0", "h1", "h2"], constraint=0.0, time=1.0)
+                await querier.query(
+                    ["h3", "h4"], aggregate=AggregateKind.MAX, constraint=0.0, time=2.0
+                )
+                return await querier.metrics()
+            finally:
+                await querier.close()
+                await feeder.close()
+                await server.close()
+
+        snapshot = asyncio.run(drive())
+        (batches,) = _samples(snapshot, "repro_refresh_batch_size")
+        # SUM over three uncached keys: one batch of 3.  MAX over two
+        # uncached keys: h3 first, and with h4 still unbounded the bound
+        # stays infinite, so h4 follows in a batch of its own.
+        assert batches["count"] == 3
+        assert batches["sum"] == 5.0
 
     def test_disabled_registry_records_nothing(self):
         async def drive():

@@ -19,8 +19,10 @@ from repro.serving.protocol import (
     encode_frame,
     is_request,
 )
+from repro.serving.durability import PartitionDurability
 from repro.serving.server import CacheServer
 from repro.serving.transport import loopback_pair
+from repro.caching.policies.base import PrecisionDecision
 from repro.caching.policies.static import StaticWidthPolicy
 
 
@@ -158,10 +160,10 @@ class TestAsyncExecution:
 
         async_fetches = []
 
-        async def fetch(key):
+        async def fetch(batch):
             await asyncio.sleep(0)
-            async_fetches.append(key)
-            return exacts[key]
+            async_fetches.extend(batch)
+            return [exacts[key] for key in batch]
 
         async_result = run(
             execute_bounded_query_async(kind, dict(intervals), constraint, fetch)
@@ -172,8 +174,8 @@ class TestAsyncExecution:
         assert async_result.result_bound.high == sync_result.result_bound.high
 
     def test_validation(self):
-        async def fetch(key):  # pragma: no cover - never called
-            return 0.0
+        async def fetch(batch):  # pragma: no cover - never called
+            return [0.0] * len(batch)
 
         with pytest.raises(ValueError):
             run(execute_bounded_query_async(AggregateKind.SUM, {}, 1.0, fetch))
@@ -549,6 +551,299 @@ class TestCacheServer:
             _server(max_inflight_queries=0)
         with pytest.raises(ValueError):
             _server(write_queue_limit=0)
+
+
+# ----------------------------------------------------------------------
+# Pipelined query-initiated refreshes
+# ----------------------------------------------------------------------
+class _CountingWidthPolicy(StaticWidthPolicy):
+    """Publishes width ``10 * n`` on its n-th query-initiated refresh.
+
+    The width records the order installs happened in, so a test can derive
+    the whole resulting state by hand.
+    """
+
+    def __init__(self):
+        super().__init__(width=10.0)
+        self.refreshed = []
+
+    def on_query_initiated_refresh(self, key, exact_value, time):
+        self.refreshed.append(key)
+        width = 10.0 * len(self.refreshed)
+        return PrecisionDecision(
+            interval=Interval(exact_value - width / 2, exact_value + width / 2),
+            original_width=width,
+        )
+
+
+async def _raw_feeder(server, keys, values, feeder):
+    """A feeder with no read loop: the test reads and answers its frames."""
+    transport = server.connect()
+    await transport.write_frame(
+        {"op": "register", "id": 1, "keys": keys, "values": values, "feeder": feeder}
+    )
+    assert (await transport.read_frame())["ok"] is True
+    return transport
+
+
+def _wal_records(directory):
+    durability = PartitionDurability(directory)
+    _, records = durability.load()
+    durability.close()
+    return records
+
+
+class TestPipelinedRefreshes:
+    def test_second_feeder_answering_first_keeps_selection_order(self, tmp_path):
+        """Two feeders, the second answering first.
+
+        The query SUM(a, b) with constraint 0 misses both keys, so both are
+        unbounded and the selection takes them in key order: a, then b.
+        Feeder B (b = 20) answers before feeder A (a = 7).  Installs still
+        run in selection order, so the policy's first refresh is a (width
+        10, [2, 12]) and its second is b (width 20, [10, 30]); the WAL logs
+        ``qr a`` before ``qr b``, and a server recovered from that WAL holds
+        the same intervals, two query refreshes and a cost of 2 x 2.0.
+        Installing in reply order would have swapped both widths.
+        """
+
+        async def scenario():
+            policy = _CountingWidthPolicy()
+            server = CacheServer(
+                policy,
+                value_refresh_cost=1.0,
+                query_refresh_cost=2.0,
+                durability=PartitionDurability(tmp_path),
+            )
+            feeder_a = await _raw_feeder(server, ["a"], [7.0], "feeder-a")
+            feeder_b = await _raw_feeder(server, ["b"], [20.0], "feeder-b")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
+            refresh_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            assert (refresh_a["key"], refresh_b["key"]) == ("a", "b")
+            await feeder_b.write_frame({"id": refresh_b["id"], "value": 20.0})
+            await asyncio.sleep(0.01)
+            assert not query.done()
+            await feeder_a.write_frame({"id": refresh_a["id"], "value": 7.0})
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["refreshed"] == ["a", "b"]
+            assert response["low"] == response["high"] == 27.0
+            assert policy.refreshed == ["a", "b"]
+            assert server.sources["a"].published_interval == Interval(2.0, 12.0)
+            assert server.sources["b"].published_interval == Interval(10.0, 30.0)
+            await querier.close()
+            feeder_a.close()
+            feeder_b.close()
+            await server.close()
+
+            qr = [record for record in _wal_records(tmp_path) if record["k"] == "qr"]
+            assert [(record["key"], record["v"]) for record in qr] == [
+                ("a", 7.0),
+                ("b", 20.0),
+            ]
+            assert qr[1]["n"] == qr[0]["n"] + 1
+
+            recovered = CacheServer(
+                _CountingWidthPolicy(),
+                value_refresh_cost=1.0,
+                query_refresh_cost=2.0,
+                durability=PartitionDurability(tmp_path),
+            )
+            assert recovered.sources["a"].published_interval == Interval(2.0, 12.0)
+            assert recovered.sources["b"].published_interval == Interval(10.0, 30.0)
+            assert recovered.statistics.query_refreshes == 2
+            assert recovered.statistics.total_cost == 4.0
+            await recovered.close()
+
+        run(scenario())
+
+    def test_sum_victims_arrive_together(self):
+        """A SUM query's k refresh frames all reach the feeder unanswered."""
+
+        async def scenario():
+            server = _server()
+            keys = ["a", "b", "c", "d"]
+            values = [1.0, 2.0, 3.0, 4.0]
+            feeder = await _raw_feeder(server, keys, values, "feeder-0")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=keys, aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            frames = [
+                await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
+                for _ in keys
+            ]
+            assert [frame["key"] for frame in frames] == keys
+            for frame, value in zip(frames, values):
+                await feeder.write_frame({"id": frame["id"], "value": value})
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["refreshed"] == keys
+            assert response["low"] == response["high"] == 10.0
+            await querier.close()
+            feeder.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_max_victims_arrive_one_at_a_time(self):
+        """A MAX victim depends on the values before it: one frame per step."""
+
+        async def scenario():
+            server = _server()
+            keys = ["a", "b", "c"]
+            values = {"a": 1.0, "b": 3.0, "c": 2.0}
+            feeder = await _raw_feeder(
+                server, keys, [values[key] for key in keys], "feeder-0"
+            )
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=keys, aggregate="MAX", constraint=0.0, time=1.0
+                )
+            )
+            seen = []
+            for _ in keys:
+                frame = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
+                seen.append(frame["key"])
+                following = asyncio.ensure_future(feeder.read_frame())
+                await asyncio.sleep(0.01)
+                assert not following.done()
+                following.cancel()
+                await feeder.write_frame(
+                    {"id": frame["id"], "value": values[frame["key"]]}
+                )
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert seen == keys
+            assert response["low"] == response["high"] == 3.0
+            await querier.close()
+            feeder.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_answers_after_a_lost_victim_are_dropped(self):
+        """A lost victim ends the installable prefix, even if later ones answer.
+
+        SUM(a, b) selects a then b.  Feeder A dies with its refresh in
+        flight; feeder B answers 20.  Nothing precedes a, so nothing
+        installs: B's answer is dropped (no install, no charge).  The retry
+        pass answers a from its mirror (7, no widening) and refreshes b
+        again, which B answers: one query refresh, cost 2.0, one failed
+        refresh, three refresh RPCs, answer [27, 27].
+        """
+
+        async def scenario():
+            server = _server()
+            feeder_a = await _raw_feeder(server, ["a"], [7.0], "feeder-a")
+            feeder_b = await _raw_feeder(server, ["b"], [20.0], "feeder-b")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
+            refresh_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            feeder_a.close()
+            await feeder_b.write_frame({"id": refresh_b["id"], "value": 20.0})
+            retry_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            assert retry_b["key"] == "b"
+            await feeder_b.write_frame({"id": retry_b["id"], "value": 20.0})
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["degraded_keys"] == ["a"]
+            assert response["refreshed"] == ["b"]
+            assert response["low"] == response["high"] == 27.0
+            stats = await querier.request("stats")
+            assert stats["refreshes_failed"] == 1
+            assert stats["refresh_rpcs"] == 3
+            assert stats["query_refreshes"] == 1
+            assert stats["total_cost"] == 2.0
+            await querier.close()
+            feeder_b.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_unanswered_victim_times_out_under_one_batch_deadline(self):
+        """One deadline covers the batch; the answered prefix still installs.
+
+        SUM(a, b) selects a then b.  Feeder A answers 7; feeder B reads its
+        frame and never answers.  After one 0.2 s deadline, a is installed
+        (the prefix), b counts one failed refresh, B is fenced, and the
+        retry pass answers b degraded from its mirror (20, never updated,
+        so no widening): [27, 27].
+        """
+
+        async def scenario():
+            server = _server(refresh_timeout=0.2)
+            feeder_a = await _raw_feeder(server, ["a"], [7.0], "feeder-a")
+            feeder_b = await _raw_feeder(server, ["b"], [20.0], "feeder-b")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
+            await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            await feeder_a.write_frame({"id": refresh_a["id"], "value": 7.0})
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["degraded"] is True
+            assert response["degraded_keys"] == ["b"]
+            assert response["refreshed"] == ["a"]
+            assert response["low"] == response["high"] == 27.0
+            stats = await querier.request("stats")
+            assert stats["refreshes_failed"] == 1
+            assert stats["query_refreshes"] == 1
+            assert all(not connection.pending for connection in server._connections)
+            await querier.close()
+            feeder_a.close()
+            feeder_b.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_update_overtaking_refresh_reply_is_not_rolled_back(self, tmp_path):
+        """A reply that an update overtakes must not roll the mirror back.
+
+        The feeder registers a = 7, answers the query's refresh with 7.0 and
+        sends ``update a = 100`` straight after.  The server reads the
+        update before the query installs the reply, so it installs around
+        the mirror's 100 (width 10: [95, 105]) and logs 100, not 7.
+        """
+
+        async def scenario():
+            server = _server(durability=PartitionDurability(tmp_path))
+            feeder = await _raw_feeder(server, ["a"], [7.0], "feeder-0")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            refresh = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
+            await feeder.write_frame({"id": refresh["id"], "value": 7.0})
+            await feeder.write_frame(
+                {"op": "update", "id": 2, "key": "a", "value": 100.0, "time": 2.0}
+            )
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["low"] <= 100.0 <= response["high"]
+            assert server.sources["a"].value == 100.0
+            assert server.sources["a"].published_interval == Interval(95.0, 105.0)
+            await querier.close()
+            feeder.close()
+            await server.close()
+            (qr,) = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
+            assert qr["v"] == 100.0
+
+        run(scenario())
 
 
 # ----------------------------------------------------------------------
