@@ -40,6 +40,10 @@ the next append continues a valid log.
   crashes, e.g. SIGKILL) and fsync only at checkpoints: the default.
 * ``"never"`` — flush to the kernel only, never fsync: fastest; still
   crash-safe for process death, not for host power loss.
+
+Under ``"always"`` and ``"checkpoint"``, a checkpoint fsyncs the snapshot,
+then the WAL directory (so the ``os.replace`` is durable), and only then
+truncates the WAL.
 """
 
 from __future__ import annotations
@@ -92,8 +96,13 @@ class WalCorruption(Exception):
         self.reason = reason
 
 
+#: The compact JSON codec, bound once instead of per record.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
+
 def _encode_record(record: Dict[str, Any]) -> bytes:
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    payload = _encode_json(record).encode("utf-8")
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -103,6 +112,15 @@ def _quarantine(path: Path, tail: bytes) -> None:
         path.with_name(f"{path.name}.corrupt").write_bytes(tail)
     except OSError:  # pragma: no cover - a full/read-only WAL dir
         pass
+
+
+def _fsync_directory(directory: Path) -> None:
+    """fsync a directory, making the renames and creations in it durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class PartitionDurability:
@@ -222,7 +240,7 @@ class PartitionDurability:
                 if zlib.crc32(payload) != crc:
                     raise WalCorruption(offset, "record payload fails its CRC")
                 try:
-                    records.append(json.loads(payload.decode("utf-8")))
+                    records.append(_decode_json(payload.decode("utf-8")))
                 except ValueError as exc:
                     raise WalCorruption(offset, f"undecodable record: {exc}") from None
                 offset = start + length
@@ -273,6 +291,8 @@ class PartitionDurability:
         The scratch-then-``os.replace`` write means a crash mid-checkpoint
         leaves the old snapshot; the sequence stamp means a crash *after*
         the replace but *before* the truncate double-applies nothing.
+        Unless ``fsync`` is ``"never"``, the directory is fsynced between
+        the replace and the truncate.
         """
         if self._file is None:
             raise RuntimeError("durability not loaded; call load() first")
@@ -290,6 +310,11 @@ class PartitionDurability:
                 out.flush()
                 os.fsync(out.fileno())
         os.replace(scratch, self.snapshot_path)
+        if self.fsync in ("always", "checkpoint"):
+            # Make the rename durable before dropping the records it
+            # covers: otherwise a power loss can bring back the old
+            # snapshot next to an already-emptied WAL.
+            _fsync_directory(self.directory)
         self._file.truncate(0)
         self._file.seek(0)
         self._records_since_checkpoint = 0

@@ -98,7 +98,6 @@ from repro.serving.server import (
     DEFAULT_DEGRADED_SLACK,
     DEFAULT_MAX_INFLIGHT_QUERIES,
     DEFAULT_REFRESH_TIMEOUT,
-    DEFAULT_WRITE_QUEUE_LIMIT,
     _STATS_COUNTER_METRICS,
     BaseFrameServer,
     ServingStatistics,
@@ -175,14 +174,11 @@ class GatewayServer(BaseFrameServer):
         pool: Optional[Any] = None,
         max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
-        write_queue_limit: int = DEFAULT_WRITE_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
         recovery_grace: float = DEFAULT_RECOVERY_GRACE,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(
-            write_queue_limit=write_queue_limit, refresh_timeout=refresh_timeout
-        )
+        super().__init__(refresh_timeout=refresh_timeout)
         if not targets:
             raise ValueError("a gateway needs at least one partition target")
         if max_inflight_queries < 1:

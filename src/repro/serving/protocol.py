@@ -65,13 +65,19 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
+#: The compact JSON codec, bound once: ``json.dumps(..., separators=...)``
+#: would build a fresh ``JSONEncoder`` for every frame.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
+
 class ProtocolError(Exception):
     """A malformed frame or an operation violating the protocol."""
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialise one message into a length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _encode_json(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES} limit"
@@ -82,7 +88,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
 def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Parse a frame's JSON payload into a message object."""
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _decode_json(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict):
@@ -627,64 +633,43 @@ REQUEST_TYPES: Dict[str, Type[Request]] = {
 }
 
 
-def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
-    """Parse a decoded request frame into its typed message.
-
-    Returns ``None`` for an unknown operation (the dispatcher's error reply
-    carries the op name); raises :class:`ProtocolError` for a frame whose
-    shape violates the operation's schema.
-    """
-    request_type = REQUEST_TYPES.get(frame.get("op"))
-    if request_type is None:
-        return None
-    return request_type.from_wire(frame)
-
-
-# ---------------------------------------------------------------------------
-# Hot-path codecs
-# ---------------------------------------------------------------------------
-#
-# ``query`` and ``update_batch`` dominate a trace replay (every other op is
-# per-connection setup or diagnostics).  Their generic path validates twice:
-# ``from_wire`` coerces the fields, then the dataclass ``__init__`` runs
-# ``__post_init__`` and re-coerces the same tuples.  The helpers below do the
-# coercion exactly once — the decoder builds the frozen instances through
-# ``__new__`` after checking the frame has the canonical client-emitted
-# shape, and the encoders build the ``wire_fields()`` dicts without
-# constructing a dataclass at all.  Any frame that is not canonical (wrong
-# container type, non-numeric constraint, lowercase aggregate name, …) falls
-# back to :func:`parse_request`, so error messages and tolerance for odd but
-# valid frames are byte-identical to the generic path.  Equivalence is
-# pinned by ``tests/test_protocol_typed.py::TestFastPath``.
-
 #: Canonical aggregate wire names (what ``QueryRequest.wire_fields`` emits).
 _AGGREGATES_BY_WIRE: Dict[str, AggregateKind] = {
     kind.name: kind for kind in AggregateKind
 }
 
 
-def parse_request_fast(frame: Dict[str, Any]) -> Optional[Request]:
-    """:func:`parse_request` with a fast path for ``query``/``update_batch``.
+def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
+    """Parse a decoded request frame into its typed message.
 
-    Semantically identical to :func:`parse_request` on every frame; the hot
-    ops skip the double coercion when the frame has the canonical shape.
+    Returns ``None`` for an unknown operation (the dispatcher's error reply
+    carries the op name); raises :class:`ProtocolError` for a frame whose
+    shape violates the operation's schema.
+
+    ``query`` and ``update_batch`` dominate a trace replay, and their
+    ``from_wire`` validates twice: it coerces the fields, then the
+    dataclass ``__post_init__`` re-coerces the same tuples.  A frame of
+    either op in the canonical client-emitted shape is therefore built
+    through ``__new__`` with the coercion done once; any other frame (wrong
+    container type, non-numeric constraint, lowercase aggregate name, …)
+    takes ``from_wire``, so errors and tolerance for odd but valid frames
+    are the generic ones.  Equivalence is pinned by
+    ``tests/test_protocol_typed.py::TestFastPath``.
     """
     op = frame.get("op")
     if op == "query":
         keys = frame.get("keys")
-        aggregate = _AGGREGATES_BY_WIRE.get(frame.get("aggregate", "SUM"))
-        if type(keys) is list and aggregate is not None:
-            constraint = frame.get("constraint", math.inf)
-            kind = type(constraint)
-            if kind is not float:
-                # ``type`` identity, so bool (a JSON ``true``) falls back.
-                if kind is not int:
-                    return parse_request(frame)
-                constraint = float(constraint)
+        aggregate = frame.get("aggregate", "SUM")
+        kind = _AGGREGATES_BY_WIRE.get(aggregate) if type(aggregate) is str else None
+        constraint = frame.get("constraint", math.inf)
+        if type(constraint) is int:
+            # ``type`` identity, so bool (a JSON ``true``) stays generic.
+            constraint = float(constraint)
+        if type(keys) is list and kind is not None and type(constraint) is float:
             request = QueryRequest.__new__(QueryRequest)
             set_field = object.__setattr__
             set_field(request, "keys", tuple(keys))
-            set_field(request, "aggregate", aggregate)
+            set_field(request, "aggregate", kind)
             set_field(request, "constraint", constraint)
             set_field(request, "time", frame.get("time"))
             return request
@@ -694,13 +679,27 @@ def parse_request_fast(frame: Dict[str, Any]) -> Optional[Request]:
             try:
                 pairs = tuple((key, float(value)) for key, value in updates)
             except (TypeError, ValueError):
-                return parse_request(frame)
-            request = UpdateBatch.__new__(UpdateBatch)
-            set_field = object.__setattr__
-            set_field(request, "updates", pairs)
-            set_field(request, "time", frame.get("time"))
-            return request
-    return parse_request(frame)
+                pairs = None
+            if pairs is not None:
+                request = UpdateBatch.__new__(UpdateBatch)
+                set_field = object.__setattr__
+                set_field(request, "updates", pairs)
+                set_field(request, "time", frame.get("time"))
+                return request
+    request_type = REQUEST_TYPES.get(op)
+    if request_type is None:
+        return None
+    return request_type.from_wire(frame)
+
+
+# ---------------------------------------------------------------------------
+# Hot-path encoders
+# ---------------------------------------------------------------------------
+#
+# The client emits ``query`` and ``update_batch`` on every replayed event.
+# These helpers build their ``wire_fields()`` dicts without constructing a
+# dataclass at all; ``tests/test_protocol_typed.py::TestFastPath`` pins
+# their bytes to the dataclass codecs.
 
 
 def query_fields(

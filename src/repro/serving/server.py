@@ -26,9 +26,10 @@ around the events is a real server:
   ``max_inflight_queries`` queries execute concurrently, at most
   ``admission_queue_limit`` more may wait, and anything beyond that is
   rejected with an ``overloaded`` error instead of growing unbounded queues.
-  Every connection writes through a bounded outbox drained by a writer task,
-  so one slow reader back-pressures its producers instead of ballooning
-  memory.
+  Every send writes straight through to the connection's transport, whose
+  own bound (the loopback buffer, the TCP drain, the WebSocket write lock)
+  back-pressures the sender, so one slow reader slows its producers
+  instead of ballooning memory.
 * **Fault tolerance** leans on the paper's own semantics: a bounded answer
   is still a *correct* answer when it is merely wider than asked for.
   Feeder sessions are epoch-tagged (``register`` with a ``feeder``
@@ -98,7 +99,7 @@ from repro.serving.protocol import (
     UpdateBatch,
     UpdateBatchAck,
     error_response,
-    parse_request_fast,
+    parse_request,
 )
 from repro.serving.transport import (
     DEFAULT_LOOPBACK_BUFFER,
@@ -111,7 +112,6 @@ from repro.simulation.network import NetworkModel
 
 DEFAULT_MAX_INFLIGHT_QUERIES = 64
 DEFAULT_ADMISSION_QUEUE_LIMIT = 256
-DEFAULT_WRITE_QUEUE_LIMIT = 128
 DEFAULT_REFRESH_TIMEOUT = 30.0
 DEFAULT_DEGRADED_SLACK = 4.0
 
@@ -224,13 +224,10 @@ class _KeyDrift:
 
 
 class _Connection:
-    """Per-connection server state: outbox, writer task, pending RPCs."""
+    """Per-connection server state: transport, pending RPCs, tasks."""
 
-    def __init__(self, transport: Any, write_queue_limit: int) -> None:
+    def __init__(self, transport: Any) -> None:
         self.transport = transport
-        self.outbox: "asyncio.Queue[Optional[Dict[str, Any]]]" = asyncio.Queue(
-            maxsize=write_queue_limit
-        )
         self.pending: Dict[int, asyncio.Future] = {}
         self.rpc_ids = itertools.count(1)
         # Accept ordinal on this server (1-based) and the count of request
@@ -240,7 +237,6 @@ class _Connection:
         self.ordinal = 0
         self.frames_read = 0
         self.keys: Set[Hashable] = set()
-        self.writer_task: Optional[asyncio.Task] = None
         self.request_tasks: Set[asyncio.Task] = set()
         self.closing = False
         # Feeder session identity: set by a ``register`` carrying a
@@ -250,28 +246,18 @@ class _Connection:
         self.epoch = 0
 
     async def send(self, message: Dict[str, Any]) -> None:
-        """Enqueue a frame for the writer task (bounded: may backpressure)."""
+        """Write one frame through the transport (its bound backpressures).
+
+        A no-op once the connection is closing.  A write that fails because
+        the peer is gone drops the frame and marks the connection closing,
+        so later sends are dropped too.
+        """
         if self.closing:
             return
-        await self.outbox.put(message)
-
-    async def run_writer(self) -> None:
-        """Drain the outbox into the transport until the stop sentinel."""
         try:
-            while True:
-                message = await self.outbox.get()
-                if message is None:
-                    break
-                try:
-                    await self.transport.write_frame(message)
-                except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                    break
-        finally:
-            # A dead writer must not leave senders blocked on a full outbox:
-            # mark the connection closing and drain whatever is queued.
+            await self.transport.write_frame(message)
+        except (ConnectionResetError, BrokenPipeError, RuntimeError):
             self.closing = True
-            while not self.outbox.empty():
-                self.outbox.get_nowait()
 
     def fail_pending(self, error: Exception) -> None:
         """Fail every in-flight server-initiated RPC on this connection."""
@@ -299,7 +285,7 @@ class BaseFrameServer:
     """Connection plumbing shared by :class:`CacheServer` and the gateway.
 
     Owns everything about *serving framed connections* — accepting them
-    (loopback and TCP), the per-connection read loop, bounded write-behind,
+    (loopback and TCP), the per-connection read loop, write-through sends,
     teardown ordering, feeder-epoch fencing, and the server-initiated
     refresh RPC — while leaving *what the operations mean* to the
     subclass's ``_dispatch``.  The subclass provides a ``statistics``
@@ -315,14 +301,10 @@ class BaseFrameServer:
     def __init__(
         self,
         *,
-        write_queue_limit: int = DEFAULT_WRITE_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
     ) -> None:
-        if write_queue_limit < 1:
-            raise ValueError("write_queue_limit must be at least 1")
         if refresh_timeout is not None and refresh_timeout <= 0:
             raise ValueError("refresh_timeout must be positive (or None)")
-        self._write_queue_limit = write_queue_limit
         self._refresh_timeout = refresh_timeout
         self._feeder_epochs: Dict[str, int] = {}
         self._connections: Set[_Connection] = set()
@@ -366,8 +348,7 @@ class BaseFrameServer:
 
     async def serve_transport(self, transport: Any) -> None:
         """Serve one connection until EOF (the per-connection main loop)."""
-        connection = _Connection(transport, self._write_queue_limit)
-        connection.writer_task = asyncio.ensure_future(connection.run_writer())
+        connection = _Connection(transport)
         self._connections.add(connection)
         self.statistics.connections_opened += 1
         connection.ordinal = self.statistics.connections_opened
@@ -424,17 +405,6 @@ class BaseFrameServer:
                 *list(connection.request_tasks), return_exceptions=True
             )
         self._connection_removed(connection)
-        if connection.writer_task is not None:
-            # Stop the writer; bypass the bounded outbox so shutdown cannot
-            # deadlock behind backpressure.
-            if connection.outbox.full():
-                connection.writer_task.cancel()
-            else:
-                connection.outbox.put_nowait(None)
-            try:
-                await connection.writer_task
-            except asyncio.CancelledError:
-                pass
         connection.transport.close()
         await connection.transport.wait_closed()
         self._connections.discard(connection)
@@ -609,8 +579,10 @@ class CacheServer(BaseFrameServer):
     latency_per_message:
         Optional modelled per-message delay forwarded to the
         :class:`NetworkModel` latency accounting.
-    max_inflight_queries / admission_queue_limit / write_queue_limit:
-        Admission control and backpressure knobs (see the module docstring).
+    max_inflight_queries / admission_queue_limit:
+        Admission control knobs (see the module docstring).  Replies are
+        not queued per connection: they write through to the transport,
+        whose own bound back-pressures the sender.
     refresh_timeout:
         Deadline in seconds on each refresh RPC to a feeder.  Bounds the
         damage of a connected-but-unresponsive feeder: the feeder is fenced
@@ -650,15 +622,12 @@ class CacheServer(BaseFrameServer):
         latency_per_message: float = 0.0,
         max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
-        write_queue_limit: int = DEFAULT_WRITE_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
         degraded_slack: float = DEFAULT_DEGRADED_SLACK,
         durability: Optional[PartitionDurability] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(
-            write_queue_limit=write_queue_limit, refresh_timeout=refresh_timeout
-        )
+        super().__init__(refresh_timeout=refresh_timeout)
         if shards < 1:
             raise ValueError("shards must be at least 1")
         if degraded_slack < 1.0:
@@ -946,7 +915,7 @@ class CacheServer(BaseFrameServer):
         op = frame.get("op")
         request_id = frame.get("id")
         try:
-            request = parse_request_fast(frame)
+            request = parse_request(frame)
             if request is None:
                 reply = error_response(request_id, f"unknown operation {op!r}")
             elif isinstance(request, Update):

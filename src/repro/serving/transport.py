@@ -12,21 +12,19 @@ exist:
   exercising the full encode/decode path of :mod:`repro.serving.protocol`
   on every message.
 
-Both directions of a loopback pair are bounded (a semaphore meters the
-frames in flight), so a slow consumer back-pressures its producer exactly as
-a full TCP send buffer would — while the EOF sentinel queued by ``close``
-bypasses the bound, because shutdown must never block behind data.
+Both directions of a loopback pair are bounded (a writer waits once
+``buffer`` frames are unread), so a slow consumer back-pressures its
+producer exactly as a full TCP send buffer would — while ``close`` wakes
+every waiter at once, because shutdown must never block behind data.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.serving.protocol import HEADER, decode_length, decode_payload, encode_frame
-
-#: Sentinel queued by ``close`` so a blocked ``read_frame`` wakes up as EOF.
-_EOF = None
 
 #: A well-framed but undecodable payload, used by ``write_corrupt_frame`` —
 #: the fault-injection hook (:mod:`repro.serving.faults`) that makes the
@@ -79,39 +77,86 @@ class StreamFrameTransport:
 
 
 class _LoopbackDirection:
-    """One direction of a loopback pair: an unbounded queue plus a meter.
+    """One direction of a loopback pair: a bounded FIFO of encoded frames.
 
-    The queue itself is unbounded so that the EOF sentinel can always be
-    enqueued synchronously; data frames acquire a semaphore slot before
-    entering and release it when consumed, giving the bounded-buffer
-    backpressure of a real socket.
+    ``slots`` counts the free places in the buffer.  A writer takes one
+    before appending its frame and a reader gives it back when it pops
+    one; a writer that finds none (or finds earlier writers still
+    waiting) parks a future in ``writers``, and a freed slot passes
+    straight to the oldest parked writer, so writers are admitted in
+    arrival order and the buffer never holds more than ``buffer`` frames.
+    Readers park in ``readers`` while the buffer is empty.
     """
 
     def __init__(self, buffer: int) -> None:
-        self.frames: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        self.slots = asyncio.Semaphore(buffer)
-        self.buffer = buffer
+        self.frames: Deque[bytes] = deque()
+        self.slots = buffer
+        self.readers: Deque[asyncio.Future] = deque()
+        self.writers: Deque[asyncio.Future] = deque()
         self.closed = False
+
+    def release_slot(self) -> None:
+        """Free one slot: hand it to the oldest waiting writer, if any."""
+        if not _wake_one(self.writers):
+            self.slots += 1
+
+    def close(self) -> None:
+        """Mark closed and wake every waiter to observe it."""
+        self.closed = True
+        for waiters in (self.readers, self.writers):
+            while waiters:
+                waiter = waiters.popleft()
+                if not waiter.done():
+                    waiter.set_result(None)
+
+
+def _wake_one(waiters: Deque[asyncio.Future]) -> bool:
+    """Resolve the oldest still-pending waiter; whether there was one."""
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+            return True
+    return False
+
+
+def _discard(waiters: Deque[asyncio.Future], waiter: asyncio.Future) -> None:
+    """Drop a cancelled waiter so it cannot hold up the waiters behind it."""
+    try:
+        waiters.remove(waiter)
+    except ValueError:
+        pass
 
 
 class LoopbackFrameTransport:
-    """Frames over bounded in-process queues (one end of a loopback pair)."""
+    """Frames over bounded in-process buffers (one end of a loopback pair)."""
 
     def __init__(
         self, inbound: _LoopbackDirection, outbound: _LoopbackDirection
     ) -> None:
         self._inbound = inbound
         self._outbound = outbound
-        self._closed = False
 
     async def read_frame(self) -> Optional[Dict[str, Any]]:
-        """Read one message; ``None`` once the peer closed."""
-        data = await self._inbound.frames.get()
-        if data is _EOF:
-            # Keep the EOF visible to any further read.
-            self._inbound.frames.put_nowait(_EOF)
-            return None
-        self._inbound.slots.release()
+        """Read one message; ``None`` once the peer closed and the buffer
+        is drained."""
+        inbound = self._inbound
+        while not inbound.frames:
+            if inbound.closed:
+                return None
+            waiter = asyncio.get_running_loop().create_future()
+            inbound.readers.append(waiter)
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                if waiter.cancelled():
+                    _discard(inbound.readers, waiter)
+                elif inbound.frames:
+                    # Woken for a frame it will not read: pass the wake on.
+                    _wake_one(inbound.readers)
+                raise
+        data = inbound.frames.popleft()
+        inbound.release_slot()
         return decode_payload(data[4:])
 
     async def write_frame(self, message: Dict[str, Any]) -> None:
@@ -123,27 +168,40 @@ class LoopbackFrameTransport:
         await self._write_bytes(_CORRUPT_FRAME)
 
     async def _write_bytes(self, frame: bytes) -> None:
-        await self._outbound.slots.acquire()
-        if self._outbound.closed:
-            self._outbound.slots.release()
+        outbound = self._outbound
+        if outbound.closed:
             raise ConnectionResetError("loopback transport is closed")
-        self._outbound.frames.put_nowait(frame)
+        if outbound.slots and not outbound.writers:
+            outbound.slots -= 1
+        else:
+            waiter = asyncio.get_running_loop().create_future()
+            outbound.writers.append(waiter)
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                if waiter.cancelled():
+                    _discard(outbound.writers, waiter)
+                else:
+                    # The slot was already handed over: give it back.
+                    outbound.release_slot()
+                raise
+            if outbound.closed:
+                raise ConnectionResetError("loopback transport is closed")
+        outbound.frames.append(frame)
+        if outbound.readers:
+            _wake_one(outbound.readers)
 
     def close(self) -> None:
         """Close both directions: EOF to readers, ConnectionReset to writers.
 
         Mirrors a socket close as seen from either end — local and peer
-        reads wake up with EOF, and writers blocked on a full buffer (on
-        *either* end) are released to observe the close and raise instead of
-        waiting for a reader that will never come.
+        reads wake up and see EOF once the frames already buffered are
+        read, and writers blocked on a full buffer (on *either* end) are
+        released to observe the close and raise instead of waiting for a
+        reader that will never come.
         """
-        if not self._closed:
-            self._closed = True
-            for direction in (self._outbound, self._inbound):
-                direction.closed = True
-                direction.frames.put_nowait(_EOF)
-                for _ in range(direction.buffer):
-                    direction.slots.release()
+        self._outbound.close()
+        self._inbound.close()
 
     async def wait_closed(self) -> None:
         """Loopback close is immediate; nothing to wait for."""

@@ -8,7 +8,9 @@ history from a pure WAL.
 """
 
 import asyncio
+import os
 import pickle
+import stat
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -142,6 +144,54 @@ class TestWalRoundTrip:
         writer.close()
         state, records = PartitionDurability(tmp_path / fsync, fsync=fsync).load()
         assert state == {"s": 1} and records == []
+
+    @pytest.mark.parametrize("fsync", FSYNC_POLICIES)
+    def test_checkpoint_fsyncs_directory_before_truncating_wal(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """The snapshot's rename must be durable before the WAL it covers
+        is emptied, or a power loss can bring back the old snapshot next to
+        an empty log.  Under ``never`` nothing is fsynced at all."""
+        writer = PartitionDurability(tmp_path, fsync=fsync)
+        writer.load()
+        writer.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        directory = os.stat(tmp_path)
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                assert os.path.samestat(info, directory)
+                events.append("fsync dir")
+            else:
+                events.append("fsync file")
+            real_fsync(fd)
+
+        def recording_replace(source, target):
+            events.append("replace")
+            real_replace(source, target)
+
+        class RecordingFile:
+            def __init__(self, file):
+                self._file = file
+
+            def truncate(self, size):
+                events.append("truncate")
+                return self._file.truncate(size)
+
+            def __getattr__(self, name):
+                return getattr(self._file, name)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        writer._file = RecordingFile(writer._file)
+        writer.checkpoint({"s": 1}, clock=1.0)
+        if fsync == "never":
+            assert events == ["replace", "truncate"]
+        else:
+            assert events == ["fsync file", "replace", "fsync dir", "truncate"]
+        writer.close()
 
 
 # ----------------------------------------------------------------------

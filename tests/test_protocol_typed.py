@@ -34,8 +34,8 @@ from repro.serving.protocol import (
     UpdateBatchAck,
     decode_payload,
     encode_frame,
+    REQUEST_TYPES,
     parse_request,
-    parse_request_fast,
     query_fields,
     update_batch_fields,
 )
@@ -263,11 +263,12 @@ class TestValidation:
 class TestFastPath:
     """The hot-path codecs match the generic typed path frame for frame.
 
-    ``parse_request_fast`` must return a message *equal* to the generic
-    parse on every frame (and fall back to it — same errors, same
-    tolerance — whenever a frame is not the canonical client-emitted
-    shape); the field helpers must emit bytes identical to the dataclass
-    codecs.
+    ``parse_request`` builds canonical ``query``/``update_batch`` frames
+    without the double coercion; it must return a message *equal* to the
+    op's ``from_wire`` on every frame (and take ``from_wire`` itself — same
+    errors, same tolerance — whenever a frame is not the canonical
+    client-emitted shape); the field helpers must emit bytes identical to
+    the dataclass codecs.
     """
 
     CANONICAL_FRAMES = [
@@ -295,24 +296,19 @@ class TestFastPath:
 
     @pytest.mark.parametrize("frame", CANONICAL_FRAMES + FALLBACK_FRAMES)
     def test_fast_parse_matches_generic(self, frame):
-        fast = parse_request_fast(dict(frame))
-        generic = parse_request(dict(frame))
-        assert fast == generic
-        assert type(fast) is type(generic)
+        parsed = parse_request(dict(frame))
+        generic = REQUEST_TYPES[frame["op"]].from_wire(dict(frame))
+        assert parsed == generic
+        assert type(parsed) is type(generic)
 
     def test_fast_parse_coerces_like_post_init(self):
-        fast = parse_request_fast(
+        batch = parse_request(
             {"op": "update_batch", "updates": [["h0", 3]], "time": 1.0}
         )
-        assert fast.updates == (("h0", 3.0),)
-        assert type(fast.updates[0][1]) is float
-        query = parse_request_fast(
-            {"op": "query", "keys": ["a"], "constraint": 7}
-        )
+        assert batch.updates == (("h0", 3.0),)
+        assert type(batch.updates[0][1]) is float
+        query = parse_request({"op": "query", "keys": ["a"], "constraint": 7})
         assert query.constraint == 7.0 and type(query.constraint) is float
-
-    def test_fast_parse_unknown_op(self):
-        assert parse_request_fast({"op": "bogus"}) is None
 
     @pytest.mark.parametrize(
         "frame,match",
@@ -321,11 +317,15 @@ class TestFastPath:
             ({"op": "query", "keys": ["a"], "aggregate": "MEDIAN"},
              "unknown aggregate"),
             ({"op": "update_batch"}, "missing"),
+            ({"op": "query", "keys": ["a"], "aggregate": ["SUM"]},
+             "unknown aggregate"),  # unhashable name: the generic error
         ],
     )
     def test_fast_parse_error_parity(self, frame, match):
         with pytest.raises(ProtocolError, match=match):
-            parse_request_fast(frame)
+            REQUEST_TYPES[frame["op"]].from_wire(dict(frame))
+        with pytest.raises(ProtocolError, match=match):
+            parse_request(frame)
 
     def test_query_fields_bytes_identical(self):
         for keys, aggregate, constraint, time in [

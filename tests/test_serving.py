@@ -131,6 +131,74 @@ class TestLoopbackTransport:
         with pytest.raises(ValueError):
             loopback_pair(0)
 
+    def test_cancelled_blocked_writer_keeps_its_slot_free(self):
+        """A writer cancelled while blocked must neither hold a slot nor
+        stay queued ahead of later writers — whether it was cancelled
+        before a slot freed up or just after one was handed to it."""
+
+        async def scenario():
+            client, server = loopback_pair(buffer=1)
+            await client.write_frame({"n": 1})
+            parked = asyncio.ensure_future(client.write_frame({"n": "lost"}))
+            await asyncio.sleep(0)
+            parked.cancel()
+            await asyncio.sleep(0)
+            assert (await server.read_frame())["n"] == 1
+            # The freed slot is free, not owed to the cancelled writer.
+            await asyncio.wait_for(client.write_frame({"n": 2}), timeout=1.0)
+
+            handed = asyncio.ensure_future(client.write_frame({"n": "lost"}))
+            await asyncio.sleep(0)
+            assert (await server.read_frame())["n"] == 2  # slot goes to handed
+            handed.cancel()
+            await asyncio.sleep(0)
+            assert handed.cancelled()
+            await asyncio.wait_for(client.write_frame({"n": 3}), timeout=1.0)
+            # ... and exactly one slot is back: the buffer is full again.
+            blocked = asyncio.ensure_future(client.write_frame({"n": 4}))
+            await asyncio.sleep(0.01)
+            assert not blocked.done()
+            assert (await server.read_frame())["n"] == 3
+            await asyncio.wait_for(blocked, timeout=1.0)
+            assert (await server.read_frame())["n"] == 4
+
+        run(scenario())
+
+    def test_writers_on_a_full_buffer_are_admitted_in_fifo_order(self):
+        async def scenario():
+            client, server = loopback_pair(buffer=1)
+            await client.write_frame({"n": 0})
+            writers = []
+            for n in range(1, 6):
+                writers.append(asyncio.ensure_future(client.write_frame({"n": n})))
+                await asyncio.sleep(0)
+            assert not any(writer.done() for writer in writers)
+            assert (await server.read_frame())["n"] == 0
+            # A writer arriving after the slot was handed on queues behind
+            # the ones already waiting.
+            writers.append(asyncio.ensure_future(client.write_frame({"n": 6})))
+            order = [(await server.read_frame())["n"] for _ in range(6)]
+            await asyncio.wait_for(asyncio.gather(*writers), timeout=1.0)
+            return order
+
+        assert run(scenario()) == [1, 2, 3, 4, 5, 6]
+
+    def test_frames_buffered_before_close_are_read_before_eof(self):
+        async def scenario():
+            client, server = loopback_pair()
+            await client.write_frame({"n": 1})
+            await client.write_frame({"n": 2})
+            await server.write_frame({"n": 3})
+            client.close()
+            assert [(await server.read_frame())["n"] for _ in range(2)] == [1, 2]
+            assert await server.read_frame() is None
+            assert await server.read_frame() is None  # EOF stays visible
+            # The closing end still reads what was buffered to it.
+            assert (await client.read_frame())["n"] == 3
+            assert await client.read_frame() is None
+
+        run(scenario())
+
 
 # ----------------------------------------------------------------------
 # Async query execution mirrors the synchronous selection
@@ -517,6 +585,50 @@ class TestCacheServer:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "error", [ConnectionResetError, BrokenPipeError, RuntimeError]
+    )
+    def test_failed_send_marks_connection_closing(self, error):
+        """A reply whose transport write raises is dropped: the connection
+        is marked closing, later replies are not written, and the error
+        never surfaces in the dispatcher or the read loop."""
+
+        class FailingTransport:
+            def __init__(self):
+                self.frames = [{"op": "stats", "id": 1}, {"op": "stats", "id": 2}]
+                self.writes = 0
+
+            async def read_frame(self):
+                return self.frames.pop(0) if self.frames else None
+
+            async def write_frame(self, message):
+                self.writes += 1
+                raise error("peer gone")
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        async def scenario():
+            server = _server()
+            dispatched = []
+            dispatch = server._dispatch
+
+            async def recording_dispatch(connection, frame):
+                await dispatch(connection, frame)
+                dispatched.append((frame["id"], connection.closing))
+
+            server._dispatch = recording_dispatch
+            transport = FailingTransport()
+            await server.serve_transport(transport)
+            assert transport.writes == 1
+            assert dispatched == [(1, True), (2, True)]
+            assert server.statistics.connections_closed == 1
+
+        run(scenario())
+
     def test_sharded_server_routes_to_shards(self):
         async def scenario():
             server = _server(shards=4)
@@ -549,8 +661,6 @@ class TestCacheServer:
             _server(shards=0)
         with pytest.raises(ValueError):
             _server(max_inflight_queries=0)
-        with pytest.raises(ValueError):
-            _server(write_queue_limit=0)
 
 
 # ----------------------------------------------------------------------
