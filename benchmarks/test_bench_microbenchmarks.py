@@ -235,13 +235,13 @@ def test_trace_generation_vector_throughput(benchmark):
 
 
 def test_walk_schedule_reference_throughput(benchmark):
-    schedule = benchmark(_generate_walk_schedule, "reference")
-    assert len(schedule) == BENCH_WALK_STEPS
+    times, values = benchmark(_generate_walk_schedule, "reference")
+    assert len(times) == len(values) == BENCH_WALK_STEPS
 
 
 def test_walk_schedule_vector_throughput(benchmark):
-    schedule = benchmark(_generate_walk_schedule, "vector")
-    assert len(schedule) == BENCH_WALK_STEPS
+    times, values = benchmark(_generate_walk_schedule, "vector")
+    assert len(times) == len(values) == BENCH_WALK_STEPS
 
 
 def _run_small_simulation(kernel="batch", shards=1, shard_workers=0):

@@ -64,8 +64,8 @@ class MergedTimeline:
         For ``lockstep`` mode: the shared time grid and one value column per
         source (``columns[i][j]`` is source ``i``'s value at ``times[j]``).
     times_per_source / values_per_source:
-        For ``dynamic`` mode: each source's own schedule, split into parallel
-        time/value lists for cursor-based consumption.
+        For ``dynamic`` mode: each source's own ``(times, values)`` schedule
+        columns, consumed through per-source cursors.
     """
 
     __slots__ = (
@@ -118,18 +118,8 @@ class MergedTimeline:
         )
 
 
-def _split_timeline(
-    timeline: Sequence[Tuple[float, float]],
-) -> Tuple[List[float], List[float]]:
-    """Split a ``[(time, value), ...]`` schedule into parallel lists."""
-    if not timeline:
-        return [], []
-    times, values = zip(*timeline)
-    return list(times), list(values)
-
-
 def merge_timelines(
-    timelines: Mapping[Hashable, Sequence[Tuple[float, float]]],
+    timelines: Mapping[Hashable, Tuple[Sequence[float], Sequence[float]]],
     engine: Optional[StreamEngine] = None,
 ) -> MergedTimeline:
     """Build the merged view of a run's pre-materialised update timelines.
@@ -137,9 +127,11 @@ def merge_timelines(
     Parameters
     ----------
     timelines:
-        Mapping of source key to its ``[(time, value), ...]`` schedule, in
-        scheduling order (the simulator's source insertion order — the order
-        initial tie-break sequences were assigned in).
+        Mapping of source key to its ``(times, values)`` schedule columns
+        (:meth:`UpdateStream.schedule`), in scheduling order (the
+        simulator's source insertion order — the order initial tie-break
+        sequences were assigned in).  The columns are used as they are, not
+        copied.
     engine:
         Optional stream engine whose :meth:`StreamEngine.merge_timelines`
         batch merge is used for the static representation.  Engines without
@@ -147,20 +139,17 @@ def merge_timelines(
         the dynamic representation instead.
     """
     keys = tuple(timelines)
-    times_per_source: List[List[float]] = []
-    values_per_source: List[List[float]] = []
-    for timeline in timelines.values():
-        times, values = _split_timeline(timeline)
-        times_per_source.append(times)
-        values_per_source.append(values)
+    times_per_source = [times for times, _ in timelines.values()]
+    values_per_source = [values for _, values in timelines.values()]
 
     # Lockstep detection: every source updates at exactly the same instants.
     # This is the dominant shape (random walks and trace replays all tick on
-    # one shared per-second grid), and C-level list equality makes the check
-    # a single cheap pass per source.
+    # one shared per-second grid).  The streams of one trace return the very
+    # same ``times`` list, so the identity test settles them without a pass;
+    # other grids fall back to C-level list equality.
     if times_per_source:
         grid = times_per_source[0]
-        if all(times == grid for times in times_per_source[1:]):
+        if all(times is grid or times == grid for times in times_per_source[1:]):
             return MergedTimeline(
                 mode=MODE_LOCKSTEP,
                 keys=keys,

@@ -12,14 +12,20 @@ streams cover the paper's workloads:
 
 Randomised streams generate through a pluggable
 :class:`~repro.data.engine.StreamEngine`; :meth:`UpdateStream.schedule` is the
-single generation path (``updates`` replays the same batched schedule), so an
+single generation path (``updates`` zips the same batched columns), so an
 engine's output is identical whichever accessor a caller uses.
+
+A schedule is a pair of parallel columns ``(times, values)``, not a list of
+per-event tuples: the consumers (the merged-timeline builder, the batch
+kernel, the columnar core) index columns, and the streams of one trace share
+a single ``times`` list.  Schedules are read-only to their consumers.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from itertools import accumulate, repeat
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.data.engine import DEFAULT_ENGINE, StreamEngine, get_engine
@@ -27,6 +33,9 @@ from repro.data.random_walk import RandomWalkGenerator
 from repro.data.trace import Trace
 
 UpdateEventTuple = Tuple[float, float]
+
+#: A whole update schedule as parallel ``(times, values)`` columns.
+ScheduleColumns = Tuple[List[float], List[float]]
 
 
 class UpdateStream(ABC):
@@ -37,12 +46,16 @@ class UpdateStream(ABC):
     def initial_value(self) -> float:
         """The source value before the first update."""
 
-    def schedule(self, duration: float) -> List[UpdateEventTuple]:
-        """Return the whole update schedule for ``(0, duration]`` as a list.
+    def schedule(self, duration: float) -> ScheduleColumns:
+        """Return the whole update schedule for ``(0, duration]`` as columns.
 
-        This is the batch construction the simulator pre-materialises
-        per-source timelines from; randomised streams draw it through their
-        stream engine in as few RNG calls as the engine allows.
+        The result is ``(times, values)``: two equal-length lists, the
+        update instants in increasing order and the value each update
+        installs.  This is the batch construction the simulator
+        pre-materialises per-source timelines from; randomised streams draw
+        it through their stream engine in as few RNG calls as the engine
+        allows.  Callers must not mutate the lists (trace streams share one
+        ``times`` list across all series of a trace).
 
         Subclasses must override :meth:`schedule` or :meth:`updates` (the
         defaults are defined in terms of each other).  The bundled streams
@@ -54,15 +67,17 @@ class UpdateStream(ABC):
             raise NotImplementedError(
                 f"{type(self).__name__} must override schedule() or updates()"
             )
-        return list(self.updates(duration))
+        events = list(self.updates(duration))
+        return [time for time, _ in events], [value for _, value in events]
 
     def updates(self, duration: float) -> Iterator[UpdateEventTuple]:
         """Yield ``(time, value)`` pairs for all updates in ``(0, duration]``.
 
-        Equivalent to iterating :meth:`schedule`; see :meth:`schedule` for
-        the override contract.
+        Equivalent to zipping the :meth:`schedule` columns; see
+        :meth:`schedule` for the override contract.
         """
-        return iter(self.schedule(duration))
+        times, values = self.schedule(duration)
+        return zip(times, values)
 
 
 class RandomWalkStream(UpdateStream):
@@ -89,12 +104,11 @@ class RandomWalkStream(UpdateStream):
         """Seconds between consecutive updates."""
         return self._interval
 
-    def schedule(self, duration: float) -> List[UpdateEventTuple]:
+    def schedule(self, duration: float) -> ScheduleColumns:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        engine = self._walk.engine
-        times = engine.schedule_times(self._interval, duration)
-        return list(zip(times, self._walk.steps_array(len(times))))
+        times = self._walk.engine.schedule_times(self._interval, duration)
+        return times, self._walk.steps_array(len(times))
 
 
 class TraceStream(UpdateStream):
@@ -103,25 +117,20 @@ class TraceStream(UpdateStream):
     def __init__(self, trace: Trace, key: Hashable) -> None:
         if key not in trace.series:
             raise KeyError(f"key {key!r} not present in trace")
+        self._trace = trace
         self._values: Sequence[float] = trace.series[key]
-        self._interval = trace.sample_interval
 
     @property
     def initial_value(self) -> float:
         return self._values[0]
 
-    def schedule(self, duration: float) -> List[UpdateEventTuple]:
+    def schedule(self, duration: float) -> ScheduleColumns:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        interval = self._interval
-        horizon = duration + 1e-9
-        events: List[UpdateEventTuple] = []
-        for index in range(1, len(self._values)):
-            time = index * interval
-            if time > horizon:
-                break
-            events.append((time, self._values[index]))
-        return events
+        # Sample ``i`` lands at ``times[i - 1]``; the grid is the trace's
+        # own, so every stream of one trace returns the same ``times``.
+        times = self._trace.update_times(duration)
+        return times, self._values[1 : len(times) + 1]
 
 
 class CounterStream(UpdateStream):
@@ -152,28 +161,24 @@ class CounterStream(UpdateStream):
     def initial_value(self) -> float:
         return self._start
 
-    def schedule(self, duration: float) -> List[UpdateEventTuple]:
+    def schedule(self, duration: float) -> ScheduleColumns:
         if duration <= 0:
             raise ValueError("duration must be positive")
         horizon = duration + 1e-9
-        value = self._start
-        events: List[UpdateEventTuple] = []
         if self._poisson:
-            for time in self._engine.poisson_times(
-                self._rng, self._mean_interval, horizon
-            ):
-                value += 1.0
-                events.append((time, value))
+            times = self._engine.poisson_times(self._rng, self._mean_interval, horizon)
         else:
             mean_interval = self._mean_interval
+            times = []
             time = 0.0
             while True:
                 time += mean_interval
                 if time > horizon:
                     break
-                value += 1.0
-                events.append((time, value))
-        return events
+                times.append(time)
+        # Repeated ``+= 1.0`` from the start value, as the counter counts.
+        values = list(accumulate(repeat(1.0, len(times)), initial=self._start))
+        return times, values[1:]
 
 
 def streams_from_trace(trace: Trace, keys: Optional[Sequence[Hashable]] = None) -> dict:

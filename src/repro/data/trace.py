@@ -10,7 +10,8 @@ smoothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Sequence
 
@@ -51,6 +52,10 @@ class Trace:
 
     series: Dict[Hashable, List[float]]
     sample_interval: float = 1.0
+    # Replay grids memoised by :meth:`update_times`, one per duration.
+    _update_times: Dict[float, List[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.series:
@@ -94,6 +99,24 @@ class Trace:
     def initial_value(self, key: Hashable) -> float:
         """First sample of ``key``."""
         return self.series[key][0]
+
+    def update_times(self, duration: float) -> List[float]:
+        """The replay instants ``i * sample_interval`` (``i >= 1``) in
+        ``(0, duration]``, with the scheduler's 1e-9 tolerance.
+
+        Sample ``i`` of every series is replayed at the ``i - 1``-th entry.
+        The list is memoised per duration and shared by every stream of
+        this trace, so callers must not mutate it.
+        """
+        times = self._update_times.get(duration)
+        if times is None:
+            interval = self.sample_interval
+            times = [index * interval for index in range(1, self.length)]
+            # ``index * interval`` is monotone in ``index``, so the first
+            # instant past the horizon is a bisection away.
+            del times[bisect_right(times, duration + 1e-9) :]
+            self._update_times[duration] = times
+        return times
 
     def smoothed(self, window_seconds: float, engine=None) -> "Trace":
         """Return a new trace smoothed by a trailing moving-window average.

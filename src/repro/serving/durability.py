@@ -31,7 +31,15 @@ silently forget published intervals.  :class:`PartitionDurability` gives a
 mismatch, clipped JSON).  Recovery keeps every intact prefix record,
 quarantines the bad tail bytes as ``<wal>.corrupt`` (mirroring the
 trace-cache quarantine) and truncates the log at the corruption point, so
-the next append continues a valid log.
+the next append continues a valid log.  An append that fails while the
+process lives (``ENOSPC``, ``EIO``) cuts the log back to its last complete
+record and re-raises, so no later record lands behind torn bytes.
+
+**No silent loss.**  Recovery replays only when the surviving records run
+contiguously from the snapshot's sequence.  A gap — a corrupt snapshot whose
+records were already truncated, a lost snapshot, a hole in the log — raises
+:class:`~repro.serving.errors.UnrecoverablePartition` and leaves the files
+in place, instead of coming back with a fraction of the state.
 
 **Fsync policy.**  ``fsync`` is a durability/latency trade:
 
@@ -58,6 +66,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
+from repro.serving.errors import UnrecoverablePartition
 
 #: Framed size of each appended WAL record, in bytes.  A process-registry
 #: histogram (one handle shared by every partition in the process; in the
@@ -154,6 +163,7 @@ class PartitionDurability:
         self.snapshot_path = self.directory / f"partition-{partition_index}.snapshot"
         self._file: Optional[Any] = None
         self._sequence = 0  # last assigned/observed record sequence number
+        self._wal_size = 0  # bytes of complete records in the WAL
         self._records_since_checkpoint = 0
         # Counters surfaced through the server's stats op.
         self.records_appended = 0
@@ -171,11 +181,16 @@ class PartitionDurability:
         """Open the WAL directory and return ``(snapshot_state, records)``.
 
         ``snapshot_state`` is whatever object the last :meth:`checkpoint`
-        persisted (``None`` when there is no usable snapshot); ``records``
-        are the decoded WAL records *after* the snapshot's sequence, in
-        append order.  A torn tail is truncated and quarantined here, and
-        leftover checkpoint scratch files from a crash mid-write are
-        removed, so the WAL is ready for :meth:`append` when this returns.
+        persisted (``None`` when there is no snapshot); ``records`` are the
+        decoded WAL records *after* the snapshot's sequence, in append
+        order.  A torn tail is truncated and quarantined here, and leftover
+        checkpoint scratch files from a crash mid-write are removed, so the
+        WAL is ready for :meth:`append` when this returns.
+
+        Raises :class:`~repro.serving.errors.UnrecoverablePartition` unless
+        ``records`` run contiguously from the snapshot's sequence plus one.
+        A corrupt snapshot is quarantined and counts as sequence 0, so it
+        is only recoverable from a log that still holds record 1 onwards.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         for scratch in self.directory.glob(f"{self.snapshot_path.name}.*.tmp"):
@@ -183,10 +198,14 @@ class PartitionDurability:
                 scratch.unlink()
             except OSError:  # pragma: no cover - racing cleanup
                 pass
-        state = self._load_snapshot()
+        state, snapshot_corrupt = self._load_snapshot()
         records = self._load_wal()
         snapshot_seq = self._sequence
         live = [record for record in records if record.get("n", 0) > snapshot_seq]
+        self._check_replayable(live, snapshot_seq, snapshot_corrupt)
+        if snapshot_corrupt:
+            # The log reaches back to record 1, so the snapshot is not needed.
+            self.snapshot_path.unlink(missing_ok=True)
         if records:
             self._sequence = max(snapshot_seq, records[-1].get("n", 0))
         self._records_since_checkpoint = len(live)
@@ -194,11 +213,34 @@ class PartitionDurability:
         self._file = open(self.wal_path, "ab")
         return state, live
 
-    def _load_snapshot(self) -> Optional[Any]:
+    def _check_replayable(
+        self, live: List[Dict[str, Any]], snapshot_seq: int, snapshot_corrupt: bool
+    ) -> None:
+        expected = snapshot_seq + 1
+        for record in live:
+            if record.get("n") != expected:
+                found = record.get("n")
+                break
+            expected += 1
+        else:
+            if live or not snapshot_corrupt:
+                return
+            found = None
+        cause = "its snapshot is corrupt and " if snapshot_corrupt else ""
+        got = "an empty log" if found is None else f"record {found}"
+        raise UnrecoverablePartition(
+            f"partition {self.partition_index} in {self.directory} cannot be "
+            f"recovered: {cause}replay needs WAL record {expected}, found {got}",
+            expected=expected,
+            found=found,
+        )
+
+    def _load_snapshot(self) -> Tuple[Optional[Any], bool]:
+        """Return ``(state, corrupt)``; a corrupt snapshot is quarantined."""
         try:
             blob = self.snapshot_path.read_bytes()
         except OSError:
-            return None
+            return None, False
         try:
             if len(blob) < RECORD_HEADER.size:
                 raise ValueError("snapshot shorter than its header")
@@ -210,16 +252,13 @@ class PartitionDurability:
             self._sequence = int(envelope["sequence"])
             self.last_checkpoint_clock = envelope.get("clock")
             self.snapshot_restored = True
-            return envelope["state"]
+            return envelope["state"], False
         except Exception:
             # A snapshot that reads but does not parse is quarantined like
-            # a torn trace-cache file; recovery falls back to the WAL.
+            # a torn trace-cache file; recovery falls back to the WAL if
+            # the WAL still holds the whole history.
             _quarantine(self.snapshot_path, blob)
-            try:
-                self.snapshot_path.unlink()
-            except OSError:  # pragma: no cover - racing cleanup
-                pass
-            return None
+            return None, True
 
     def _load_wal(self) -> List[Dict[str, Any]]:
         try:
@@ -249,6 +288,7 @@ class PartitionDurability:
             _quarantine(self.wal_path, blob[offset:])
             with open(self.wal_path, "r+b") as wal:
                 wal.truncate(offset)
+        self._wal_size = offset
         return records
 
     # ------------------------------------------------------------------
@@ -259,24 +299,47 @@ class PartitionDurability:
 
         Several records go out as one ``write`` + ``flush`` (one ``fsync``
         under ``"always"``), in argument order with consecutive sequence
-        numbers — a query's batch of refreshes logs this way.
+        numbers — a query's batch of refreshes logs this way.  If the write,
+        flush or fsync raises, the log is cut back to its last complete
+        record and the sequence is not consumed before the error re-raises.
         """
         if self._file is None:
             raise RuntimeError("durability not loaded; call load() first")
+        sequence = self._sequence
         frames = []
         for record in records:
-            self._sequence += 1
-            frames.append(_encode_record({"n": self._sequence, **record}))
+            sequence += 1
+            frames.append(_encode_record({"n": sequence, **record}))
         blob = b"".join(frames)
-        self._file.write(blob)
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
+        try:
+            self._file.write(blob)
+            self._file.flush()
+            if self.fsync == "always":
+                os.fsync(self._file.fileno())
+        except BaseException:
+            self._discard_partial_append()
+            raise
+        self._sequence = sequence
+        self._wal_size += len(blob)
         self.records_appended += len(frames)
         self.bytes_appended += len(blob)
         self._records_since_checkpoint += len(frames)
         for frame in frames:
             _WAL_RECORD_BYTES.observe(float(len(frame)))
+
+    def _discard_partial_append(self) -> None:
+        """Truncate the WAL to its complete records and reopen the handle.
+
+        Reopening drops any half-frame still sitting in the old handle's
+        buffer, which a later flush would otherwise write mid-log.
+        """
+        file, self._file = self._file, None
+        try:
+            file.close()
+        except OSError:
+            pass  # whatever it failed to flush lies past the cut below
+        os.truncate(self.wal_path, self._wal_size)
+        self._file = open(self.wal_path, "ab")
 
     @property
     def checkpoint_due(self) -> bool:
@@ -317,6 +380,7 @@ class PartitionDurability:
             _fsync_directory(self.directory)
         self._file.truncate(0)
         self._file.seek(0)
+        self._wal_size = 0
         self._records_since_checkpoint = 0
         self.checkpoints_taken += 1
         self.last_checkpoint_clock = clock

@@ -14,7 +14,7 @@ handlers — the server's dispatch fallback, tests catching ``RuntimeError``
 from __future__ import annotations
 
 import asyncio
-from typing import Dict
+from typing import Dict, Optional
 
 
 class ServingError(Exception):
@@ -66,3 +66,21 @@ class SupervisionExhausted(ServingError, RuntimeError):
         super().__init__(message)
         self.index = index
         self.crashes = dict(crashes)
+
+
+class UnrecoverablePartition(ServingError, RuntimeError):
+    """A partition's WAL directory cannot rebuild its state.
+
+    Raised by :meth:`~repro.serving.durability.PartitionDurability.load`
+    when the surviving WAL records do not run contiguously from the
+    snapshot's sequence (a lost or corrupt snapshot, a gap in the log), so
+    replay would silently come back with a fraction of the state.  The
+    files are left in place for inspection.  ``expected`` is the first
+    sequence number replay needed; ``found`` is the first one present
+    (``None`` for an empty log).
+    """
+
+    def __init__(self, message: str, *, expected: int, found: Optional[int]) -> None:
+        super().__init__(message)
+        self.expected = expected
+        self.found = found

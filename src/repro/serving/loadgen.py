@@ -345,10 +345,8 @@ def _trace_replay_parts(
     """Build the shared replay artefacts: keys, initial values, event walk."""
     streams = {key: TraceStream(trace, key) for key in trace.keys}
     initials = {key: stream.initial_value for key, stream in streams.items()}
-    timelines = {
-        key: stream.schedule(config.duration) for key, stream in streams.items()
-    }
-    merged = merge_timelines(timelines, engine=config.stream_engine())
+    columns = {key: stream.schedule(config.duration) for key, stream in streams.items()}
+    merged = merge_timelines(columns, engine=config.stream_engine())
     walk = MergedEventWalk(merged, config.duration + HORIZON_TOLERANCE)
     return list(trace.keys), initials, walk
 

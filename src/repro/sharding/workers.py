@@ -71,7 +71,7 @@ from repro.caching.cache import CacheStatistics
 from repro.caching.columnar import _reconstruct_interval
 from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
-from repro.data.streams import UpdateStream
+from repro.data.streams import ScheduleColumns, UpdateStream
 from repro.experiments.runner import WorkerHandle, persistent_worker_pool
 from repro.intervals.interval import UNBOUNDED, Interval
 from repro.obs.metrics import REGISTRY
@@ -335,23 +335,21 @@ class _ExchangeSupervisor:
 class PrebuiltStream(UpdateStream):
     """An update stream replaying an already-materialised schedule.
 
-    Workers receive their sources' timelines (drawn once in the parent)
-    instead of stream objects, so the sub-simulation replays exactly the
-    parent's draws without re-deriving per-stream randomness.
+    Workers receive their sources' ``(times, values)`` columns (drawn once
+    in the parent) instead of stream objects, so the sub-simulation replays
+    exactly the parent's draws without re-deriving per-stream randomness.
     """
 
-    def __init__(
-        self, initial_value: float, timeline: Sequence[Tuple[float, float]]
-    ) -> None:
+    def __init__(self, initial_value: float, columns: ScheduleColumns) -> None:
         self._initial = initial_value
-        self._timeline = list(timeline)
+        self._columns = columns
 
     @property
     def initial_value(self) -> float:
         return self._initial
 
-    def schedule(self, duration: float) -> List[Tuple[float, float]]:
-        return list(self._timeline)
+    def schedule(self, duration: float) -> ScheduleColumns:
+        return self._columns
 
 
 class ShardWorkerSimulation(CacheSimulation):
@@ -504,7 +502,7 @@ class ShardWorkerSimulation(CacheSimulation):
 def _worker_main(
     channel: Any,
     config: SimulationConfig,
-    sources: Dict[Hashable, Tuple[float, Sequence[Tuple[float, float]]]],
+    sources: Dict[Hashable, Tuple[float, ScheduleColumns]],
     policy: PrecisionPolicy,
     eviction_policy: Optional[EvictionPolicy],
     workload_keys: Sequence[Hashable],
@@ -520,8 +518,8 @@ def _worker_main(
     exchange_array: Optional[ExchangeArray] = None
     try:
         streams = {
-            key: PrebuiltStream(initial_value, timeline)
-            for key, (initial_value, timeline) in sources.items()
+            key: PrebuiltStream(initial_value, columns)
+            for key, (initial_value, columns) in sources.items()
         }
         name, workers, rows, plane = exchange_spec
         exchange_array = ExchangeArray(workers, rows, name=name)
@@ -578,7 +576,7 @@ def _check_decomposability(policy: PrecisionPolicy) -> None:
 
 def run_concurrent_shards(
     config: SimulationConfig,
-    timelines: Mapping[Hashable, Sequence[Tuple[float, float]]],
+    columns: Mapping[Hashable, ScheduleColumns],
     initial_values: Mapping[Hashable, float],
     policy: PrecisionPolicy,
     eviction_policy: Optional[EvictionPolicy] = None,
@@ -586,8 +584,8 @@ def run_concurrent_shards(
     """Execute a sharded simulation across ``config.shard_workers`` processes.
 
     Called by :meth:`CacheSimulation.run` when ``shard_workers > 1``: the
-    parent has already materialised every source's timeline; this function
-    partitions them by owning shard, fans the sub-simulations out through
+    parent has already materialised every source's schedule columns; this
+    function partitions them by owning shard, fans the sub-simulations out through
     :func:`repro.experiments.runner.persistent_worker_pool`, coordinates the
     per-query-tick interval exchange, and merges the per-worker payloads
     into one :class:`SimulationResult` equal to the in-process run's (under
@@ -598,7 +596,7 @@ def run_concurrent_shards(
     _check_decomposability(policy)
     shard_count = config.shards
     worker_count = min(config.shard_workers, shard_count)
-    keys = list(timelines)
+    keys = list(columns)
     shard_of = {key: stable_key_hash(key) % shard_count for key in keys}
 
     # Shard s is owned by worker s % worker_count; workers owning no source
@@ -624,7 +622,7 @@ def run_concurrent_shards(
     for index in populated:
         owned_keys = keys_by_worker[index]
         owned_set = set(owned_keys)
-        sources = {key: (initial_values[key], timelines[key]) for key in owned_keys}
+        sources = {key: (initial_values[key], columns[key]) for key in owned_keys}
         targets.append(
             (
                 _worker_main,

@@ -26,7 +26,7 @@ from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
 from repro.caching.refresh import RefreshKind
 from repro.caching.source import DataSource
 from repro.data.merged import MODE_LOCKSTEP, MergedTimeline, merge_timelines
-from repro.data.streams import UpdateStream
+from repro.data.streams import ScheduleColumns, UpdateStream
 from repro.intervals.interval import UNBOUNDED
 from repro.queries.aggregates import AggregateKind
 from repro.queries.refresh_selection import (
@@ -132,17 +132,14 @@ class CacheSimulation:
         self._scheduler = EventScheduler()
         self._sources: Dict[Hashable, DataSource] = {}
         # Pre-materialised per-source update timelines: every stream's whole
-        # schedule is drawn up-front (one batch call per stream) and replayed
-        # through a C-level list iterator, so the event loop never pays
-        # generator dispatch or StopIteration handling per step.  Streams draw
-        # from per-stream randomness, so batching does not change the values.
-        self._timelines: Dict[Hashable, List[Tuple[float, float]]] = {}
-        self._timeline_cursors: Dict[Hashable, Iterator[Tuple[float, float]]] = {}
+        # schedule is drawn up-front (one batch call per stream) as
+        # ``(times, values)`` columns, which the batch kernel indexes
+        # directly.  Streams draw from per-stream randomness, so batching
+        # does not change the values.
+        self._columns: Dict[Hashable, ScheduleColumns] = {}
         for key, stream in streams.items():
             self._sources[key] = DataSource(key=key, value=stream.initial_value)
-            timeline = stream.schedule(config.duration)
-            self._timelines[key] = timeline
-            self._timeline_cursors[key] = iter(timeline)
+            self._columns[key] = stream.schedule(config.duration)
         # Interval samples are only collected for tracked keys; skipping the
         # collector calls entirely when nothing is tracked saves a call per
         # update in the hot loop.
@@ -238,7 +235,7 @@ class CacheSimulation:
 
             return run_concurrent_shards(
                 config=self._config,
-                timelines=self._timelines,
+                columns=self._columns,
                 initial_values={
                     key: source.value for key, source in self._sources.items()
                 },
@@ -263,9 +260,7 @@ class CacheSimulation:
         ``_apply_update`` / ``_run_query`` bodies in the same order.
         """
         if self._config.kernel == "batch":
-            merged = merge_timelines(
-                self._timelines, engine=self._config.stream_engine()
-            )
+            merged = merge_timelines(self._columns, engine=self._config.stream_engine())
             # The columnar core vectorises the lockstep batch walk.  It is
             # only taken when every per-event observable it elides really is
             # unobservable: per-update interval samples and policy write
@@ -291,6 +286,11 @@ class CacheSimulation:
                 handle_update=self._apply_update,
                 handle_query=self._run_query,
             )
+        # The scheduler pulls one ``(time, value)`` step per source at a
+        # time, through a C-level iterator over the columns.
+        self._timeline_cursors: Dict[Hashable, Iterator[Tuple[float, float]]] = {
+            key: zip(times, values) for key, (times, values) in self._columns.items()
+        }
         for key in self._sources:
             self._schedule_next_update(key)
         self._schedule_query(self._config.query_period)

@@ -1,13 +1,15 @@
 """The WAL + checkpoint layer (:mod:`repro.serving.durability`).
 
-Framing round-trips, torn-tail truncation and quarantine, corrupt-snapshot
-fallback, crash-window idempotence (checkpoint replaced but log not yet
-truncated), and the recovery-equivalence property: recovering from
-snapshot+WAL must rebuild the same partition state as replaying the whole
-history from a pure WAL.
+Framing round-trips, torn-tail truncation and quarantine, failed appends,
+corrupt-snapshot fallback and the loud failure when it cannot recover,
+crash-window idempotence (checkpoint replaced but log not yet truncated),
+and the recovery-equivalence property: recovering from snapshot+WAL must
+rebuild the same partition state as replaying the whole history from a pure
+WAL.
 """
 
 import asyncio
+import errno
 import os
 import pickle
 import stat
@@ -25,6 +27,7 @@ from repro.serving.durability import (
     PartitionDurability,
     _encode_record,
 )
+from repro.serving.errors import UnrecoverablePartition
 from repro.serving.server import CacheServer
 
 
@@ -246,23 +249,114 @@ class TestCorruption:
         assert [record["n"] for record in records] == [1]
         assert wal_path.stat().st_size == first
 
-    def test_corrupt_snapshot_quarantined_and_wal_used(self, tmp_path):
+    def _checkpoint_then_append(self, tmp_path):
+        """Record 1 under a snapshot, record 2 in the WAL behind it."""
         durability = PartitionDurability(tmp_path)
         durability.load()
         durability.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
         durability.checkpoint({"value": 1}, clock=1.0)
         durability.append({"k": "u", "key": "a", "v": 2.0, "t": 2.0})
         durability.close()
-        snapshot = durability.snapshot_path
+        return durability
+
+    def test_corrupt_snapshot_with_truncated_wal_raises(self, tmp_path):
+        """The snapshot covered record 1 and the checkpoint truncated it
+        from the WAL: replaying record 2 alone would silently lose it."""
+        snapshot = self._checkpoint_then_append(tmp_path).snapshot_path
         snapshot.write_bytes(b"\x00" * 7)  # shorter than its own header
+
+        reader = PartitionDurability(tmp_path)
+        with pytest.raises(UnrecoverablePartition, match="snapshot is corrupt") as info:
+            reader.load()
+        assert (info.value.expected, info.value.found) == (1, 2)
+        assert not reader.snapshot_restored
+        assert snapshot.with_name(f"{snapshot.name}.corrupt").exists()
+        # Nothing is deleted, so a retry fails the same way instead of
+        # coming back empty.
+        with pytest.raises(UnrecoverablePartition):
+            PartitionDurability(tmp_path).load()
+
+    def test_empty_wal_behind_corrupt_snapshot_raises(self, tmp_path):
+        durability = PartitionDurability(tmp_path)
+        durability.load()
+        durability.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
+        durability.checkpoint({"value": 1}, clock=1.0)
+        durability.close()
+        durability.snapshot_path.write_bytes(b"\x00" * 7)
+        with pytest.raises(UnrecoverablePartition) as info:
+            PartitionDurability(tmp_path).load()
+        assert (info.value.expected, info.value.found) == (1, None)
+
+    def test_missing_snapshot_raises(self, tmp_path):
+        self._checkpoint_then_append(tmp_path).snapshot_path.unlink()
+        with pytest.raises(UnrecoverablePartition, match="needs WAL record 1"):
+            PartitionDurability(tmp_path).load()
+
+    def test_corrupt_snapshot_with_full_wal_recovers(self, tmp_path):
+        """A crash between the snapshot replace and the WAL truncate leaves
+        the whole history in the log, which replays without the snapshot."""
+        durability = PartitionDurability(tmp_path)
+        durability.load()
+        durability.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
+        durability.append({"k": "u", "key": "a", "v": 2.0, "t": 2.0})
+        wal = durability.wal_path.read_bytes()
+        durability.checkpoint({"value": 2}, clock=2.0)
+        durability.close()
+        durability.wal_path.write_bytes(wal)
+        snapshot = durability.snapshot_path
+        snapshot.write_bytes(snapshot.read_bytes()[:-1])  # fails its CRC
 
         reader = PartitionDurability(tmp_path)
         state, records = reader.load()
         assert state is None and not reader.snapshot_restored
+        assert [record["n"] for record in records] == [1, 2]
         assert snapshot.with_name(f"{snapshot.name}.corrupt").exists()
-        # Snapshot gone, so the sequence floor is the WAL's own records;
-        # the post-checkpoint record survives.
-        assert [record["n"] for record in records] == [2]
+        assert not snapshot.exists()
+        reader.append({"k": "u", "key": "a", "v": 3.0, "t": 3.0})
+        reader.close()
+        again = PartitionDurability(tmp_path)
+        _, records = again.load()
+        again.close()
+        assert [record["n"] for record in records] == [1, 2, 3]
+
+    @pytest.mark.parametrize("fsync", FSYNC_POLICIES)
+    def test_failed_append_leaves_no_torn_frame(self, tmp_path, fsync):
+        """A write that dies partway (ENOSPC, EIO) must not strand half a
+        frame mid-log: later appends would land behind it and recovery
+        would truncate them away at the tear."""
+        durability = PartitionDurability(tmp_path, fsync=fsync)
+        durability.load()
+        durability.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
+
+        class HalfWriteFile:
+            """Writes half of the first blob, then fails; later writes pass."""
+
+            def __init__(self, file):
+                self._file = file
+                self._failed = False
+
+            def write(self, blob):
+                if self._failed:
+                    return self._file.write(blob)
+                self._failed = True
+                self._file.write(blob[: len(blob) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._file, name)
+
+        durability._file = HalfWriteFile(durability._file)
+        with pytest.raises(OSError, match="No space"):
+            durability.append({"k": "u", "key": "b", "v": 2.0, "t": 2.0})
+        durability.append({"k": "u", "key": "d", "v": 4.0, "t": 3.0})
+        durability.close()
+
+        reader = PartitionDurability(tmp_path)
+        _, records = reader.load()
+        reader.close()
+        assert [record["n"] for record in records] == [1, 2]
+        assert [record["key"] for record in records] == ["a", "d"]
+        assert reader.torn_tails == 0
 
     def test_leftover_checkpoint_scratch_removed(self, tmp_path):
         durability = PartitionDurability(tmp_path)

@@ -38,7 +38,8 @@ from repro.simulation.simulator import CacheSimulation
 # Reference executor: the simulator's scheduling pattern on EventScheduler
 # ----------------------------------------------------------------------
 def scheduler_event_sequence(timelines, duration, query_period):
-    """Replay timelines + query clock through the general scheduler.
+    """Replay ``{key: (times, values)}`` columns + query clock through the
+    general scheduler.
 
     Reproduces exactly the scheduling pattern of ``CacheSimulation``'s
     fallback path: one in-flight update event per source (rescheduled on
@@ -46,7 +47,7 @@ def scheduler_event_sequence(timelines, duration, query_period):
     """
     events = []
     scheduler = EventScheduler()
-    cursors = {key: iter(timeline) for key, timeline in timelines.items()}
+    cursors = {key: zip(times, values) for key, (times, values) in timelines.items()}
     horizon = duration + HORIZON_TOLERANCE
 
     def handle_update(event):
@@ -119,9 +120,10 @@ def tie_heavy_workloads(draw):
                 )
             )
         )
-        timelines[f"src-{index}"] = [
-            (float(time), float(position)) for position, time in enumerate(times)
-        ]
+        timelines[f"src-{index}"] = (
+            [float(time) for time in times],
+            [float(position) for position in range(length)],
+        )
     return timelines, float(duration), query_period
 
 
@@ -190,8 +192,8 @@ def test_tied_sources_follow_predecessor_processing_order():
     # Insertion order B then A, but A's predecessor (t=1) runs before B's
     # (t=3), so at t=5 A must run before B.
     timelines = {
-        "b": [(3.0, 0.0), (5.0, 1.0)],
-        "a": [(1.0, 0.0), (5.0, 1.0)],
+        "b": ([3.0, 5.0], [0.0, 1.0]),
+        "a": ([1.0, 5.0], [0.0, 1.0]),
     }
     expected, _ = scheduler_event_sequence(timelines, 6.0, 100.0)
     update_order = [key for kind, key, time, _ in expected if time == 5.0]
@@ -214,8 +216,8 @@ def test_tied_sources_follow_predecessor_processing_order():
 # ----------------------------------------------------------------------
 def test_lockstep_mode_for_identical_grids():
     timelines = {
-        "a": [(1.0, 10.0), (2.0, 11.0)],
-        "b": [(1.0, 20.0), (2.0, 21.0)],
+        "a": ([1.0, 2.0], [10.0, 11.0]),
+        "b": ([1.0, 2.0], [20.0, 21.0]),
     }
     merged = merge_timelines(timelines)
     assert merged.mode == MODE_LOCKSTEP
@@ -224,8 +226,8 @@ def test_lockstep_mode_for_identical_grids():
 
 def test_static_mode_for_disjoint_times_with_vector_engine():
     timelines = {
-        "a": [(1.0, 10.0), (4.0, 11.0)],
-        "b": [(2.5, 20.0), (3.5, 21.0)],
+        "a": ([1.0, 4.0], [10.0, 11.0]),
+        "b": ([2.5, 3.5], [20.0, 21.0]),
     }
     merged = merge_timelines(timelines, engine=get_engine("vector"))
     assert merged.mode == MODE_STATIC
@@ -236,8 +238,8 @@ def test_static_mode_for_disjoint_times_with_vector_engine():
 
 def test_dynamic_mode_without_engine_merge():
     timelines = {
-        "a": [(1.0, 10.0), (4.0, 11.0)],
-        "b": [(2.5, 20.0)],
+        "a": ([1.0, 4.0], [10.0, 11.0]),
+        "b": ([2.5], [20.0]),
     }
     merged = merge_timelines(timelines)
     assert merged.mode == MODE_DYNAMIC
@@ -353,8 +355,8 @@ def walk_event_sequence(timelines, duration, query_period, engine=None):
 @given(tie_heavy_workloads())
 def test_merged_event_walk_matches_kernel(workload):
     timelines, duration, query_period = workload
-    if not any(timelines.values()):
-        timelines["src-extra"] = [(1.0, 0.0)]
+    if not any(times for times, _ in timelines.values()):
+        timelines["src-extra"] = ([1.0], [0.0])
     kernel_events, kernel_processed, _ = kernel_event_sequence(
         timelines, duration, query_period
     )
@@ -366,14 +368,12 @@ def test_merged_event_walk_matches_kernel(workload):
 def test_merged_event_walk_matches_kernel_on_vector_static_merge():
     rng = random.Random(11)
     timelines = {
-        f"src-{index}": [
-            (round(rng.uniform(0.1, 19.9), 3) + index * 20.0, float(step))
-            for step in range(8)
-        ]
+        f"src-{index}": (
+            sorted(round(rng.uniform(0.1, 19.9), 3) + index * 20.0 for _ in range(8)),
+            [float(step) for step in range(8)],
+        )
         for index in range(3)
     }
-    for timeline in timelines.values():
-        timeline.sort()
     engine = get_engine("vector")
     kernel_events, kernel_processed, mode = kernel_event_sequence(
         timelines, 70.0, 3.0, engine=engine

@@ -119,7 +119,7 @@ class TestEngineConsistency:
         build = lambda: RandomWalkStream(  # noqa: E731 - tiny local factory
             RandomWalkGenerator(start=50.0, rng=engine.rng(4), engine=engine)
         )
-        assert list(build().updates(40.0)) == build().schedule(40.0)
+        assert list(build().updates(40.0)) == list(zip(*build().schedule(40.0)))
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_poisson_counter_updates_equals_schedule(self, name):
@@ -127,7 +127,7 @@ class TestEngineConsistency:
         build = lambda: CounterStream(  # noqa: E731 - tiny local factory
             mean_interval=1.5, poisson=True, rng=engine.rng(8), engine=engine
         )
-        assert list(build().updates(100.0)) == build().schedule(100.0)
+        assert list(build().updates(100.0)) == list(zip(*build().schedule(100.0)))
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_poisson_times_sorted_within_horizon(self, name):
