@@ -98,7 +98,7 @@ def test_sum_refresh_selection_throughput(benchmark):
 def test_columnar_sum_selection_throughput(benchmark):
     # The columnar twin of test_sum_refresh_selection_throughput: the same
     # 200-interval SUM selection off a width array (the layout the columnar
-    # simulator core and the shared-memory exchange hand in directly).
+    # simulator core hands in directly).
     import numpy as np
 
     from repro.queries.refresh_selection import select_sum_refreshes_columnar
@@ -116,112 +116,6 @@ def test_columnar_sum_selection_throughput(benchmark):
 
     refreshed = benchmark(select)
     assert isinstance(refreshed, list)
-
-
-#: Scale of the shard-exchange microbenchmark: a 100-host population queried
-#: at full fan-out, 2 simulated workers, 200 query ticks per round.
-EXCHANGE_BENCH_HOSTS = 100
-EXCHANGE_BENCH_TICKS = 200
-
-
-def _exchange_bench_ticks():
-    """Pre-draw the query sequence and per-worker owned entries.
-
-    Workload generation and the owned-entry cache lookups are not part of
-    the exchange, so the benchmark hoists them and times only the per-tick
-    exchange: encode, the token round-trips, the coordinator merge, and each
-    worker's refresh screen over the merged state.
-    """
-    from repro.queries.constraints import PrecisionConstraintGenerator
-    from repro.queries.workload import QueryWorkload
-
-    keys = [f"host-{index}" for index in range(EXCHANGE_BENCH_HOSTS)]
-    workload = QueryWorkload(
-        keys=keys,
-        query_size=EXCHANGE_BENCH_HOSTS,
-        period=1.0,
-        constraint_generator=PrecisionConstraintGenerator(
-            average=20.0, variation=1.0, rng=random.Random(5)
-        ),
-        rng=random.Random(4),
-    )
-    rng = random.Random(7)
-    intervals = {
-        key: Interval.centered(rng.uniform(0, 100), rng.uniform(0, 50))
-        for key in keys
-    }
-    values = {key: rng.uniform(0, 100) for key in keys}
-    owner = {key: index % 2 for index, key in enumerate(keys)}
-    ticks = []
-    time = 1.0
-    for _ in range(EXCHANGE_BENCH_TICKS):
-        query = workload.generate(time)
-        time += 1.0
-        locals_by_worker = tuple(
-            {
-                key: (intervals[key], values[key])
-                for key in query.keys
-                if owner[key] == worker
-            }
-            for worker in range(2)
-        )
-        owners = [owner[key] for key in query.keys]
-        ticks.append((query, locals_by_worker, owners))
-    return ticks
-
-
-def test_exchange_shm_tick_throughput(benchmark):
-    # The shared-memory exchange, per tick: workers encode owned rows into
-    # their plane, pipes carry only constant-size tokens, the coordinator
-    # merges with one fancy-indexed copy, and each worker screens widths
-    # straight off the merged plane (no decode).  Both sides run in one
-    # process (as they time-share the 1-core benchmark box anyway), over
-    # real multiprocessing pipes.
-    import multiprocessing
-
-    import numpy as np
-
-    from repro.queries.refresh_selection import select_sum_refreshes_columnar
-    from repro.sharding.workers import ExchangeArray, ShmWorkerExchange
-
-    ticks = _exchange_bench_ticks()
-
-    def run_ticks():
-        pipes = [multiprocessing.Pipe() for _ in range(2)]
-        exchange = ExchangeArray(2, EXCHANGE_BENCH_HOSTS)
-        views = [ShmWorkerExchange(exchange, plane) for plane in range(2)]
-        planes = exchange.array
-        merged_rows = planes[-1]
-        positions = np.arange(EXCHANGE_BENCH_HOSTS)
-        try:
-            for query, locals_by_worker, owners in ticks:
-                for (_, worker_end), view, local in zip(
-                    pipes, views, locals_by_worker
-                ):
-                    view.write_tick(query, local)
-                    worker_end.send(("tick", None))
-                for coordinator_end, _ in pipes:
-                    coordinator_end.recv()
-                merged_rows[:] = planes[owners, positions]
-                for coordinator_end, _ in pipes:
-                    coordinator_end.send(None)
-                for (_, worker_end), view in zip(pipes, views):
-                    worker_end.recv()
-                    rows = view.merged_rows()
-                    widths = rows[:, 1] - rows[:, 0]
-                    select_sum_refreshes_columnar(
-                        query.keys, widths, query.constraint
-                    )
-        finally:
-            for coordinator_end, worker_end in pipes:
-                coordinator_end.close()
-                worker_end.close()
-            exchange.close()
-            exchange.unlink()
-        return len(ticks)
-
-    count = benchmark(run_ticks)
-    assert count == EXCHANGE_BENCH_TICKS
 
 
 def test_trace_generation_reference_throughput(benchmark):
@@ -244,7 +138,7 @@ def test_walk_schedule_vector_throughput(benchmark):
     assert len(times) == len(values) == BENCH_WALK_STEPS
 
 
-def _run_small_simulation(kernel="batch", shards=1, shard_workers=0):
+def _run_small_simulation(kernel="batch", shards=1):
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
@@ -261,7 +155,6 @@ def _run_small_simulation(kernel="batch", shards=1, shard_workers=0):
         seed=3,
         kernel=kernel,
         shards=shards,
-        shard_workers=shard_workers,
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
@@ -284,19 +177,9 @@ def test_simulator_scheduler_fallback_throughput(benchmark):
     assert result.duration > 0
 
 
-def test_shard_worker_concurrent_throughput(benchmark):
-    # Shard-worker scaling row: a 4-shard run executed on 2 worker
-    # processes.  Wall-clock includes process spawn and per-tick exchange,
-    # so this measures the real end-to-end cost of the concurrent topology
-    # at small scale (it amortises on paper-scale runs); compare against
-    # test_shard_worker_serial_throughput.
-    result = benchmark(_run_small_simulation, shards=4, shard_workers=2)
-    assert result.duration > 0
-
-
 def test_shard_worker_serial_throughput(benchmark):
-    # The same 4-shard run executed serially through the routing
-    # coordinator (the pre-PR4 behaviour of --shards).
+    # Sharded-routing row: a 4-shard run through the in-process routing
+    # coordinator (--shards 4), all shards in one process.
     result = benchmark(_run_small_simulation, shards=4)
     assert result.duration > 0
 

@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli run figure07_09 --workers 4
     python -m repro.cli run figure07_09 --workers 4 --chunk-size 3
     python -m repro.cli run section45 --shards 4
-    python -m repro.cli run section45 --shards 4 --shard-workers 2
     python -m repro.cli run section45 --engine vector
     python -m repro.cli run section45 --kernel scheduler
     python -m repro.cli run section45 --core object
@@ -22,10 +21,7 @@ K`` groups sub-runs into deterministic batches of K per pool task, amortising
 submission overhead on large sweeps without changing a row.
 
 ``--shards N`` runs an experiment's simulations behind the hash-partitioned
-multi-cache coordinator (:mod:`repro.sharding`); ``--shard-workers W`` (with
-``--shards N``, W <= N) additionally executes each simulation's shards
-concurrently in W worker processes (:mod:`repro.sharding.workers`), which
-exchange each query tick's rows through one shared-memory array.
+multi-cache coordinator (:mod:`repro.sharding`), all shards in one process.
 
 ``--engine {reference,vector}`` selects the stream-generation engine of the
 data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
@@ -46,8 +42,8 @@ applies to every sub-run.
 (``run-all`` derives one file per experiment from it; with ``--workers``
 pools only the parent process is profiled).
 
-Experiments whose plans do not take a shard count, worker count, engine or
-kernel note on stderr that the flag was ignored.
+Experiments whose plans do not take a shard count, engine or kernel note on
+stderr that the flag was ignored.
 
 The serving layer (:mod:`repro.serving`) adds two more commands::
 
@@ -181,17 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="run simulations behind this many hash-partitioned cache shards",
-        )
-        subparser.add_argument(
-            "--shard-workers",
-            type=int,
-            default=None,
-            dest="shard_workers",
-            help=(
-                "run each sharded simulation's shards concurrently in this "
-                "many worker processes (requires --shards N with N >= the "
-                "worker count)"
-            ),
         )
         subparser.add_argument(
             "--chunk-size",
@@ -570,16 +555,15 @@ def _run_experiment(
     workers: Optional[int],
     shards: Optional[int] = None,
     engine: Optional[str] = None,
-    shard_workers: Optional[int] = None,
     kernel: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one experiment, through its parallel plan when it declares one.
 
-    ``shards``, ``shard_workers``, ``engine`` and ``kernel`` are forwarded
-    to experiments whose plan factory (or runner) accepts the keyword; for
-    the rest the flag is reported as ignored so a sharded, concurrent or
-    vector-engine sweep never silently reproduces the default tables.
+    ``shards``, ``engine`` and ``kernel`` are forwarded to experiments whose
+    plan factory (or runner) accepts the keyword; for the rest the flag is
+    reported as ignored so a sharded or vector-engine sweep never silently
+    reproduces the default tables.
     ``chunk_size`` shapes pool submission only (see :func:`run_plan`).
     """
     plan_factory = plan_registry().get(experiment_id)
@@ -588,7 +572,6 @@ def _run_experiment(
     forwarded: Dict[str, Any] = {}
     for name, flag, value in (
         ("shards", "shards", shards),
-        ("shard_workers", "shard-workers", shard_workers),
         ("engine", "engine", engine),
         ("kernel", "kernel", kernel),
     ):
@@ -664,17 +647,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be non-negative, got {args.workers}")
     if getattr(args, "shards", None) is not None and args.shards < 1:
         parser.error(f"--shards must be at least 1, got {args.shards}")
-    shard_workers = getattr(args, "shard_workers", None)
-    if shard_workers is not None:
-        if shard_workers < 0:
-            parser.error(f"--shard-workers must be non-negative, got {shard_workers}")
-        shards = getattr(args, "shards", None)
-        if shard_workers > 1 and (shards is None or shards < shard_workers):
-            parser.error(
-                "--shard-workers requires --shards N with N >= the worker "
-                f"count, got --shard-workers {shard_workers} with "
-                f"--shards {shards}"
-            )
     if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:
         parser.error(f"--chunk-size must be at least 1, got {args.chunk_size}")
     if getattr(args, "core", None) is not None:
@@ -706,7 +678,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.workers,
                 args.shards,
                 args.engine,
-                shard_workers=args.shard_workers,
                 kernel=args.kernel,
                 chunk_size=args.chunk_size,
             ),
@@ -723,7 +694,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     args.workers,
                     args.shards,
                     args.engine,
-                    shard_workers=args.shard_workers,
                     kernel=args.kernel,
                     chunk_size=args.chunk_size,
                 ),

@@ -25,15 +25,12 @@ or through the CLI: ``python -m repro.cli run figure07_09 --workers 4``.
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -191,7 +188,7 @@ class WorkerHandle:
     ``target(connection, *args)``, ``restart`` replaces a dead or wedged
     worker with a fresh process running the same target (the caller is
     responsible for resyncing its state — see
-    :func:`repro.sharding.workers.run_concurrent_shards`), and ``stop``
+    :class:`repro.serving.procs.ProcessPartitionPool`), and ``stop``
     escalates ``join(grace)`` → ``terminate()`` → ``kill()`` so no worker
     can outlive its pool.  ``force_stopped`` records the harshest measure
     that was needed (``"terminated"`` or ``"killed"``), for reporting.
@@ -273,52 +270,6 @@ class WorkerHandle:
             self.force_stopped = escalation
         self.process = None
         return escalation
-
-
-@contextmanager
-def persistent_worker_pool(
-    targets: Sequence[Tuple[Callable[..., None], Tuple[Any, ...]]],
-    grace: float = 5.0,
-) -> Iterator[List[WorkerHandle]]:
-    """Spawn long-lived worker processes connected by duplex pipes.
-
-    The :class:`ProcessPoolExecutor` path above fits one-shot, independent
-    sub-runs; workloads that must exchange state mid-run (the concurrent
-    shard workers of :mod:`repro.sharding.workers`, which synchronise at
-    every query tick) need persistent processes with a message channel
-    instead.  Each ``(target, args)`` pair is started as one
-    :class:`WorkerHandle`; the parent talks through ``handle.send`` /
-    ``handle.recv`` and may ``handle.restart()`` a worker that died.
-
-    On exit the parent endpoints are closed first (workers blocked on
-    ``recv`` see EOF instead of hanging), then every worker is stopped
-    with the full join → terminate → kill escalation; workers that needed
-    force are reported in one :class:`RuntimeWarning` — a worker that
-    ignores even SIGTERM cannot leak past the pool.
-    """
-    handles: List[WorkerHandle] = [
-        WorkerHandle(index, target, args) for index, (target, args) in enumerate(targets)
-    ]
-    try:
-        for handle in handles:
-            handle.start()
-        yield handles
-    finally:
-        for handle in handles:
-            handle.close_connection()
-        for handle in handles:
-            handle.stop(grace=grace)
-        forced = [
-            f"worker {handle.index} ({handle.force_stopped})"
-            for handle in handles
-            if handle.force_stopped
-        ]
-        if forced:
-            warnings.warn(
-                "persistent_worker_pool force-stopped: " + ", ".join(forced),
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 def plan_registry() -> Dict[str, Callable[[], ExperimentPlan]]:

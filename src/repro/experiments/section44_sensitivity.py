@@ -39,7 +39,6 @@ def lower_threshold_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
@@ -52,7 +51,6 @@ def lower_threshold_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -97,7 +95,6 @@ def constraint_variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
@@ -111,7 +108,6 @@ def constraint_variation_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -161,7 +157,6 @@ def plan(
     seed: int = 21,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
@@ -177,7 +172,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
                 kernel=kernel,
             ),
         )
@@ -195,7 +189,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
                 kernel=kernel,
             ),
         )
@@ -222,7 +215,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
@@ -233,7 +225,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            shard_workers=shard_workers,
             kernel=kernel,
         ),
         workers=workers,

@@ -45,7 +45,6 @@ def _config(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> SimulationConfig:
     return SimulationConfig(
@@ -60,7 +59,6 @@ def _config(
         query_refresh_cost=2.0,
         seed=seed,
         shards=shards,
-        shard_workers=shard_workers,
         engine=engine,
         kernel=kernel,
     )
@@ -84,7 +82,6 @@ def variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (walk bias, placement variant) cell (picklable).
@@ -92,10 +89,8 @@ def variation_rows(
     The cache is unbounded here, so any ``shards`` count must produce the
     same rows — the CI sharded-smoke job relies on exactly that.  ``engine``
     selects the stream engine generating the walks (``reference`` reproduces
-    the committed table byte-for-byte).  ``shard_workers`` > 1 runs a
-    sharded cell's shards concurrently in worker processes (exact here:
-    rho = 1, so the policy decomposes — see :mod:`repro.sharding.workers`);
-    ``kernel`` picks the event-execution strategy.
+    the committed table byte-for-byte); ``kernel`` picks the
+    event-execution strategy.
     """
     walk_kind = "unbiased walk" if up_probability == 0.5 else "biased walk"
     config = _config(
@@ -103,7 +98,6 @@ def variation_rows(
         seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
         kernel=kernel,
     )
     if variant == "centred":
@@ -135,7 +129,6 @@ def plan(
     seed: int = 23,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
@@ -151,7 +144,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
                 kernel=kernel,
             ),
         )
@@ -180,7 +172,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
@@ -192,7 +183,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            shard_workers=shard_workers,
             kernel=kernel,
         ),
         workers=workers,

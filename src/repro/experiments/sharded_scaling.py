@@ -56,16 +56,9 @@ def scaling_rows(
     capacity_fraction: float,
     seed: int,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> List[Tuple]:
-    """The row for one shard count (picklable sub-run unit).
-
-    ``shard_workers`` > 1 executes a sharded cell's shards concurrently in
-    worker processes (clamped to the cell's shard count; single-shard cells
-    always run in-process).  This sweep uses ``rho = 1``, so the policy
-    decomposes and the rows are identical for any worker count.
-    """
+    """The row for one shard count (picklable sub-run unit)."""
     trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
     capacity = max(shard_count, int(host_count * capacity_fraction))
     config = traffic_config(
@@ -78,7 +71,6 @@ def scaling_rows(
         seed=seed,
         shards=shard_count,
         engine=engine,
-        shard_workers=(min(shard_workers, shard_count) if shard_count > 1 else 0),
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -111,7 +103,6 @@ def plan(
     seed: int = 29,
     shards: Optional[int] = None,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per shard count.
@@ -133,7 +124,6 @@ def plan(
                 capacity_fraction=capacity_fraction,
                 seed=seed,
                 engine=engine,
-                shard_workers=shard_workers,
                 kernel=kernel,
             ),
         )
@@ -172,7 +162,6 @@ def run(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     engine: str = "reference",
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Sweep shard counts at a large host population."""
@@ -185,7 +174,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            shard_workers=shard_workers,
             kernel=kernel,
         ),
         workers=workers,

@@ -191,7 +191,6 @@ def traffic_config(
     query_size: Optional[int] = None,
     shards: int = 1,
     engine: str = DEFAULT_ENGINE,
-    shard_workers: int = 0,
     kernel: str = "batch",
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
@@ -200,10 +199,8 @@ def traffic_config(
     the paper's ratio (10 values per query out of 50 hosts) and therefore the
     per-item read rate when experiments run on a reduced host count.
     ``shards`` > 1 fronts the run with the hash-partitioned multi-cache
-    coordinator (see :mod:`repro.sharding`); ``shard_workers`` > 1 runs
-    those shards concurrently in worker processes
-    (:mod:`repro.sharding.workers`).  ``engine`` records
-    which stream engine generated the run's data (see
+    coordinator (see :mod:`repro.sharding`).  ``engine`` records which
+    stream engine generated the run's data (see
     :mod:`repro.data.engine`); ``kernel`` selects the event-execution
     strategy (:mod:`repro.simulation.kernel`).
     """
@@ -222,7 +219,6 @@ def traffic_config(
         constraint_bounds=constraint_bounds,
         cache_capacity=cache_capacity,
         shards=shards,
-        shard_workers=shard_workers,
         engine=engine,
         kernel=kernel,
         value_refresh_cost=value_refresh_cost,

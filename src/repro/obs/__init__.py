@@ -1,7 +1,7 @@
 """Unified observability: metrics registry, trace spans, logging, exposition.
 
 The layer absorbs the serving stack's ad-hoc counters (``/stats`` dicts,
-the old exchange meter, fault-injection tallies, loadgen percentiles)
+fault-injection tallies, loadgen percentiles)
 behind one process-local :class:`~repro.obs.metrics.MetricsRegistry`,
 records deterministic trace spans into a crash flight recorder
 (:mod:`repro.obs.trace`), and exposes everything as Prometheus text via

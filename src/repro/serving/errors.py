@@ -52,10 +52,9 @@ class StaleEpochError(RequestRejected):
 class SupervisionExhausted(ServingError, RuntimeError):
     """A supervised worker died more times than its restart budget allows.
 
-    Raised by :class:`~repro.serving.procs.ProcessPartitionPool` and the
-    shard-worker :class:`~repro.sharding.workers._ExchangeSupervisor` in
-    place of the bare ``RuntimeError`` they used to raise (still caught by
-    handlers matching ``RuntimeError``).  ``crashes`` maps each worker
+    Raised by :class:`~repro.serving.procs.ProcessPartitionPool` in place
+    of the bare ``RuntimeError`` it used to raise (still caught by handlers
+    matching ``RuntimeError``).  ``crashes`` maps each worker
     index to its crash count at the moment supervision gave up; ``index``
     is the worker whose death exhausted the budget.  A gateway catching
     this downgrades the partition to permanent-degraded: its keys answer

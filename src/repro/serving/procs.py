@@ -10,8 +10,7 @@ over the pipe; the pool exposes ``tcp://`` targets the gateway dials.
 The pool is deliberately dumb: it owns *processes*, not protocol state.
 Restart replaces a dead worker with a fresh empty server on a new port —
 re-populating it (the key/value mirror replay, feeder re-registration) is
-the gateway's job (:meth:`GatewayServer.resync_partition`), mirroring how
-``run_concurrent_shards`` leaves resync to its caller.
+the gateway's job (:meth:`GatewayServer.resync_partition`).
 """
 
 from __future__ import annotations
@@ -304,23 +303,29 @@ class ProcessPartitionPool:
         """Replace worker ``index`` with a fresh process; return its target.
 
         Safe to call from an executor thread (the gateway's supervisor
-        does): it only touches this worker's handle and port slot.  Raises
+        does): it only touches this worker's handle and port slot.  A
+        fresh process that exits before reporting its port (its recovery
+        raised, e.g. :class:`~repro.serving.errors.UnrecoverablePartition`)
+        counts as one more failed restart.  Raises
         :class:`~repro.serving.errors.SupervisionExhausted` once the
         worker has burned through its restart budget — the caller (the
         gateway) then downgrades the partition to permanent-degraded
         instead of restarting it forever.
         """
         worker = self._workers[index]
-        if worker.restarts >= self._max_restarts:
-            raise SupervisionExhausted(
-                f"partition {index} died {worker.restarts + 1} times; "
-                f"restart budget ({self._max_restarts}) exhausted, giving up",
-                index=index,
-                crashes=self.crash_history(),
-            )
-        worker.restart(grace=grace)
-        self._ports[index] = self._await_port(worker)
-        return self.target(index)
+        while worker.restarts < self._max_restarts:
+            worker.restart(grace=grace)
+            try:
+                self._ports[index] = self._await_port(worker)
+            except EOFError:
+                continue
+            return self.target(index)
+        raise SupervisionExhausted(
+            f"partition {index} died {worker.restarts + 1} times; "
+            f"restart budget ({self._max_restarts}) exhausted, giving up",
+            index=index,
+            crashes=self.crash_history(),
+        )
 
     @property
     def restarts(self) -> int:

@@ -1,9 +1,8 @@
 """Sharded multi-cache topology: hash-partitioned shards behind one API.
 
 See :mod:`repro.sharding.coordinator` for the coordinator,
-:mod:`repro.sharding.partition` for the deterministic partitioning helpers,
-:mod:`repro.sharding.aggregates` for cross-shard bounded aggregates and
-:mod:`repro.sharding.workers` for the concurrent shard-worker executor.
+:mod:`repro.sharding.partition` for the deterministic partitioning helpers
+and :mod:`repro.sharding.aggregates` for cross-shard bounded aggregates.
 """
 
 from repro.sharding.aggregates import (
@@ -21,12 +20,10 @@ from repro.sharding.partition import (
     split_capacity,
     stable_key_hash,
 )
-from repro.sharding.workers import run_concurrent_shards
 
 __all__ = [
     "ShardedCacheCoordinator",
     "merge_cache_statistics",
-    "run_concurrent_shards",
     "execute_sharded_query",
     "merge_aggregate_bounds",
     "partition_keys",

@@ -43,10 +43,9 @@ def merge_cache_statistics(
 ) -> CacheStatistics:
     """Fold per-shard counters into one fresh :class:`CacheStatistics`.
 
-    The shared rollup behind :attr:`ShardedCacheCoordinator.statistics` and
-    the concurrent shard-worker merge (:mod:`repro.sharding.workers`): all
-    counters are additive, so the merged snapshot is identical whether the
-    shards lived in one process or many.
+    The rollup behind :attr:`ShardedCacheCoordinator.statistics`: all
+    counters are additive, so the merged snapshot equals the counters of one
+    cache that saw every shard's traffic.
     """
     merged = CacheStatistics()
     for stats in statistics:

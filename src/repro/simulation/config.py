@@ -82,15 +82,6 @@ class SimulationConfig:
         :class:`~repro.sharding.coordinator.ShardedCacheCoordinator` that
         hash-partitions keys over this many shards and splits
         ``cache_capacity`` into per-shard eviction budgets.
-    shard_workers:
-        Number of worker processes a sharded run executes on.  ``0`` or ``1``
-        (the default) runs every shard in-process through the routing
-        coordinator; larger values partition sources by their owning shard
-        and run each shard's sub-simulation concurrently in a worker process
-        (:mod:`repro.sharding.workers`), exchanging each query tick's
-        interval/value rows through one shared-memory array and merging
-        per-shard metrics.  Requires ``shards > 1`` and at most ``shards``
-        workers.
     kernel:
         Event-execution strategy.  ``"batch"`` (the default) replays the
         pre-materialised update timelines and the periodic query clock
@@ -140,7 +131,6 @@ class SimulationConfig:
     constraint_bounds: Optional[Tuple[float, float]] = None
     cache_capacity: Optional[int] = None
     shards: int = 1
-    shard_workers: int = 0
     engine: str = DEFAULT_ENGINE
     kernel: str = DEFAULT_KERNEL
     core: str = field(default_factory=get_default_core)
@@ -174,18 +164,6 @@ class SimulationConfig:
             raise ValueError("cache_capacity (kappa) must be at least 1")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be non-negative")
-        if self.shard_workers > 1:
-            if self.shards < 2:
-                raise ValueError(
-                    "shard_workers > 1 requires a sharded run (shards > 1)"
-                )
-            if self.shard_workers > self.shards:
-                raise ValueError(
-                    "shard_workers may not exceed the shard count "
-                    f"({self.shard_workers} workers for {self.shards} shards)"
-                )
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; available: "
@@ -238,10 +216,8 @@ class SimulationConfig:
         :class:`~repro.simulation.simulator.CacheSimulation` has always done,
         and neither draws from simulation state — so every caller handing
         this method the same key sequence regenerates the identical query
-        stream.  That property is what lets shard workers replay the global
-        workload locally, the exchange coordinator gather each tick's rows
-        by query position, and the serving load generator drive a live
-        server through the exact offline query sequence.
+        stream.  That property is what lets the serving load generator
+        drive a live server through the exact offline query sequence.
         """
         from repro.queries.workload import QueryWorkload
 

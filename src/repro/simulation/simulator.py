@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -79,12 +79,6 @@ class CacheSimulation:
     eviction_policy:
         Optional override of the cache's eviction strategy (defaults to the
         paper's widest-first rule).
-    workload_keys:
-        Optional key population for the query workload; defaults to the
-        stream keys.  Shard-worker sub-simulations pass the *global* key
-        list here so every worker replays the run's full query sequence
-        while only simulating its owned sources
-        (:mod:`repro.sharding.workers`).
     """
 
     def __init__(
@@ -93,13 +87,11 @@ class CacheSimulation:
         streams: Mapping[Hashable, UpdateStream],
         policy: PrecisionPolicy,
         eviction_policy: Optional[EvictionPolicy] = None,
-        workload_keys: Optional[Sequence[Hashable]] = None,
     ) -> None:
         if not streams:
             raise ValueError("at least one update stream is required")
         self._config = config
         self._policy = policy
-        self._eviction_policy = eviction_policy
         self._network = NetworkModel(
             value_refresh_cost=config.value_refresh_cost,
             query_refresh_cost=config.query_refresh_cost,
@@ -160,14 +152,7 @@ class CacheSimulation:
             policy_type.record_read is not PrecisionPolicy.record_read
             or policy_type.record_constraint is not PrecisionPolicy.record_constraint
         )
-        self._workload = config.build_workload(
-            list(workload_keys if workload_keys is not None else streams.keys())
-        )
-        # The columnar query path resolves queried keys through the mirror's
-        # index, which only covers the simulated sources.
-        self._workload_covers_sources = workload_keys is None or set(
-            workload_keys
-        ) <= set(streams.keys())
+        self._workload = config.build_workload(list(streams.keys()))
         # The struct-of-arrays mirror of the hot per-source state
         # (:mod:`repro.caching.columnar`); non-None only while a columnar
         # batch run is executing (the ``_col_*`` companions hold the
@@ -218,30 +203,10 @@ class CacheSimulation:
     # Run
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Execute the run and return its post-warm-up metrics.
-
-        ``config.shard_workers > 1`` hands the run to the concurrent
-        shard-worker executor (:mod:`repro.sharding.workers`): per-shard
-        sub-simulations in worker processes whose merged metrics reproduce
-        this in-process run.  In that mode the returned result is the merged
-        one and this instance's own cache/sources stay untouched (post-run
-        inspection of ``sim.cache`` is only meaningful for in-process runs).
-        """
+        """Execute the run and return its post-warm-up metrics."""
         if self._ran:
             raise RuntimeError("a CacheSimulation instance can only be run once")
         self._ran = True
-        if self._config.shard_workers > 1 and self._config.shards > 1:
-            from repro.sharding.workers import run_concurrent_shards
-
-            return run_concurrent_shards(
-                config=self._config,
-                columns=self._columns,
-                initial_values={
-                    key: source.value for key, source in self._sources.items()
-                },
-                policy=self._policy,
-                eviction_policy=self._eviction_policy,
-            )
         processed = self._execute()
         return self._metrics.finalize(
             end_time=self._config.duration,
@@ -266,13 +231,11 @@ class CacheSimulation:
             # unobservable: per-update interval samples and policy write
             # observers need the scalar walk, eviction-notifying policies
             # couple one key's refresh to other keys' publications (the
-            # precomputed escape mask would be stale), and the shard-worker
-            # subclasses interleave exchange state that reads the object
-            # sources per tick.  Everything else falls back to the
-            # paper-exact object path — results are bit-identical either way.
+            # precomputed escape mask would be stale).  Everything else falls
+            # back to the paper-exact object path — results are bit-identical
+            # either way.
             if (
                 self._config.core == "columnar"
-                and type(self) is CacheSimulation
                 and merged.mode == MODE_LOCKSTEP
                 and not self._sampling
                 and not self._policy_observes_writes
@@ -367,7 +330,6 @@ class CacheSimulation:
             config.shards == 1
             and config.cache_capacity is None
             and not self._policy_observes_reads
-            and self._workload_covers_sources
             and self._workload.query_size >= _COLUMNAR_QUERY_MIN_KEYS
         )
         self._col_queries = columnar_queries

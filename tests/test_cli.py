@@ -66,22 +66,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--engine", "warp"])
 
-    def test_run_accepts_shard_workers(self):
-        args = build_parser().parse_args(
-            ["run", "section45", "--shards", "4", "--shard-workers", "2"]
-        )
-        assert args.shard_workers == 2
-
-    def test_shard_workers_requires_enough_shards(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shard-workers", "2"])
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shards", "2", "--shard-workers", "4"])
-
-    def test_negative_shard_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shards", "4", "--shard-workers", "-1"])
-
     def test_run_accepts_chunk_size(self):
         args = build_parser().parse_args(
             ["run", "section45", "--workers", "2", "--chunk-size", "3"]
@@ -149,16 +133,6 @@ class TestMain:
         sharded = capsys.readouterr().out
         assert sharded == unsharded
 
-    def test_run_section45_shard_workers_matches_unsharded(self, capsys):
-        # The acceptance diff of the concurrent shard-worker mode: with an
-        # unbounded cache and rho = 1 the concurrent sharded table equals
-        # the plain run byte for byte (CI runs the same diff via the CLI).
-        assert main(["run", "section45"]) == 0
-        unsharded = capsys.readouterr().out
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        concurrent = capsys.readouterr().out
-        assert concurrent == unsharded
-
     def test_run_section45_core_object_matches_columnar(self, capsys):
         # The compat-mode acceptance diff: the paper-exact object core and
         # the columnar core print byte-identical tables (CI's columnar-smoke
@@ -210,14 +184,6 @@ class TestMain:
         captured = capsys.readouterr()
         assert "theta_0" in captured.out
         assert "--kernel ignored" in captured.err
-
-    def test_shard_workers_flag_ignored_with_note_for_unsupported_experiment(
-        self, capsys
-    ):
-        assert main(["run", "table1", "--shards", "4", "--shard-workers", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--shard-workers ignored" in captured.err
 
     def test_chunk_size_without_pool_notes_ignored(self, capsys):
         assert main(["run", "table1", "--chunk-size", "2"]) == 0

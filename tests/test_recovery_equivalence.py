@@ -12,7 +12,9 @@ scratch-and-replace window), across partition counts 1, 2 and 4.
 The restart-budget tests cover the typed give-up path: a pool whose budget
 is exhausted raises :class:`SupervisionExhausted`, and the gateway
 downgrades that partition to permanent-degraded — answers widen, they
-never turn into errors.
+never turn into errors.  A partition whose recovery raises (a corrupt
+snapshot the WAL can no longer stand in for) exits before it reports a
+port; every such exit spends one restart of the budget.
 """
 
 import asyncio
@@ -118,6 +120,17 @@ def test_killed_partitions_recover_to_identical_report(
     )
 
 
+def _corrupt_snapshot(wal_dir, index=0):
+    """Overwrite partition ``index``'s snapshot with garbage.
+
+    Call it after a register reply under ``checkpoint_every=1``: the
+    partition replies only after its checkpoint has truncated the WAL, so
+    the log no longer holds record 1 and cannot stand in for the snapshot.
+    Recovery then raises :class:`~repro.serving.errors.UnrecoverablePartition`.
+    """
+    (wal_dir / f"partition-{index}.snapshot").write_bytes(b"not a snapshot" * 8)
+
+
 class TestSupervisionExhausted:
     def test_pool_restart_budget_raises_typed_error(self):
         with ProcessPartitionPool(2, {"seed": 0}, max_restarts=0) as pool:
@@ -140,11 +153,45 @@ class TestSupervisionExhausted:
                 pool.restart(0)
             assert excinfo.value.crashes == {0: 1}
 
-    def test_gateway_downgrades_exhausted_partition_to_degraded(self):
+    def test_pool_unrecoverable_partition_spends_its_budget(self, tmp_path):
+        from repro.serving.api import Client, dial
+
+        async def register_then_kill(pool):
+            client = await Client.from_transport(await dial(pool.target(0)))
+            try:
+                await client.register(["h0", "h1"], [0.0, 1.0])
+                # Killed before the hang-up, so no later record or
+                # checkpoint reaches the files.
+                pool.kill(0)
+            finally:
+                await client.close()
+
+        spec = {"seed": 0, "wal_dir": str(tmp_path), "checkpoint_every": 1}
+        with ProcessPartitionPool(1, spec, max_restarts=2) as pool:
+            asyncio.run(register_then_kill(pool))
+            _corrupt_snapshot(tmp_path)
+            with pytest.raises(SupervisionExhausted, match="giving up") as excinfo:
+                pool.restart(0)
+            assert excinfo.value.index == 0
+            assert excinfo.value.crashes == {0: 2}
+
+    @pytest.mark.parametrize(
+        "unrecoverable", [False, True], ids=["budget-zero", "corrupt-snapshot"]
+    )
+    def test_gateway_downgrades_exhausted_partition_to_degraded(
+        self, tmp_path, unrecoverable
+    ):
         from repro.serving.api import Client
 
+        spec = {"seed": 0}
+        max_restarts = 0
+        if unrecoverable:
+            # One restart is allowed, but the fresh process cannot recover.
+            spec.update(wal_dir=str(tmp_path), checkpoint_every=1)
+            max_restarts = 1
+
         async def drive():
-            with ProcessPartitionPool(2, {"seed": 0}, max_restarts=0) as pool:
+            with ProcessPartitionPool(2, spec, max_restarts=max_restarts) as pool:
                 gateway = GatewayServer(pool.targets(), pool=pool)
                 await gateway.start()
                 gateway.start_supervisor(poll_interval=0.05)
@@ -156,6 +203,8 @@ class TestSupervisionExhausted:
                     await feeder.register(
                         list(values), list(values.values()), feeder="f0", time=1.0
                     )
+                    if unrecoverable:
+                        _corrupt_snapshot(tmp_path)
                     pool.kill(0)
                     for _ in range(200):
                         if gateway.partition_state(0) == "degraded":
@@ -184,6 +233,7 @@ class TestSupervisionExhausted:
                     assert health["role"] == "gateway"
                     states = {p["index"]: p["state"] for p in health["partitions"]}
                     assert states[0] == "degraded" and states[1] == "ok"
+                    assert pool.worker_restarts(0) == max_restarts
                     await feeder.close()
                 finally:
                     await gateway.close()

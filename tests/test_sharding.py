@@ -13,13 +13,14 @@ The load-bearing properties:
   exact regardless of float association.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching.cache import ApproximateCache
+from repro.caching.cache import ApproximateCache, CacheStatistics
 from repro.intervals.interval import UNBOUNDED, Interval
 from repro.queries.aggregates import AggregateKind, aggregate_bound
 from repro.queries.refresh_selection import execute_bounded_query
@@ -27,6 +28,7 @@ from repro.sharding import (
     ShardedCacheCoordinator,
     execute_sharded_query,
     merge_aggregate_bounds,
+    merge_cache_statistics,
     partition_keys,
     shard_index,
     split_capacity,
@@ -184,6 +186,28 @@ class TestCoordinatorMatchesPartitionedCaches:
         assert sorted(map(str, coordinator.keys())) == sorted(map(str, single.keys()))
         assert coordinator.statistics == single.statistics
         assert coordinator.widths() == single.widths()
+
+
+def test_shard_hit_rates_accessor_is_polymorphic():
+    assert ApproximateCache().shard_hit_rates() == ()
+    coordinator = ShardedCacheCoordinator(shard_count=3)
+    assert coordinator.shard_hit_rates() == (0.0, 0.0, 0.0)
+
+
+def test_merge_cache_statistics_rollup():
+    first = CacheStatistics(insertions=3, evictions=1, hits=10, misses=2)
+    second = CacheStatistics(insertions=2, evictions=0, hits=5, misses=3)
+    merged = merge_cache_statistics([first, second])
+    assert merged.insertions == 5
+    assert merged.evictions == 1
+    assert merged.hits == 15
+    assert merged.misses == 5
+    assert math.isclose(merged.hit_rate, 15 / 20)
+    # The coordinator's statistics property goes through the same rollup.
+    coordinator = ShardedCacheCoordinator(shard_count=2)
+    assert coordinator.statistics == merge_cache_statistics(
+        coordinator.shard_statistics
+    )
 
 
 class TestCrossShardAggregates:
