@@ -23,6 +23,12 @@ run is active:
   (``DataSource.published_interval`` and friends), which the object world
   still owns: every ``publish``/``forget_publication`` on the scalar install
   path is echoed here via :meth:`publish` / :meth:`clear_publication`.
+* The cache entries are not mirrored.  A query answered from the mirror
+  counts its hits in bulk and does not touch the entries; the simulator
+  keeps each source's last query time beside the mirror and, when the run
+  ends, sets every entry's ``last_access_time`` to the later of that time
+  and its installation — the value the object path's per-lookup touch
+  leaves.
 
 All floats cross between worlds unmodified (float64 round-trips are exact),
 so the mirrored run is bit-identical to the object run; the equality and

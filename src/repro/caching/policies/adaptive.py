@@ -87,23 +87,26 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
     def on_value_initiated_refresh(
         self, key: Hashable, exact_value: float, time: float
     ) -> PrecisionDecision:
-        controller = self.controller(key)
+        controller = self._controllers.get(key)
+        if controller is None:
+            controller = self.controller(key)
         controller.on_value_initiated_refresh()
-        return self._decision(controller, exact_value)
+        return PrecisionDecision(
+            self._placement.place(exact_value, controller.published_width()),
+            controller.width,
+        )
 
     def on_query_initiated_refresh(
         self, key: Hashable, exact_value: float, time: float
     ) -> PrecisionDecision:
-        controller = self.controller(key)
+        controller = self._controllers.get(key)
+        if controller is None:
+            controller = self.controller(key)
         controller.on_query_initiated_refresh()
-        return self._decision(controller, exact_value)
-
-    def _decision(
-        self, controller: AdaptiveWidthController, exact_value: float
-    ) -> PrecisionDecision:
-        published = controller.published_width()
-        interval = self._placement.place(exact_value, published)
-        return PrecisionDecision(interval=interval, original_width=controller.width)
+        return PrecisionDecision(
+            self._placement.place(exact_value, controller.published_width()),
+            controller.width,
+        )
 
     def describe(self) -> str:
         return (

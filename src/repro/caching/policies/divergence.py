@@ -24,9 +24,10 @@ the optimum always sits at one of these candidates).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List
+from typing import Deque, Dict, Hashable
 
 from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
 from repro.intervals.interval import Interval
@@ -135,16 +136,38 @@ class DivergenceCachingPolicy(PrecisionPolicy):
         return below / len(window.constraints)
 
     def choose_allowance(self, key: Hashable, now: float) -> float:
-        """Return the allowance minimising the projected cost rate."""
+        """Return the allowance minimising the projected cost rate.
+
+        One sweep over the candidates, in the order ``0``, ``inf``, then the
+        distinct observed constraints ascending: the rates are computed once
+        and the window is sorted once, so the constraints below a candidate
+        are counted by ``bisect_left``.  Each candidate's cost is the
+        :meth:`projected_cost` expression, evaluated in the same order.
+        """
         window = self._window(key)
         if not window.write_times and not window.read_times:
             return self._initial_allowance
-        candidates: List[float] = [0.0, math.inf]
-        candidates.extend(sorted(set(window.constraints)))
-        best_allowance = candidates[0]
+        write_rate = _rate(window.write_times, now)
+        read_rate = _rate(window.read_times, now)
+        constraints = sorted(window.constraints)
+        count = len(constraints)
+        c_vr = self._c_vr
+        c_qr = self._c_qr
+        best_allowance = 0.0
         best_cost = math.inf
-        for candidate in candidates:
-            cost = self.projected_cost(key, candidate, now)
+        previous = None
+        for candidate in (0.0, math.inf, *constraints):
+            if candidate == previous:
+                # A repeated constraint costs exactly what its first copy
+                # did, so it can neither improve nor win a tie.
+                continue
+            if count:
+                fraction = bisect_left(constraints, candidate) / count
+            else:
+                fraction = 0.0
+            cost = c_vr * (write_rate / (candidate + 1.0)) + c_qr * (
+                read_rate * fraction
+            )
             improves = cost < best_cost - 1e-12
             ties_with_smaller = (
                 abs(cost - best_cost) <= 1e-12 and candidate < best_allowance
@@ -152,6 +175,7 @@ class DivergenceCachingPolicy(PrecisionPolicy):
             if improves or ties_with_smaller:
                 best_cost = cost
                 best_allowance = candidate
+            previous = candidate
         return best_allowance
 
     # ------------------------------------------------------------------

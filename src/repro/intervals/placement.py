@@ -34,8 +34,9 @@ class IntervalPlacement(ABC):
 class CenteredPlacement(IntervalPlacement):
     """The paper's default: the interval is centred on the exact value."""
 
-    def place(self, value: float, width: float) -> Interval:
-        return Interval.centered(value, width)
+    # ``place`` *is* ``Interval.centered``: every refresh places an interval,
+    # and binding the constructor directly saves a call frame per refresh.
+    place = staticmethod(Interval.centered)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ constraint drawn from the configured constraint distribution.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -94,6 +95,33 @@ class QueryWorkload:
         self._query_size = min(query_size, len(self._keys))
         self._aggregates = list(aggregates)
         self._rng = rng if rng is not None else random.Random()
+        # ``generate`` replays ``rng.sample`` and ``rng.choice`` draw for draw
+        # straight off ``getrandbits``, skipping their per-call set-up and
+        # the ``_randbelow`` call per draw.  That is only the same stream when
+        # the generator uses the stdlib's getrandbits-based methods; any
+        # other ``Random`` subclass keeps calling its own ``sample``/``choice``.
+        rng_type = type(self._rng)
+        randbelow = getattr(rng_type, "_randbelow", None)
+        self._stdlib_draws = (
+            randbelow is random.Random._randbelow_with_getrandbits
+            and rng_type.sample is random.Random.sample
+            and rng_type.choice is random.Random.choice
+        )
+        # ``random.Random.sample`` keeps a swap pool when the population list
+        # is no larger than the set it would otherwise track the picks in.
+        population = len(self._keys)
+        setsize = 21
+        if self._query_size > 5:
+            setsize += 4 ** math.ceil(math.log(self._query_size * 3, 4))
+        self._pool_draws = population <= setsize
+        # Each draw is ``_randbelow(bound)``: ``getrandbits(bound.bit_length())``
+        # repeated until the result falls below ``bound``.  The pool shrinks
+        # by one per pick; the set branch always draws below the population.
+        self._key_bounds = tuple(
+            (population - index, (population - index).bit_length())
+            for index in range(self._query_size)
+        )
+        self._aggregate_bits = len(self._aggregates).bit_length()
 
     @property
     def period(self) -> float:
@@ -122,8 +150,41 @@ class QueryWorkload:
         return times
 
     def generate(self, time: float) -> Query:
-        """Generate the query issued at ``time``."""
-        keys = tuple(self._rng.sample(self._keys, self._query_size))
-        kind = self._rng.choice(self._aggregates)
+        """Generate the query issued at ``time``.
+
+        The keys are ``rng.sample(keys, query_size)`` and the kind is
+        ``rng.choice(aggregates)``, drawn in that order.
+        """
+        if self._stdlib_draws:
+            getrandbits = self._rng.getrandbits
+            picked = []
+            if self._pool_draws:
+                pool = self._keys.copy()
+                for bound, bits in self._key_bounds:
+                    index = getrandbits(bits)
+                    while index >= bound:
+                        index = getrandbits(bits)
+                    picked.append(pool[index])
+                    pool[index] = pool[bound - 1]
+            else:
+                population = self._keys
+                bound, bits = self._key_bounds[0]
+                selected = set()
+                for _ in range(self._query_size):
+                    index = getrandbits(bits)
+                    while index >= bound or index in selected:
+                        index = getrandbits(bits)
+                    selected.add(index)
+                    picked.append(population[index])
+            keys = tuple(picked)
+            aggregates = self._aggregates
+            bits = self._aggregate_bits
+            index = getrandbits(bits)
+            while index >= len(aggregates):
+                index = getrandbits(bits)
+            kind = aggregates[index]
+        else:
+            keys = tuple(self._rng.sample(self._keys, self._query_size))
+            kind = self._rng.choice(self._aggregates)
         constraint = self._constraints.sample()
         return Query(time=time, kind=kind, keys=keys, constraint=constraint)

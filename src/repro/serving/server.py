@@ -14,7 +14,7 @@ around the events is a real server:
   :class:`~repro.caching.source.DataSource` mirror per key: when an update
   escapes the published interval, the precision policy decides a fresh
   approximation and a value-initiated refresh is charged, exactly as in the
-  simulator's ``_apply_update``.
+  simulator's ``_apply_updates``.
 * **Clients** send ``query`` RPCs (keys, aggregate, precision constraint).
   Cached intervals are snapshotted (these lookups are the only ones counted
   in the hit rate, as offline) and the shared refresh-selection logic runs
@@ -1042,7 +1042,7 @@ class CacheServer(BaseFrameServer):
         folded in, through the normal update path — so a missed update that
         escaped the published interval triggers exactly the value-initiated
         refresh it would have caused live, mirroring the offline
-        ``_install`` path.  A resync with unchanged values perturbs
+        ``_refresh`` path.  A resync with unchanged values perturbs
         nothing, which is what keeps a drop+reconnect replay bit-identical
         to the offline run.  Returns whether folding the value in fired a
         refresh.
@@ -1098,7 +1098,7 @@ class CacheServer(BaseFrameServer):
     def _apply_update(
         self, connection: _Connection, key: Hashable, value: float, time: float
     ) -> bool:
-        """Mirror of the simulator's ``_apply_update`` body.
+        """Mirror of the simulator's ``_apply_updates`` body, for one update.
 
         Returns whether the update triggered a value-initiated refresh.
         Unknown keys are registered implicitly to the sending connection
@@ -1480,7 +1480,8 @@ class CacheServer(BaseFrameServer):
         self._install(key, decision, time)
 
     # ------------------------------------------------------------------
-    # Shared installation path (mirror of the simulator's ``_install``)
+    # Shared installation path (mirror of the publication half of the
+    # simulator's ``_refresh``)
     # ------------------------------------------------------------------
     def _install(self, key: Hashable, decision, time: float) -> None:
         source = self._sources[key]

@@ -78,10 +78,13 @@ def run_batch_kernel(
         Optional whole-instant update handler for the lockstep path: called
         as ``handle_update_batch(time, position)`` once per shared grid
         instant *instead of* the per-source ``handle_update`` fan-out, with
-        ``position`` indexing the merged columns.  The columnar simulator
-        core passes this to screen a whole update column vectorised; the
-        event count is unchanged (one event per source per instant).  Ignored
-        on the static/dynamic paths, which never batch.
+        ``position`` indexing the merged columns; the handler must apply the
+        sources in merged key order, as the fan-out does.  The simulator
+        passes one on every lockstep run (both cores); the event count is
+        unchanged (one event per source per instant).  Without it the kernel
+        fans out per source, the event-order oracle of
+        ``tests/test_event_kernel.py``.  Ignored on the static/dynamic paths,
+        which never batch.
 
     Returns
     -------
@@ -96,8 +99,7 @@ def run_batch_kernel(
     if merged.mode == MODE_LOCKSTEP:
         times = merged.times
         assert times is not None and merged.columns is not None
-        sources = list(zip(merged.keys, merged.columns))
-        source_count = len(sources)
+        source_count = len(merged.keys)
         if handle_update_batch is not None:
             for position, time in enumerate(times):
                 if time > horizon:
@@ -110,6 +112,7 @@ def run_batch_kernel(
                 handle_update_batch(time, position)
                 processed += source_count
         else:
+            sources = list(zip(merged.keys, merged.columns))
             for position, time in enumerate(times):
                 if time > horizon:
                     break

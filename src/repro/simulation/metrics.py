@@ -155,24 +155,6 @@ class MetricsCollector:
             return
         self._accountant.record(event)
 
-    def record_refresh_components(
-        self,
-        kind: RefreshKind,
-        key: Hashable,
-        time: float,
-        cost: float,
-        published_width: float,
-    ) -> None:
-        """Record one refresh without materialising a :class:`RefreshEvent`.
-
-        Hot-path equivalent of :meth:`record_refresh`: warm-up refreshes are
-        dropped before any object is built, and post-warm-up refreshes only
-        build an event when the accountant keeps the event log.
-        """
-        if time < self._warmup:
-            return
-        self._accountant.record_refresh(kind, key, time, cost, published_width)
-
     def record_query(self, time: float) -> None:
         """Count one executed query (ignored during warm-up)."""
         if time < self._warmup:

@@ -15,14 +15,26 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.caching.cache import ApproximateCache
 from repro.caching.columnar import ColumnarState
 from repro.caching.eviction import EvictionPolicy
-from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
+from repro.caching.policies.base import PrecisionPolicy
 from repro.caching.refresh import RefreshKind
 from repro.caching.source import DataSource
 from repro.data.merged import MODE_LOCKSTEP, MergedTimeline, merge_timelines
@@ -158,11 +170,13 @@ class CacheSimulation:
         # batch run is executing (the ``_col_*`` companions hold the
         # precomputed value/change columns and the escape schedule).
         self._mirror: Optional[ColumnarState] = None
-        # Hot-loop prebinds: these callables are hit once per refresh or per
-        # query, so binding them once removes a chain of attribute lookups
-        # per event.
+        # Hot-loop prebinds: these callables (and the warm-up cut) are hit
+        # once per refresh or per query, so binding them once removes a
+        # chain of attribute lookups per event.
         self._cache_get = self._cache.get
-        self._record_refresh = self._metrics.record_refresh_components
+        self._cache_put = self._cache.put
+        self._warmup = config.warmup
+        self._record_refresh = self._metrics.accountant.record_refresh
         self._charge_value_refresh = self._network.charge_value_refresh
         self._charge_query_refresh = self._network.charge_query_refresh
         self._policy_value_refresh = self._policy.on_value_initiated_refresh
@@ -222,7 +236,9 @@ class CacheSimulation:
         Dispatches on ``config.kernel``: the batch kernel replays the merged
         timelines directly, the scheduler fallback pumps every event through
         the general priority queue.  Both paths call the same
-        ``_apply_update`` / ``_run_query`` bodies in the same order.
+        ``_apply_updates`` / ``_run_query`` bodies in the same order: a
+        lockstep walk hands ``_apply_updates`` every source of one grid
+        instant at once, every other walk one update at a time.
         """
         if self._config.kernel == "batch":
             merged = merge_timelines(self._columns, engine=self._config.stream_engine())
@@ -246,8 +262,13 @@ class CacheSimulation:
                 merged,
                 duration=self._config.duration,
                 query_period=self._config.query_period,
-                handle_update=self._apply_update,
+                handle_update=self._apply_one_update,
                 handle_query=self._run_query,
+                handle_update_batch=(
+                    self._lockstep_instants(merged)
+                    if merged.mode == MODE_LOCKSTEP
+                    else None
+                ),
             )
         # The scheduler pulls one ``(time, value)`` step per source at a
         # time, through a C-level iterator over the columns.
@@ -275,10 +296,12 @@ class CacheSimulation:
         value columns whenever a publication changes.  The per-instant
         handler then reduces to one integer comparison; the rare events that
         need per-object semantics (escape refreshes, query-initiated
-        refreshes) drop to the scalar paths after syncing the touched source
-        from the precomputed columns.  The object world is reconciled when
-        the walk finishes, so post-run inspection sees the same state an
-        object run leaves behind.
+        refreshes) drop to the scalar refresh body after syncing the touched
+        source from the precomputed columns.  The object world is reconciled
+        when the walk finishes — every source from the columns, and on the
+        columnar query path every cache entry's ``last_access_time`` from the
+        per-source last query time — so post-run inspection sees the same
+        state an object run leaves behind.
         """
         config = self._config
         assert merged.times is not None and merged.columns is not None
@@ -316,10 +339,10 @@ class CacheSimulation:
         self._col_next_escape = [steps] * count
         self._col_escape_heap: List[Tuple[int, int]] = []
         self._col_position = -1
-        self._col_key_columns = list(zip(keys, merged.columns))
         self._col_count = count
         self._col_escapes = 0
         self._col_bailed = False
+        self._col_apply_instant = self._lockstep_instants(merged)
         # Vectorised query handling additionally requires that the workload
         # lookups and refresh selection are reproducible from the mirror
         # alone: a single unbounded cache (membership == source publication,
@@ -333,6 +356,9 @@ class CacheSimulation:
             and self._workload.query_size >= _COLUMNAR_QUERY_MIN_KEYS
         )
         self._col_queries = columnar_queries
+        # The columnar query path counts hits without touching the cache
+        # entries; it records when each source was last queried instead.
+        self._col_last_query = np.full(count, -math.inf)
         handle_query = (
             self._run_query_columnar if columnar_queries else self._run_query
         )
@@ -341,13 +367,25 @@ class CacheSimulation:
                 merged,
                 duration=config.duration,
                 query_period=config.query_period,
-                handle_update=self._apply_update,
+                handle_update=self._apply_one_update,
                 handle_query=handle_query,
                 handle_update_batch=self._columnar_update_batch,
             )
         finally:
             for index in range(count):
                 self._col_sync_index(index)
+            if columnar_queries:
+                # An object run's lookup touches a hit entry, so its access
+                # time ends as its last hit, or its (re)installation if that
+                # came later.  A query that missed a key happened before the
+                # key's first installation, so the later of the installation
+                # and the last query time is exactly that.
+                index_of = mirror.index_of
+                last_query = self._col_last_query
+                for entry in self._cache.entries():
+                    queried = float(last_query[index_of[entry.key]])
+                    if queried > entry.last_access_time:
+                        entry.last_access_time = queried
             self._mirror = None
             self._col_columns = None
             self._col_changed = None
@@ -356,29 +394,28 @@ class CacheSimulation:
             self._col_value_lists = None
             self._col_initial_values = None
             self._col_times = None
-            self._col_key_columns = None
+            self._col_last_query = None
+            self._col_apply_instant = None
 
     def _columnar_update_batch(self, time: float, position: int) -> None:
         """Advance one lockstep grid instant on the columnar schedule.
 
-        Replicates ``_apply_update`` semantics: in-bound changes only advance
-        per-source counters (already precomputed, so they cost nothing here),
-        and the scheduled escapes at this instant take the scalar
-        value-initiated refresh in source order.  A refresh reads and writes
-        only its own key's state (eviction-notifying policies, the one
+        Replicates ``_apply_updates`` semantics: in-bound changes only
+        advance per-source counters (already precomputed, so they cost
+        nothing here), and the scheduled escapes at this instant take the
+        scalar value-initiated refresh in source order.  A refresh reads and
+        writes only its own key's state (eviction-notifying policies, the one
         coupling, are excluded from the columnar core), so keys that do not
         escape need no per-instant work at all.  The lockstep grid is
         non-decreasing, so the object path's time-order guard cannot fire.
 
         After the probe window an escape-heavy run bails out to the object
         walk (see ``_COLUMNAR_PROBE_POSITIONS``): the mirror keeps echoing
-        publications for the query path, but updates go through
-        ``_apply_update`` per source again.
+        publications for the query path, but each instant's updates go
+        through one ``_apply_updates`` call again.
         """
         if self._col_bailed:
-            apply_update = self._apply_update
-            for key, column in self._col_key_columns:
-                apply_update(key, time, column[position])
+            self._col_apply_instant(time, position)
             return
         if position == _COLUMNAR_PROBE_POSITIONS and (
             self._col_escapes
@@ -402,9 +439,9 @@ class CacheSimulation:
                 pending.append(index)
         self._col_escapes += len(pending)
         keys = self._mirror.keys
+        refresh = self._refresh
         for index in pending:  # heap pops (position, index) → source order
-            self._col_sync_index(index)
-            self._value_initiated_refresh(keys[index], time)
+            refresh(keys[index], time, False)
 
     def _col_bail(self, time: float, position: int) -> None:
         """Hand an escape-heavy run back to the object walk mid-run.
@@ -422,11 +459,9 @@ class CacheSimulation:
         if not self._col_queries:
             # Only the columnar query path reads the mirror once the walk is
             # object-driven; dropping it here disarms the publication echo in
-            # ``_install`` too.
+            # ``_refresh`` too.
             self._mirror = None
-        apply_update = self._apply_update
-        for key, column in self._col_key_columns:
-            apply_update(key, time, column[position])
+        self._col_apply_instant(time, position)
 
     def _col_sync_index(self, index: int) -> None:
         """Flush one source's precomputed update state into its object.
@@ -510,13 +545,16 @@ class CacheSimulation:
         and lookups cannot affect eviction state, so the hit/miss counters
         are bulk-applied and SUM/AVG refresh selection runs straight over the
         width array; MAX/MIN queries rebuild their interval mapping from the
-        mirror (bit-equal endpoints) and reuse the iterative selector.
+        mirror (bit-equal endpoints) and reuse the iterative selector.  The
+        entries' access times are not touched per lookup: the query time is
+        recorded per queried source, and the run's end writes it back.
         """
         query = self._workload.generate(time)
         self._metrics.record_query(time)
         mirror = self._mirror
         index_of = mirror.index_of
         indices = [index_of[key] for key in query.keys]
+        self._col_last_query[indices] = time
         published = mirror.published[indices]
         hits = int(published.sum())
         statistics = self._cache.statistics
@@ -535,7 +573,7 @@ class CacheSimulation:
                 else constraint
             )
             for key in select_sum_refreshes_columnar(query.keys, widths, limit):
-                self._query_initiated_refresh(key, time)
+                self._refresh(key, time, True)
             return
         intervals = {
             key: mirror.interval_at(index)
@@ -543,7 +581,7 @@ class CacheSimulation:
         }
 
         def fetch_exact(key: Hashable) -> float:
-            return self._query_initiated_refresh(key, time)
+            return self._refresh(key, time, True)
 
         run_query_refreshes(kind, intervals, constraint, fetch_exact)
 
@@ -563,44 +601,71 @@ class CacheSimulation:
         )
 
     def _handle_update(self, event: SimulationEvent) -> None:
-        self._apply_update(event.key, event.time, event.payload)
+        self._apply_one_update(event.key, event.time, event.payload)
         step = next(self._timeline_cursors[event.key], None)
         if step is not None:
             # One update event per source is in flight at a time, so the
             # event object is recycled for the source's next step.
             self._scheduler.reschedule(event, step[0], step[1])
 
-    def _apply_update(self, key: Hashable, time: float, payload: float) -> None:
-        source = self._sources[key]
-        if payload != source.value:
-            # Inlined DataSource.apply_update (one call per update event is
-            # the single hottest call site in a run); semantics identical.
+    def _lockstep_instants(
+        self, merged: MergedTimeline
+    ) -> Callable[[float, int], None]:
+        """The whole-instant update handler of a lockstep walk.
+
+        Every source shares the grid, so one ``_apply_updates`` call per
+        instant takes all of them, in merged key order (the kernel's
+        per-source fan-out order).
+        """
+        sources = [
+            (self._sources[key], column)
+            for key, column in zip(merged.keys, merged.columns)
+        ]
+        return partial(self._apply_updates, sources)
+
+    def _apply_one_update(self, key: Hashable, time: float, payload: float) -> None:
+        """One update event of a static, dynamic or scheduler walk."""
+        self._apply_updates(((self._sources[key], (payload,)),), time, 0)
+
+    def _apply_updates(
+        self,
+        sources: Iterable[Tuple[DataSource, Sequence[float]]],
+        time: float,
+        position: int,
+    ) -> None:
+        """Apply the updates at ``time``, in order, to their sources.
+
+        The one update body: every walk routes each update event through
+        here.  ``sources`` pairs each :class:`DataSource` with a value
+        column, and the update's new value sits at ``position`` in it — a
+        lockstep instant passes every source with its schedule column, the
+        other walks one source with a one-value column.  Indexing the
+        columns here, rather than pairing sources with values up front,
+        keeps a lockstep instant's per-source cost to one subscript.
+        """
+        observes_writes = self._policy_observes_writes
+        for source, column in sources:
+            payload = column[position]
+            if payload == source.value:
+                # Not a modification — the stream re-reported the same value
+                # (idle periods in trace replays).  Nothing changes: no write
+                # is recorded and no refresh can be needed.
+                continue
+            # Inlined DataSource.apply_update; semantics identical.
             if time < source.last_update_time:
                 raise ValueError("updates must arrive in non-decreasing time order")
             source.value = value = float(payload)
             source.update_count += 1
             source.last_update_time = time
             interval = source.published_interval
-            if self._policy_observes_writes:
-                self._policy.record_write(key, time)
+            if observes_writes:
+                self._policy.record_write(source.key, time)
             if interval is not None and not (interval.low <= value <= interval.high):
-                self._value_initiated_refresh(key, time)
+                self._refresh(source.key, time, False)
             elif self._sampling:
                 self._metrics.record_interval_sample(
-                    key, time, source.value, source.published_interval
+                    source.key, time, value, source.published_interval
                 )
-        # else: not a modification — the stream re-reported the same value
-        # (idle periods in trace replays).  Nothing changes: no write is
-        # recorded and no refresh can be needed.
-
-    def _value_initiated_refresh(self, key: Hashable, time: float) -> None:
-        source = self._sources[key]
-        decision = self._policy_value_refresh(key, source.value, time)
-        cost = self._charge_value_refresh()
-        self._record_refresh(
-            RefreshKind.VALUE_INITIATED, key, time, cost, decision.interval.width
-        )
-        self._install(key, decision, time)
 
     # ------------------------------------------------------------------
     # Query handling
@@ -651,58 +716,68 @@ class CacheSimulation:
             return
 
         def fetch_exact(key: Hashable) -> float:
-            return self._query_initiated_refresh(key, time)
+            return self._refresh(key, time, True)
 
         run_query_refreshes(query.kind, intervals, constraint, fetch_exact)
 
-    def _query_initiated_refresh(self, key: Hashable, time: float) -> float:
+    # ------------------------------------------------------------------
+    # Refresh
+    # ------------------------------------------------------------------
+    def _refresh(self, key: Hashable, time: float, query_initiated: bool) -> float:
+        """Refresh ``key`` at ``time``; returns the exact value sent.
+
+        The one refresh body, for both kinds: the policy decides the new
+        approximation, the network charges the refresh, the accountant
+        records it (after the warm-up), and the source publishes it to the
+        cache.  Policies that track replicas explicitly (WJH97 exact
+        caching) publish an unbounded approximation as "do not cache at
+        all": the cache drops the value and the source stops propagating
+        writes to it.
+        """
         source = self._sources[key]
         mirror = self._mirror
         if mirror is not None:
             # Columnar runs accumulate updates in the precomputed columns;
             # flush them to the object before the policy reads
             # ``source.value``.
-            self._col_sync_index(mirror.index_of[key])
-        decision = self._policy_query_refresh(key, source.value, time)
-        cost = self._charge_query_refresh()
-        self._record_refresh(
-            RefreshKind.QUERY_INITIATED, key, time, cost, decision.interval.width
-        )
-        self._install(key, decision, time)
-        return source.value
-
-    # ------------------------------------------------------------------
-    # Installation and eviction bookkeeping
-    # ------------------------------------------------------------------
-    def _install(self, key: Hashable, decision: PrecisionDecision, time: float) -> None:
-        source = self._sources[key]
-        # The cheap flag goes first: only eviction-notifying policies (WJH97
-        # exact caching) ever take the invalidate branch, so the default
-        # policies skip the unboundedness probe entirely.
-        if self._notify_on_eviction and decision.interval.is_unbounded:
-            # Policies that track replicas explicitly (WJH97 exact caching)
-            # interpret an unbounded approximation as "do not cache at all":
-            # the cache drops the value and the source stops propagating
-            # writes to it.
-            self._cache.invalidate(key)
-            source.forget_publication()
+            index = mirror.index_of[key]
+            self._col_sync_index(index)
+        if query_initiated:
+            decision = self._policy_query_refresh(key, source.value, time)
+            cost = self._charge_query_refresh()
+            kind = RefreshKind.QUERY_INITIATED
         else:
-            source.publish(decision.interval, decision.original_width, time)
-            if self._mirror is not None:
+            decision = self._policy_value_refresh(key, source.value, time)
+            cost = self._charge_value_refresh()
+            kind = RefreshKind.VALUE_INITIATED
+        interval = decision.interval
+        original_width = decision.original_width
+        if original_width < 0:
+            raise ValueError("original_width must be non-negative")
+        if time >= self._warmup:
+            self._record_refresh(kind, key, time, cost, interval.width)
+        # The cheap flag goes first: only eviction-notifying policies ever
+        # take the invalidate branch, so the default policies skip the
+        # unboundedness probe entirely.
+        if self._notify_on_eviction and interval.is_unbounded:
+            self._cache.invalidate(key)
+            source.published_interval = None
+        else:
+            # Inlined DataSource.publish.
+            source.published_interval = interval
+            source.published_width = original_width
+            source.last_refresh_time = time
+            if mirror is not None:
                 # Echo the publication into the columnar mirror and
                 # reschedule the key's escape scan under the new bound.  The
                 # other publication mutations (invalidate, eviction
                 # notification) only happen under eviction-notifying
                 # policies, which the columnar core excludes, so this is the
                 # only echo needed.
-                interval = decision.interval
-                index = self._mirror.index_of[key]
-                self._mirror.publish(index, interval, decision.original_width, time)
+                mirror.publish(index, interval, original_width, time)
                 if not self._col_bailed:
                     self._col_reschedule_escape(index, interval.low, interval.high)
-            evicted = self._cache.put(
-                key, decision.interval, decision.original_width, time
-            )
+            evicted = self._cache_put(key, interval, original_width, time)
             if evicted and self._notify_on_eviction:
                 for evicted_key in evicted:
                     self._sources[evicted_key].forget_publication()
@@ -710,6 +785,7 @@ class CacheSimulation:
             self._metrics.record_interval_sample(
                 key, time, source.value, source.published_interval
             )
+        return source.value
 
     def _collect_final_widths(self) -> Dict[Hashable, float]:
         current_width = getattr(self._policy, "current_width", None)

@@ -8,9 +8,10 @@ Two families of guarantees pin PR 8's struct-of-arrays hot path:
   times, hence eviction priorities).  Floats cross between worlds through
   float64 arrays, which round-trip exactly, so equality here is ``==``, not
   approximate.
-* **Run equality** — a ``CacheSimulation`` with ``core="columnar"`` produces
-  a result identical in every field to ``core="object"`` on adaptive, mixed
-  -aggregate, capacity-bounded, sharded and tracked workloads, including the
+* **Run equality** — a ``CacheSimulation`` with ``core="columnar"`` leaves
+  a result, sources and cache entries identical in every field to
+  ``core="object"`` on adaptive, mixed-aggregate, capacity-bounded, sharded,
+  tracked and wide-query (vectorised query path) workloads, including the
   regimes that exercise the escape-rate bailout and the sharded scalar
   fallback.
 """
@@ -210,7 +211,8 @@ class TestCacheRoundTrip:
 # ---------------------------------------------------------------------------
 
 
-def _run(core: str, host_count: int = 5, **overrides):
+def _run(core: str, host_count: int = 5, policy=None, **overrides):
+    """Run one simulation; returns ``(result, simulation)``."""
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
@@ -229,10 +231,22 @@ def _run(core: str, host_count: int = 5, **overrides):
     )
     config_kwargs.update(overrides)
     config = SimulationConfig(**config_kwargs)
-    policy = AdaptivePrecisionPolicy(
-        PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
+    if policy is None:
+        policy = AdaptivePrecisionPolicy(
+            PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
+        )
+    simulation = CacheSimulation(config, streams, policy)
+    return simulation.run(), simulation
+
+
+def _post_run_state(result, simulation):
+    """Everything a caller can inspect after a run, as comparable values:
+    the result, every source and every cache entry, field for field."""
+    return (
+        dataclasses.asdict(result),
+        {key: dataclasses.asdict(source) for key, source in simulation.sources.items()},
+        [dataclasses.asdict(entry) for entry in simulation.cache.entries()],
     )
-    return CacheSimulation(config, streams, policy).run()
 
 
 RUN_CASES = {
@@ -248,7 +262,9 @@ RUN_CASES = {
     "capacity-bounded": dict(cache_capacity=4),
     "sharded": dict(shards=3, host_count=8),
     "tracked-keys": dict(track_keys=("walk-0", "walk-2")),
-    "wide-query": dict(host_count=30, query_size=25),
+    # 36 keys per query reach the vectorised query path, which counts hits
+    # without touching the cache entries.
+    "wide-query": dict(host_count=40, query_size=36),
 }
 
 
@@ -257,10 +273,86 @@ class TestColumnarRunEquality:
     def test_columnar_equals_object_field_for_field(self, name):
         overrides = dict(RUN_CASES[name])
         host_count = overrides.pop("host_count", 5)
-        object_result = dataclasses.asdict(
-            _run("object", host_count=host_count, **overrides)
+        object_state = _post_run_state(
+            *_run("object", host_count=host_count, **overrides)
         )
-        columnar_result = dataclasses.asdict(
-            _run("columnar", host_count=host_count, **overrides)
+        columnar_state = _post_run_state(
+            *_run("columnar", host_count=host_count, **overrides)
         )
-        assert columnar_result == object_result
+        assert columnar_state[0] == object_state[0]
+        assert columnar_state[1] == object_state[1]
+        assert columnar_state[2] == object_state[2]
+
+
+class _BailSpy:
+    """Counts the columnar walk's escape-rate bailouts."""
+
+    def __init__(self, monkeypatch):
+        self.bails = 0
+        original = CacheSimulation._col_bail
+
+        def bail(simulation, time, position):
+            self.bails += 1
+            return original(simulation, time, position)
+
+        monkeypatch.setattr(CacheSimulation, "_col_bail", bail)
+
+
+class _WriteLoggingPolicy(AdaptivePrecisionPolicy):
+    """The adaptive policy plus a write observer, which keeps a run off the
+    columnar walk: every core takes the object lockstep walk."""
+
+    def __init__(self):
+        super().__init__(PrecisionParameters(), initial_width=4.0, rng=random.Random(3))
+        self.writes = []
+
+    def record_write(self, key, time):
+        self.writes.append((key, time))
+
+
+class TestFusedChainEquality:
+    """The fused per-event chain against the object core and the scheduler:
+    an escape-heavy run that bails to the object walk mid-run, and a run
+    whose policy observes writes."""
+
+    @pytest.mark.parametrize(
+        "query_size", [3, 36], ids=["scalar-queries", "columnar-queries"]
+    )
+    def test_escape_heavy_run_bails_and_matches_object(self, monkeypatch, query_size):
+        # Tight constraints shrink the bounds until a large share of the
+        # updates escape, so the probe window hands the run back.
+        overrides = dict(
+            host_count=40,
+            query_size=query_size,
+            constraint_average=0.5,
+            duration=200.0,
+        )
+        object_state = _post_run_state(*_run("object", **overrides))
+        spy = _BailSpy(monkeypatch)
+        columnar_state = _post_run_state(*_run("columnar", **overrides))
+        assert spy.bails == 1
+        assert columnar_state[0] == object_state[0]
+        assert columnar_state[1] == object_state[1]
+        assert columnar_state[2] == object_state[2]
+
+    def test_write_observing_tracked_run_matches_across_cores_and_kernels(self):
+        overrides = dict(host_count=8, query_size=4, track_keys=("walk-1", "walk-5"))
+        states = {}
+        writes = {}
+        for name, core, kernel in (
+            ("columnar", "columnar", "batch"),
+            ("object", "object", "batch"),
+            ("scheduler", "object", "scheduler"),
+        ):
+            policy = _WriteLoggingPolicy()
+            states[name] = _post_run_state(
+                *_run(core, policy=policy, kernel=kernel, **overrides)
+            )
+            writes[name] = policy.writes
+        assert writes["object"]
+        assert states["object"][0]["interval_samples"]
+        for name in ("columnar", "scheduler"):
+            assert writes[name] == writes["object"]
+            assert states[name][0] == states["object"][0]
+            assert states[name][1] == states["object"][1]
+            assert states[name][2] == states["object"][2]
