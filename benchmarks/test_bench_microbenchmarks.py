@@ -138,7 +138,7 @@ def test_walk_schedule_vector_throughput(benchmark):
     assert len(times) == len(values) == BENCH_WALK_STEPS
 
 
-def _run_small_simulation(kernel="batch", shards=1):
+def _run_small_simulation(shards=1):
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
@@ -153,7 +153,6 @@ def _run_small_simulation(kernel="batch", shards=1):
         constraint_average=20.0,
         constraint_variation=1.0,
         seed=3,
-        kernel=kernel,
         shards=shards,
     )
     policy = AdaptivePrecisionPolicy(
@@ -163,17 +162,9 @@ def _run_small_simulation(kernel="batch", shards=1):
 
 
 def test_simulator_event_throughput(benchmark):
-    # The headline row: the whole-simulation event loop on the default
-    # (batch-kernel) execution path.
+    # The headline row: the whole-simulation event loop on the batch
+    # kernel.
     result = benchmark(_run_small_simulation)
-    assert result.duration > 0
-
-
-def test_simulator_scheduler_fallback_throughput(benchmark):
-    # The same workload through the general EventScheduler fallback; the
-    # ratio against test_simulator_event_throughput is the batch kernel's
-    # recorded dispatch speedup.
-    result = benchmark(_run_small_simulation, kernel="scheduler")
     assert result.duration > 0
 
 

@@ -5,10 +5,8 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run figure03
     python -m repro.cli run figure07_09 --workers 4
-    python -m repro.cli run figure07_09 --workers 4 --chunk-size 3
     python -m repro.cli run section45 --shards 4
     python -m repro.cli run section45 --engine vector
-    python -m repro.cli run section45 --kernel scheduler
     python -m repro.cli run section45 --core object
     python -m repro.cli run figure03 --profile figure03.prof
     python -m repro.cli run-all --workers 4
@@ -16,9 +14,7 @@ Usage::
 ``--workers N`` fans the multi-configuration experiments out over N worker
 processes through :mod:`repro.experiments.runner`; the printed tables are
 identical to sequential runs (every sub-run is deterministically seeded).
-Experiments without a parallel plan simply run sequentially.  ``--chunk-size
-K`` groups sub-runs into deterministic batches of K per pool task, amortising
-submission overhead on large sweeps without changing a row.
+Experiments without a parallel plan simply run sequentially.
 
 ``--shards N`` runs an experiment's simulations behind the hash-partitioned
 multi-cache coordinator (:mod:`repro.sharding`), all shards in one process.
@@ -27,10 +23,6 @@ multi-cache coordinator (:mod:`repro.sharding`), all shards in one process.
 data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
 ``random.Random`` sequences behind the committed figure tables, ``vector``
 switches to numpy batch synthesis for paper-scale sweeps.
-
-``--kernel {batch,scheduler}`` selects the event-execution strategy
-(:mod:`repro.simulation.kernel`): the merged-timeline batch kernel (default,
-bit-identical and faster) or the general heap scheduler fallback.
 
 ``--core {columnar,object}`` selects the cache-state representation
 (:mod:`repro.simulation.config`): the numpy struct-of-arrays columnar hot
@@ -42,8 +34,11 @@ applies to every sub-run.
 (``run-all`` derives one file per experiment from it; with ``--workers``
 pools only the parent process is profiled).
 
-Experiments whose plans do not take a shard count, engine or kernel note on
-stderr that the flag was ignored.
+Every simulation runs on the merged-timeline batch kernel
+(:mod:`repro.simulation.kernel`).
+
+Experiments whose plans do not take a shard count or engine note on stderr
+that the flag was ignored.
 
 The serving layer (:mod:`repro.serving`) adds two more commands::
 
@@ -131,7 +126,6 @@ from repro.simulation.config import (
     DEFAULT_CORE,
     set_default_core,
 )
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES
 
 
 def _package_version() -> str:
@@ -179,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run simulations behind this many hash-partitioned cache shards",
         )
         subparser.add_argument(
-            "--chunk-size",
-            type=int,
-            default=None,
-            dest="chunk_size",
-            help=(
-                "submit sub-runs to the --workers pool in deterministic "
-                "batches of this size (amortises submission overhead on "
-                "large sweeps; rows are identical for any chunk size)"
-            ),
-        )
-        subparser.add_argument(
             "--engine",
             choices=ENGINE_NAMES,
             default=None,
@@ -197,17 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "stream-generation engine for the data plane "
                 f"(default: {DEFAULT_ENGINE}; 'reference' reproduces the "
                 "committed tables byte-for-byte, 'vector' uses numpy batches)"
-            ),
-        )
-        subparser.add_argument(
-            "--kernel",
-            choices=KERNEL_NAMES,
-            default=None,
-            help=(
-                "event-execution strategy "
-                f"(default: {DEFAULT_KERNEL}; 'batch' replays the merged "
-                "timelines bit-identically and faster, 'scheduler' keeps "
-                "the general event-scheduler loop)"
             ),
         )
         subparser.add_argument(
@@ -555,26 +527,19 @@ def _run_experiment(
     workers: Optional[int],
     shards: Optional[int] = None,
     engine: Optional[str] = None,
-    kernel: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one experiment, through its parallel plan when it declares one.
 
-    ``shards``, ``engine`` and ``kernel`` are forwarded to experiments whose
-    plan factory (or runner) accepts the keyword; for the rest the flag is
+    ``shards`` and ``engine`` are forwarded to experiments whose plan
+    factory (or runner) accepts the keyword; for the rest the flag is
     reported as ignored so a sharded or vector-engine sweep never silently
     reproduces the default tables.
-    ``chunk_size`` shapes pool submission only (see :func:`run_plan`).
     """
     plan_factory = plan_registry().get(experiment_id)
     runner = registry()[experiment_id]
     target = plan_factory if plan_factory is not None else runner
     forwarded: Dict[str, Any] = {}
-    for name, flag, value in (
-        ("shards", "shards", shards),
-        ("engine", "engine", engine),
-        ("kernel", "kernel", kernel),
-    ):
+    for name, value in (("shards", shards), ("engine", engine)):
         if value is None:
             continue
         if _accepts_keyword(target, name):
@@ -582,22 +547,11 @@ def _run_experiment(
         else:
             print(
                 f"note: {experiment_id} does not take {name!r}; "
-                f"--{flag} ignored",
+                f"--{name} ignored",
                 file=sys.stderr,
             )
     if workers is not None and workers > 1 and plan_factory is not None:
-        return run_plan(
-            plan_factory(**forwarded), workers=workers, chunk_size=chunk_size
-        )
-    if chunk_size is not None:
-        # Chunking only shapes pool submission; without a parallel plan run
-        # there is no pool, so say so instead of silently absorbing the flag.
-        print(
-            f"note: {experiment_id} runs without a worker pool here "
-            "(--chunk-size needs --workers > 1 and a parallel plan); "
-            "--chunk-size ignored",
-            file=sys.stderr,
-        )
+        return run_plan(plan_factory(**forwarded), workers=workers)
     runner_accepts_all = all(_accepts_keyword(runner, name) for name in forwarded)
     if forwarded and plan_factory is not None and not runner_accepts_all:
         return run_plan(plan_factory(**forwarded))
@@ -647,8 +601,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be non-negative, got {args.workers}")
     if getattr(args, "shards", None) is not None and args.shards < 1:
         parser.error(f"--shards must be at least 1, got {args.shards}")
-    if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:
-        parser.error(f"--chunk-size must be at least 1, got {args.chunk_size}")
     if getattr(args, "core", None) is not None:
         set_default_core(args.core)
     if args.command == "serve":
@@ -678,8 +630,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.workers,
                 args.shards,
                 args.engine,
-                kernel=args.kernel,
-                chunk_size=args.chunk_size,
             ),
         )
         print(format_table(result))
@@ -694,8 +644,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     args.workers,
                     args.shards,
                     args.engine,
-                    kernel=args.kernel,
-                    chunk_size=args.chunk_size,
                 ),
             )
             print(format_table(result))

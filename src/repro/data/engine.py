@@ -115,7 +115,7 @@ class StreamEngine(ABC):
     @abstractmethod
     def schedule_times(self, interval: float, duration: float) -> List[float]:
         """Return the periodic instants ``interval, 2*interval, ...`` up to
-        ``duration`` (inclusive, with the scheduler's 1e-9 tolerance)."""
+        ``duration`` (inclusive, with the kernel's 1e-9 horizon tolerance)."""
 
     @abstractmethod
     def poisson_times(
@@ -174,7 +174,7 @@ class StreamEngine(ABC):
         Returns ``(times, source_indices, values)`` flat lists sorted by
         time, or ``None`` when the engine has no batch merge or the merge
         would not be exact (two sources sharing an instant must be ordered
-        by the scheduler's dynamic tie-breaking, which a static sort cannot
+        by the kernel's dynamic tie-breaking, which a static sort cannot
         reproduce — see :mod:`repro.data.merged`).  The base implementation
         always returns ``None``; the reference engine inherits it because a
         pure-Python decorated sort would cost more than the heap replay it

@@ -20,14 +20,14 @@ Three representations are produced, picked per run by :func:`merge_timelines`:
   stable argsort on the vector engine); engines without a batch merge fall
   through to the dynamic representation.
 * **dynamic** — cross-source ties exist (or no batch merge is available), so
-  the exact event order depends on the scheduler's dynamic tie-breaking and
-  must be resolved while the simulation runs.  The kernel replays it with a
+  the exact event order depends on dynamic tie-breaking and must be
+  resolved while the simulation runs.  The kernel replays it with a
   small heap over per-source cursors (see
   :func:`repro.simulation.kernel.run_batch_kernel`), replicating the
-  ``(time, priority, sequence)`` semantics of the general scheduler exactly.
+  ``(time, priority, sequence)`` semantics of a priority-queue scheduler.
 
 The static representation is only exact when no two sources share an event
-instant: with cross-source ties, the scheduler orders tied events by the
+instant: with cross-source ties, the kernel orders tied events by the
 order their *predecessors* were executed (each source's next event draws its
 tie-break sequence when the previous one is handled), which no statically
 computed sort key can reproduce in general.  :func:`merge_timelines` verifies

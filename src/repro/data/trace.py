@@ -102,7 +102,7 @@ class Trace:
 
     def update_times(self, duration: float) -> List[float]:
         """The replay instants ``i * sample_interval`` (``i >= 1``) in
-        ``(0, duration]``, with the scheduler's 1e-9 tolerance.
+        ``(0, duration]``, with the kernel's 1e-9 horizon tolerance.
 
         Sample ``i`` of every series is replayed at the ``i - 1``-th entry.
         The list is memoised per duration and shared by every stream of

@@ -92,17 +92,6 @@ def execute_subrun(subrun: SubRun) -> Any:
     return subrun.func(**subrun.kwargs)
 
 
-def execute_chunk(subruns: Sequence[SubRun]) -> List[Any]:
-    """Execute a deterministic batch of sub-runs in the current process.
-
-    The chunked submission path of :func:`run_plan` ships one of these per
-    pool task: large sweeps amortise the per-task submission/pickling
-    overhead over ``chunk_size`` sub-runs while each sub-run stays exactly
-    as deterministic as when submitted individually.
-    """
-    return [subrun.func(**subrun.kwargs) for subrun in subruns]
-
-
 def _assemble(plan: ExperimentPlan, results: List[Any]) -> ExperimentResult:
     if plan.assemble is not None:
         return plan.assemble(results)
@@ -121,7 +110,6 @@ def _assemble(plan: ExperimentPlan, results: List[Any]) -> ExperimentResult:
 def run_plan(
     plan: ExperimentPlan,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentResult:
     """Execute a plan's sub-runs and assemble the experiment result.
 
@@ -134,33 +122,13 @@ def run_plan(
         fan the sub-runs out over that many worker processes.  The assembled
         result is identical either way (sub-runs are deterministic and
         results are reassembled in plan order).
-    chunk_size:
-        Optional batch size for pool submission: sub-runs are grouped into
-        deterministic, plan-ordered chunks of this size and each chunk is
-        one pool task (:func:`execute_chunk`), so paper-scale sweeps pay the
-        submission overhead once per chunk instead of once per sub-run.
-        Results are flattened back into plan order, preserving the
-        identical-rows guarantee for any ``(workers, chunk_size)``
-        combination.  ``None`` (the default) submits sub-runs individually.
     """
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     if not plan.subruns:
         return _assemble(plan, [])
     if workers is None or workers <= 1:
         results = [execute_subrun(subrun) for subrun in plan.subruns]
-        return _assemble(plan, results)
-    if chunk_size is not None and chunk_size > 1:
-        chunks = [
-            plan.subruns[start : start + chunk_size]
-            for start in range(0, len(plan.subruns), chunk_size)
-        ]
-        max_workers = min(workers, len(chunks))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(execute_chunk, chunk) for chunk in chunks]
-            results = [result for future in futures for result in future.result()]
         return _assemble(plan, results)
     max_workers = min(workers, len(plan.subruns))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:

@@ -39,7 +39,6 @@ def lower_threshold_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
     trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
@@ -51,7 +50,6 @@ def lower_threshold_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        kernel=kernel,
     )
     policy = adaptive_policy(
         cost_factor=1.0,
@@ -95,7 +93,6 @@ def constraint_variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
     trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
@@ -108,7 +105,6 @@ def constraint_variation_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        kernel=kernel,
     )
     policy = adaptive_policy(
         cost_factor=1.0,
@@ -157,7 +153,6 @@ def plan(
     seed: int = 21,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
     subruns = [
@@ -172,7 +167,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                kernel=kernel,
             ),
         )
         for lower_threshold in DEFAULT_LOWER_THRESHOLDS
@@ -189,7 +183,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                kernel=kernel,
             ),
         )
         for constraint_average in DEFAULT_CONSTRAINT_AVERAGES
@@ -215,7 +208,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
     return run_plan(
@@ -225,7 +217,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            kernel=kernel,
         ),
         workers=workers,
     )

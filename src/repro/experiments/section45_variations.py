@@ -45,7 +45,6 @@ def _config(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> SimulationConfig:
     return SimulationConfig(
         duration=duration,
@@ -60,7 +59,6 @@ def _config(
         seed=seed,
         shards=shards,
         engine=engine,
-        kernel=kernel,
     )
 
 
@@ -82,24 +80,16 @@ def variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (walk bias, placement variant) cell (picklable).
 
     The cache is unbounded here, so any ``shards`` count must produce the
     same rows — the CI sharded-smoke job relies on exactly that.  ``engine``
     selects the stream engine generating the walks (``reference`` reproduces
-    the committed table byte-for-byte); ``kernel`` picks the
-    event-execution strategy.
+    the committed table byte-for-byte).
     """
     walk_kind = "unbiased walk" if up_probability == 0.5 else "biased walk"
-    config = _config(
-        duration,
-        seed,
-        shards=shards,
-        engine=engine,
-        kernel=kernel,
-    )
+    config = _config(duration, seed, shards=shards, engine=engine)
     if variant == "centred":
         policy = AdaptivePrecisionPolicy(
             _parameters(), initial_width=4.0, rng=random.Random(seed)
@@ -129,7 +119,6 @@ def plan(
     seed: int = 23,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
     subruns = tuple(
@@ -144,7 +133,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                kernel=kernel,
             ),
         )
         for up_probability in up_probabilities
@@ -172,7 +160,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
     return run_plan(
@@ -183,7 +170,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            kernel=kernel,
         ),
         workers=workers,
     )

@@ -12,7 +12,7 @@ total cache capacity, and the table records, per shard count:
 * ``hit_rate`` and ``skew`` — the global workload hit rate plus the spread
   (max - min) of the per-shard hit rates, the load-balance signal of the
   hash partitioning;
-* ``events`` and ``events/s(sim)`` — the scheduler's total event count and
+* ``events`` and ``events/s(sim)`` — the kernel's total event count and
   its per-simulated-second rate.  Both are deterministic (wall-clock
   throughput depends on the host machine, which would break the
   identical-rows guarantee of the parallel runner; wall-clock comparisons
@@ -56,7 +56,6 @@ def scaling_rows(
     capacity_fraction: float,
     seed: int,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one shard count (picklable sub-run unit)."""
     trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
@@ -71,7 +70,6 @@ def scaling_rows(
         seed=seed,
         shards=shard_count,
         engine=engine,
-        kernel=kernel,
     )
     policy = adaptive_policy(
         cost_factor=1.0,
@@ -103,7 +101,6 @@ def plan(
     seed: int = 29,
     shards: Optional[int] = None,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per shard count.
 
@@ -124,7 +121,6 @@ def plan(
                 capacity_fraction=capacity_fraction,
                 seed=seed,
                 engine=engine,
-                kernel=kernel,
             ),
         )
         for shard_count in shard_counts
@@ -162,7 +158,6 @@ def run(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     engine: str = "reference",
-    kernel: str = "batch",
 ) -> ExperimentResult:
     """Sweep shard counts at a large host population."""
     return run_plan(
@@ -174,7 +169,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            kernel=kernel,
         ),
         workers=workers,
     )

@@ -191,7 +191,6 @@ def traffic_config(
     query_size: Optional[int] = None,
     shards: int = 1,
     engine: str = DEFAULT_ENGINE,
-    kernel: str = "batch",
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
 
@@ -201,8 +200,7 @@ def traffic_config(
     ``shards`` > 1 fronts the run with the hash-partitioned multi-cache
     coordinator (see :mod:`repro.sharding`).  ``engine`` records which
     stream engine generated the run's data (see
-    :mod:`repro.data.engine`); ``kernel`` selects the event-execution
-    strategy (:mod:`repro.simulation.kernel`).
+    :mod:`repro.data.engine`).
     """
     if query_size is None:
         query_size = max(len(trace.keys) // 5, 1)
@@ -220,7 +218,6 @@ def traffic_config(
         cache_capacity=cache_capacity,
         shards=shards,
         engine=engine,
-        kernel=kernel,
         value_refresh_cost=value_refresh_cost,
         query_refresh_cost=query_refresh_cost,
         seed=seed,

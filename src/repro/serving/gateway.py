@@ -178,13 +178,13 @@ class GatewayServer(BaseFrameServer):
         recovery_grace: float = DEFAULT_RECOVERY_GRACE,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(refresh_timeout=refresh_timeout)
+        super().__init__(
+            max_inflight_queries=max_inflight_queries,
+            admission_queue_limit=admission_queue_limit,
+            refresh_timeout=refresh_timeout,
+        )
         if not targets:
             raise ValueError("a gateway needs at least one partition target")
-        if max_inflight_queries < 1:
-            raise ValueError("max_inflight_queries must be at least 1")
-        if admission_queue_limit < 0:
-            raise ValueError("admission_queue_limit must be non-negative")
         if recovery_grace < 0:
             raise ValueError("recovery_grace must be non-negative")
         self._targets: List[Any] = list(targets)
@@ -196,9 +196,6 @@ class GatewayServer(BaseFrameServer):
         # (registration or update), for partition-restart resync.
         self._values: Dict[Hashable, float] = {}
         self._owners: Dict[Hashable, _Connection] = {}
-        self._query_gate = asyncio.Semaphore(max_inflight_queries)
-        self._admission_queue_limit = admission_queue_limit
-        self._admission_waiting = 0
         self._supervisor: Optional[asyncio.Task] = None
         self.statistics = ServingStatistics()
         # Per-partition recovery state: health string, a "routable" event
@@ -482,17 +479,14 @@ class GatewayServer(BaseFrameServer):
         if value is None:
             return Interval(-math.inf, math.inf)
         down_at = self._partition_down_since.get(self.partition_of(key))
-        now = time if time is not None else self._clock
         drift = self._drift.get(key)
-        if down_at is None or drift is None or drift.max_step <= 0.0:
+        if down_at is None or drift is None:
             return Interval.exact(value)
-        elapsed = now - down_at
-        if elapsed <= 0.0:
-            return Interval.exact(value)
-        gap = drift.min_gap if math.isfinite(drift.min_gap) else 1.0
-        missed = math.ceil(elapsed / gap)
-        allowance = self._degraded_slack * missed * drift.max_step
-        return Interval(value - allowance, value + allowance)
+        now = time if time is not None else self._clock
+        allowance = drift.allowance(now - down_at, self._degraded_slack)
+        if allowance > 0.0:
+            return Interval(value - allowance, value + allowance)
+        return Interval.exact(value)
 
     async def close(self) -> None:
         if self._supervisor is not None:
@@ -712,27 +706,6 @@ class GatewayServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Query execution (snapshot -> global selection -> routed refreshes)
     # ------------------------------------------------------------------
-    async def _handle_query(self, request: QueryRequest) -> Any:
-        if self._query_gate.locked():
-            if self._admission_waiting >= self._admission_queue_limit:
-                self.statistics.queries_rejected += 1
-                return {
-                    "ok": False,
-                    "error": "overloaded: admission queue full",
-                    "overloaded": True,
-                }
-            self._admission_waiting += 1
-            try:
-                await self._query_gate.acquire()
-            finally:
-                self._admission_waiting -= 1
-        else:
-            await self._query_gate.acquire()
-        try:
-            return await self._execute_query(request)
-        finally:
-            self._query_gate.release()
-
     async def _execute_query(self, request: QueryRequest) -> BoundedAnswer:
         keys = list(request.keys)
         if not keys:

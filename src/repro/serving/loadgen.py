@@ -75,8 +75,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.transport import StreamFrameTransport
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import HORIZON_TOLERANCE
-from repro.simulation.kernel import MergedEventWalk
+from repro.simulation.kernel import HORIZON_TOLERANCE, MergedEventWalk
 
 
 class TcpDialer:

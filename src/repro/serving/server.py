@@ -222,6 +222,19 @@ class _KeyDrift:
         if gap is not None and 0.0 < gap < self.min_gap:
             self.min_gap = gap
 
+    def allowance(self, elapsed: float, slack: float) -> float:
+        """Width padding covering ``elapsed`` seconds of unseen drift.
+
+        ``slack × ceil(elapsed / gap) × max_step``: the key is assumed to
+        keep stepping no faster than its largest observed step, no more
+        often than its smallest observed gap (1 when it never had one).  A
+        key that never changed, or no elapsed time, pads nothing.
+        """
+        if self.max_step <= 0.0 or elapsed <= 0.0:
+            return 0.0
+        gap = self.min_gap if math.isfinite(self.min_gap) else 1.0
+        return slack * math.ceil(elapsed / gap) * self.max_step
+
 
 class _Connection:
     """Per-connection server state: transport, pending RPCs, tasks."""
@@ -288,10 +301,12 @@ class BaseFrameServer:
     (loopback and TCP), the per-connection read loop, write-through sends,
     teardown ordering, feeder-epoch fencing, and the server-initiated
     refresh RPC — while leaving *what the operations mean* to the
-    subclass's ``_dispatch``.  The subclass provides a ``statistics``
-    object with ``connections_opened`` / ``connections_closed`` /
-    ``refresh_rpcs`` / ``stale_epoch_rejections`` counters and may override
-    the ``_connection_lost`` / ``_connection_removed`` teardown hooks.
+    subclass's ``_dispatch``.  It also owns query admission control
+    (:meth:`_handle_query` around the subclass's ``_execute_query``).  The
+    subclass provides a ``statistics`` object with ``connections_opened`` /
+    ``connections_closed`` / ``refresh_rpcs`` / ``stale_epoch_rejections``
+    / ``queries_rejected`` counters and may override the
+    ``_connection_lost`` / ``_connection_removed`` teardown hooks.
     """
 
     #: Operations dispatched as tasks so the connection's read loop stays
@@ -301,10 +316,19 @@ class BaseFrameServer:
     def __init__(
         self,
         *,
+        max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
+        admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
     ) -> None:
+        if max_inflight_queries < 1:
+            raise ValueError("max_inflight_queries must be at least 1")
+        if admission_queue_limit < 0:
+            raise ValueError("admission_queue_limit must be non-negative")
         if refresh_timeout is not None and refresh_timeout <= 0:
             raise ValueError("refresh_timeout must be positive (or None)")
+        self._query_gate = asyncio.Semaphore(max_inflight_queries)
+        self._admission_queue_limit = admission_queue_limit
+        self._admission_waiting = 0
         self._refresh_timeout = refresh_timeout
         self._feeder_epochs: Dict[str, int] = {}
         self._connections: Set[_Connection] = set()
@@ -432,12 +456,42 @@ class BaseFrameServer:
                 pass
 
     # ------------------------------------------------------------------
-    # Dispatch (subclass responsibility)
+    # Dispatch (subclass responsibility) and query admission
     # ------------------------------------------------------------------
     async def _dispatch(
         self, connection: _Connection, frame: Dict[str, Any]
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    async def _execute_query(self, request: QueryRequest) -> Any:  # pragma: no cover
+        raise NotImplementedError
+
+    async def _handle_query(self, request: QueryRequest) -> Any:
+        """Run ``_execute_query`` under admission control.
+
+        At most ``max_inflight_queries`` queries execute at once and at
+        most ``admission_queue_limit`` more wait; anything beyond that is
+        answered ``overloaded`` and counted in ``queries_rejected``.
+        """
+        if self._query_gate.locked():
+            if self._admission_waiting >= self._admission_queue_limit:
+                self.statistics.queries_rejected += 1
+                return {
+                    "ok": False,
+                    "error": "overloaded: admission queue full",
+                    "overloaded": True,
+                }
+            self._admission_waiting += 1
+            try:
+                await self._query_gate.acquire()
+            finally:
+                self._admission_waiting -= 1
+        else:
+            await self._query_gate.acquire()
+        try:
+            return await self._execute_query(request)
+        finally:
+            self._query_gate.release()
 
     # ------------------------------------------------------------------
     # Feeder-epoch fencing
@@ -627,15 +681,15 @@ class CacheServer(BaseFrameServer):
         durability: Optional[PartitionDurability] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(refresh_timeout=refresh_timeout)
+        super().__init__(
+            max_inflight_queries=max_inflight_queries,
+            admission_queue_limit=admission_queue_limit,
+            refresh_timeout=refresh_timeout,
+        )
         if shards < 1:
             raise ValueError("shards must be at least 1")
         if degraded_slack < 1.0:
             raise ValueError("degraded_slack must be at least 1")
-        if max_inflight_queries < 1:
-            raise ValueError("max_inflight_queries must be at least 1")
-        if admission_queue_limit < 0:
-            raise ValueError("admission_queue_limit must be non-negative")
         self._policy = policy
         if shards > 1:
             self._cache = ShardedCacheCoordinator(
@@ -669,9 +723,6 @@ class CacheServer(BaseFrameServer):
             policy_type.record_read is not PrecisionPolicy.record_read
             or policy_type.record_constraint is not PrecisionPolicy.record_constraint
         )
-        self._query_gate = asyncio.Semaphore(max_inflight_queries)
-        self._admission_queue_limit = admission_queue_limit
-        self._admission_waiting = 0
         self.statistics = ServingStatistics()
         self._durability = durability
         if durability is not None:
@@ -1142,27 +1193,6 @@ class CacheServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    async def _handle_query(self, request: QueryRequest) -> Any:
-        if self._query_gate.locked():
-            if self._admission_waiting >= self._admission_queue_limit:
-                self.statistics.queries_rejected += 1
-                return {
-                    "ok": False,
-                    "error": "overloaded: admission queue full",
-                    "overloaded": True,
-                }
-            self._admission_waiting += 1
-            try:
-                await self._query_gate.acquire()
-            finally:
-                self._admission_waiting -= 1
-        else:
-            await self._query_gate.acquire()
-        try:
-            return await self._execute_query(request)
-        finally:
-            self._query_gate.release()
-
     async def _execute_query(self, request: QueryRequest) -> BoundedAnswer:
         keys = list(request.keys)
         if not keys:
@@ -1360,17 +1390,10 @@ class CacheServer(BaseFrameServer):
         committed plans.
         """
         down_at = self._down_since.get(key)
-        if down_at is None:
-            return 0.0
         drift = self._drift.get(key)
-        if drift is None or drift.max_step <= 0.0:
+        if down_at is None or drift is None:
             return 0.0
-        elapsed = time - down_at
-        if elapsed <= 0.0:
-            return 0.0
-        gap = drift.min_gap if math.isfinite(drift.min_gap) else 1.0
-        missed = math.ceil(elapsed / gap)
-        return self._degraded_slack * missed * drift.max_step
+        return drift.allowance(time - down_at, self._degraded_slack)
 
     def _mark_connection_down(self, connection: _Connection) -> None:
         """Stamp when this connection's keys lost their owner (idempotent)."""

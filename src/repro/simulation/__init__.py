@@ -9,19 +9,14 @@ split into value-initiated and query-initiated refresh cost.
 """
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import EventScheduler
-from repro.simulation.kernel import KERNEL_NAMES, run_batch_kernel
-from repro.simulation.events import SimulationEvent
+from repro.simulation.kernel import run_batch_kernel
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.network import NetworkModel
 from repro.simulation.simulator import CacheSimulation
 
 __all__ = [
     "SimulationConfig",
-    "EventScheduler",
-    "KERNEL_NAMES",
     "run_batch_kernel",
-    "SimulationEvent",
     "MetricsCollector",
     "SimulationResult",
     "NetworkModel",

@@ -4,7 +4,8 @@ Bundles every knob of the Section 4.1 simulation environment: the number of
 sources (implied by the update streams), cache capacity ``kappa``, query
 period ``T_q``, query fan-out, aggregate mix, precision-constraint
 distribution (``delta_avg``, ``sigma``), refresh costs, duration, warm-up and
-random seed.
+random seed.  Every run replays its events on the batch kernel
+(:mod:`repro.simulation.kernel`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 from repro.data.engine import DEFAULT_ENGINE, ENGINE_NAMES, StreamEngine, get_engine
 from repro.queries.aggregates import AggregateKind
 from repro.queries.constraints import PrecisionConstraintGenerator
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.queries.workload import QueryWorkload
@@ -82,14 +82,6 @@ class SimulationConfig:
         :class:`~repro.sharding.coordinator.ShardedCacheCoordinator` that
         hash-partitions keys over this many shards and splits
         ``cache_capacity`` into per-shard eviction budgets.
-    kernel:
-        Event-execution strategy.  ``"batch"`` (the default) replays the
-        pre-materialised update timelines and the periodic query clock
-        through the merged-stream batch kernel
-        (:mod:`repro.simulation.kernel`), bit-identical to and markedly
-        faster than the general scheduler; ``"scheduler"`` keeps the
-        heap-based :class:`~repro.simulation.engine.EventScheduler` loop,
-        the fallback for dynamically scheduled events.
     engine:
         Name of the stream-generation engine of the run's data plane
         (:mod:`repro.data.engine`).  ``"reference"`` (the default) keeps the
@@ -132,7 +124,6 @@ class SimulationConfig:
     cache_capacity: Optional[int] = None
     shards: int = 1
     engine: str = DEFAULT_ENGINE
-    kernel: str = DEFAULT_KERNEL
     core: str = field(default_factory=get_default_core)
     value_refresh_cost: float = 1.0
     query_refresh_cost: float = 2.0
@@ -164,11 +155,6 @@ class SimulationConfig:
             raise ValueError("cache_capacity (kappa) must be at least 1")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; available: "
-                f"{', '.join(KERNEL_NAMES)}"
-            )
         if self.cache_capacity is not None and self.cache_capacity < self.shards:
             raise ValueError(
                 "cache_capacity must be at least the shard count so every "

@@ -1,20 +1,19 @@
-"""The batch execution kernel: merged-timeline event replay.
+"""The batch execution kernel: the simulator's one event executor.
 
-:class:`~repro.simulation.engine.EventScheduler` is a general discrete-event
-executor: every event pays a heap push, a heap pop and an action dispatch
-through an event object.  A :class:`~repro.simulation.simulator.CacheSimulation`
-run needs none of that generality — its whole event population is known up
-front (per-source update timelines are pre-materialised, the query clock is
-strictly periodic) — so this module replays the same events as a merged
-stream (:mod:`repro.data.merged`) interleaved with the query clock by a
-two-pointer walk, dispatching straight to the update/query handler bodies
-with no heap traffic on the lockstep/static paths and no event objects ever.
+A :class:`~repro.simulation.simulator.CacheSimulation` run knows its whole
+event population up front: per-source update timelines are
+pre-materialised and the query clock is strictly periodic.  So instead of
+pushing every event through a priority queue, this module replays the
+events as a merged stream (:mod:`repro.data.merged`) interleaved with the
+query clock by a two-pointer walk.  It dispatches straight to the
+update/query handler bodies, with no heap traffic on the lockstep/static
+paths and no event objects ever.
 
-The kernel replicates the scheduler's observable semantics exactly:
+The kernel executes events in exactly the order a general discrete-event
+scheduler would:
 
 * events execute in ``(time, priority, sequence)`` order — updates before
-  queries at equal instants (``EventPriority.UPDATE < EventPriority.QUERY``),
-  FIFO within a class;
+  queries at equal instants, FIFO within a class;
 * tie-break sequences are drawn when an event is (re)scheduled, so two
   sources tied at one instant execute in the order their *previous* events
   were handled (initial events in source-insertion order).  The lockstep and
@@ -22,15 +21,13 @@ The kernel replicates the scheduler's observable semantics exactly:
   with their static order (identical grids / no shared instants); otherwise
   the dynamic path replays the sequence draws with a small cursor heap;
 * the query clock accumulates ``time += period`` in floating point and both
-  processes observe the ``HORIZON_TOLERANCE`` horizon slack, bit-identical
-  to the scheduler-driven loop.
+  processes observe the ``HORIZON_TOLERANCE`` horizon slack.
 
-Property tests in ``tests/test_event_kernel.py`` drive randomized tie-heavy
-workloads through both executors and assert identical event sequences; the
-committed figure tables are regenerated byte-identically with the kernel
-enabled (the default, ``SimulationConfig.kernel = "batch"``).  The general
-scheduler remains the fallback for dynamically scheduled events
-(``kernel = "scheduler"``).
+``tests/scheduler_oracle.py`` keeps such a scheduler as the reference:
+property tests in ``tests/test_event_kernel.py`` drive randomized tie-heavy
+workloads through both and assert identical event sequences, and whole
+simulations replayed from the oracle's sequence must match ``run()`` field
+for field.
 """
 
 from __future__ import annotations
@@ -39,11 +36,14 @@ import heapq
 from typing import Callable, Hashable, Optional
 
 from repro.data.merged import MODE_LOCKSTEP, MODE_STATIC, MergedTimeline
-from repro.simulation.engine import HORIZON_TOLERANCE
 
-#: The valid ``SimulationConfig.kernel`` values: the batch kernel (default)
-#: and the general event-scheduler fallback.
-KERNEL_NAMES = ("batch", "scheduler")
+#: Slack when comparing event times against the run's horizon: an event
+#: nominally at the horizon still executes even if float accumulation
+#: (``time += period``) pushed it a hair past it.
+HORIZON_TOLERANCE = 1e-9
+
+#: The executor's name, recorded in benchmark environments.  The batch
+#: kernel is the only one.
 DEFAULT_KERNEL = "batch"
 
 UpdateHandler = Callable[[Hashable, float, float], None]
@@ -67,11 +67,10 @@ def run_batch_kernel(
         The run's merged update timeline (:func:`repro.data.merged.merge_timelines`).
     duration:
         The simulation horizon; events past ``duration + HORIZON_TOLERANCE``
-        are not executed (matching ``EventScheduler.run(until=duration)``).
+        are not executed.
     query_period:
         ``T_q``; the first query fires at ``query_period`` and the clock
-        accumulates by repeated addition, exactly like the rescheduled query
-        event of the scheduler-driven loop.
+        accumulates by repeated addition.
     handle_update / handle_query:
         The simulator's per-event bodies, called in exact event order.
     handle_update_batch:
@@ -82,14 +81,14 @@ def run_batch_kernel(
         sources in merged key order, as the fan-out does.  The simulator
         passes one on every lockstep run (both cores); the event count is
         unchanged (one event per source per instant).  Without it the kernel
-        fans out per source, the event-order oracle of
-        ``tests/test_event_kernel.py``.  Ignored on the static/dynamic paths,
+        fans out per source, which is how ``tests/test_event_kernel.py``
+        checks the event order.  Ignored on the static/dynamic paths,
         which never batch.
 
     Returns
     -------
     int
-        The number of events executed (the scheduler's ``processed`` count).
+        The number of events executed (one per update, one per query).
     """
     horizon = duration + HORIZON_TOLERANCE
     query_time = query_period
@@ -145,7 +144,7 @@ def run_batch_kernel(
             handle_update(keys[source_indices[position]], time, values[position])
             processed += 1
     else:
-        # Dynamic path: cross-source ties must follow the scheduler's
+        # Dynamic path: cross-source ties must follow a scheduler's
         # sequence semantics, so replay the sequence draws with a heap of
         # per-source cursors.  Only update events live in the heap: the
         # query clock never compares sequences against updates (different

@@ -54,8 +54,9 @@ class SimulationResult:
         Per-shard workload hit rates for sharded runs, in shard-index order
         (empty for single-cache runs).
     events_processed:
-        Total simulation events executed by the scheduler over the whole run
-        (including warm-up) — the deterministic event-throughput numerator.
+        Total simulation events executed by the batch kernel over the whole
+        run (including warm-up) — the deterministic event-throughput
+        numerator.
     """
 
     cost_rate: float

@@ -21,7 +21,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -47,8 +46,6 @@ from repro.queries.refresh_selection import (
 )
 from repro.sharding.coordinator import ShardedCacheCoordinator
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import HORIZON_TOLERANCE, EventScheduler
-from repro.simulation.events import EventPriority, SimulationEvent
 from repro.simulation.kernel import run_batch_kernel
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.network import NetworkModel
@@ -133,7 +130,6 @@ class CacheSimulation:
         self._metrics = MetricsCollector(
             warmup=config.warmup, track_keys=list(config.track_keys)
         )
-        self._scheduler = EventScheduler()
         self._sources: Dict[Hashable, DataSource] = {}
         # Pre-materialised per-source update timelines: every stream's whole
         # schedule is drawn up-front (one batch call per stream) as
@@ -231,55 +227,41 @@ class CacheSimulation:
         )
 
     def _execute(self) -> int:
-        """Drive the event loop to the horizon; returns events executed.
+        """Replay the run's events on the batch kernel; returns events executed.
 
-        Dispatches on ``config.kernel``: the batch kernel replays the merged
-        timelines directly, the scheduler fallback pumps every event through
-        the general priority queue.  Both paths call the same
-        ``_apply_updates`` / ``_run_query`` bodies in the same order: a
-        lockstep walk hands ``_apply_updates`` every source of one grid
-        instant at once, every other walk one update at a time.
+        Every walk calls the same ``_apply_updates`` / ``_run_query`` bodies
+        in event order: a lockstep walk hands ``_apply_updates`` every
+        source of one grid instant at once, every other walk one update at a
+        time.
         """
-        if self._config.kernel == "batch":
-            merged = merge_timelines(self._columns, engine=self._config.stream_engine())
-            # The columnar core vectorises the lockstep batch walk.  It is
-            # only taken when every per-event observable it elides really is
-            # unobservable: per-update interval samples and policy write
-            # observers need the scalar walk, eviction-notifying policies
-            # couple one key's refresh to other keys' publications (the
-            # precomputed escape mask would be stale).  Everything else falls
-            # back to the paper-exact object path — results are bit-identical
-            # either way.
-            if (
-                self._config.core == "columnar"
-                and merged.mode == MODE_LOCKSTEP
-                and not self._sampling
-                and not self._policy_observes_writes
-                and not self._notify_on_eviction
-            ):
-                return self._execute_columnar(merged)
-            return run_batch_kernel(
-                merged,
-                duration=self._config.duration,
-                query_period=self._config.query_period,
-                handle_update=self._apply_one_update,
-                handle_query=self._run_query,
-                handle_update_batch=(
-                    self._lockstep_instants(merged)
-                    if merged.mode == MODE_LOCKSTEP
-                    else None
-                ),
-            )
-        # The scheduler pulls one ``(time, value)`` step per source at a
-        # time, through a C-level iterator over the columns.
-        self._timeline_cursors: Dict[Hashable, Iterator[Tuple[float, float]]] = {
-            key: zip(times, values) for key, (times, values) in self._columns.items()
-        }
-        for key in self._sources:
-            self._schedule_next_update(key)
-        self._schedule_query(self._config.query_period)
-        self._scheduler.run(until=self._config.duration)
-        return self._scheduler.processed
+        merged = merge_timelines(self._columns, engine=self._config.stream_engine())
+        # The columnar core vectorises the lockstep batch walk.  It is only
+        # taken when every per-event observable it elides really is
+        # unobservable: per-update interval samples and policy write
+        # observers need the scalar walk, eviction-notifying policies couple
+        # one key's refresh to other keys' publications (the precomputed
+        # escape mask would be stale).  Everything else falls back to the
+        # paper-exact object path — results are bit-identical either way.
+        if (
+            self._config.core == "columnar"
+            and merged.mode == MODE_LOCKSTEP
+            and not self._sampling
+            and not self._policy_observes_writes
+            and not self._notify_on_eviction
+        ):
+            return self._execute_columnar(merged)
+        return run_batch_kernel(
+            merged,
+            duration=self._config.duration,
+            query_period=self._config.query_period,
+            handle_update=self._apply_one_update,
+            handle_query=self._run_query,
+            handle_update_batch=(
+                self._lockstep_instants(merged)
+                if merged.mode == MODE_LOCKSTEP
+                else None
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Columnar core (struct-of-arrays hot path; bit-identical results)
@@ -588,26 +570,6 @@ class CacheSimulation:
     # ------------------------------------------------------------------
     # Update handling
     # ------------------------------------------------------------------
-    def _schedule_next_update(self, key: Hashable) -> None:
-        step = next(self._timeline_cursors[key], None)
-        if step is None:
-            return
-        self._scheduler.schedule_at(
-            time=step[0],
-            priority=EventPriority.UPDATE,
-            action=self._handle_update,
-            key=key,
-            payload=step[1],
-        )
-
-    def _handle_update(self, event: SimulationEvent) -> None:
-        self._apply_one_update(event.key, event.time, event.payload)
-        step = next(self._timeline_cursors[event.key], None)
-        if step is not None:
-            # One update event per source is in flight at a time, so the
-            # event object is recycled for the source's next step.
-            self._scheduler.reschedule(event, step[0], step[1])
-
     def _lockstep_instants(
         self, merged: MergedTimeline
     ) -> Callable[[float, int], None]:
@@ -624,7 +586,7 @@ class CacheSimulation:
         return partial(self._apply_updates, sources)
 
     def _apply_one_update(self, key: Hashable, time: float, payload: float) -> None:
-        """One update event of a static, dynamic or scheduler walk."""
+        """One update event of a static or dynamic walk."""
         self._apply_updates(((self._sources[key], (payload,)),), time, 0)
 
     def _apply_updates(
@@ -670,24 +632,6 @@ class CacheSimulation:
     # ------------------------------------------------------------------
     # Query handling
     # ------------------------------------------------------------------
-    def _schedule_query(self, time: float) -> None:
-        if time > self._config.duration + HORIZON_TOLERANCE:
-            return
-        self._scheduler.schedule_at(
-            time=time,
-            priority=EventPriority.QUERY,
-            action=self._handle_query,
-        )
-
-    def _handle_query(self, event: SimulationEvent) -> None:
-        time = event.time
-        self._run_query(time)
-        next_time = time + self._config.query_period
-        if next_time <= self._config.duration + HORIZON_TOLERANCE:
-            # The query clock is strictly periodic, so its event object is
-            # recycled rather than reallocated.
-            self._scheduler.reschedule(event, next_time)
-
     def _run_query(self, time: float) -> None:
         query = self._workload.generate(time)
         self._metrics.record_query(time)

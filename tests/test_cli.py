@@ -66,24 +66,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--engine", "warp"])
 
-    def test_run_accepts_chunk_size(self):
-        args = build_parser().parse_args(
-            ["run", "section45", "--workers", "2", "--chunk-size", "3"]
-        )
-        assert args.chunk_size == 3
-
-    def test_zero_chunk_size_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--chunk-size", "0"])
-
-    def test_run_accepts_kernel(self):
-        args = build_parser().parse_args(["run", "section45", "--kernel", "scheduler"])
-        assert args.kernel == "scheduler"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "section45", "--kernel", "turbo"])
-
     def test_run_accepts_core(self):
         args = build_parser().parse_args(["run", "section45", "--core", "object"])
         assert args.core == "object"
@@ -169,27 +151,6 @@ class TestMain:
             tmp_path / "all-table1.prof"
         )
         assert _profile_destination(base, None) == base
-
-    def test_kernel_scheduler_matches_default_batch(self, capsys):
-        # The batch kernel is the default; the scheduler fallback must print
-        # the identical table.
-        assert main(["run", "section45"]) == 0
-        batch = capsys.readouterr().out
-        assert main(["run", "section45", "--kernel", "scheduler"]) == 0
-        scheduler = capsys.readouterr().out
-        assert scheduler == batch
-
-    def test_kernel_flag_ignored_with_note_for_unsupported_experiment(self, capsys):
-        assert main(["run", "table1", "--kernel", "scheduler"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--kernel ignored" in captured.err
-
-    def test_chunk_size_without_pool_notes_ignored(self, capsys):
-        assert main(["run", "table1", "--chunk-size", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--chunk-size ignored" in captured.err
 
     def test_shards_flag_ignored_with_note_for_unsupported_experiment(self, capsys):
         assert main(["run", "table1", "--shards", "4"]) == 0

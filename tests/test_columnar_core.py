@@ -339,20 +339,13 @@ class TestFusedChainEquality:
         overrides = dict(host_count=8, query_size=4, track_keys=("walk-1", "walk-5"))
         states = {}
         writes = {}
-        for name, core, kernel in (
-            ("columnar", "columnar", "batch"),
-            ("object", "object", "batch"),
-            ("scheduler", "object", "scheduler"),
-        ):
+        for core in ("columnar", "object"):
             policy = _WriteLoggingPolicy()
-            states[name] = _post_run_state(
-                *_run(core, policy=policy, kernel=kernel, **overrides)
-            )
-            writes[name] = policy.writes
+            states[core] = _post_run_state(*_run(core, policy=policy, **overrides))
+            writes[core] = policy.writes
         assert writes["object"]
         assert states["object"][0]["interval_samples"]
-        for name in ("columnar", "scheduler"):
-            assert writes[name] == writes["object"]
-            assert states[name][0] == states["object"][0]
-            assert states[name][1] == states["object"][1]
-            assert states[name][2] == states["object"][2]
+        assert writes["columnar"] == writes["object"]
+        assert states["columnar"][0] == states["object"][0]
+        assert states["columnar"][1] == states["object"][1]
+        assert states["columnar"][2] == states["object"][2]

@@ -1,9 +1,7 @@
-"""Unit tests for the discrete-event scheduler and events."""
+"""Unit tests for the oracle discrete-event scheduler and its events."""
 
 import pytest
-
-from repro.simulation.engine import EventScheduler
-from repro.simulation.events import EventPriority, SimulationEvent
+from scheduler_oracle import EventPriority, EventScheduler, SimulationEvent
 
 
 class TestSimulationEvent:

@@ -1,15 +1,18 @@
-"""Event-ordering invariants of the batch kernel vs the general scheduler.
+"""Event-ordering invariants of the batch kernel vs the oracle scheduler.
 
 The batch kernel (:mod:`repro.simulation.kernel`) must replicate the
-``(time, priority, sequence)`` semantics of :class:`EventScheduler` exactly:
-updates before queries at equal instants, FIFO within a class, and the
-dynamic cross-source tie-breaking in which two sources tied at one instant
-execute in the order their previous events were handled.  These tests drive
-randomized tie-heavy workloads through both executors and assert identical
-event sequences, then check the same equivalence end-to-end on full
-simulations for every merged-timeline representation.
+``(time, priority, sequence)`` semantics of the general discrete-event
+scheduler kept in ``scheduler_oracle`` exactly: updates before queries at
+equal instants, FIFO within a class, and the dynamic cross-source
+tie-breaking in which two sources tied at one instant execute in the order
+their previous events were handled.  These tests drive randomized tie-heavy
+workloads through both executors and assert identical event sequences, then
+check the same equivalence end-to-end: a simulation replayed from the
+oracle's event sequence must match ``CacheSimulation.run()`` field for
+field, for every merged-timeline representation.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -28,56 +31,10 @@ from repro.data.merged import (
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import CounterStream, RandomWalkStream
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import HORIZON_TOLERANCE, EventScheduler
-from repro.simulation.events import EventPriority
-from repro.simulation.kernel import run_batch_kernel
+from repro.simulation.kernel import HORIZON_TOLERANCE, run_batch_kernel
+from repro.simulation.metrics import SimulationResult
 from repro.simulation.simulator import CacheSimulation
-
-
-# ----------------------------------------------------------------------
-# Reference executor: the simulator's scheduling pattern on EventScheduler
-# ----------------------------------------------------------------------
-def scheduler_event_sequence(timelines, duration, query_period):
-    """Replay ``{key: (times, values)}`` columns + query clock through the
-    general scheduler.
-
-    Reproduces exactly the scheduling pattern of ``CacheSimulation``'s
-    fallback path: one in-flight update event per source (rescheduled on
-    execution), a periodic recycled query event, horizon checks included.
-    """
-    events = []
-    scheduler = EventScheduler()
-    cursors = {key: zip(times, values) for key, (times, values) in timelines.items()}
-    horizon = duration + HORIZON_TOLERANCE
-
-    def handle_update(event):
-        events.append(("update", event.key, event.time, event.payload))
-        step = next(cursors[event.key], None)
-        if step is not None:
-            scheduler.reschedule(event, step[0], step[1])
-
-    def handle_query(event):
-        events.append(("query", None, event.time, None))
-        next_time = event.time + query_period
-        if next_time <= horizon:
-            scheduler.reschedule(event, next_time)
-
-    for key in timelines:
-        step = next(cursors[key], None)
-        if step is not None:
-            scheduler.schedule_at(
-                time=step[0],
-                priority=EventPriority.UPDATE,
-                action=handle_update,
-                key=key,
-                payload=step[1],
-            )
-    if query_period <= horizon:
-        scheduler.schedule_at(
-            time=query_period, priority=EventPriority.QUERY, action=handle_query
-        )
-    scheduler.run(until=duration)
-    return events, scheduler.processed
+from scheduler_oracle import EventPriority, EventScheduler, scheduler_event_sequence
 
 
 def kernel_event_sequence(timelines, duration, query_period, engine=None):
@@ -247,9 +204,9 @@ def test_dynamic_mode_without_engine_merge():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: whole simulations agree between the kernels
+# End-to-end: a simulation replayed from the oracle's events equals run()
 # ----------------------------------------------------------------------
-def _walk_simulation(kernel, engine="reference"):
+def _walk_simulation():
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
@@ -264,21 +221,19 @@ def _walk_simulation(kernel, engine="reference"):
         constraint_average=25.0,
         constraint_variation=1.0,
         seed=7,
-        kernel=kernel,
-        engine=engine,
         track_keys=("walk-2",),
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=4.0, rng=random.Random(7)
     )
-    return CacheSimulation(config, streams, policy).run()
+    return CacheSimulation(config, streams, policy)
 
 
-def _poisson_simulation(kernel):
-    engine = get_engine("reference")
+def _poisson_simulation(engine_name="reference"):
+    engine = get_engine(engine_name)
     streams = {
         f"counter-{index}": CounterStream(
-            mean_interval=1.0, poisson=True, rng=engine.rng(50 + index)
+            mean_interval=1.0, poisson=True, rng=engine.rng(50 + index), engine=engine
         )
         for index in range(3)
     }
@@ -289,41 +244,57 @@ def _poisson_simulation(kernel):
         query_size=2,
         constraint_average=4.0,
         seed=11,
-        kernel=kernel,
+        engine=engine_name,
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=2.0, rng=random.Random(11)
     )
-    return CacheSimulation(config, streams, policy).run()
+    return CacheSimulation(config, streams, policy)
 
 
-@pytest.mark.parametrize("build", [_walk_simulation, _poisson_simulation])
-def test_full_simulation_identical_across_kernels(build):
-    batch = build("batch")
-    scheduler = build("scheduler")
-    assert batch.cost_rate == scheduler.cost_rate
-    assert batch.total_cost == scheduler.total_cost
-    assert batch.value_refresh_count == scheduler.value_refresh_count
-    assert batch.query_refresh_count == scheduler.query_refresh_count
-    assert batch.query_count == scheduler.query_count
-    assert batch.events_processed == scheduler.events_processed
-    assert batch.final_widths == scheduler.final_widths
-    assert batch.interval_samples == scheduler.interval_samples
+def _oracle_replay(simulation):
+    """Run ``simulation`` on the oracle scheduler's event sequence.
+
+    The kernel is bypassed: every event the oracle executes is fed, in its
+    order, to the simulator's own update and query bodies.
+    """
+    config = simulation.config
+    events, processed = scheduler_event_sequence(
+        simulation._columns, config.duration, config.query_period
+    )
+
+    def execute():
+        for kind, key, time, value in events:
+            if kind == "update":
+                simulation._apply_one_update(key, time, value)
+            else:
+                simulation._run_query(time)
+        return processed
+
+    simulation._execute = execute
+    return simulation.run()
 
 
-def test_full_simulation_identical_on_vector_engine_static_merge():
-    """Under --engine vector the kernel may take the numpy argsort path; the
-    results must still match the scheduler fallback draw for draw."""
-    batch = _walk_simulation("batch", engine="vector")
-    scheduler = _walk_simulation("scheduler", engine="vector")
-    assert batch.cost_rate == scheduler.cost_rate
-    assert batch.events_processed == scheduler.events_processed
-    assert batch.final_widths == scheduler.final_widths
-
-
-def test_kernel_config_validation():
-    with pytest.raises(ValueError, match="unknown kernel"):
-        SimulationConfig(duration=10.0, kernel="warp")
+@pytest.mark.parametrize(
+    "build, mode",
+    [
+        (_walk_simulation, MODE_LOCKSTEP),
+        (_poisson_simulation, MODE_DYNAMIC),
+        (lambda: _poisson_simulation("vector"), MODE_STATIC),
+    ],
+    ids=["walk-lockstep", "poisson-dynamic", "vector-static"],
+)
+def test_full_simulation_matches_oracle_replay(build, mode):
+    simulation = build()
+    merged = merge_timelines(
+        simulation._columns, engine=simulation.config.stream_engine()
+    )
+    assert merged.mode == mode
+    actual = simulation.run()
+    expected = _oracle_replay(build())
+    for field in dataclasses.fields(SimulationResult):
+        assert getattr(actual, field.name) == getattr(expected, field.name), field.name
+    assert actual.events_processed > 0
 
 
 # ----------------------------------------------------------------------

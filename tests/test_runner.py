@@ -9,7 +9,6 @@ from repro.experiments.base import registry
 from repro.experiments.runner import (
     ExperimentPlan,
     SubRun,
-    execute_chunk,
     execute_subrun,
     plan_registry,
     run_plan,
@@ -103,36 +102,6 @@ class TestRunPlan:
     def test_workers_one_equivalent_to_none(self):
         plan = _toy_plan()
         assert run_plan(plan, workers=1).rows == run_plan(plan, workers=None).rows
-
-
-class TestChunkedSubmission:
-    def test_execute_chunk_preserves_subrun_order(self):
-        chunk = (
-            SubRun(label="a", func=_rows_for, kwargs={"value": 1}),
-            SubRun(label="b", func=_rows_for, kwargs={"value": 2, "scale": 3}),
-        )
-        assert execute_chunk(chunk) == [[(1, 1)], [(2, 6)]]
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, 7])
-    def test_chunked_rows_identical_for_any_chunk_size(self, chunk_size):
-        plan = _toy_plan()
-        sequential = run_plan(plan)
-        chunked = run_plan(plan, workers=2, chunk_size=chunk_size)
-        assert chunked.rows == sequential.rows
-
-    def test_chunked_rows_identical_on_real_experiment(self):
-        plan = section45_variations.plan(duration=150.0, source_count=2)
-        sequential = run_plan(plan)
-        chunked = run_plan(plan, workers=2, chunk_size=3)
-        assert _rows_equal(sequential.rows, chunked.rows)
-
-    def test_chunk_size_ignored_on_sequential_runs(self):
-        plan = _toy_plan()
-        assert run_plan(plan, chunk_size=2).rows == run_plan(plan).rows
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            run_plan(_toy_plan(), workers=2, chunk_size=0)
 
 
 class TestPlanRegistry:
