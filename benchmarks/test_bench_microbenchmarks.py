@@ -96,9 +96,8 @@ def test_sum_refresh_selection_throughput(benchmark):
 
 
 def test_columnar_sum_selection_throughput(benchmark):
-    # The columnar twin of test_sum_refresh_selection_throughput: the same
-    # 200-interval SUM selection off a width array (the layout the columnar
-    # simulator core hands in directly).
+    # The array twin of test_sum_refresh_selection_throughput: the same
+    # 200-interval SUM selection off a width array.
     import numpy as np
 
     from repro.queries.refresh_selection import select_sum_refreshes_columnar

@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli run figure07_09 --workers 4
     python -m repro.cli run section45 --shards 4
     python -m repro.cli run section45 --engine vector
-    python -m repro.cli run section45 --core object
     python -m repro.cli run figure03 --profile figure03.prof
     python -m repro.cli run-all --workers 4
 
@@ -24,18 +23,12 @@ data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
 ``random.Random`` sequences behind the committed figure tables, ``vector``
 switches to numpy batch synthesis for paper-scale sweeps.
 
-``--core {columnar,object}`` selects the cache-state representation
-(:mod:`repro.simulation.config`): the numpy struct-of-arrays columnar hot
-path (default) or the paper-exact per-object compat mode — bit-identical
-results either way.  It sets the process-wide config default, so it
-applies to every sub-run.
-
 ``--profile FILE`` dumps a :mod:`cProfile` of the run to ``FILE``
 (``run-all`` derives one file per experiment from it; with ``--workers``
 pools only the parent process is profiled).
 
 Every simulation runs on the merged-timeline batch kernel
-(:mod:`repro.simulation.kernel`).
+(:mod:`repro.simulation.kernel`) over the per-object state layout.
 
 Experiments whose plans do not take a shard count or engine note on stderr
 that the flag was ignored.
@@ -121,11 +114,6 @@ from repro.data.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.experiments.base import ExperimentResult, format_table, registry
 from repro.serving.durability import DEFAULT_CHECKPOINT_EVERY, FSYNC_POLICIES
 from repro.experiments.runner import plan_registry, run_plan
-from repro.simulation.config import (
-    CORE_NAMES,
-    DEFAULT_CORE,
-    set_default_core,
-)
 
 
 def _package_version() -> str:
@@ -180,17 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "stream-generation engine for the data plane "
                 f"(default: {DEFAULT_ENGINE}; 'reference' reproduces the "
                 "committed tables byte-for-byte, 'vector' uses numpy batches)"
-            ),
-        )
-        subparser.add_argument(
-            "--core",
-            choices=CORE_NAMES,
-            default=None,
-            help=(
-                "cache-state representation "
-                f"(default: {DEFAULT_CORE}; 'columnar' is the numpy "
-                "struct-of-arrays hot path, 'object' the paper-exact "
-                "per-object compat mode; results are bit-identical)"
             ),
         )
         subparser.add_argument(
@@ -601,8 +578,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be non-negative, got {args.workers}")
     if getattr(args, "shards", None) is not None and args.shards < 1:
         parser.error(f"--shards must be at least 1, got {args.shards}")
-    if getattr(args, "core", None) is not None:
-        set_default_core(args.core)
     if args.command == "serve":
         return _run_serve(args, parser)
     if args.command == "loadgen":

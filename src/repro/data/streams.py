@@ -17,7 +17,7 @@ engine's output is identical whichever accessor a caller uses.
 
 A schedule is a pair of parallel columns ``(times, values)``, not a list of
 per-event tuples: the consumers (the merged-timeline builder, the batch
-kernel, the columnar core) index columns, and the streams of one trace share
+kernel, the simulator's lockstep update handler) index columns, and the streams of one trace share
 a single ``times`` list.  Schedules are read-only to their consumers.
 """
 

@@ -47,7 +47,7 @@ FetchExact = Callable[[Hashable], float]
 #: Below this fan-out the columnar SUM selector runs its screen and sort in
 #: pure Python off one ``tolist()``: numpy's reductions carry a fixed setup
 #: cost that only amortises across enough elements (the paper's queries touch
-#: 10 values; the columnar batch paths hand in hundreds).
+#: 10 values; wider array callers hand in hundreds).
 _SCALAR_SELECT_LIMIT = 24
 
 
@@ -152,8 +152,10 @@ def select_sum_refreshes_columnar(
 
     ``widths[i]`` is the cached interval width for ``keys[i]`` (``inf`` for
     unbounded/missing approximations), exactly the decoration the dict-based
-    selector builds per call — here the columnar simulator core hands the
-    array straight in.  Returns the identical key list: the fast screen's
+    selector builds per call, handed in as one array.  Nothing in the
+    package calls it; it stays because ``perfbench``'s span tracer wraps it
+    and the ``columnar_sum_selection`` microbenchmark measures it.  Returns
+    the identical key list: the fast screen's
     reordering margin covers numpy's pairwise summation as well as the
     sequential sum (either ordering deviates from the exact descending total
     by less than the margin), so a screen disagreement between the two

@@ -75,6 +75,30 @@ class ProtocolError(Exception):
     """A malformed frame or an operation violating the protocol."""
 
 
+def _stamp(frame: Dict[str, Any]) -> Optional[float]:
+    """A request's optional logical ``time``: absent, or a finite number.
+
+    The servers' logical clocks only move forward, so one ``Infinity`` stamp
+    would pin them for good; decoding rejects it before any state is read.
+    """
+    time = frame.get("time")
+    if time is not None and (
+        type(time) not in (int, float) or not math.isfinite(time)
+    ):
+        raise ProtocolError(f"time must be a finite number, got {time!r}")
+    return time
+
+
+def _constraint(value: Any) -> float:
+    """A precision constraint: non-negative, ``Infinity`` for unconstrained."""
+    constraint = float(value)
+    if not constraint >= 0.0:  # also false for NaN
+        raise ProtocolError(
+            f"constraint must be a non-negative number, got {value!r}"
+        )
+    return constraint
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialise one message into a length-prefixed frame."""
     payload = _encode_json(message).encode("utf-8")
@@ -202,7 +226,7 @@ class RegisterFeeder(Request):
             values=tuple(values),
             feeder=None if feeder is None else str(feeder),
             resync=bool(frame.get("resync")),
-            time=frame.get("time"),
+            time=_stamp(frame),
         )
 
 
@@ -229,7 +253,7 @@ class Update(Request):
             value = frame["value"]
         except KeyError as exc:
             raise ProtocolError(f"update frame missing {exc}") from None
-        return cls(key=key, value=float(value), time=frame.get("time"))
+        return cls(key=key, value=float(value), time=_stamp(frame))
 
 
 @dataclass(frozen=True)
@@ -262,7 +286,7 @@ class UpdateBatch(Request):
             raise ProtocolError(f"update_batch frame missing {exc}") from None
         return cls(
             updates=tuple((key, value) for key, value in updates),
-            time=frame.get("time"),
+            time=_stamp(frame),
         )
 
 
@@ -305,8 +329,8 @@ class QueryRequest(Request):
         return cls(
             keys=tuple(keys),
             aggregate=aggregate,
-            constraint=float(frame.get("constraint", "inf")),
-            time=frame.get("time"),
+            constraint=_constraint(frame.get("constraint", math.inf)),
+            time=_stamp(frame),
         )
 
 
@@ -392,8 +416,8 @@ class Snapshot(Request):
             raise ProtocolError(f"snapshot frame missing {exc}") from None
         return cls(
             keys=tuple(keys),
-            constraint=float(frame.get("constraint", "inf")),
-            time=frame.get("time"),
+            constraint=_constraint(frame.get("constraint", math.inf)),
+            time=_stamp(frame),
         )
 
 
@@ -415,7 +439,7 @@ class RefreshKey(Request):
     @classmethod
     def from_wire(cls, frame: Dict[str, Any]) -> "RefreshKey":
         try:
-            return cls(key=frame["key"], time=frame.get("time"))
+            return cls(key=frame["key"], time=_stamp(frame))
         except KeyError as exc:
             raise ProtocolError(f"refresh_key frame missing {exc}") from None
 
@@ -670,8 +694,8 @@ def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
             set_field = object.__setattr__
             set_field(request, "keys", tuple(keys))
             set_field(request, "aggregate", kind)
-            set_field(request, "constraint", constraint)
-            set_field(request, "time", frame.get("time"))
+            set_field(request, "constraint", _constraint(constraint))
+            set_field(request, "time", _stamp(frame))
             return request
     elif op == "update_batch":
         updates = frame.get("updates")
@@ -684,7 +708,7 @@ def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
                 request = UpdateBatch.__new__(UpdateBatch)
                 set_field = object.__setattr__
                 set_field(request, "updates", pairs)
-                set_field(request, "time", frame.get("time"))
+                set_field(request, "time", _stamp(frame))
                 return request
     request_type = REQUEST_TYPES.get(op)
     if request_type is None:

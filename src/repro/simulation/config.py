@@ -5,13 +5,14 @@ sources (implied by the update streams), cache capacity ``kappa``, query
 period ``T_q``, query fan-out, aggregate mix, precision-constraint
 distribution (``delta_avg``, ``sigma``), refresh costs, duration, warm-up and
 random seed.  Every run replays its events on the batch kernel
-(:mod:`repro.simulation.kernel`).
+(:mod:`repro.simulation.kernel`) over one state layout, the per-source and
+per-entry objects.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
 from repro.data.engine import DEFAULT_ENGINE, ENGINE_NAMES, StreamEngine, get_engine
@@ -21,34 +22,14 @@ from repro.queries.constraints import PrecisionConstraintGenerator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.queries.workload import QueryWorkload
 
-#: The valid ``SimulationConfig.core`` values: the numpy struct-of-arrays
-#: columnar hot path (default) and the paper-exact per-object compat mode.
-#: Both produce bit-identical results; ``"object"`` is the reference
-#: implementation the columnar path is diffed against.
-CORE_NAMES = ("columnar", "object")
-DEFAULT_CORE = "columnar"
-
-_default_core = DEFAULT_CORE
-
-
-def set_default_core(name: str) -> None:
-    """Set the process-wide default for ``SimulationConfig.core``.
-
-    Experiment plans build their configs internally, so the CLI's ``--core``
-    flag sets this module default instead of threading a keyword through
-    every plan factory.  Configs constructed afterwards (including in worker
-    processes, which receive already-built configs by pickle) pick it up via
-    the field's ``default_factory``.
-    """
-    global _default_core
-    if name not in CORE_NAMES:
-        raise ValueError(f"unknown core {name!r}; available: {', '.join(CORE_NAMES)}")
-    _default_core = name
-
 
 def get_default_core() -> str:
-    """The current process-wide default for ``SimulationConfig.core``."""
-    return _default_core
+    """The simulator's state layout, recorded in benchmark environments.
+
+    Always ``"object"``: every run keeps its state in the per-source and
+    per-entry objects, and there is no other layout to select.
+    """
+    return "object"
 
 
 @dataclass(frozen=True)
@@ -93,16 +74,6 @@ class SimulationConfig:
         when constructing streams and record it here so a run's provenance
         travels with its config.  Callers wiring streams by hand must build
         them against :meth:`stream_engine` themselves.
-    core:
-        Hot-state layout of the simulation run.  ``"columnar"`` (the default)
-        mirrors the cache/source state into numpy struct-of-arrays so the
-        batch kernel's bound maintenance and SUM/AVG refresh selection
-        vectorise across keys; ``"object"`` forces the paper-exact per-object
-        walk everywhere (the compat mode the figure tables were originally
-        generated under).  Results are bit-identical either way — the
-        columnar path silently falls back to the object path whenever an
-        observable (interval sampling, policy read/write observers, bounded
-        capacity, sharding) requires per-event object semantics.
     value_refresh_cost / query_refresh_cost:
         ``C_vr`` and ``C_qr`` charged per refresh.
     seed:
@@ -124,7 +95,6 @@ class SimulationConfig:
     cache_capacity: Optional[int] = None
     shards: int = 1
     engine: str = DEFAULT_ENGINE
-    core: str = field(default_factory=get_default_core)
     value_refresh_cost: float = 1.0
     query_refresh_cost: float = 2.0
     seed: int = 0
@@ -164,10 +134,6 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; available: "
                 f"{', '.join(ENGINE_NAMES)}"
-            )
-        if self.core not in CORE_NAMES:
-            raise ValueError(
-                f"unknown core {self.core!r}; available: {', '.join(CORE_NAMES)}"
             )
         if self.value_refresh_cost <= 0 or self.query_refresh_cost <= 0:
             raise ValueError("refresh costs must be positive")

@@ -79,7 +79,7 @@ def run_batch_kernel(
         instant *instead of* the per-source ``handle_update`` fan-out, with
         ``position`` indexing the merged columns; the handler must apply the
         sources in merged key order, as the fan-out does.  The simulator
-        passes one on every lockstep run (both cores); the event count is
+        passes one on every lockstep run; the event count is
         unchanged (one event per source per instant).  Without it the kernel
         fans out per source, which is how ``tests/test_event_kernel.py``
         checks the event order.  Ignored on the static/dynamic paths,

@@ -9,11 +9,13 @@ widest-first eviction when space-constrained), and a
 ``T_q`` seconds whose unmet precision constraints trigger query-initiated
 refreshes.  Costs are charged through a :class:`~repro.simulation.network.NetworkModel`
 and aggregated by a :class:`~repro.simulation.metrics.MetricsCollector`.
+
+The run's state lives in those objects alone, and every event reads and
+writes them directly.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import partial
 from typing import (
@@ -21,17 +23,13 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
-import numpy as np
-
 from repro.caching.cache import ApproximateCache
-from repro.caching.columnar import ColumnarState
 from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
 from repro.caching.refresh import RefreshKind
@@ -39,36 +37,12 @@ from repro.caching.source import DataSource
 from repro.data.merged import MODE_LOCKSTEP, MergedTimeline, merge_timelines
 from repro.data.streams import ScheduleColumns, UpdateStream
 from repro.intervals.interval import UNBOUNDED
-from repro.queries.aggregates import AggregateKind
-from repro.queries.refresh_selection import (
-    run_query_refreshes,
-    select_sum_refreshes_columnar,
-)
+from repro.queries.refresh_selection import run_query_refreshes
 from repro.sharding.coordinator import ShardedCacheCoordinator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.kernel import run_batch_kernel
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.network import NetworkModel
-
-#: Minimum query fan-out for the vectorised query path: below this the
-#: scalar screen in :func:`select_sum_refreshes` beats numpy's per-call
-#: overhead, so small queries keep the object path (results are identical
-#: either way — this is purely a crossover heuristic).
-_COLUMNAR_QUERY_MIN_KEYS = 32
-
-#: Escape-rate bailout: after this many lockstep positions the columnar walk
-#: compares its value-initiated escape count against
-#: ``sources x positions x RATE`` and, when the workload turns out
-#: escape-heavy (tight adaptive bounds refresh on a third of all updates in
-#: the paper's regime), reconciles the object world once and finishes the run
-#: on the plain per-source walk — results are bit-identical either way, the
-#: switch is purely a cost model.  Below the rate the schedule-driven walk
-#: wins because most instants cost one integer comparison; above it every
-#: escape pays a reschedule scan that repeats the comparisons the object walk
-#: would have done anyway.  Query-initiated refreshes are not counted: a cold
-#: cache's initial publication burst says nothing about the escape rate.
-_COLUMNAR_PROBE_POSITIONS = 16
-_COLUMNAR_BAILOUT_RATE = 0.02
 
 
 class CacheSimulation:
@@ -161,11 +135,6 @@ class CacheSimulation:
             or policy_type.record_constraint is not PrecisionPolicy.record_constraint
         )
         self._workload = config.build_workload(list(streams.keys()))
-        # The struct-of-arrays mirror of the hot per-source state
-        # (:mod:`repro.caching.columnar`); non-None only while a columnar
-        # batch run is executing (the ``_col_*`` companions hold the
-        # precomputed value/change columns and the escape schedule).
-        self._mirror: Optional[ColumnarState] = None
         # Hot-loop prebinds: these callables (and the warm-up cut) are hit
         # once per refresh or per query, so binding them once removes a
         # chain of attribute lookups per event.
@@ -235,21 +204,6 @@ class CacheSimulation:
         time.
         """
         merged = merge_timelines(self._columns, engine=self._config.stream_engine())
-        # The columnar core vectorises the lockstep batch walk.  It is only
-        # taken when every per-event observable it elides really is
-        # unobservable: per-update interval samples and policy write
-        # observers need the scalar walk, eviction-notifying policies couple
-        # one key's refresh to other keys' publications (the precomputed
-        # escape mask would be stale).  Everything else falls back to the
-        # paper-exact object path — results are bit-identical either way.
-        if (
-            self._config.core == "columnar"
-            and merged.mode == MODE_LOCKSTEP
-            and not self._sampling
-            and not self._policy_observes_writes
-            and not self._notify_on_eviction
-        ):
-            return self._execute_columnar(merged)
         return run_batch_kernel(
             merged,
             duration=self._config.duration,
@@ -262,310 +216,6 @@ class CacheSimulation:
                 else None
             ),
         )
-
-    # ------------------------------------------------------------------
-    # Columnar core (struct-of-arrays hot path; bit-identical results)
-    # ------------------------------------------------------------------
-    def _execute_columnar(self, merged: MergedTimeline) -> int:
-        """Run the batch kernel with the columnar update/query handlers.
-
-        The whole lockstep value matrix is known up front, so instead of
-        screening every grid instant the columnar core turns bound
-        maintenance into an *event schedule*: per-source change masks and
-        cumulative change counts are precomputed with vector ops, and a
-        ``next escape`` position per source (the first changed value outside
-        its published bound) is maintained by chunked vectorised scans of the
-        value columns whenever a publication changes.  The per-instant
-        handler then reduces to one integer comparison; the rare events that
-        need per-object semantics (escape refreshes, query-initiated
-        refreshes) drop to the scalar refresh body after syncing the touched
-        source from the precomputed columns.  The object world is reconciled
-        when the walk finishes — every source from the columns, and on the
-        columnar query path every cache entry's ``last_access_time`` from the
-        per-source last query time — so post-run inspection sees the same
-        state an object run leaves behind.
-        """
-        config = self._config
-        assert merged.times is not None and merged.columns is not None
-        keys = merged.keys
-        mirror = ColumnarState(keys, self._sources)
-        count = len(keys)
-        columns = np.array(merged.columns, dtype=np.float64)
-        columns = columns.reshape(count, -1)
-        steps = columns.shape[1]
-        initial_values = mirror.values.copy()
-        changed = np.empty((count, steps), dtype=bool)
-        if steps:
-            np.not_equal(columns[:, 0], initial_values, out=changed[:, 0])
-            if steps > 1:
-                np.not_equal(columns[:, 1:], columns[:, :-1], out=changed[:, 1:])
-        self._mirror = mirror
-        self._col_columns = columns
-        self._col_changed = changed
-        self._col_cum_changes = np.cumsum(changed, axis=1, dtype=np.int64)
-        # Per-source change-position arrays are only needed when a source is
-        # synced back into the object world, so they materialise lazily.
-        self._col_change_positions: List[Optional[np.ndarray]] = [None] * count
-        self._col_value_lists = merged.columns
-        self._col_initial_values = initial_values
-        self._col_times = merged.times
-        self._col_initial_update_count = [
-            self._sources[key].update_count for key in keys
-        ]
-        self._col_steps = steps
-        # The escape schedule: a lazy-invalidation heap of
-        # ``(position, source index)`` over the per-source next-escape
-        # positions (``steps`` = never).  No source has published yet
-        # (sources are built fresh per run), so nothing can escape until a
-        # first query-initiated publication schedules it.
-        self._col_next_escape = [steps] * count
-        self._col_escape_heap: List[Tuple[int, int]] = []
-        self._col_position = -1
-        self._col_count = count
-        self._col_escapes = 0
-        self._col_bailed = False
-        self._col_apply_instant = self._lockstep_instants(merged)
-        # Vectorised query handling additionally requires that the workload
-        # lookups and refresh selection are reproducible from the mirror
-        # alone: a single unbounded cache (membership == source publication,
-        # no access-time-sensitive eviction index), no per-read policy
-        # observers — and enough keys per query for the array path to beat
-        # the scalar screen (numpy per-call overhead dominates tiny queries).
-        columnar_queries = (
-            config.shards == 1
-            and config.cache_capacity is None
-            and not self._policy_observes_reads
-            and self._workload.query_size >= _COLUMNAR_QUERY_MIN_KEYS
-        )
-        self._col_queries = columnar_queries
-        # The columnar query path counts hits without touching the cache
-        # entries; it records when each source was last queried instead.
-        self._col_last_query = np.full(count, -math.inf)
-        handle_query = (
-            self._run_query_columnar if columnar_queries else self._run_query
-        )
-        try:
-            return run_batch_kernel(
-                merged,
-                duration=config.duration,
-                query_period=config.query_period,
-                handle_update=self._apply_one_update,
-                handle_query=handle_query,
-                handle_update_batch=self._columnar_update_batch,
-            )
-        finally:
-            for index in range(count):
-                self._col_sync_index(index)
-            if columnar_queries:
-                # An object run's lookup touches a hit entry, so its access
-                # time ends as its last hit, or its (re)installation if that
-                # came later.  A query that missed a key happened before the
-                # key's first installation, so the later of the installation
-                # and the last query time is exactly that.
-                index_of = mirror.index_of
-                last_query = self._col_last_query
-                for entry in self._cache.entries():
-                    queried = float(last_query[index_of[entry.key]])
-                    if queried > entry.last_access_time:
-                        entry.last_access_time = queried
-            self._mirror = None
-            self._col_columns = None
-            self._col_changed = None
-            self._col_cum_changes = None
-            self._col_change_positions = None
-            self._col_value_lists = None
-            self._col_initial_values = None
-            self._col_times = None
-            self._col_last_query = None
-            self._col_apply_instant = None
-
-    def _columnar_update_batch(self, time: float, position: int) -> None:
-        """Advance one lockstep grid instant on the columnar schedule.
-
-        Replicates ``_apply_updates`` semantics: in-bound changes only
-        advance per-source counters (already precomputed, so they cost
-        nothing here), and the scheduled escapes at this instant take the
-        scalar value-initiated refresh in source order.  A refresh reads and
-        writes only its own key's state (eviction-notifying policies, the one
-        coupling, are excluded from the columnar core), so keys that do not
-        escape need no per-instant work at all.  The lockstep grid is
-        non-decreasing, so the object path's time-order guard cannot fire.
-
-        After the probe window an escape-heavy run bails out to the object
-        walk (see ``_COLUMNAR_PROBE_POSITIONS``): the mirror keeps echoing
-        publications for the query path, but each instant's updates go
-        through one ``_apply_updates`` call again.
-        """
-        if self._col_bailed:
-            self._col_apply_instant(time, position)
-            return
-        if position == _COLUMNAR_PROBE_POSITIONS and (
-            self._col_escapes
-            >= self._col_count * position * _COLUMNAR_BAILOUT_RATE
-        ):
-            self._col_bail(time, position)
-            return
-        self._col_position = position
-        heap = self._col_escape_heap
-        if not heap or heap[0][0] != position:
-            return
-        next_escape = self._col_next_escape
-        pending = []
-        while heap and heap[0][0] == position:
-            _, index = heapq.heappop(heap)
-            # Lazy invalidation: a reschedule leaves the old tuple behind,
-            # and may land on the same position again — marking the slot
-            # claimed (-1) dedupes both cases.
-            if next_escape[index] == position:
-                next_escape[index] = -1
-                pending.append(index)
-        self._col_escapes += len(pending)
-        keys = self._mirror.keys
-        refresh = self._refresh
-        for index in pending:  # heap pops (position, index) → source order
-            refresh(keys[index], time, False)
-
-    def _col_bail(self, time: float, position: int) -> None:
-        """Hand an escape-heavy run back to the object walk mid-run.
-
-        Reconciles every source at the last applied position, disarms the
-        sync/reschedule machinery (``_col_position = -1`` makes the sync
-        hooks no-ops; the publication echo stays live for the columnar query
-        path), then applies ``position`` itself the object way.
-        """
-        for index in range(self._col_count):
-            self._col_sync_index(index)
-        self._col_position = -1
-        self._col_bailed = True
-        self._col_escape_heap.clear()
-        if not self._col_queries:
-            # Only the columnar query path reads the mirror once the walk is
-            # object-driven; dropping it here disarms the publication echo in
-            # ``_refresh`` too.
-            self._mirror = None
-        self._col_apply_instant(time, position)
-
-    def _col_sync_index(self, index: int) -> None:
-        """Flush one source's precomputed update state into its object.
-
-        The columnar walk never touches ``DataSource`` objects per update;
-        the current value, update count and last update time are functions of
-        the walk position, reconstructed here right before a scalar path (a
-        refresh, or end-of-run reconciliation) observes the object.
-        """
-        position = self._col_position
-        if position < 0:
-            return
-        source = self._sources[self._mirror.keys[index]]
-        source.value = float(self._col_value_lists[index][position])
-        changes = int(self._col_cum_changes[index, position])
-        source.update_count = self._col_initial_update_count[index] + changes
-        if changes:
-            positions = self._col_change_positions[index]
-            if positions is None:
-                positions = np.nonzero(self._col_changed[index])[0]
-                self._col_change_positions[index] = positions
-            source.last_update_time = self._col_times[int(positions[changes - 1])]
-
-    #: Escape scans check this many positions with a plain Python loop before
-    #: dropping to vectorised chunk scans: the next escape is typically a few
-    #: steps ahead, where list iteration beats numpy's per-call overhead.
-    _COL_SCAN_PYTHON_LIMIT = 24
-
-    def _col_reschedule_escape(self, index: int, low: float, high: float) -> None:
-        """Recompute ``index``'s next escape position under a new bound.
-
-        Finds the first *changed* value outside ``[low, high]`` after the
-        current position — unchanged re-reports never trigger the object
-        path's validity test, so they must not schedule an escape either.
-        The scan is hybrid: a short Python walk for the common nearby escape,
-        then doubling vectorised chunks over the precomputed change mask for
-        far (or never) escapes.
-        """
-        start = self._col_position + 1
-        values = self._col_value_lists[index]
-        steps = self._col_steps
-        position = steps
-        previous = values[start - 1] if start > 0 else self._col_initial_values[index]
-        limit = start + self._COL_SCAN_PYTHON_LIMIT
-        if limit > steps:
-            limit = steps
-        probe = start
-        while probe < limit:
-            value = values[probe]
-            if value != previous and not (low <= value <= high):
-                position = probe
-                break
-            previous = value
-            probe += 1
-        else:
-            if probe < steps:
-                column = self._col_columns[index]
-                changed = self._col_changed[index]
-                chunk = 256
-                while probe < steps:
-                    end = probe + chunk
-                    if end > steps:
-                        end = steps
-                    segment = column[probe:end]
-                    mask = (segment < low) | (segment > high)
-                    mask &= changed[probe:end]
-                    hit = int(mask.argmax())
-                    if mask[hit]:
-                        position = probe + hit
-                        break
-                    probe = end
-                    chunk <<= 1
-        self._col_next_escape[index] = position
-        if position < steps:
-            heapq.heappush(self._col_escape_heap, (position, index))
-
-    def _run_query_columnar(self, time: float) -> None:
-        """``_run_query`` driven from the mirror instead of the cache.
-
-        With a single unbounded cache, membership equals the published flag
-        and lookups cannot affect eviction state, so the hit/miss counters
-        are bulk-applied and SUM/AVG refresh selection runs straight over the
-        width array; MAX/MIN queries rebuild their interval mapping from the
-        mirror (bit-equal endpoints) and reuse the iterative selector.  The
-        entries' access times are not touched per lookup: the query time is
-        recorded per queried source, and the run's end writes it back.
-        """
-        query = self._workload.generate(time)
-        self._metrics.record_query(time)
-        mirror = self._mirror
-        index_of = mirror.index_of
-        indices = [index_of[key] for key in query.keys]
-        self._col_last_query[indices] = time
-        published = mirror.published[indices]
-        hits = int(published.sum())
-        statistics = self._cache.statistics
-        statistics.hits += hits
-        statistics.misses += len(indices) - hits
-        constraint = query.constraint
-        if math.isinf(constraint):
-            return
-        kind = query.kind
-        if kind is AggregateKind.SUM or kind is AggregateKind.AVG:
-            widths = np.where(published, mirror.width[indices], math.inf)
-            # AVG is SUM scaled by 1/n (see run_query_refreshes).
-            limit = (
-                constraint * len(indices)
-                if kind is AggregateKind.AVG
-                else constraint
-            )
-            for key in select_sum_refreshes_columnar(query.keys, widths, limit):
-                self._refresh(key, time, True)
-            return
-        intervals = {
-            key: mirror.interval_at(index)
-            for key, index in zip(query.keys, indices)
-        }
-
-        def fetch_exact(key: Hashable) -> float:
-            return self._refresh(key, time, True)
-
-        run_query_refreshes(kind, intervals, constraint, fetch_exact)
 
     # ------------------------------------------------------------------
     # Update handling
@@ -679,13 +329,6 @@ class CacheSimulation:
         writes to it.
         """
         source = self._sources[key]
-        mirror = self._mirror
-        if mirror is not None:
-            # Columnar runs accumulate updates in the precomputed columns;
-            # flush them to the object before the policy reads
-            # ``source.value``.
-            index = mirror.index_of[key]
-            self._col_sync_index(index)
         if query_initiated:
             decision = self._policy_query_refresh(key, source.value, time)
             cost = self._charge_query_refresh()
@@ -711,16 +354,6 @@ class CacheSimulation:
             source.published_interval = interval
             source.published_width = original_width
             source.last_refresh_time = time
-            if mirror is not None:
-                # Echo the publication into the columnar mirror and
-                # reschedule the key's escape scan under the new bound.  The
-                # other publication mutations (invalidate, eviction
-                # notification) only happen under eviction-notifying
-                # policies, which the columnar core excludes, so this is the
-                # only echo needed.
-                mirror.publish(index, interval, original_width, time)
-                if not self._col_bailed:
-                    self._col_reschedule_escape(index, interval.low, interval.high)
             evicted = self._cache_put(key, interval, original_width, time)
             if evicted and self._notify_on_eviction:
                 for evicted_key in evicted:

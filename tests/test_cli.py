@@ -66,18 +66,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--engine", "warp"])
 
-    def test_run_accepts_core(self):
-        args = build_parser().parse_args(["run", "section45", "--core", "object"])
-        assert args.core == "object"
-
-    def test_core_defaults_to_none(self):
-        args = build_parser().parse_args(["run", "section45"])
-        assert args.core is None
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "section45", "--core", "rowwise"])
-
     def test_run_accepts_profile(self):
         args = build_parser().parse_args(
             ["run", "section45", "--profile", "run.prof"]
@@ -114,21 +102,6 @@ class TestMain:
         assert main(["run", "section45", "--shards", "3"]) == 0
         sharded = capsys.readouterr().out
         assert sharded == unsharded
-
-    def test_run_section45_core_object_matches_columnar(self, capsys):
-        # The compat-mode acceptance diff: the paper-exact object core and
-        # the columnar core print byte-identical tables (CI's columnar-smoke
-        # job runs the same diff via the CLI).
-        from repro.simulation import config as simulation_config
-
-        assert main(["run", "section45"]) == 0
-        columnar = capsys.readouterr().out
-        try:
-            assert main(["run", "section45", "--core", "object"]) == 0
-            compat = capsys.readouterr().out
-        finally:
-            simulation_config.set_default_core(simulation_config.DEFAULT_CORE)
-        assert compat == columnar
 
     def test_run_profile_dumps_stats(self, capsys, tmp_path):
         import pstats

@@ -14,6 +14,7 @@ Three layers of coverage:
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -31,7 +32,9 @@ from repro.serving.errors import (
     RequestRejected,
     StaleEpochError,
 )
+from repro.serving.durability import PartitionDurability
 from repro.serving.faults import FaultPlan, FaultyTransport
+from repro.serving.gateway import GatewayServer
 from repro.serving.api import Client
 from repro.serving.loadgen import (
     RetryPolicy,
@@ -420,6 +423,116 @@ class TestDegradedAnswers:
             assert stats["refreshes_failed"] == 1
             await querier.close()
             await server.close()
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Invalid stamps and constraints are rejected before any state changes
+# ----------------------------------------------------------------------
+FRONT_DOORS = pytest.mark.parametrize(
+    "partitions", [None, 2], ids=["server", "gateway-2"]
+)
+
+
+async def _front_door(partitions, directory=None):
+    """A single server (``partitions=None``) or a gateway over that many
+    partition servers; returns ``(front, partition servers)``.  With a
+    ``directory`` every partition logs to its own WAL under it."""
+
+    def partition(index):
+        if directory is None:
+            return _server()
+        return _server(durability=PartitionDurability(directory / f"p{index}"))
+
+    if partitions is None:
+        server = partition(0)
+        return server, [server]
+    servers = [partition(index) for index in range(partitions)]
+    gateway = GatewayServer(servers)
+    await gateway.start()
+    return gateway, servers
+
+
+async def _close_front_door(front, servers):
+    await front.close()
+    for server in servers:
+        await server.close()
+
+
+class TestRejectedRequests:
+    @FRONT_DOORS
+    @pytest.mark.parametrize(
+        "stamp", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+    )
+    def test_non_finite_time_is_rejected_and_the_clock_kept(self, partitions, stamp):
+        async def scenario():
+            front, servers = await _front_door(partitions)
+            feeder, _ = await _feeder_client(front, {"x": 100.0}, "feeder-x")
+            for step in range(1, 4):
+                await feeder.request(
+                    "update", key="x", value=100.0 + 5.0 * step, time=float(step)
+                )
+            await feeder.close()
+            await asyncio.sleep(0.01)
+            other, _ = await _feeder_client(front, {"y": 1.0}, "feeder-y")
+            with pytest.raises(RequestRejected, match="time must be a finite"):
+                await other.request("update", key="z", value=1.0, time=stamp)
+            with pytest.raises(RequestRejected, match="time must be a finite"):
+                await other.request(
+                    "update_batch", updates=[["z", 1.0]], time=stamp
+                )
+            querier = await Client.from_transport(front.connect())
+            assert (await querier.request("stats"))["clock"] == 3.0
+            assert all(server.clock <= 3.0 for server in servers)
+            # The clock still moves, so the degraded answer's drift
+            # allowance stays finite.
+            response = await querier.request(
+                "query", keys=["x"], aggregate="SUM", constraint=1.0, time=13.0
+            )
+            assert response["degraded"] is True
+            assert response["low"] < 115.0 < response["high"]
+            await querier.close()
+            await other.close()
+            await _close_front_door(front, servers)
+
+        run(scenario())
+
+    @FRONT_DOORS
+    @pytest.mark.parametrize("constraint", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_invalid_constraint_changes_no_state(
+        self, partitions, constraint, tmp_path
+    ):
+        async def scenario():
+            front, servers = await _front_door(partitions, tmp_path)
+            values = {"a": 10.0, "b": 20.0}
+            feeder, _ = await _feeder_client(front, values)
+            querier = await Client.from_transport(front.connect())
+            await querier.request(
+                "query", keys=["a", "b"], aggregate="SUM", constraint=100.0, time=1.0
+            )
+            before = await querier.request("stats")
+            for aggregate in ("SUM", "MAX"):
+                with pytest.raises(RequestRejected, match="constraint must be"):
+                    await querier.request(
+                        "query",
+                        keys=["a", "b"],
+                        aggregate=aggregate,
+                        constraint=constraint,
+                        time=2.0,
+                    )
+            if partitions is None:
+                with pytest.raises(RequestRejected, match="constraint must be"):
+                    await querier.request(
+                        "snapshot", keys=["a", "b"], constraint=constraint, time=2.0
+                    )
+            after = await querier.request("stats")
+            for name in ("hits", "misses", "wal_records", "query_refreshes"):
+                assert after[name] == before[name], name
+            assert before["wal_records"] > 0
+            await querier.close()
+            await feeder.close()
+            await _close_front_door(front, servers)
 
         run(scenario())
 

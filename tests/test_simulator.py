@@ -219,3 +219,51 @@ class TestCapacityAndEvictionNotification:
         )
         result = run_simulation(config, streams, policy)
         assert result.query_count > 0
+
+
+class _WriteLoggingPolicy(AdaptivePrecisionPolicy):
+    """The adaptive policy plus a write observer."""
+
+    def __init__(self):
+        super().__init__(PrecisionParameters(), initial_width=4.0, rng=random.Random(3))
+        self.writes = []
+
+    def record_write(self, key, time):
+        self.writes.append((key, time))
+
+
+class TestPolicyObservers:
+    def test_write_observer_sees_each_modifying_update_in_order(self):
+        # Identical grids make a lockstep walk, which applies a whole grid
+        # instant per call; the write observer must still see each
+        # modifying update once, instant by instant in key order, and never
+        # a re-reported unchanged value.
+        rng = random.Random(3)
+        events = {
+            f"s{index}": [
+                (float(time), float(rng.choice((0, 1, 2, 5))))
+                for time in range(1, 60)
+            ]
+            for index in range(6)
+        }
+        expected = []
+        for order, (key, updates) in enumerate(events.items()):
+            previous = 0.0
+            for time, value in updates:
+                if value != previous:
+                    expected.append((time, order, key))
+                previous = value
+        expected.sort()
+        streams = {key: ScriptedStream(0.0, updates) for key, updates in events.items()}
+        config = _config(
+            duration=60.0,
+            query_size=3,
+            constraint_average=2.0,
+            track_keys=("s1", "s4"),
+        )
+        policy = _WriteLoggingPolicy()
+        result = run_simulation(config, streams, policy)
+        assert len(expected) < 6 * 59
+        assert policy.writes == [(key, time) for time, _, key in expected]
+        assert set(result.interval_samples) == {"s1", "s4"}
+        assert all(result.interval_samples.values())
