@@ -137,12 +137,12 @@ def test_walk_schedule_vector_throughput(benchmark):
     assert len(times) == len(values) == BENCH_WALK_STEPS
 
 
-def _run_small_simulation(shards=1):
+def _run_small_simulation():
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
         )
-        for index in range(5 if shards == 1 else 8)
+        for index in range(5)
     }
     config = SimulationConfig(
         duration=200.0,
@@ -152,7 +152,6 @@ def _run_small_simulation(shards=1):
         constraint_average=20.0,
         constraint_variation=1.0,
         seed=3,
-        shards=shards,
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
@@ -164,13 +163,6 @@ def test_simulator_event_throughput(benchmark):
     # The headline row: the whole-simulation event loop on the batch
     # kernel.
     result = benchmark(_run_small_simulation)
-    assert result.duration > 0
-
-
-def test_shard_worker_serial_throughput(benchmark):
-    # Sharded-routing row: a 4-shard run through the in-process routing
-    # coordinator (--shards 4), all shards in one process.
-    result = benchmark(_run_small_simulation, shards=4)
     assert result.duration > 0
 
 

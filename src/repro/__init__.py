@@ -10,8 +10,6 @@ The package provides:
   Divergence Caching baselines (:mod:`repro.caching`),
 * bounded-aggregate queries with precision constraints (:mod:`repro.queries`),
 * a discrete-event simulator of the whole environment (:mod:`repro.simulation`),
-* a sharded multi-cache topology with cross-shard bounded aggregates
-  (:mod:`repro.sharding`),
 * synthetic data generators standing in for the paper's workloads
   (:mod:`repro.data`),
 * the Appendix A analysis (:mod:`repro.analysis`), and
@@ -27,7 +25,6 @@ from repro.core.cost_model import CostModel
 from repro.core.parameters import PrecisionParameters
 from repro.core.policy import AdaptiveWidthController, WidthAdjustment
 from repro.intervals.interval import UNBOUNDED, Interval
-from repro.sharding.coordinator import ShardedCacheCoordinator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.simulator import CacheSimulation, run_simulation
@@ -46,7 +43,6 @@ __all__ = [
     "DivergenceCachingPolicy",
     "StaticWidthPolicy",
     "ApproximateCache",
-    "ShardedCacheCoordinator",
     "SimulationConfig",
     "SimulationResult",
     "CacheSimulation",

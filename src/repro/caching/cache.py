@@ -240,15 +240,6 @@ class ApproximateCache:
         self._entries.clear()
         self._heap.clear()
 
-    def shard_hit_rates(self) -> Tuple[float, ...]:
-        """Per-shard hit rates — empty for the single, unsharded cache.
-
-        Both cache surfaces expose this accessor so callers (the simulator's
-        result assembly) never need to type-check the topology; see
-        :meth:`repro.sharding.coordinator.ShardedCacheCoordinator.shard_hit_rates`.
-        """
-        return ()
-
     def _record_eviction(self, victim_key: Hashable, incoming_key: Hashable) -> None:
         if victim_key == incoming_key:
             self.statistics.rejected_insertions += 1

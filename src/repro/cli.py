@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run figure03
     python -m repro.cli run figure07_09 --workers 4
-    python -m repro.cli run section45 --shards 4
     python -m repro.cli run section45 --engine vector
     python -m repro.cli run figure03 --profile figure03.prof
     python -m repro.cli run-all --workers 4
@@ -14,9 +13,6 @@ Usage::
 processes through :mod:`repro.experiments.runner`; the printed tables are
 identical to sequential runs (every sub-run is deterministically seeded).
 Experiments without a parallel plan simply run sequentially.
-
-``--shards N`` runs an experiment's simulations behind the hash-partitioned
-multi-cache coordinator (:mod:`repro.sharding`), all shards in one process.
 
 ``--engine {reference,vector}`` selects the stream-generation engine of the
 data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
@@ -30,12 +26,12 @@ pools only the parent process is profiled).
 Every simulation runs on the merged-timeline batch kernel
 (:mod:`repro.simulation.kernel`) over the per-object state layout.
 
-Experiments whose plans do not take a shard count or engine note on stderr
-that the flag was ignored.
+Experiments whose plans do not take an engine note on stderr that the flag
+was ignored.
 
 The serving layer (:mod:`repro.serving`) adds two more commands::
 
-    python -m repro.cli serve --port 7411 --shards 4
+    python -m repro.cli serve --port 7411
     python -m repro.cli serve --role gateway --partitions 4 --http-port 7412
     python -m repro.cli loadgen --mode deterministic --compare-offline
     python -m repro.cli loadgen --mode concurrent --clients 8
@@ -57,8 +53,9 @@ gateway) or a remote target: ``--target tcp://host:port`` or
 ``--target ws://host:port/ws`` (``--connect host:port`` remains as the
 older spelling of the TCP form).  It prints hit rate, refresh counts,
 latency percentiles and throughput.  ``--compare-offline`` additionally
-runs the equivalent offline simulation and fails unless the refresh counts
-and hit rate match exactly (deterministic mode only).  ``--mode open-loop``
+runs the equivalent offline simulation and fails unless the refresh counts,
+hit rate, total cost and query count match exactly (deterministic mode
+only).  ``--mode open-loop``
 fires a seeded Poisson arrival schedule (``--shape steady|ramp|flash``,
 Zipf key popularity) that never waits for answers — the honest overload
 model, where rejections and deadline misses are counted instead of
@@ -153,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="fan independent sub-runs out over this many processes",
-        )
-        subparser.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="run simulations behind this many hash-partitioned cache shards",
         )
         subparser.add_argument(
             "--engine",
@@ -258,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also serve the HTTP/WebSocket edge on this port",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=1, help="cache shards behind the server"
-    )
-    serve_parser.add_argument(
         "--capacity", type=int, default=None, help="cache capacity kappa"
     )
     serve_parser.add_argument(
@@ -323,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, default=0.0, help="queries/s per client (0 = unpaced)"
     )
     loadgen_parser.add_argument("--feeders", type=int, default=1)
-    loadgen_parser.add_argument("--shards", type=int, default=1)
     loadgen_parser.add_argument("--seed", type=int, default=5)
     loadgen_parser.add_argument("--engine", choices=ENGINE_NAMES, default=None)
     loadgen_parser.add_argument(
@@ -428,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="compare_offline",
         help=(
             "also run the equivalent offline simulation and fail unless "
-            "refresh counts and hit rate match (deterministic mode, "
-            "in-process server only)"
+            "refresh counts, hit rate, total cost and query count match "
+            "(deterministic mode, in-process server only)"
         ),
     )
     loadgen_parser.add_argument(
@@ -502,29 +489,24 @@ def _accepts_keyword(func, name: str) -> bool:
 def _run_experiment(
     experiment_id: str,
     workers: Optional[int],
-    shards: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment, through its parallel plan when it declares one.
 
-    ``shards`` and ``engine`` are forwarded to experiments whose plan
-    factory (or runner) accepts the keyword; for the rest the flag is
-    reported as ignored so a sharded or vector-engine sweep never silently
-    reproduces the default tables.
+    ``engine`` is forwarded to experiments whose plan factory (or runner)
+    accepts the keyword; for the rest the flag is reported as ignored so a
+    vector-engine sweep never silently reproduces the default tables.
     """
     plan_factory = plan_registry().get(experiment_id)
     runner = registry()[experiment_id]
     target = plan_factory if plan_factory is not None else runner
     forwarded: Dict[str, Any] = {}
-    for name, value in (("shards", shards), ("engine", engine)):
-        if value is None:
-            continue
-        if _accepts_keyword(target, name):
-            forwarded[name] = value
+    if engine is not None:
+        if _accepts_keyword(target, "engine"):
+            forwarded["engine"] = engine
         else:
             print(
-                f"note: {experiment_id} does not take {name!r}; "
-                f"--{name} ignored",
+                f"note: {experiment_id} does not take 'engine'; --engine ignored",
                 file=sys.stderr,
             )
     if workers is not None and workers > 1 and plan_factory is not None:
@@ -576,8 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.workers < 0:
         parser.error(f"--workers must be non-negative, got {args.workers}")
-    if getattr(args, "shards", None) is not None and args.shards < 1:
-        parser.error(f"--shards must be at least 1, got {args.shards}")
     if args.command == "serve":
         return _run_serve(args, parser)
     if args.command == "loadgen":
@@ -603,7 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             lambda: _run_experiment(
                 args.experiment,
                 args.workers,
-                args.shards,
                 args.engine,
             ),
         )
@@ -617,7 +596,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 lambda experiment_id=experiment_id: _run_experiment(
                     experiment_id,
                     args.workers,
-                    args.shards,
                     args.engine,
                 ),
             )
@@ -646,7 +624,6 @@ def _run_serve(args, parser: argparse.ArgumentParser) -> int:
             port=args.port,
             http_port=args.http_port,
             partitions=args.partitions,
-            shards=args.shards,
             capacity=args.capacity,
             cost_factor=args.cost_factor,
             seed=args.seed,
@@ -695,7 +672,6 @@ async def _serve(config) -> None:
 
         spec = {
             "host": config.host,
-            "shards": config.shards,
             "capacity": config.capacity,
             "cost_factor": config.cost_factor,
             "seed": config.seed,
@@ -733,17 +709,13 @@ async def _serve(config) -> None:
             )
         backend = CacheServer(
             _serving_policy(config.cost_factor, config.seed),
-            shards=config.shards,
             capacity=config.capacity,
             value_refresh_cost=config.cost_factor,
             query_refresh_cost=2.0,
             max_inflight_queries=config.max_inflight,
             durability=durability,
         )
-        banner = (
-            f"{config.role} cache on {config.host}:{config.port} "
-            f"(shards={config.shards})"
-        )
+        banner = f"{config.role} cache on {config.host}:{config.port}"
     if config.wal_dir:
         banner += f", wal in {config.wal_dir}"
     edge = None
@@ -867,7 +839,7 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
     _configure_observability({**_obs_spec(args), "seed": args.seed}, "loadgen")
     engine = args.engine if args.engine is not None else DEFAULT_ENGINE
     trace = traffic_trace(host_count=args.hosts, duration=args.duration, engine=engine)
-    config = serving_config(trace, seed=args.seed, shards=args.shards, engine=engine)
+    config = serving_config(trace, seed=args.seed, engine=engine)
 
     dialer = None
     if args.target is not None:
@@ -899,7 +871,6 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
     def _partition_server():
         return CacheServer(
             _serving_policy(1.0, args.seed),
-            shards=args.shards,
             value_refresh_cost=config.value_refresh_cost,
             query_refresh_cost=config.query_refresh_cost,
         )
@@ -925,7 +896,6 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
                 args.partition_procs,
                 {
                     "seed": args.seed,
-                    "shards": args.shards,
                     "wal_dir": wal_dir,
                     "checkpoint_every": args.checkpoint_every,
                     "wal_fsync": args.wal_fsync,
@@ -1028,12 +998,16 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
             report.value_refreshes == offline.value_refresh_count
             and report.query_refreshes == offline.query_refresh_count
             and report.hit_rate == offline.cache_hit_rate
+            and report.total_cost == offline.total_cost
+            and report.queries == offline.query_count
         )
         print(
             "offline comparison: "
             f"value_refreshes {offline.value_refresh_count} "
             f"query_refreshes {offline.query_refresh_count} "
-            f"hit_rate {offline.cache_hit_rate:.6f} -> "
+            f"hit_rate {offline.cache_hit_rate:.6f} "
+            f"total_cost {offline.total_cost:g} "
+            f"queries {offline.query_count} -> "
             + ("MATCH" if matches else "MISMATCH")
         )
         if not matches:

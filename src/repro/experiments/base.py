@@ -91,7 +91,6 @@ def registry() -> Dict[str, Callable[[], ExperimentResult]]:
         section45_variations,
         serving_faults,
         serving_throughput,
-        sharded_scaling,
         table1,
     )
 
@@ -106,7 +105,6 @@ def registry() -> Dict[str, Callable[[], ExperimentResult]]:
         "figure14_15": figure14_15_divergence.run,
         "section44": section44_sensitivity.run,
         "section45": section45_variations.run,
-        "sharded_scaling": sharded_scaling.run,
         "serving_throughput": serving_throughput.run,
         "serving_partition_sweep": serving_throughput.run_partition_sweep,
         "serving_faults": serving_faults.run,

@@ -254,7 +254,6 @@ def plan_registry() -> Dict[str, Callable[[], ExperimentPlan]]:
         figure10_13_exact,
         section44_sensitivity,
         section45_variations,
-        sharded_scaling,
     )
 
     return {
@@ -263,6 +262,5 @@ def plan_registry() -> Dict[str, Callable[[], ExperimentPlan]]:
         "figure10_13": figure10_13_exact.plan,
         "section44": section44_sensitivity.plan,
         "section45": section45_variations.plan,
-        "sharded_scaling": sharded_scaling.plan,
         "ablations": ablations.plan,
     }

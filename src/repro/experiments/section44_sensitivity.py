@@ -37,7 +37,6 @@ def lower_threshold_rows(
     host_count: int,
     duration: int,
     seed: int,
-    shards: int = 1,
     engine: str = "reference",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
@@ -48,7 +47,6 @@ def lower_threshold_rows(
         constraint_bounds=constraint_bounds,
         cost_factor=1.0,
         seed=seed,
-        shards=shards,
         engine=engine,
     )
     policy = adaptive_policy(
@@ -91,7 +89,6 @@ def constraint_variation_rows(
     host_count: int,
     duration: int,
     seed: int,
-    shards: int = 1,
     engine: str = "reference",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
@@ -103,7 +100,6 @@ def constraint_variation_rows(
         constraint_variation=variation,
         cost_factor=1.0,
         seed=seed,
-        shards=shards,
         engine=engine,
     )
     policy = adaptive_policy(
@@ -151,7 +147,6 @@ def plan(
     host_count: int = DEFAULT_HOST_COUNT,
     duration: int = DEFAULT_TRACE_DURATION,
     seed: int = 21,
-    shards: int = 1,
     engine: str = "reference",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
@@ -165,7 +160,6 @@ def plan(
                 host_count=host_count,
                 duration=duration,
                 seed=seed,
-                shards=shards,
                 engine=engine,
             ),
         )
@@ -181,7 +175,6 @@ def plan(
                 host_count=host_count,
                 duration=duration,
                 seed=seed,
-                shards=shards,
                 engine=engine,
             ),
         )
@@ -206,7 +199,6 @@ def run(
     duration: int = DEFAULT_TRACE_DURATION,
     seed: int = 21,
     workers: Optional[int] = None,
-    shards: int = 1,
     engine: str = "reference",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
@@ -215,7 +207,6 @@ def run(
             host_count=host_count,
             duration=duration,
             seed=seed,
-            shards=shards,
             engine=engine,
         ),
         workers=workers,

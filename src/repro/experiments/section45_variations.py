@@ -43,7 +43,6 @@ DEFAULT_SOURCE_COUNT = 5
 def _config(
     duration: float,
     seed: int,
-    shards: int = 1,
     engine: str = "reference",
 ) -> SimulationConfig:
     return SimulationConfig(
@@ -57,7 +56,6 @@ def _config(
         value_refresh_cost=1.0,
         query_refresh_cost=2.0,
         seed=seed,
-        shards=shards,
         engine=engine,
     )
 
@@ -78,18 +76,15 @@ def variation_rows(
     duration: float,
     source_count: int,
     seed: int,
-    shards: int = 1,
     engine: str = "reference",
 ) -> List[Tuple]:
     """The row for one (walk bias, placement variant) cell (picklable).
 
-    The cache is unbounded here, so any ``shards`` count must produce the
-    same rows — the CI sharded-smoke job relies on exactly that.  ``engine``
-    selects the stream engine generating the walks (``reference`` reproduces
-    the committed table byte-for-byte).
+    ``engine`` selects the stream engine generating the walks
+    (``reference`` reproduces the committed table byte-for-byte).
     """
     walk_kind = "unbiased walk" if up_probability == 0.5 else "biased walk"
-    config = _config(duration, seed, shards=shards, engine=engine)
+    config = _config(duration, seed, engine=engine)
     if variant == "centred":
         policy = AdaptivePrecisionPolicy(
             _parameters(), initial_width=4.0, rng=random.Random(seed)
@@ -117,7 +112,6 @@ def plan(
     source_count: int = DEFAULT_SOURCE_COUNT,
     up_probabilities: Sequence[float] = (0.5, 0.8),
     seed: int = 23,
-    shards: int = 1,
     engine: str = "reference",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
@@ -131,7 +125,6 @@ def plan(
                 duration=duration,
                 source_count=source_count,
                 seed=seed,
-                shards=shards,
                 engine=engine,
             ),
         )
@@ -158,7 +151,6 @@ def run(
     up_probabilities: Sequence[float] = (0.5, 0.8),
     seed: int = 23,
     workers: Optional[int] = None,
-    shards: int = 1,
     engine: str = "reference",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
@@ -168,7 +160,6 @@ def run(
             source_count=source_count,
             up_probabilities=up_probabilities,
             seed=seed,
-            shards=shards,
             engine=engine,
         ),
         workers=workers,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.workloads import (
@@ -77,18 +77,16 @@ def serving_row(
     host_count: int,
     duration: int,
     queries_per_client: int,
-    shards: int,
     seed: int,
     engine: str = "reference",
 ) -> Tuple:
     """Measure one client count against a fresh loopback server."""
     trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
-    config = serving_config(trace, seed=seed, shards=shards, engine=engine)
+    config = serving_config(trace, seed=seed, engine=engine)
 
     async def drive():
         server = CacheServer(
             serving_policy(cost_factor=1.0, seed=seed),
-            shards=shards,
             value_refresh_cost=config.value_refresh_cost,
             query_refresh_cost=config.query_refresh_cost,
         )
@@ -124,7 +122,6 @@ def run(
     host_count: int = DEFAULT_HOST_COUNT,
     duration: int = DEFAULT_DURATION,
     queries_per_client: int = DEFAULT_QUERIES_PER_CLIENT,
-    shards: int = 1,
     seed: int = 11,
     engine: str = "reference",
 ) -> ExperimentResult:
@@ -135,7 +132,6 @@ def run(
             host_count=host_count,
             duration=duration,
             queries_per_client=queries_per_client,
-            shards=shards,
             seed=seed,
             engine=engine,
         )

@@ -141,7 +141,6 @@ def serving_policy(cost_factor: float = 1.0, seed: int = 0) -> AdaptivePrecision
 def serving_config(
     trace: Trace,
     seed: int = 5,
-    shards: int = 1,
     engine: str = DEFAULT_ENGINE,
 ) -> SimulationConfig:
     """The serving stack's default workload config (shared construction).
@@ -159,7 +158,6 @@ def serving_config(
         constraint_variation=1.0,
         cost_factor=1.0,
         seed=seed,
-        shards=shards,
         engine=engine,
     ).with_changes(warmup=0.0)
 
@@ -189,7 +187,6 @@ def traffic_config(
     seed: int = 0,
     track_keys: Sequence[Hashable] = (),
     query_size: Optional[int] = None,
-    shards: int = 1,
     engine: str = DEFAULT_ENGINE,
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
@@ -197,9 +194,7 @@ def traffic_config(
     ``query_size`` defaults to one fifth of the host population, preserving
     the paper's ratio (10 values per query out of 50 hosts) and therefore the
     per-item read rate when experiments run on a reduced host count.
-    ``shards`` > 1 fronts the run with the hash-partitioned multi-cache
-    coordinator (see :mod:`repro.sharding`).  ``engine`` records which
-    stream engine generated the run's data (see
+    ``engine`` records which stream engine generated the run's data (see
     :mod:`repro.data.engine`).
     """
     if query_size is None:
@@ -216,7 +211,6 @@ def traffic_config(
         constraint_variation=constraint_variation,
         constraint_bounds=constraint_bounds,
         cache_capacity=cache_capacity,
-        shards=shards,
         engine=engine,
         value_refresh_cost=value_refresh_cost,
         query_refresh_cost=query_refresh_cost,

@@ -1,9 +1,9 @@
 """The process-local metrics registry: counters, gauges, histograms.
 
 One registry per process absorbs every counter the system used to scatter
-across ad-hoc surfaces (`/stats` snapshot dicts, the shard-exchange meter,
-fault-injection counters, loadgen percentiles) behind a single API with a
-Prometheus-shaped data model:
+across ad-hoc surfaces (`/stats` snapshot dicts, fault-injection counters,
+loadgen percentiles) behind a single API with a Prometheus-shaped data
+model:
 
 * :class:`Counter` — a monotonically increasing total.
 * :class:`Gauge` — a point-in-time value that can go up and down.

@@ -483,7 +483,6 @@ class ServeConfig:
     port: int = 9200
     http_port: Optional[int] = None
     partitions: int = 1
-    shards: int = 1
     capacity: Optional[int] = None
     cost_factor: float = 1.0
     seed: int = 0
@@ -506,8 +505,6 @@ class ServeConfig:
             raise ValueError("partitions must be at least 1")
         if self.role != "gateway" and self.partitions != 1:
             raise ValueError("--partitions applies to the gateway role only")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if self.checkpoint_every < 1:

@@ -19,12 +19,17 @@ those refresh RPCs together), a MAX/MIN query's victims one at a time.
 from __future__ import annotations
 
 import math
-from typing import Awaitable, Callable, Dict, Hashable, List, Sequence
+from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.intervals.interval import Interval
-from repro.queries.aggregates import AggregateKind, aggregate_bound, sum_bound
+from repro.queries.aggregates import (
+    AggregateKind,
+    aggregate_bound,
+    max_bound,
+    min_bound,
+    sum_bound,
+)
 from repro.queries.refresh_selection import QueryExecution, bounded_query_steps
-from repro.sharding.aggregates import merge_aggregate_bounds
 
 #: ``fetch_batch(keys)`` — refresh every key of one batch and return their
 #: exact values in the same order.
@@ -34,6 +39,49 @@ AsyncFetchBatch = Callable[[List[Hashable]], Awaitable[List[float]]]
 #: whose owner is down (the server's mirror-drift model; the gateway's
 #: partition-reported interval).
 DegradeFn = Callable[[Hashable, Interval], Interval]
+
+
+def merge_aggregate_bounds(
+    kind: AggregateKind,
+    partials: Sequence[Interval],
+    counts: Optional[Sequence[int]] = None,
+) -> Interval:
+    """Merge per-partition partial bounds into the global aggregate bound.
+
+    SUM, MAX, MIN and AVG are decomposable, so the merge is O(partials):
+
+    * ``SUM`` — the interval sum of the partial SUM bounds;
+    * ``MAX`` — ``[max of partial lows, max of partial highs]``;
+    * ``MIN`` — ``[min of partial lows, min of partial highs]``;
+    * ``AVG`` — partials are *SUM* bounds; the merge divides their interval
+      sum by the total contributing count, because the mean of partial
+      means is not the global mean.
+
+    ``counts`` gives the number of contributing values per partial and is
+    required for ``AVG``.  The merge adds partials in the given order;
+    interval addition of SUM partials reassociates float additions, so a
+    merged SUM bound can differ from a single flat summation by float
+    rounding — paths that must stay byte-identical aggregate over the flat
+    per-key intervals and use this merge only for genuinely split answers.
+    """
+    if not partials:
+        raise ValueError("merging aggregate bounds requires at least one partial")
+    if kind is AggregateKind.SUM:
+        return sum_bound(list(partials))
+    if kind is AggregateKind.MAX:
+        return max_bound(list(partials))
+    if kind is AggregateKind.MIN:
+        return min_bound(list(partials))
+    if kind is AggregateKind.AVG:
+        if counts is None:
+            raise ValueError("AVG merges need the per-partial contribution counts")
+        if len(counts) != len(partials):
+            raise ValueError("counts must parallel the partial bounds")
+        total = sum(counts)
+        if total < 1:
+            raise ValueError("AVG merges need at least one contributing value")
+        return sum_bound(list(partials)).scale(1.0 / total)
+    raise ValueError(f"unsupported aggregate kind: {kind!r}")
 
 
 async def execute_bounded_query_async(
@@ -77,8 +125,8 @@ async def execute_partitioned_query(
     keys' float arithmetic.  With degraded keys, the refresh selection runs
     over the *live* keys only, against the precision budget left after the
     down keys' fixed widened intervals are accounted for, and the partial
-    bounds merge through the same :func:`merge_aggregate_bounds` the
-    sharded coordinator uses.  Degraded keys never refresh and never charge
+    bounds merge through :func:`merge_aggregate_bounds`.  Degraded keys
+    never refresh and never charge
     costs — their intervals are an honest read-only estimate from
     ``degrade``.
 

@@ -4,8 +4,8 @@
 partitions behind the same wire protocol a single server speaks, so every
 client — the typed :class:`~repro.serving.api.Client`, the load generator,
 the HTTP/WebSocket edge — is deployment-shape agnostic.  Keys are routed by
-:func:`~repro.sharding.partition.stable_key_hash` (the sharded
-coordinator's partitioning, lifted across process boundaries).
+:func:`~repro.serving.partition.stable_key_hash`, a CRC-32 hash that is
+stable across processes.
 
 **The determinism contract.**  A serialised replay through the gateway is
 bit-identical to the offline simulator at *any* partition count, because
@@ -73,6 +73,7 @@ from repro.obs.trace import TRACER
 from repro.serving.api import Client, dial
 from repro.serving.errors import SupervisionExhausted
 from repro.serving.execution import execute_partitioned_query
+from repro.serving.partition import partition_keys, shard_index
 from repro.serving.protocol import (
     BoundedAnswer,
     MetricsRequest,
@@ -104,7 +105,6 @@ from repro.serving.server import (
     _Connection,
     _KeyDrift,
 )
-from repro.sharding.partition import partition_keys, shard_index
 
 _LOG = get_logger("serving.gateway")
 
@@ -869,7 +869,6 @@ class GatewayServer(BaseFrameServer):
         )
         merged: Dict[str, Any] = {name: 0 for name in self._SUMMED_STATS}
         merged.update({name: 0 for name in self._SUMMED_WAL_STATS})
-        shard_hit_rates: List[float] = []
         clock = 0.0
         durable = False
         checkpoint_age: Optional[float] = None
@@ -878,7 +877,6 @@ class GatewayServer(BaseFrameServer):
                 merged[name] += stats.get(name, 0)
             for name in self._SUMMED_WAL_STATS:
                 merged[name] += stats.get(name, 0)
-            shard_hit_rates.extend(stats.get("shard_hit_rates", []))
             clock = max(clock, stats.get("clock", 0.0))
             durable = durable or bool(stats.get("durable"))
             age = stats.get("last_checkpoint_age")
@@ -898,7 +896,6 @@ class GatewayServer(BaseFrameServer):
                 "last_checkpoint_age": checkpoint_age,
                 "connections": len(self._connections),
                 "hit_rate": (merged["hits"] / lookups) if lookups else 0.0,
-                "shard_hit_rates": shard_hit_rates,
                 "queries_served": serving.queries_served,
                 "queries_rejected": serving.queries_rejected,
                 "queries_degraded": serving.queries_degraded,

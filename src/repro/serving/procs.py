@@ -194,7 +194,6 @@ async def _serve_partition(connection: Any, spec: Dict[str, Any]) -> None:
         # half-recovered server.
         server = CacheServer(
             policy,
-            shards=spec.get("shards", 1),
             capacity=spec.get("capacity"),
             max_inflight_queries=spec.get("max_inflight", 64),
             durability=_spec_durability(spec),

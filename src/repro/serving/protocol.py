@@ -99,6 +99,50 @@ def _constraint(value: Any) -> float:
     return constraint
 
 
+def _key(key: Any) -> Hashable:
+    """A source key: hashable, so never a JSON array or object.
+
+    An unhashable key would fail every cache and mirror lookup — after a
+    durable server had already logged the op, so recovery would replay the
+    same failure.  Decoding rejects it before any state is read.
+    """
+    try:
+        hash(key)
+    except TypeError:
+        raise ProtocolError(f"a key must be a string or number, got {key!r}") from None
+    return key
+
+
+def _keys(keys: Any, distinct: bool = False) -> Tuple[Hashable, ...]:
+    """A request's keys as a tuple, every one a valid :func:`_key`.
+
+    With ``distinct`` no key may repeat, by Python equality (``1``, ``1.0``
+    and ``True`` are one key): a bounded aggregate is over a set of values,
+    and a repeated key would count one value's hit and width twice.
+    """
+    keys = tuple(keys)
+    try:
+        unique = set(keys)
+    except TypeError:
+        unique = {_key(key) for key in keys}  # raises naming the bad key
+    if distinct and len(unique) != len(keys):
+        raise ProtocolError(f"keys must be distinct, got {list(keys)!r}")
+    return keys
+
+
+def _check_update_keys(updates: Tuple[Tuple[Hashable, float], ...]) -> None:
+    """Check that every key of ``(key, value)`` pairs is a valid :func:`_key`.
+
+    Hashing the whole tuple checks every key in one C-level pass; a key may
+    repeat across pairs (later values win, in order).
+    """
+    try:
+        hash(updates)
+    except TypeError:
+        for key, _ in updates:
+            _key(key)
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialise one message into a length-prefixed frame."""
     payload = _encode_json(message).encode("utf-8")
@@ -222,7 +266,7 @@ class RegisterFeeder(Request):
             raise ProtocolError(f"register frame missing {exc}") from None
         feeder = frame.get("feeder")
         return cls(
-            keys=tuple(keys),
+            keys=_keys(keys),
             values=tuple(values),
             feeder=None if feeder is None else str(feeder),
             resync=bool(frame.get("resync")),
@@ -253,7 +297,7 @@ class Update(Request):
             value = frame["value"]
         except KeyError as exc:
             raise ProtocolError(f"update frame missing {exc}") from None
-        return cls(key=key, value=float(value), time=_stamp(frame))
+        return cls(key=_key(key), value=float(value), time=_stamp(frame))
 
 
 @dataclass(frozen=True)
@@ -284,10 +328,12 @@ class UpdateBatch(Request):
             updates = frame["updates"]
         except KeyError as exc:
             raise ProtocolError(f"update_batch frame missing {exc}") from None
-        return cls(
+        request = cls(
             updates=tuple((key, value) for key, value in updates),
             time=_stamp(frame),
         )
+        _check_update_keys(request.updates)
+        return request
 
 
 @dataclass(frozen=True)
@@ -327,7 +373,7 @@ class QueryRequest(Request):
                 f"unknown aggregate {frame.get('aggregate')!r}"
             ) from None
         return cls(
-            keys=tuple(keys),
+            keys=_keys(keys, distinct=True),
             aggregate=aggregate,
             constraint=_constraint(frame.get("constraint", math.inf)),
             time=_stamp(frame),
@@ -376,7 +422,7 @@ class Refresh(Request):
     @classmethod
     def from_wire(cls, frame: Dict[str, Any]) -> "Refresh":
         try:
-            return cls(key=frame["key"])
+            return cls(key=_key(frame["key"]))
         except KeyError as exc:
             raise ProtocolError(f"refresh frame missing {exc}") from None
 
@@ -415,7 +461,7 @@ class Snapshot(Request):
         except KeyError as exc:
             raise ProtocolError(f"snapshot frame missing {exc}") from None
         return cls(
-            keys=tuple(keys),
+            keys=_keys(keys, distinct=True),
             constraint=_constraint(frame.get("constraint", math.inf)),
             time=_stamp(frame),
         )
@@ -439,7 +485,7 @@ class RefreshKey(Request):
     @classmethod
     def from_wire(cls, frame: Dict[str, Any]) -> "RefreshKey":
         try:
-            return cls(key=frame["key"], time=_stamp(frame))
+            return cls(key=_key(frame["key"]), time=_stamp(frame))
         except KeyError as exc:
             raise ProtocolError(f"refresh_key frame missing {exc}") from None
 
@@ -692,7 +738,7 @@ def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
         if type(keys) is list and kind is not None and type(constraint) is float:
             request = QueryRequest.__new__(QueryRequest)
             set_field = object.__setattr__
-            set_field(request, "keys", tuple(keys))
+            set_field(request, "keys", _keys(keys, distinct=True))
             set_field(request, "aggregate", kind)
             set_field(request, "constraint", _constraint(constraint))
             set_field(request, "time", _stamp(frame))
@@ -705,6 +751,7 @@ def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
             except (TypeError, ValueError):
                 pairs = None
             if pairs is not None:
+                _check_update_keys(pairs)
                 request = UpdateBatch.__new__(UpdateBatch)
                 set_field = object.__setattr__
                 set_field(request, "updates", pairs)

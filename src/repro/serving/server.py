@@ -1,10 +1,9 @@
 """The asyncio approximate-cache server.
 
 :class:`CacheServer` hosts one :class:`~repro.caching.cache.ApproximateCache`
-(or a :class:`~repro.sharding.coordinator.ShardedCacheCoordinator` for
-``shards > 1``) behind the length-prefixed JSON protocol of
-:mod:`repro.serving.protocol`.  Its behaviour per event mirrors the offline
-simulator exactly — the deterministic load-generator equivalence test in
+behind the length-prefixed JSON protocol of :mod:`repro.serving.protocol`.
+Its behaviour per event mirrors the offline simulator exactly — the
+deterministic load-generator equivalence test in
 ``tests/test_serving_equivalence.py`` pins refresh counts and hit rates to
 :class:`~repro.simulation.simulator.CacheSimulation`'s — while the plumbing
 around the events is a real server:
@@ -107,7 +106,6 @@ from repro.serving.transport import (
     StreamFrameTransport,
     loopback_pair,
 )
-from repro.sharding.coordinator import ShardedCacheCoordinator
 from repro.simulation.network import NetworkModel
 
 DEFAULT_MAX_INFLIGHT_QUERIES = 64
@@ -622,10 +620,6 @@ class CacheServer(BaseFrameServer):
     policy:
         The precision policy deciding refreshed approximations (shared with
         the offline simulator; e.g. the paper's adaptive policy).
-    shards:
-        ``1`` hosts a single :class:`ApproximateCache`; larger values front
-        a hash-partitioned :class:`ShardedCacheCoordinator` exactly as
-        ``SimulationConfig.shards`` does offline.
     capacity / eviction_policy:
         Cache size ``kappa`` and victim-selection override.
     value_refresh_cost / query_refresh_cost:
@@ -668,7 +662,6 @@ class CacheServer(BaseFrameServer):
         self,
         policy: PrecisionPolicy,
         *,
-        shards: int = 1,
         capacity: Optional[int] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
         value_refresh_cost: float = 1.0,
@@ -686,23 +679,12 @@ class CacheServer(BaseFrameServer):
             admission_queue_limit=admission_queue_limit,
             refresh_timeout=refresh_timeout,
         )
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         if degraded_slack < 1.0:
             raise ValueError("degraded_slack must be at least 1")
         self._policy = policy
-        if shards > 1:
-            self._cache = ShardedCacheCoordinator(
-                shard_count=shards,
-                capacity=capacity,
-                eviction_policy_factory=(
-                    None if eviction_policy is None else (lambda index: eviction_policy)
-                ),
-            )
-        else:
-            self._cache = ApproximateCache(
-                capacity=capacity, eviction_policy=eviction_policy
-            )
+        self._cache = ApproximateCache(
+            capacity=capacity, eviction_policy=eviction_policy
+        )
         self._network = NetworkModel(
             value_refresh_cost=value_refresh_cost,
             query_refresh_cost=query_refresh_cost,
@@ -734,8 +716,8 @@ class CacheServer(BaseFrameServer):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def cache(self):
-        """The hosted cache (single or sharded; same surface)."""
+    def cache(self) -> ApproximateCache:
+        """The hosted cache."""
         return self._cache
 
     @property
@@ -1554,7 +1536,6 @@ class CacheServer(BaseFrameServer):
             "hit_rate": cache_stats.hit_rate,
             "insertions": cache_stats.insertions,
             "evictions": cache_stats.evictions,
-            "shard_hit_rates": list(self._cache.shard_hit_rates()),
             "updates_applied": serving.updates_applied,
             "updates_ignored": serving.updates_ignored,
             "value_refreshes": serving.value_refreshes,

@@ -57,12 +57,6 @@ class SimulationConfig:
     cache_capacity:
         ``kappa`` — maximum number of cached approximations (``None`` means
         large enough for everything).
-    shards:
-        Number of cache shards.  ``1`` (the default) runs the paper's single
-        ``ApproximateCache``; larger values front the run with a
-        :class:`~repro.sharding.coordinator.ShardedCacheCoordinator` that
-        hash-partitions keys over this many shards and splits
-        ``cache_capacity`` into per-shard eviction budgets.
     engine:
         Name of the stream-generation engine of the run's data plane
         (:mod:`repro.data.engine`).  ``"reference"`` (the default) keeps the
@@ -93,7 +87,6 @@ class SimulationConfig:
     constraint_variation: float = 0.0
     constraint_bounds: Optional[Tuple[float, float]] = None
     cache_capacity: Optional[int] = None
-    shards: int = 1
     engine: str = DEFAULT_ENGINE
     value_refresh_cost: float = 1.0
     query_refresh_cost: float = 2.0
@@ -123,13 +116,6 @@ class SimulationConfig:
                 raise ValueError("constraint_bounds must satisfy 0 <= min <= max")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity (kappa) must be at least 1")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if self.cache_capacity is not None and self.cache_capacity < self.shards:
-            raise ValueError(
-                "cache_capacity must be at least the shard count so every "
-                "shard receives an eviction budget"
-            )
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; available: "

@@ -10,7 +10,7 @@ optionally keeps time series used by the Figure 4/5 style plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.caching.refresh import CostAccountant, RefreshEvent, RefreshKind
 from repro.intervals.interval import Interval
@@ -50,9 +50,6 @@ class SimulationResult:
     final_widths:
         The unclamped width of each value's controller at the end of the run,
         where the policy exposes one (used for convergence diagnostics).
-    shard_hit_rates:
-        Per-shard workload hit rates for sharded runs, in shard-index order
-        (empty for single-cache runs).
     events_processed:
         Total simulation events executed by the batch kernel over the whole
         run (including warm-up) — the deterministic event-throughput
@@ -70,15 +67,7 @@ class SimulationResult:
     interval_samples: Dict[Hashable, List[IntervalSample]] = field(default_factory=dict)
     final_widths: Dict[Hashable, float] = field(default_factory=dict)
     cache_hit_rate: float = 0.0
-    shard_hit_rates: Tuple[float, ...] = ()
     events_processed: int = 0
-
-    @property
-    def hit_rate_skew(self) -> float:
-        """Spread (max - min) of the per-shard hit rates (0.0 unsharded)."""
-        if not self.shard_hit_rates:
-            return 0.0
-        return max(self.shard_hit_rates) - min(self.shard_hit_rates)
 
     @property
     def refresh_count(self) -> int:
@@ -105,7 +94,6 @@ class SimulationResult:
             ("repro_sim_query_refreshes", "Query-initiated refreshes measured.", self.query_refresh_count),
             ("repro_sim_queries", "Queries executed in the measured period.", self.query_count),
             ("repro_sim_cache_hit_rate", "Workload cache hit rate.", self.cache_hit_rate),
-            ("repro_sim_hit_rate_skew", "Max-min spread of per-shard hit rates.", self.hit_rate_skew),
             ("repro_sim_events_processed", "Simulation events executed overall.", self.events_processed),
         ):
             registry.gauge(name, help_text).set(float(value))
@@ -184,7 +172,6 @@ class MetricsCollector:
         end_time: float,
         final_widths: Optional[Dict[Hashable, float]] = None,
         cache_hit_rate: float = 0.0,
-        shard_hit_rates: Tuple[float, ...] = (),
         events_processed: int = 0,
     ) -> SimulationResult:
         """Build the :class:`SimulationResult` for a run ending at ``end_time``."""
@@ -210,6 +197,5 @@ class MetricsCollector:
             },
             final_widths=dict(final_widths or {}),
             cache_hit_rate=cache_hit_rate,
-            shard_hit_rates=tuple(shard_hit_rates),
             events_processed=events_processed,
         )

@@ -38,7 +38,6 @@ from repro.data.merged import MODE_LOCKSTEP, MergedTimeline, merge_timelines
 from repro.data.streams import ScheduleColumns, UpdateStream
 from repro.intervals.interval import UNBOUNDED
 from repro.queries.refresh_selection import run_query_refreshes
-from repro.sharding.coordinator import ShardedCacheCoordinator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.kernel import run_batch_kernel
 from repro.simulation.metrics import MetricsCollector, SimulationResult
@@ -79,28 +78,9 @@ class CacheSimulation:
             value_refresh_cost=config.value_refresh_cost,
             query_refresh_cost=config.query_refresh_cost,
         )
-        # ``shards == 1`` keeps the paper's single cache on the exact code
-        # path the seeded figure tables were produced with; larger counts
-        # front the run with the hash-partitioned coordinator, which exposes
-        # the same get/put/invalidate surface.  The factory hands every shard
-        # the same policy instance so a single-instance override behaves as
-        # it does in the single-cache constructor.  Runs stay deterministic
-        # either way, but a stateful policy (RandomEviction's RNG) is then
-        # shared across shards; callers needing per-shard-independent policy
-        # state should build a ShardedCacheCoordinator directly with a
-        # factory returning fresh instances.
-        if config.shards > 1:
-            self._cache = ShardedCacheCoordinator(
-                shard_count=config.shards,
-                capacity=config.cache_capacity,
-                eviction_policy_factory=(
-                    None if eviction_policy is None else (lambda index: eviction_policy)
-                ),
-            )
-        else:
-            self._cache = ApproximateCache(
-                capacity=config.cache_capacity, eviction_policy=eviction_policy
-            )
+        self._cache = ApproximateCache(
+            capacity=config.cache_capacity, eviction_policy=eviction_policy
+        )
         self._metrics = MetricsCollector(
             warmup=config.warmup, track_keys=list(config.track_keys)
         )
@@ -157,10 +137,8 @@ class CacheSimulation:
         return self._config
 
     @property
-    def cache(self):
-        """The simulated cache (an :class:`ApproximateCache`, or a
-        :class:`~repro.sharding.coordinator.ShardedCacheCoordinator` for
-        ``config.shards > 1`` — both expose the same surface)."""
+    def cache(self) -> ApproximateCache:
+        """The simulated cache."""
         return self._cache
 
     @property
@@ -191,7 +169,6 @@ class CacheSimulation:
             end_time=self._config.duration,
             final_widths=self._collect_final_widths(),
             cache_hit_rate=self._cache.statistics.hit_rate,
-            shard_hit_rates=self._cache.shard_hit_rates(),
             events_processed=processed,
         )
 

@@ -101,7 +101,5 @@ class TestServeConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="partitions"):
             ServeConfig(role="gateway", partitions=0)
-        with pytest.raises(ValueError, match="shards"):
-            ServeConfig(shards=0)
         with pytest.raises(ValueError, match="max_inflight"):
             ServeConfig(max_inflight=0)

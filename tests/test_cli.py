@@ -34,21 +34,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "section45", "--workers", "-2"])
 
-    def test_run_accepts_shards(self):
-        args = build_parser().parse_args(["run", "section45", "--shards", "4"])
-        assert args.shards == 4
-
-    def test_shards_defaults_to_unsharded(self):
-        args = build_parser().parse_args(["run", "section45"])
-        assert args.shards is None
-
-    def test_run_all_accepts_shards(self):
-        args = build_parser().parse_args(["run-all", "--shards", "2"])
-        assert args.shards == 2
-
-    def test_zero_shards_rejected(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "section45"], ["run-all"], ["serve"], ["loadgen"]],
+        ids=["run", "run-all", "serve", "loadgen"],
+    )
+    def test_shards_flag_is_gone(self, argv):
+        # One cache topology: in-process sharding and its flag were removed.
         with pytest.raises(SystemExit):
-            main(["run", "section45", "--shards", "0"])
+            build_parser().parse_args([*argv, "--shards", "2"])
 
     def test_run_accepts_engine(self):
         args = build_parser().parse_args(["run", "section45", "--engine", "vector"])
@@ -94,15 +88,6 @@ class TestMain:
         output = capsys.readouterr().out
         assert "P_vr" in output and "Omega" in output
 
-    def test_run_section45_sharded_matches_unsharded(self, capsys):
-        # The section45 cache is unbounded, so sharding must not change a
-        # single byte of the printed table (the CI smoke job diffs the two).
-        assert main(["run", "section45", "--shards", "1"]) == 0
-        unsharded = capsys.readouterr().out
-        assert main(["run", "section45", "--shards", "3"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == unsharded
-
     def test_run_profile_dumps_stats(self, capsys, tmp_path):
         import pstats
 
@@ -124,12 +109,6 @@ class TestMain:
             tmp_path / "all-table1.prof"
         )
         assert _profile_destination(base, None) == base
-
-    def test_shards_flag_ignored_with_note_for_unsupported_experiment(self, capsys):
-        assert main(["run", "table1", "--shards", "4"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--shards ignored" in captured.err
 
     def test_engine_reference_matches_default(self, capsys):
         # --engine reference is the default data plane: the printed table
@@ -175,13 +154,12 @@ class TestServingParser:
         assert args.command == "serve"
         assert args.host == "127.0.0.1"
         assert args.port == 7411
-        assert args.shards == 1
 
     def test_serve_accepts_options(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9000", "--shards", "4", "--capacity", "32"]
+            ["serve", "--port", "9000", "--capacity", "32"]
         )
-        assert args.port == 9000 and args.shards == 4 and args.capacity == 32
+        assert args.port == 9000 and args.capacity == 32
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])

@@ -282,6 +282,10 @@ class TestFastPath:
          "updates": [["h0", 1.0], ["h1", 2.5]], "time": 4.0},
         {"op": "update_batch", "id": 5, "updates": []},
         {"op": "update_batch", "id": 6, "updates": [["h0", 3]]},
+        # A key may repeat across update pairs; 1 and "1" are distinct keys.
+        {"op": "update_batch", "id": 7, "updates": [["h0", 1.0], ["h0", 2.0]]},
+        {"op": "query", "id": 8, "keys": [1, "1"], "aggregate": "SUM",
+         "constraint": 1.0},
     ]
 
     FALLBACK_FRAMES = [
@@ -319,6 +323,33 @@ class TestFastPath:
             ({"op": "update_batch"}, "missing"),
             ({"op": "query", "keys": ["a"], "aggregate": ["SUM"]},
              "unknown aggregate"),  # unhashable name: the generic error
+            # A JSON array or object is never a key, in any op carrying keys.
+            ({"op": "query", "keys": ["a", ["b"]], "aggregate": "SUM"},
+             "key must be a string or number"),
+            ({"op": "query", "keys": [{"a": 1}], "aggregate": "sum"},
+             "key must be a string or number"),  # generic path
+            ({"op": "update_batch", "updates": [["a", 1.0], [["b"], 2.0]]},
+             "key must be a string or number"),
+            ({"op": "update_batch", "updates": ((["b"], 2.0),)},
+             "key must be a string or number"),  # generic path
+            ({"op": "update", "key": ["a"], "value": 1.0},
+             "key must be a string or number"),
+            ({"op": "register", "keys": ["a", ["b"]], "values": [1.0, 2.0]},
+             "key must be a string or number"),
+            ({"op": "snapshot", "keys": [["a"]]},
+             "key must be a string or number"),
+            ({"op": "refresh_key", "key": {"a": 1}},
+             "key must be a string or number"),
+            ({"op": "refresh", "key": ["a"]},
+             "key must be a string or number"),
+            # A query or snapshot key may not repeat, by Python equality.
+            ({"op": "query", "keys": ["a", "b", "a"], "aggregate": "SUM",
+              "constraint": 1.0}, "keys must be distinct"),
+            ({"op": "query", "keys": [1, 1.0], "aggregate": "MAX"},
+             "keys must be distinct"),
+            ({"op": "query", "keys": [1, True], "aggregate": "avg"},
+             "keys must be distinct"),  # generic path
+            ({"op": "snapshot", "keys": ["a", "a"]}, "keys must be distinct"),
         ],
     )
     def test_fast_parse_error_parity(self, frame, match):

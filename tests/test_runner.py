@@ -116,7 +116,6 @@ class TestPlanRegistry:
             "figure10_13",
             "section44",
             "section45",
-            "sharded_scaling",
             "ablations",
         } == set(plan_registry())
 
@@ -125,9 +124,3 @@ class TestPlanRegistry:
             plan = factory()
             assert plan.experiment_id == experiment_id
             assert len(plan.subruns) >= 2
-
-    def test_sharded_scaling_shards_flag_narrows_the_sweep(self):
-        from repro.experiments import sharded_scaling
-
-        plan = sharded_scaling.plan(shards=8)
-        assert [subrun.label for subrun in plan.subruns] == ["shards=8"]

@@ -629,36 +629,7 @@ class TestCacheServer:
 
         run(scenario())
 
-    def test_sharded_server_routes_to_shards(self):
-        async def scenario():
-            server = _server(shards=4)
-            keys = [f"host-{i}" for i in range(16)]
-            values = {key: float(i) for i, key in enumerate(keys)}
-
-            async def answer(frame):
-                return {"value": values[frame["key"]]}
-
-            feeder = await Client.from_transport(server.connect(), on_request=answer)
-            await feeder.request(
-                "register", keys=keys, values=[float(i) for i in range(16)]
-            )
-            client = await Client.from_transport(server.connect())
-            await client.request(
-                "query", keys=keys, aggregate="SUM", constraint=0.0, time=1.0
-            )
-            stats = await client.request("stats")
-            assert stats["cached_entries"] == 16
-            assert len(stats["shard_hit_rates"]) == 4
-            assert server.cache.shard_count == 4
-            await feeder.close()
-            await client.close()
-            await server.close()
-
-        run(scenario())
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            _server(shards=0)
         with pytest.raises(ValueError):
             _server(max_inflight_queries=0)
 

@@ -91,13 +91,6 @@ class TestDeterministicEquivalence:
         report = _online(config, trace, _policy())
         _assert_equivalent(report, offline)
 
-    def test_sharded_server(self):
-        trace, config = _config(shards=4)
-        offline = _offline(trace, config, _policy())
-        report = _online(config, trace, _policy(), shards=4)
-        _assert_equivalent(report, offline)
-        assert len(report.server_stats["shard_hit_rates"]) == 4
-
     def test_capacity_bounded_cache(self):
         trace, config = _config(cache_capacity=HOSTS // 2)
         offline = _offline(trace, config, _policy())

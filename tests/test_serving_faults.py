@@ -537,6 +537,119 @@ class TestRejectedRequests:
         run(scenario())
 
 
+    @FRONT_DOORS
+    @pytest.mark.parametrize(
+        "op, fields",
+        [
+            ("query", {"keys": ["a", ["b"]], "aggregate": "SUM"}),
+            ("query", {"keys": [["a"]], "aggregate": "MAX"}),
+            ("query", {"keys": ["a", {"b": 1}], "aggregate": "SUM"}),
+            ("update", {"key": ["a"], "value": 11.0}),
+            ("update_batch", {"updates": [["a", 11.0], [["b"], 21.0]]}),
+            ("register", {"keys": [["c"]], "values": [1.0], "feeder": "f-c"}),
+            ("snapshot", {"keys": ["a", ["b"]]}),
+        ],
+        ids=[
+            "query-nested",
+            "query-only",
+            "query-object",
+            "update",
+            "update_batch",
+            "register",
+            "snapshot",
+        ],
+    )
+    def test_unhashable_key_changes_no_state(self, partitions, op, fields, tmp_path):
+        # An unhashable key must be rejected before the WAL logs the op: a
+        # logged one fails again on every restart, bricking the partition.
+        async def scenario():
+            front, servers = await _front_door(partitions, tmp_path)
+            feeder, _ = await _feeder_client(front, {"a": 10.0, "b": 20.0})
+            querier = await Client.from_transport(front.connect())
+            await querier.request(
+                "query", keys=["a", "b"], aggregate="SUM", constraint=100.0, time=1.0
+            )
+            before = await querier.request("stats")
+            if op.startswith("update"):
+                sender = feeder
+            elif op == "snapshot":
+                # A partition op: the gateway sends it, so go to a partition.
+                sender = await Client.from_transport(servers[0].connect())
+            else:
+                sender = querier
+            with pytest.raises(RequestRejected, match="key must be a string"):
+                await sender.request(op, time=2.0, **fields)
+            after = await querier.request("stats")
+            for name in ("hits", "misses", "wal_records", "value_refreshes"):
+                assert after[name] == before[name], name
+            assert before["wal_records"] > 0
+            if sender not in (feeder, querier):
+                await sender.close()
+            await querier.close()
+            await feeder.close()
+            await _close_front_door(front, servers)
+            await _assert_partitions_recover(tmp_path, len(servers), ["a", "b"])
+
+        run(scenario())
+
+    @FRONT_DOORS
+    @pytest.mark.parametrize(
+        "keys",
+        [["a", "a", "b"], [1, 1.0], ["b", 1, True]],
+        ids=["repeat", "int-float", "int-bool"],
+    )
+    def test_repeated_key_is_rejected_live_and_degraded(
+        self, partitions, keys, tmp_path
+    ):
+        # A repeated key would count its hit twice while the feeder is live,
+        # and its widened interval twice once the feeder is down.
+        async def scenario():
+            front, servers = await _front_door(partitions, tmp_path)
+            feeder, _ = await _feeder_client(front, {"a": 10.0, "b": 20.0, 1: 30.0})
+            querier = await Client.from_transport(front.connect())
+            await querier.request(
+                "query", keys=["a", "b", 1], aggregate="SUM", constraint=100.0, time=1.0
+            )
+            for live in (True, False):
+                if not live:
+                    await feeder.close()
+                    await asyncio.sleep(0.01)
+                before = await querier.request("stats")
+                for aggregate in ("SUM", "AVG", "MAX"):
+                    with pytest.raises(RequestRejected, match="keys must be distinct"):
+                        await querier.request(
+                            "query",
+                            keys=keys,
+                            aggregate=aggregate,
+                            constraint=1.0,
+                            time=2.0,
+                        )
+                if partitions is None:
+                    with pytest.raises(RequestRejected, match="keys must be distinct"):
+                        await querier.request(
+                            "snapshot", keys=keys, constraint=1.0, time=2.0
+                        )
+                after = await querier.request("stats")
+                for name in ("hits", "misses", "wal_records", "query_refreshes"):
+                    assert after[name] == before[name], (live, name)
+            await querier.close()
+            await _close_front_door(front, servers)
+            await _assert_partitions_recover(tmp_path, len(servers), ["a", "b", 1])
+
+        run(scenario())
+
+
+async def _assert_partitions_recover(directory, partitions, keys):
+    """Every partition directory under ``directory`` replays into a fresh
+    server, and together they hold exactly the registered ``keys``."""
+    recovered_keys = set()
+    for index in range(partitions):
+        recovered = _server(durability=PartitionDurability(directory / f"p{index}"))
+        recovered_keys.update(recovered.sources)
+        await recovered.close()
+    assert recovered_keys == set(keys)
+
+
 # ----------------------------------------------------------------------
 # Chaos replays: containment under fire, bit-identity without it
 # ----------------------------------------------------------------------
