@@ -53,7 +53,7 @@ from repro.serving.protocol import (
     ProtocolError,
     QueryRequest,
     Refresh,
-    RefreshValue,
+    RefreshValues,
     RegisterAck,
     RegisterFeeder,
     MetricsRequest,
@@ -386,17 +386,25 @@ class Client:
 def _refresh_responder(
     on_refresh: RefreshHandler,
 ) -> Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]:
-    """Adapt a value-returning refresh callback into a frame handler."""
+    """Adapt a value-returning refresh callback into a frame handler.
+
+    The callback answers the frame's keys one at a time, in order; a key
+    it does not own ends the reply with the answered prefix.
+    """
 
     async def respond(frame: Dict[str, Any]) -> Dict[str, Any]:
+        values = []
         try:
-            request = Refresh.from_wire(frame)
-            value = on_refresh(request.key)
-            if inspect.isawaitable(value):
-                value = await value
+            for key in Refresh.from_wire(frame).keys:
+                value = on_refresh(key)
+                if inspect.isawaitable(value):
+                    value = await value
+                values.append(float(value))
         except (KeyError, ProtocolError) as exc:
-            return error_response(frame.get("id"), f"unknown key: {exc}")
-        return RefreshValue(value=float(value)).to_wire()
+            reply = error_response(frame.get("id"), f"unknown key: {exc}")
+            reply["values"] = values
+            return reply
+        return RefreshValues(values=values).to_wire()
 
     return respond
 

@@ -577,15 +577,27 @@ class GatewayServer(BaseFrameServer):
         return link
 
     def _refresh_forwarder(self, connection: _Connection):
-        """The upstream link's handler: partition refresh RPC -> feeder."""
+        """The upstream link's handler: partition refresh RPC -> feeder.
+
+        Forwards the frame's keys as one frame to the feeder and answers
+        with the values up to the first key the feeder failed, like a
+        feeder answering directly.
+        """
 
         async def forward(frame: Dict[str, Any]) -> Dict[str, Any]:
-            key = frame.get("key")
-            try:
-                value = await self._refresh_rpc(connection, key)
-            except ConnectionResetError as exc:
-                return error_response(frame.get("id"), str(exc))
-            return {"value": value}
+            outcomes = await self._refresh_rpcs(
+                [(connection, key) for key in frame["keys"]]
+            )
+            values = []
+            for outcome in outcomes:
+                if isinstance(outcome, ConnectionResetError):
+                    reply = error_response(frame.get("id"), str(outcome))
+                    reply["values"] = values
+                    return reply
+                if isinstance(outcome, Exception):
+                    raise outcome
+                values.append(outcome)
+            return {"values": values}
 
         return forward
 

@@ -31,7 +31,10 @@ Operations (see ``docs/SERVING.md`` for the full schemas):
     Metrics-registry snapshot (``repro.obs``); the gateway merges the
     per-partition snapshots it fetches with this op into its own.
 ``refresh``
-    Server-to-feeder: fetch the current exact value of one owned key.
+    Server-to-feeder: fetch the current exact values of owned ``keys``.
+    A query's refresh batch is one frame per owner connection, answered
+    by one ``values`` list in key order; a feeder that cannot answer a key
+    stops there and replies ``ok: false`` with the answered prefix.
 ``snapshot`` / ``refresh_key``
     Gateway-to-partition internals: read a partition's cached intervals
     for a query (counting hits exactly as a local query would) and
@@ -40,10 +43,14 @@ Operations (see ``docs/SERVING.md`` for the full schemas):
 
 Every operation has a **typed message class** (frozen dataclasses below)
 with ``to_wire()`` / ``from_wire()`` codecs.  The dataclasses are the API;
-the dicts are the wire.  The codecs reproduce the historical dict layouts
-*byte for byte* — field order, conditional omission, and all — which is
-pinned by the golden-frame test (``tests/test_protocol_typed.py``) so the
-typed redesign cannot silently change what goes on the wire.
+the dicts are the wire.  Every codec's dict layout — field order,
+conditional omission, and all — is pinned *byte for byte* by the
+golden-frame test (``tests/test_protocol_typed.py``), so a codec change
+cannot silently change what goes on the wire.
+
+Decoding rejects, before any server state is read: a non-finite ``time``
+stamp, a negative or ``NaN`` constraint, an unhashable key, a repeated
+query or snapshot key, and a ``NaN`` source value.
 """
 
 from __future__ import annotations
@@ -130,8 +137,22 @@ def _keys(keys: Any, distinct: bool = False) -> Tuple[Hashable, ...]:
     return keys
 
 
-def _check_update_keys(updates: Tuple[Tuple[Hashable, float], ...]) -> None:
-    """Check that every key of ``(key, value)`` pairs is a valid :func:`_key`.
+def _value(value: Any) -> float:
+    """A source value as a float, never ``NaN``.
+
+    A ``NaN`` value fails interval construction when it is applied — after
+    a durable server had already logged the op, so recovery would replay
+    the same failure.  Decoding rejects it before any state is read.
+    ``±Infinity`` stays accepted.
+    """
+    value = float(value)
+    if value != value:
+        raise ProtocolError("a value must be a number, got NaN")
+    return value
+
+
+def _check_updates(updates: Tuple[Tuple[Hashable, float], ...]) -> None:
+    """Check float ``(key, value)`` pairs: every key a :func:`_key`, no ``NaN``.
 
     Hashing the whole tuple checks every key in one C-level pass; a key may
     repeat across pairs (later values win, in order).
@@ -141,6 +162,9 @@ def _check_update_keys(updates: Tuple[Tuple[Hashable, float], ...]) -> None:
     except TypeError:
         for key, _ in updates:
             _key(key)
+    for _, value in updates:
+        if value != value:
+            raise ProtocolError("a value must be a number, got NaN")
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
@@ -267,7 +291,7 @@ class RegisterFeeder(Request):
         feeder = frame.get("feeder")
         return cls(
             keys=_keys(keys),
-            values=tuple(values),
+            values=tuple(_value(value) for value in values),
             feeder=None if feeder is None else str(feeder),
             resync=bool(frame.get("resync")),
             time=_stamp(frame),
@@ -297,7 +321,7 @@ class Update(Request):
             value = frame["value"]
         except KeyError as exc:
             raise ProtocolError(f"update frame missing {exc}") from None
-        return cls(key=_key(key), value=float(value), time=_stamp(frame))
+        return cls(key=_key(key), value=_value(value), time=_stamp(frame))
 
 
 @dataclass(frozen=True)
@@ -332,7 +356,7 @@ class UpdateBatch(Request):
             updates=tuple((key, value) for key, value in updates),
             time=_stamp(frame),
         )
-        _check_update_keys(request.updates)
+        _check_updates(request.updates)
         return request
 
 
@@ -410,21 +434,29 @@ class MetricsRequest(Request):
 
 @dataclass(frozen=True)
 class Refresh(Request):
-    """Server-to-feeder: fetch the current exact value of one owned key."""
+    """Server-to-feeder: fetch the current exact values of owned keys.
+
+    One frame carries every key of a query's refresh batch that the
+    receiving feeder owns, in selection order.
+    """
 
     OP: ClassVar[str] = "refresh"
 
-    key: Hashable
+    keys: Tuple[Hashable, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
 
     def wire_fields(self) -> Dict[str, Any]:
-        return {"key": self.key}
+        return {"keys": list(self.keys)}
 
     @classmethod
     def from_wire(cls, frame: Dict[str, Any]) -> "Refresh":
         try:
-            return cls(key=_key(frame["key"]))
+            keys = frame["keys"]
         except KeyError as exc:
             raise ProtocolError(f"refresh frame missing {exc}") from None
+        return cls(keys=_keys(keys))
 
 
 @dataclass(frozen=True)
@@ -615,20 +647,40 @@ class BoundedAnswer(Response):
 
 
 @dataclass(frozen=True)
-class RefreshValue(Response):
-    """A feeder's reply to ``refresh``: the current exact value."""
+class RefreshValues(Response):
+    """A feeder's reply to ``refresh``: exact values, in the frame's key order.
 
-    value: float
+    A feeder answers keys in order and stops at the first it cannot
+    answer: its reply is then ``{ok: false, error, values: [answered
+    prefix]}``.  A reply without ``values`` answered no key.
+    """
+
+    values: Tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
 
     def wire_fields(self) -> Dict[str, Any]:
-        return {"value": self.value}
+        return {"values": list(self.values)}
 
     @classmethod
-    def from_wire(cls, frame: Dict[str, Any]) -> "RefreshValue":
-        try:
-            return cls(value=float(frame["value"]))
-        except KeyError as exc:
-            raise ProtocolError(f"refresh reply missing {exc}") from None
+    def from_wire(cls, frame: Dict[str, Any]) -> "RefreshValues":
+        values = frame.get("values")
+        if values is None:
+            return cls(values=())
+        if type(values) is not list:
+            raise ProtocolError(f"refresh values must be a list, got {values!r}")
+        for value in values:
+            # ``type`` identity, so bool (a JSON ``true``) is not a number.
+            if type(value) not in (int, float) or value != value:
+                raise ProtocolError(
+                    f"a refresh value must be a number, got {value!r}"
+                )
+        # Built through ``__new__``: the values are already a fresh tuple,
+        # and this runs once per refresh frame on every server.
+        message = cls.__new__(cls)
+        object.__setattr__(message, "values", tuple(map(float, values)))
+        return message
 
 
 @dataclass(frozen=True)
@@ -751,7 +803,7 @@ def parse_request(frame: Dict[str, Any]) -> Optional[Request]:
             except (TypeError, ValueError):
                 pairs = None
             if pairs is not None:
-                _check_update_keys(pairs)
+                _check_updates(pairs)
                 request = UpdateBatch.__new__(UpdateBatch)
                 set_field = object.__setattr__
                 set_field(request, "updates", pairs)

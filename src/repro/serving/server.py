@@ -19,8 +19,9 @@ around the events is a real server:
   in the hit rate, as offline) and the shared refresh-selection logic runs
   asynchronously (:mod:`repro.serving.execution`); each selected refresh is
   an RPC *back to the owning feeder connection*, awaited without blocking
-  other connections.  A SUM/AVG query's refresh RPCs are sent together and
-  awaited as one batch, then installed in selection order.
+  other connections.  A SUM/AVG query's refresh RPCs are sent together,
+  one ``refresh`` frame per owning feeder, awaited as one batch, then
+  installed in selection order.
 * **Admission control** keeps overload graceful: at most
   ``max_inflight_queries`` queries execute concurrently, at most
   ``admission_queue_limit`` more may wait, and anything beyond that is
@@ -87,6 +88,7 @@ from repro.serving.protocol import (
     Recovered,
     Refresh,
     RefreshKey,
+    RefreshValues,
     RegisterAck,
     RegisterFeeder,
     Response,
@@ -128,7 +130,7 @@ _STATS_COUNTER_METRICS: Tuple[Tuple[str, str, str], ...] = (
     ("query_refreshes", "repro_query_refreshes_total", "Query-initiated refreshes installed."),
     ("queries_served", "repro_queries_served_total", "Bounded queries answered."),
     ("queries_rejected", "repro_queries_rejected_total", "Queries rejected by admission control."),
-    ("refresh_rpcs", "repro_refresh_rpcs_total", "Refresh RPCs issued to feeders."),
+    ("refresh_rpcs", "repro_refresh_rpcs_total", "Keys fetched by refresh RPCs."),
     ("refreshes_failed", "repro_refreshes_failed_total", "Refresh RPCs that failed or timed out."),
     ("queries_degraded", "repro_queries_degraded_total", "Queries answered with widened intervals."),
     ("stale_epoch_rejections", "repro_stale_epoch_rejections_total", "Frames fenced off as stale feeder epochs."),
@@ -512,36 +514,36 @@ class BaseFrameServer:
     # ------------------------------------------------------------------
     # Server-initiated refresh RPCs
     # ------------------------------------------------------------------
-    async def _refresh_rpc(self, owner: _Connection, key: Hashable) -> float:
-        """One refresh RPC: the one-element :meth:`_refresh_rpcs` call."""
-        (outcome,) = await self._refresh_rpcs([(owner, key)])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
     async def _refresh_rpcs(
         self, requests: Sequence[Tuple[_Connection, Hashable]]
     ) -> List[Union[float, Exception]]:
-        """Pipelined refresh RPCs: one round trip for every ``(owner, key)``.
+        """Pipelined refresh RPCs: one ``refresh`` frame per owner connection.
 
-        Registers every reply future, sends every ``refresh`` frame, then
-        awaits the replies under one ``refresh_timeout`` deadline taken
-        after the sends — the bound each RPC had when they were awaited one
-        by one, since they all leave together.  Returns one outcome per
-        request, in request order: the exact value, or the exception that
-        RPC failed with (``ConnectionResetError`` for a lost, rejected or
-        timed-out refresh).  Every future's result is read and every
-        ``pending`` entry popped, whatever happens, so nothing is left
-        unretrieved.
+        Groups the ``(owner, key)`` requests by owner, in order of each
+        owner's first key, registers one reply future per frame, sends
+        every frame, then awaits the replies under one ``refresh_timeout``
+        deadline taken after the sends.  Returns one outcome per request,
+        in request order: the exact value, or the exception that key's RPC
+        failed with — ``ConnectionResetError`` for a lost, timed-out or
+        unanswered key (a feeder answers a prefix of its frame's keys),
+        ``ValueError`` for every key of a malformed reply.  Every future's
+        result is read and every ``pending`` entry popped, whatever
+        happens, so nothing is left unretrieved.
         """
         loop = asyncio.get_running_loop()
-        issued: List[Tuple[_Connection, Hashable, int, asyncio.Future]] = []
-        for owner, key in requests:
+        by_owner: Dict[_Connection, List[int]] = {}
+        for index, (owner, _) in enumerate(requests):
+            by_owner.setdefault(owner, []).append(index)
+        self.statistics.refresh_rpcs += len(requests)
+        issued: List[
+            Tuple[_Connection, List[Hashable], List[int], int, asyncio.Future]
+        ] = []
+        for owner, indices in by_owner.items():
+            keys = [requests[index][1] for index in indices]
             rpc_id = next(owner.rpc_ids)
             future = loop.create_future()
             owner.pending[rpc_id] = future
-            issued.append((owner, key, rpc_id, future))
-            self.statistics.refresh_rpcs += 1
+            issued.append((owner, keys, indices, rpc_id, future))
             if TRACER.enabled:
                 # The RPC id is the frame position on the server-initiated
                 # direction of this connection — deterministic like frames
@@ -550,38 +552,55 @@ class BaseFrameServer:
                     "refresh_rpc",
                     conn=owner.ordinal,
                     frame=f"r{rpc_id}",
-                    key=repr(key),
+                    keys=[repr(key) for key in keys],
                 )
         timeout = self._refresh_timeout
 
         def expire() -> None:
-            for _, key, _, future in issued:
+            for _, keys, _, _, future in issued:
                 if not future.done():
                     future.set_exception(
                         ConnectionResetError(
-                            f"refresh of {key!r} timed out after "
+                            f"refresh of {keys!r} timed out after "
                             f"{timeout:g}s (unresponsive feeder)"
                         )
                     )
 
         deadline = None
         try:
-            for owner, key, rpc_id, _ in issued:
-                await owner.send(Refresh(key=key).to_wire(rpc_id))
+            for owner, keys, _, rpc_id, _ in issued:
+                await owner.send(Refresh(keys=keys).to_wire(rpc_id))
             if timeout is not None:
                 deadline = loop.call_later(timeout, expire)
-            outcomes: List[Union[float, Exception]] = []
-            for _, _, _, future in issued:
+            outcomes: List[Any] = [None] * len(requests)
+            for _, keys, indices, _, future in issued:
+                error: Optional[Exception] = None
                 try:
-                    outcome = float(await future)
-                except (ConnectionResetError, TypeError, ValueError) as exc:
-                    outcome = exc
-                outcomes.append(outcome)
+                    reply = await future
+                    values = RefreshValues.from_wire(reply).values
+                    if len(values) > len(keys):
+                        raise ProtocolError(
+                            f"{len(values)} refresh values for {len(keys)} keys"
+                        )
+                except ConnectionResetError as exc:
+                    values, error = (), exc
+                except ProtocolError as exc:
+                    values, error = (), ValueError(f"malformed refresh reply: {exc}")
+                for index, value in zip(indices, values):
+                    outcomes[index] = value
+                if len(values) < len(keys):
+                    if error is None:
+                        error = ConnectionResetError(
+                            "refresh rejected by feeder: "
+                            f"{reply.get('error', 'no value')}"
+                        )
+                    for index in indices[len(values) :]:
+                        outcomes[index] = error
             return outcomes
         finally:
             if deadline is not None:
                 deadline.cancel()
-            for owner, _, rpc_id, future in issued:
+            for owner, _, _, rpc_id, future in issued:
                 owner.pending.pop(rpc_id, None)
                 if not future.done():
                     future.cancel()
@@ -595,21 +614,14 @@ class BaseFrameServer:
         if future is None or future.done():
             return
         if self._connection_fenced(connection):
-            # A reconnect superseded this session mid-RPC; its value may
+            # A reconnect superseded this session mid-RPC; its values may
             # predate the resync and must not be trusted as exact.
             self.statistics.stale_epoch_rejections += 1
             future.set_exception(
                 ConnectionResetError("refresh answered by a stale feeder epoch")
             )
             return
-        if frame.get("ok", True) and "value" in frame:
-            future.set_result(frame["value"])
-        else:
-            future.set_exception(
-                ConnectionResetError(
-                    f"refresh rejected by feeder: {frame.get('error', 'no value')}"
-                )
-            )
+        future.set_result(frame)
 
 
 class CacheServer(BaseFrameServer):

@@ -29,6 +29,7 @@ from repro.serving.durability import (
 )
 from repro.serving.errors import UnrecoverablePartition
 from repro.serving.server import CacheServer
+from refresh_feeder import refresh_answerer
 
 
 def run(coroutine):
@@ -400,11 +401,9 @@ async def _drive(directory, checkpoint_every, operations):
         durability=durability,
     )
     values = {"a": 0.0, "b": 5.0, "c": -3.0}
-
-    async def answer(frame):
-        return {"value": values[frame["key"]]}
-
-    feeder = await Client.from_transport(server.connect(), on_request=answer)
+    feeder = await Client.from_transport(
+        server.connect(), on_request=refresh_answerer(values)
+    )
     client = await Client.from_transport(server.connect())
     await feeder.request(
         "register", keys=list(values), values=list(values.values()), feeder="f"

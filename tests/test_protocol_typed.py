@@ -22,7 +22,7 @@ from repro.serving.protocol import (
     Recovered,
     Refresh,
     RefreshKey,
-    RefreshValue,
+    RefreshValues,
     RegisterAck,
     RegisterFeeder,
     Snapshot,
@@ -111,8 +111,8 @@ class TestGoldenFrames:
         )
 
     def test_refresh(self):
-        assert encode_frame(Refresh(key="h2").to_wire(11)) == golden(
-            b'{"op":"refresh","id":11,"key":"h2"}'
+        assert encode_frame(Refresh(keys=("h2", "h5")).to_wire(11)) == golden(
+            b'{"op":"refresh","id":11,"keys":["h2","h5"]}'
         )
 
     def test_recovered(self):
@@ -159,9 +159,9 @@ class TestGoldenFrames:
             b'{"refreshes":4}'
         )
 
-    def test_refresh_value(self):
-        assert encode_frame(RefreshValue(value=7.25).to_wire()) == golden(
-            b'{"value":7.25}'
+    def test_refresh_values(self):
+        assert encode_frame(RefreshValues(values=(7.25, -1.0)).to_wire()) == golden(
+            b'{"values":[7.25,-1.0]}'
         )
 
     def test_float_repr_round_trip(self):
@@ -193,7 +193,7 @@ class TestRoundTrips:
             ),
             QueryRequest(keys=("a",)),
             StatsRequest(),
-            Refresh(key="x"),
+            Refresh(keys=("x", "y")),
             Snapshot(keys=("a", "b"), constraint=10.0, time=2.0),
             RefreshKey(key="a", time=2.0),
             Recovered(),
@@ -218,7 +218,7 @@ class TestRoundTrips:
                 degraded=True,
                 degraded_keys=("a", "b"),
             ),
-            RefreshValue(value=3.5),
+            RefreshValues(values=(3.5, 1.0)),
             SnapshotReply(intervals=((1.0, 2.0), (0.0, 4.0)), hits=1),
             SnapshotReply(
                 intervals=((1.0, 2.0),),
@@ -258,6 +258,19 @@ class TestValidation:
     def test_query_unknown_aggregate(self):
         with pytest.raises(ProtocolError, match="unknown aggregate"):
             parse_request({"op": "query", "keys": ["a"], "aggregate": "MEDIAN"})
+
+    def test_refresh_values_without_values_answer_no_key(self):
+        frame = {"id": 3, "ok": False, "error": "unknown key: 'a'"}
+        assert RefreshValues.from_wire(frame) == RefreshValues(values=())
+
+    @pytest.mark.parametrize(
+        "values",
+        [7.0, {"a": 7.0}, [7.0, "8.0"], [True], [7.0, math.nan]],
+        ids=["number", "object", "string", "bool", "nan"],
+    )
+    def test_refresh_values_must_be_a_list_of_numbers(self, values):
+        with pytest.raises(ProtocolError, match="refresh value"):
+            RefreshValues.from_wire({"id": 3, "values": values})
 
 
 class TestFastPath:
@@ -340,7 +353,7 @@ class TestFastPath:
              "key must be a string or number"),
             ({"op": "refresh_key", "key": {"a": 1}},
              "key must be a string or number"),
-            ({"op": "refresh", "key": ["a"]},
+            ({"op": "refresh", "keys": ["a", ["b"]]},
              "key must be a string or number"),
             # A query or snapshot key may not repeat, by Python equality.
             ({"op": "query", "keys": ["a", "b", "a"], "aggregate": "SUM",
@@ -350,6 +363,14 @@ class TestFastPath:
             ({"op": "query", "keys": [1, True], "aggregate": "avg"},
              "keys must be distinct"),  # generic path
             ({"op": "snapshot", "keys": ["a", "a"]}, "keys must be distinct"),
+            # A NaN source value is never accepted, in any op carrying values.
+            ({"op": "update_batch", "updates": [["a", 1.0], ["b", math.nan]]},
+             "got NaN"),
+            ({"op": "update_batch", "updates": (("b", math.nan),)},
+             "got NaN"),  # generic path
+            ({"op": "update", "key": "a", "value": math.nan}, "got NaN"),
+            ({"op": "register", "keys": ["a", "b"], "values": [1.0, math.nan]},
+             "got NaN"),
         ],
     )
     def test_fast_parse_error_parity(self, frame, match):

@@ -6,10 +6,13 @@ import math
 import pytest
 
 from repro.intervals.interval import UNBOUNDED, Interval
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import configure_tracer
 from repro.queries.aggregates import AggregateKind
 from repro.queries.refresh_selection import execute_bounded_query
 from repro.serving.execution import execute_bounded_query_async
 from repro.serving.api import Client
+from repro.serving.errors import RequestRejected
 from repro.serving.loadgen import LoadgenReport, percentile
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
@@ -24,6 +27,7 @@ from repro.serving.server import CacheServer
 from repro.serving.transport import loopback_pair
 from repro.caching.policies.base import PrecisionDecision
 from repro.caching.policies.static import StaticWidthPolicy
+from refresh_feeder import refresh_answerer, refresh_reply
 
 
 def run(coroutine):
@@ -269,11 +273,9 @@ class TestCacheServer:
         async def scenario():
             server = _server()
             feeder_values = {"a": 10.0, "b": 20.0}
-
-            async def answer(frame):
-                return {"value": feeder_values[frame["key"]]}
-
-            feeder = await Client.from_transport(server.connect(), on_request=answer)
+            feeder = await Client.from_transport(
+                server.connect(), on_request=refresh_answerer(feeder_values)
+            )
             client = await Client.from_transport(server.connect())
             await feeder.request("register", keys=["a", "b"], values=[10.0, 20.0])
             # Nothing cached yet: the first tight query misses and refreshes.
@@ -302,12 +304,9 @@ class TestCacheServer:
     def test_update_escaping_interval_triggers_value_refresh(self):
         async def scenario():
             server = _server()
-            values = {"a": 0.0}
-
-            async def answer(frame):
-                return {"value": values[frame["key"]]}
-
-            feeder = await Client.from_transport(server.connect(), on_request=answer)
+            feeder = await Client.from_transport(
+                server.connect(), on_request=refresh_answerer({"a": 0.0})
+            )
             client = await Client.from_transport(server.connect())
             await feeder.request("register", keys=["a"], values=[0.0])
             await client.request(
@@ -366,11 +365,9 @@ class TestCacheServer:
 
         async def scenario():
             server = _server()
-
-            async def answer(frame):
-                return {"value": 30.0}
-
-            first = await Client.from_transport(server.connect(), on_request=answer)
+            first = await Client.from_transport(
+                server.connect(), on_request=refresh_answerer({"a": 30.0})
+            )
             await first.request("register", keys=["a"], values=[10.0])
             await first.request("update", key="a", value=30.0, time=500.0)
             client = await Client.from_transport(server.connect())
@@ -403,11 +400,9 @@ class TestCacheServer:
 
         async def scenario():
             server = _server()
-
-            async def answer(frame):
-                return {"value": 42.0}
-
-            peer = await Client.from_transport(server.connect(), on_request=answer)
+            peer = await Client.from_transport(
+                server.connect(), on_request=refresh_answerer({"a": 42.0})
+            )
             await peer.request("register", keys=["a"], values=[42.0])
             response = await asyncio.wait_for(
                 peer.request(
@@ -511,7 +506,7 @@ class TestCacheServer:
 
             async def slow_answer(frame):
                 await gate.wait()
-                return {"value": 0.0}
+                return refresh_reply({"a": 0.0}, frame)
 
             feeder = await Client.from_transport(
                 server.connect(), on_request=slow_answer
@@ -706,11 +701,11 @@ class TestPipelinedRefreshes:
             )
             refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
             refresh_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
-            assert (refresh_a["key"], refresh_b["key"]) == ("a", "b")
-            await feeder_b.write_frame({"id": refresh_b["id"], "value": 20.0})
+            assert (refresh_a["keys"], refresh_b["keys"]) == (["a"], ["b"])
+            await feeder_b.write_frame(refresh_reply({"b": 20.0}, refresh_b))
             await asyncio.sleep(0.01)
             assert not query.done()
-            await feeder_a.write_frame({"id": refresh_a["id"], "value": 7.0})
+            await feeder_a.write_frame(refresh_reply({"a": 7.0}, refresh_a))
             response = await asyncio.wait_for(query, timeout=2.0)
             assert response["refreshed"] == ["a", "b"]
             assert response["low"] == response["high"] == 27.0
@@ -744,7 +739,7 @@ class TestPipelinedRefreshes:
         run(scenario())
 
     def test_sum_victims_arrive_together(self):
-        """A SUM query's k refresh frames all reach the feeder unanswered."""
+        """A SUM query's k victims reach their feeder as one frame."""
 
         async def scenario():
             server = _server()
@@ -757,13 +752,14 @@ class TestPipelinedRefreshes:
                     "query", keys=keys, aggregate="SUM", constraint=0.0, time=1.0
                 )
             )
-            frames = [
-                await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
-                for _ in keys
-            ]
-            assert [frame["key"] for frame in frames] == keys
-            for frame, value in zip(frames, values):
-                await feeder.write_frame({"id": frame["id"], "value": value})
+            frame = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
+            assert frame["op"] == "refresh"
+            assert frame["keys"] == keys
+            following = asyncio.ensure_future(feeder.read_frame())
+            await asyncio.sleep(0.01)
+            assert not following.done()
+            following.cancel()
+            await feeder.write_frame(refresh_reply(dict(zip(keys, values)), frame))
             response = await asyncio.wait_for(query, timeout=2.0)
             assert response["refreshed"] == keys
             assert response["low"] == response["high"] == 10.0
@@ -774,7 +770,8 @@ class TestPipelinedRefreshes:
         run(scenario())
 
     def test_max_victims_arrive_one_at_a_time(self):
-        """A MAX victim depends on the values before it: one frame per step."""
+        """A MAX victim depends on the values before it: one single-key
+        frame per step."""
 
         async def scenario():
             server = _server()
@@ -792,16 +789,14 @@ class TestPipelinedRefreshes:
             seen = []
             for _ in keys:
                 frame = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
-                seen.append(frame["key"])
+                seen.append(frame["keys"])
                 following = asyncio.ensure_future(feeder.read_frame())
                 await asyncio.sleep(0.01)
                 assert not following.done()
                 following.cancel()
-                await feeder.write_frame(
-                    {"id": frame["id"], "value": values[frame["key"]]}
-                )
+                await feeder.write_frame(refresh_reply(values, frame))
             response = await asyncio.wait_for(query, timeout=2.0)
-            assert seen == keys
+            assert seen == [[key] for key in keys]
             assert response["low"] == response["high"] == 3.0
             await querier.close()
             feeder.close()
@@ -833,10 +828,10 @@ class TestPipelinedRefreshes:
             await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
             refresh_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
             feeder_a.close()
-            await feeder_b.write_frame({"id": refresh_b["id"], "value": 20.0})
+            await feeder_b.write_frame(refresh_reply({"b": 20.0}, refresh_b))
             retry_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
-            assert retry_b["key"] == "b"
-            await feeder_b.write_frame({"id": retry_b["id"], "value": 20.0})
+            assert retry_b["keys"] == ["b"]
+            await feeder_b.write_frame(refresh_reply({"b": 20.0}, retry_b))
             response = await asyncio.wait_for(query, timeout=2.0)
             assert response["degraded_keys"] == ["a"]
             assert response["refreshed"] == ["b"]
@@ -874,7 +869,7 @@ class TestPipelinedRefreshes:
             )
             refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
             await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
-            await feeder_a.write_frame({"id": refresh_a["id"], "value": 7.0})
+            await feeder_a.write_frame(refresh_reply({"a": 7.0}, refresh_a))
             response = await asyncio.wait_for(query, timeout=2.0)
             assert response["degraded"] is True
             assert response["degraded_keys"] == ["b"]
@@ -910,7 +905,7 @@ class TestPipelinedRefreshes:
                 )
             )
             refresh = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
-            await feeder.write_frame({"id": refresh["id"], "value": 7.0})
+            await feeder.write_frame(refresh_reply({"a": 7.0}, refresh))
             await feeder.write_frame(
                 {"op": "update", "id": 2, "key": "a", "value": 100.0, "time": 2.0}
             )
@@ -925,6 +920,229 @@ class TestPipelinedRefreshes:
             assert qr["v"] == 100.0
 
         run(scenario())
+
+    def test_feeder_failing_mid_frame_installs_the_answered_prefix(self, tmp_path):
+        """A feeder that cannot answer key 3 of 5 replies with keys 1-2.
+
+        The client's responder stops at the KeyError for c and replies
+        ``ok: false`` with the values of a and b.  Those two install and
+        log; c fails the feeder (one failed refresh, fenced), so the retry
+        pass answers every key of the feeder degraded, c, d and e from
+        their never-updated mirrors: [15, 15].
+        """
+
+        async def scenario():
+            server = _server(durability=PartitionDurability(tmp_path))
+            values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
+            answers = {key: values[key] for key in ("a", "b", "d", "e")}
+            feeder = await Client.from_transport(
+                server.connect(), on_refresh=answers.__getitem__
+            )
+            await feeder.register(list(values), list(values.values()), feeder="f0")
+            querier = await Client.from_transport(server.connect())
+            response = await querier.request(
+                "query", keys=list(values), aggregate="SUM", constraint=0.0, time=1.0
+            )
+            assert response["refreshed"] == ["a", "b"]
+            assert response["degraded_keys"] == list(values)
+            assert response["low"] == response["high"] == 15.0
+            stats = await querier.request("stats")
+            assert stats["refresh_rpcs"] == 5
+            assert stats["query_refreshes"] == 2
+            assert stats["refreshes_failed"] == 1
+            assert stats["total_cost"] == 4.0
+            await querier.close()
+            await feeder.close()
+            await server.close()
+            qr = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
+            assert [(record["key"], record["v"]) for record in qr] == [
+                ("a", 1.0),
+                ("b", 2.0),
+            ]
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "values",
+        [7.0, [7.0, 20.0, 1.0], [7.0, "20.0"], [7.0, math.nan]],
+        ids=["not-a-list", "too-long", "string", "nan"],
+    )
+    def test_malformed_reply_installs_and_logs_nothing(self, values, tmp_path):
+        """A malformed ``values`` fails every key of its frame with
+        ``ValueError``: the query errors, nothing installs or logs, and the
+        feeder is not fenced."""
+
+        async def scenario():
+            server = _server(durability=PartitionDurability(tmp_path))
+            feeder = await _raw_feeder(server, ["a", "b"], [7.0, 20.0], "feeder-0")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            frame = await asyncio.wait_for(feeder.read_frame(), timeout=2.0)
+            assert frame["keys"] == ["a", "b"]
+            await feeder.write_frame({"id": frame["id"], "values": values})
+            with pytest.raises(RequestRejected, match="malformed refresh reply"):
+                await asyncio.wait_for(query, timeout=2.0)
+            stats = await querier.request("stats")
+            assert stats["query_refreshes"] == 0
+            assert stats["refreshes_failed"] == 0
+            assert stats["total_cost"] == 0.0
+            assert stats["keys_down"] == 0
+            assert server.sources["a"].published_interval is None
+            assert server.sources["b"].published_interval is None
+            await querier.close()
+            feeder.close()
+            await server.close()
+            assert [r for r in _wal_records(tmp_path) if r["k"] == "qr"] == []
+
+        run(scenario())
+
+    def test_batch_split_over_two_owners_installs_in_selection_order(self, tmp_path):
+        """SUM(a, b, c, d) with A owning a, c and B owning b, d.
+
+        The selection takes the unbounded keys in key order, so A's frame
+        carries [a, c] and B's [b, d].  B answers first; installs still run
+        a, b, c, d, so the policy's widths are 10, 20, 30, 40 in that
+        order, and the WAL logs the four ``qr`` records in that order too.
+        """
+
+        async def scenario():
+            policy = _CountingWidthPolicy()
+            server = CacheServer(
+                policy,
+                value_refresh_cost=1.0,
+                query_refresh_cost=2.0,
+                durability=PartitionDurability(tmp_path),
+            )
+            values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+            feeder_a = await _raw_feeder(server, ["a", "c"], [1.0, 3.0], "feeder-a")
+            feeder_b = await _raw_feeder(server, ["b", "d"], [2.0, 4.0], "feeder-b")
+            querier = await Client.from_transport(server.connect())
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query",
+                    keys=list(values),
+                    aggregate="SUM",
+                    constraint=0.0,
+                    time=1.0,
+                )
+            )
+            refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
+            refresh_b = await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            assert (refresh_a["keys"], refresh_b["keys"]) == (["a", "c"], ["b", "d"])
+            await feeder_b.write_frame(refresh_reply(values, refresh_b))
+            await asyncio.sleep(0.01)
+            assert not query.done()
+            await feeder_a.write_frame(refresh_reply(values, refresh_a))
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert response["refreshed"] == ["a", "b", "c", "d"]
+            assert response["low"] == response["high"] == 10.0
+            assert policy.refreshed == ["a", "b", "c", "d"]
+            for width, key in zip((10.0, 20.0, 30.0, 40.0), "abcd"):
+                assert server.sources[key].published_interval == Interval(
+                    values[key] - width / 2, values[key] + width / 2
+                )
+            await querier.close()
+            feeder_a.close()
+            feeder_b.close()
+            await server.close()
+            qr = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
+            assert [record["key"] for record in qr] == ["a", "b", "c", "d"]
+
+        run(scenario())
+
+    def test_one_deadline_covers_every_frame_of_a_batch(self):
+        """B's frame expires at the batch's one deadline, taken at the sends.
+
+        SUM(a, b) sends A's and B's frames together under a 0.4 s deadline.
+        A answers after 0.3 s; B never does.  B's key fails at the 0.4 s
+        mark, not 0.4 s after A's reply (0.7 s): a installs, b answers
+        degraded from its mirror.
+        """
+
+        async def scenario():
+            server = _server(refresh_timeout=0.4)
+            feeder_a = await _raw_feeder(server, ["a"], [7.0], "feeder-a")
+            feeder_b = await _raw_feeder(server, ["b"], [20.0], "feeder-b")
+            querier = await Client.from_transport(server.connect())
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            query = asyncio.ensure_future(
+                querier.request(
+                    "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=1.0
+                )
+            )
+            refresh_a = await asyncio.wait_for(feeder_a.read_frame(), timeout=2.0)
+            await asyncio.wait_for(feeder_b.read_frame(), timeout=2.0)
+            await asyncio.sleep(0.3)
+            await feeder_a.write_frame(refresh_reply({"a": 7.0}, refresh_a))
+            response = await asyncio.wait_for(query, timeout=2.0)
+            assert loop.time() - started < 0.6
+            assert response["refreshed"] == ["a"]
+            assert response["degraded_keys"] == ["b"]
+            assert response["low"] == response["high"] == 27.0
+            assert all(not connection.pending for connection in server._connections)
+            await querier.close()
+            feeder_a.close()
+            feeder_b.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_refresh_rpcs_count_keys_and_trace_one_record_per_frame(self):
+        """SUM(a, b, c) over two owners is two frames but three refresh RPCs:
+        ``refresh_rpcs`` and ``repro_refresh_rpcs_total`` count keys, and the
+        trace holds one ``refresh_rpc`` record per frame, with its keys."""
+
+        async def scenario():
+            server = _server(registry=MetricsRegistry(enabled=True))
+            values = {"a": 1.0, "b": 2.0, "c": 3.0}
+            feeder_a = await Client.from_transport(
+                server.connect(), on_refresh=values.__getitem__
+            )
+            await feeder_a.register(["a", "c"], [1.0, 3.0], feeder="feeder-a")
+            feeder_b = await Client.from_transport(
+                server.connect(), on_refresh=values.__getitem__
+            )
+            await feeder_b.register(["b"], [2.0], feeder="feeder-b")
+            querier = await Client.from_transport(server.connect())
+            response = await querier.request(
+                "query", keys=["a", "b", "c"], aggregate="SUM", constraint=0.0, time=1.0
+            )
+            assert response["refreshed"] == ["a", "b", "c"]
+            stats = await querier.request("stats")
+            snapshot = await querier.metrics()
+            await querier.close()
+            await feeder_a.close()
+            await feeder_b.close()
+            await server.close()
+            return stats, snapshot
+
+        tracer = configure_tracer(role="partition0")
+        try:
+            stats, snapshot = run(scenario())
+            events = [
+                event
+                for event in tracer.recorder.events()
+                if event["name"] == "refresh_rpc"
+            ]
+        finally:
+            configure_tracer(role="proc", enabled=False)
+        assert stats["refresh_rpcs"] == 3
+        assert stats["query_refreshes"] == 3
+        (rpcs,) = [
+            metric["samples"]
+            for metric in snapshot["metrics"]
+            if metric["name"] == "repro_refresh_rpcs_total"
+        ]
+        assert rpcs[0]["value"] == 3.0
+        assert [(event["span"], event["keys"]) for event in events] == [
+            ("partition0:1:r1", ["'a'", "'c'"]),
+            ("partition0:2:r1", ["'b'"]),
+        ]
 
 
 # ----------------------------------------------------------------------

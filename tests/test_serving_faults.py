@@ -44,6 +44,7 @@ from repro.serving.protocol import ProtocolError
 from repro.serving.server import CacheServer
 from repro.serving.transport import loopback_pair
 from repro.simulation.simulator import CacheSimulation
+from refresh_feeder import refresh_answerer
 
 HOSTS = 6
 DURATION = 60
@@ -262,10 +263,9 @@ def _server(**overrides):
 
 async def _feeder_client(server, values, feeder_id="feeder-0", resync=False,
                          time=None):
-    async def answer(frame):
-        return {"value": values[frame["key"]]}
-
-    client = await Client.from_transport(server.connect(), on_request=answer)
+    client = await Client.from_transport(
+        server.connect(), on_request=refresh_answerer(values)
+    )
     request = {
         "keys": list(values),
         "values": [values[key] for key in values],
@@ -562,32 +562,65 @@ class TestRejectedRequests:
     def test_unhashable_key_changes_no_state(self, partitions, op, fields, tmp_path):
         # An unhashable key must be rejected before the WAL logs the op: a
         # logged one fails again on every restart, bricking the partition.
+        run(
+            _assert_rejected_changes_no_state(
+                partitions, op, fields, "key must be a string", tmp_path
+            )
+        )
+
+    @FRONT_DOORS
+    @pytest.mark.parametrize(
+        "op, fields",
+        [
+            ("update", {"key": "a", "value": math.nan}),
+            ("update_batch", {"updates": [["a", 11.0], ["b", math.nan]]}),
+            ("register", {"keys": ["c"], "values": [math.nan], "feeder": "f-c"}),
+        ],
+        ids=["update", "update_batch", "register"],
+    )
+    def test_nan_value_changes_no_state(self, partitions, op, fields, tmp_path):
+        # A NaN value fails interval construction once applied; logged
+        # first, it would fail again on every restart.
+        run(
+            _assert_rejected_changes_no_state(
+                partitions, op, fields, "got NaN", tmp_path
+            )
+        )
+
+    @FRONT_DOORS
+    def test_nan_refresh_value_logs_nothing(self, partitions, tmp_path):
+        # A feeder answering a refresh with NaN: the single server fails the
+        # query; behind the gateway the malformed answer ends the upstream
+        # link and the key answers degraded.  Either way no ``qr`` record
+        # is logged and every partition directory still recovers.
         async def scenario():
             front, servers = await _front_door(partitions, tmp_path)
-            feeder, _ = await _feeder_client(front, {"a": 10.0, "b": 20.0})
-            querier = await Client.from_transport(front.connect())
-            await querier.request(
-                "query", keys=["a", "b"], aggregate="SUM", constraint=100.0, time=1.0
+            values = {"a": 10.0, "b": 20.0}
+            answers = {"a": 10.0, "b": math.nan}
+            feeder = await Client.from_transport(
+                front.connect(), on_refresh=answers.__getitem__
             )
-            before = await querier.request("stats")
-            if op.startswith("update"):
-                sender = feeder
-            elif op == "snapshot":
-                # A partition op: the gateway sends it, so go to a partition.
-                sender = await Client.from_transport(servers[0].connect())
+            await feeder.register(list(values), list(values.values()), feeder="f0")
+            querier = await Client.from_transport(front.connect())
+            query = querier.request(
+                "query", keys=["b"], aggregate="SUM", constraint=0.0, time=1.0
+            )
+            if partitions is None:
+                with pytest.raises(RequestRejected, match="malformed refresh"):
+                    await query
             else:
-                sender = querier
-            with pytest.raises(RequestRejected, match="key must be a string"):
-                await sender.request(op, time=2.0, **fields)
-            after = await querier.request("stats")
-            for name in ("hits", "misses", "wal_records", "value_refreshes"):
-                assert after[name] == before[name], name
-            assert before["wal_records"] > 0
-            if sender not in (feeder, querier):
-                await sender.close()
+                response = await query
+                assert response["degraded_keys"] == ["b"]
+            stats = await querier.request("stats")
+            assert stats["query_refreshes"] == 0
             await querier.close()
             await feeder.close()
             await _close_front_door(front, servers)
+            for index in range(len(servers)):
+                durability = PartitionDurability(tmp_path / f"p{index}")
+                _, records = durability.load()
+                durability.close()
+                assert [record for record in records if record["k"] == "qr"] == []
             await _assert_partitions_recover(tmp_path, len(servers), ["a", "b"])
 
         run(scenario())
@@ -637,6 +670,38 @@ class TestRejectedRequests:
             await _assert_partitions_recover(tmp_path, len(servers), ["a", "b", 1])
 
         run(scenario())
+
+
+async def _assert_rejected_changes_no_state(partitions, op, fields, match, directory):
+    """Send one invalid ``op`` after a first query: it is rejected with
+    ``match``, hits, misses, the WAL and value refreshes are untouched, and
+    every partition directory still recovers."""
+    front, servers = await _front_door(partitions, directory)
+    feeder, _ = await _feeder_client(front, {"a": 10.0, "b": 20.0})
+    querier = await Client.from_transport(front.connect())
+    await querier.request(
+        "query", keys=["a", "b"], aggregate="SUM", constraint=100.0, time=1.0
+    )
+    before = await querier.request("stats")
+    if op.startswith("update"):
+        sender = feeder
+    elif op == "snapshot":
+        # A partition op: the gateway sends it, so go to a partition.
+        sender = await Client.from_transport(servers[0].connect())
+    else:
+        sender = querier
+    with pytest.raises(RequestRejected, match=match):
+        await sender.request(op, time=2.0, **fields)
+    after = await querier.request("stats")
+    for name in ("hits", "misses", "wal_records", "value_refreshes"):
+        assert after[name] == before[name], name
+    assert before["wal_records"] > 0
+    if sender not in (feeder, querier):
+        await sender.close()
+    await querier.close()
+    await feeder.close()
+    await _close_front_door(front, servers)
+    await _assert_partitions_recover(directory, len(servers), ["a", "b"])
 
 
 async def _assert_partitions_recover(directory, partitions, keys):
