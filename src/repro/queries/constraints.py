@@ -22,9 +22,9 @@ class ConstraintDistribution:
     maximum: float
 
     def __post_init__(self) -> None:
-        if self.minimum < 0:
+        if not self.minimum >= 0:
             raise ValueError("constraint minimum must be non-negative")
-        if self.maximum < self.minimum:
+        if not self.maximum >= self.minimum:
             raise ValueError("constraint maximum must be >= minimum")
 
     @property
@@ -55,9 +55,10 @@ class PrecisionConstraintGenerator:
         variation: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if average < 0:
+        # The negated tests reject NaN too: it compares false with anything.
+        if not average >= 0:
             raise ValueError("average constraint (delta_avg) must be non-negative")
-        if variation < 0:
+        if not variation >= 0:
             raise ValueError("constraint variation (sigma) must be non-negative")
         self._average = average
         self._variation = variation
@@ -66,6 +67,12 @@ class PrecisionConstraintGenerator:
         # precompute it once instead of per sample (one sample per query).
         self._minimum = max(average * (1.0 - variation), 0.0)
         self._maximum = average * (1.0 + variation)
+        if not 0 <= self._minimum <= self._maximum:
+            # ``inf * (1 - 1)`` is NaN: an infinite average needs sigma != 1.
+            raise ValueError(
+                f"average {average} with variation {variation} gives no "
+                "constraint range"
+            )
 
     @property
     def distribution(self) -> ConstraintDistribution:
@@ -103,7 +110,7 @@ class PrecisionConstraintGenerator:
         or ``(50K, 150K)`` in Figure 6); this constructor converts the range
         into the equivalent ``(delta_avg, sigma)`` pair.
         """
-        if minimum < 0 or maximum < minimum:
+        if not 0 <= minimum <= maximum:
             raise ValueError("require 0 <= minimum <= maximum")
         average = (minimum + maximum) / 2.0
         if average == 0:

@@ -74,9 +74,11 @@ class UnrecoverablePartition(ServingError, RuntimeError):
     when the surviving WAL records do not run contiguously from the
     snapshot's sequence (a lost or corrupt snapshot, a gap in the log), so
     replay would silently come back with a fraction of the state.  The
-    files are left in place for inspection.  ``expected`` is the first
-    sequence number replay needed; ``found`` is the first one present
-    (``None`` for an empty log).
+    server raises it too when a CRC-valid record cannot be replayed (an
+    unknown kind, a missing field).  The files are left in place for
+    inspection.  ``expected`` is the first sequence number replay needed;
+    ``found`` is the first one present (``None`` for an empty log).  For a
+    record replay cannot apply, both are that record's sequence number.
     """
 
     def __init__(self, message: str, *, expected: int, found: Optional[int]) -> None:

@@ -64,6 +64,7 @@ from typing import (
     FrozenSet,
     Hashable,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Set,
@@ -79,6 +80,7 @@ from repro.intervals.interval import UNBOUNDED, Interval
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.serving.durability import PartitionDurability
+from repro.serving.errors import UnrecoverablePartition
 from repro.serving.execution import execute_partitioned_query
 from repro.serving.protocol import (
     BoundedAnswer,
@@ -847,8 +849,12 @@ class CacheServer(BaseFrameServer):
         if state is not None:
             self._restore_durable_state(state)
         owner = _ReplayOwner()
-        for record in records:
-            self._replay_record(owner, record)
+        try:
+            for record in records:
+                self._replay_record(owner, record)
+        except UnrecoverablePartition:
+            self._durability.close()
+            raise
         # Replay ownership is synthetic: every recovered key is down until
         # a live feeder (or the gateway resync) re-registers it.  Keys
         # whose down-stamp survived in the snapshot/WAL keep the earlier
@@ -863,8 +869,11 @@ class CacheServer(BaseFrameServer):
         Replay drives the same methods live traffic does — policy calls,
         cost charges, installs and statistics fire in original order, so
         the policy's RNG stream and every counter reconstruct exactly.
+        A record replay cannot apply — an unknown kind, or a known one
+        missing a field — raises :class:`UnrecoverablePartition`: skipping
+        it would bring the partition back without that op.
         """
-        kind = record["k"]
+        kind = record.get("k")
         try:
             if kind == "u":
                 time = self._advance_clock(record["t"])
@@ -896,11 +905,25 @@ class CacheServer(BaseFrameServer):
             elif kind == "down":
                 for key in record["keys"]:
                     self._down_since.setdefault(key, record["t"])
+            else:
+                self._unreplayable(record, f"has unknown kind {kind!r}")
         except ProtocolError:
             # The live apply rejected this op identically (e.g. an
             # out-of-order update) after its record was written; the
             # partial mutations up to the raise match the live run's.
             pass
+        except (KeyError, TypeError) as error:
+            self._unreplayable(record, f"of kind {kind!r} is malformed ({error!r})")
+
+    def _unreplayable(self, record: Dict[str, Any], problem: str) -> NoReturn:
+        durability = self._durability
+        sequence = record.get("n")
+        raise UnrecoverablePartition(
+            f"partition {durability.partition_index} in {durability.directory} "
+            f"cannot be recovered: WAL record {sequence} {problem}",
+            expected=sequence,
+            found=sequence,
+        )
 
     def _durable_checkpoint_if_due(self) -> None:
         durability = self._durability

@@ -94,25 +94,27 @@ class SimulationConfig:
     track_keys: Tuple[Hashable, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: every comparison with NaN is
+        # false, so the negated form rejects NaN along with the bad signs.
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.warmup < 0:
+        if not self.warmup >= 0:
             raise ValueError("warmup must be non-negative")
         if self.warmup >= self.duration:
             raise ValueError("warmup must be shorter than the duration")
-        if self.query_period <= 0:
+        if not self.query_period > 0:
             raise ValueError("query_period (T_q) must be positive")
         if self.query_size < 1:
             raise ValueError("query_size must be at least 1")
         if not self.aggregates:
             raise ValueError("at least one aggregate kind is required")
-        if self.constraint_average < 0:
+        if not self.constraint_average >= 0:
             raise ValueError("constraint_average (delta_avg) must be non-negative")
-        if self.constraint_variation < 0:
+        if not self.constraint_variation >= 0:
             raise ValueError("constraint_variation (sigma) must be non-negative")
         if self.constraint_bounds is not None:
             low, high = self.constraint_bounds
-            if low < 0 or high < low:
+            if not 0 <= low <= high:
                 raise ValueError("constraint_bounds must satisfy 0 <= min <= max")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity (kappa) must be at least 1")
@@ -121,7 +123,7 @@ class SimulationConfig:
                 f"unknown engine {self.engine!r}; available: "
                 f"{', '.join(ENGINE_NAMES)}"
             )
-        if self.value_refresh_cost <= 0 or self.query_refresh_cost <= 0:
+        if not (self.value_refresh_cost > 0 and self.query_refresh_cost > 0):
             raise ValueError("refresh costs must be positive")
 
     # ------------------------------------------------------------------
@@ -150,24 +152,31 @@ class SimulationConfig:
     def build_workload(self, keys: Sequence[Hashable]) -> "QueryWorkload":
         """Build the run's query workload over ``keys``.
 
-        The workload and constraint RNGs are derived from ``seed`` exactly as
-        :class:`~repro.simulation.simulator.CacheSimulation` has always done,
-        and neither draws from simulation state — so every caller handing
-        this method the same key sequence regenerates the identical query
-        stream.  That property is what lets the serving load generator
-        drive a live server through the exact offline query sequence.
+        Query *i* is draw *i* of ``random.Random(seed)`` (its keys and kind)
+        and of ``random.Random(seed + 1)`` (the uniform scaled into the
+        constraint range).  Neither draws from simulation state, so every
+        caller handing this method the same key sequence regenerates the
+        identical query stream.  That property is what lets the serving
+        load generator drive a live server through the exact offline query
+        sequence.  It also lets every run of a sweep replay one shared
+        :class:`~repro.queries.workload.DrawScript` of those draws instead
+        of drawing its own: the script is looked up here, by seed, keys,
+        query size and aggregate set.
         """
-        from repro.queries.workload import QueryWorkload
+        from repro.queries.workload import QueryWorkload, shared_draw_script
 
-        workload_rng = random.Random(self.seed)
-        constraint_rng = random.Random(self.seed + 1)
+        keys = list(keys)
         return QueryWorkload(
-            keys=list(keys),
+            keys=keys,
             period=self.query_period,
-            constraint_generator=self.constraint_generator(constraint_rng),
+            constraint_generator=self.constraint_generator(
+                random.Random(self.seed + 1)
+            ),
             query_size=self.query_size,
             aggregates=self.aggregates,
-            rng=workload_rng,
+            script=shared_draw_script(
+                self.seed, keys, self.query_size, self.aggregates
+            ),
         )
 
     def with_changes(self, **changes) -> "SimulationConfig":

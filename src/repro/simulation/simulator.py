@@ -115,6 +115,10 @@ class CacheSimulation:
             or policy_type.record_constraint is not PrecisionPolicy.record_constraint
         )
         self._workload = config.build_workload(list(streams.keys()))
+        # Each query is read straight off the workload as ``(keys, kind,
+        # constraint)``; a sweep's runs share its draws (see
+        # ``SimulationConfig.build_workload``).
+        self._next_query = self._workload.next_query
         # Hot-loop prebinds: these callables (and the warm-up cut) are hit
         # once per refresh or per query, so binding them once removes a
         # chain of attribute lookups per event.
@@ -260,15 +264,14 @@ class CacheSimulation:
     # Query handling
     # ------------------------------------------------------------------
     def _run_query(self, time: float) -> None:
-        query = self._workload.generate(time)
+        keys, kind, constraint = self._next_query()
         self._metrics.record_query(time)
         cache_get = self._cache_get
-        constraint = query.constraint
         intervals = {}
         if self._policy_observes_reads:
             record_read = self._policy.record_read
             record_constraint = self._policy.record_constraint
-            for key in query.keys:
+            for key in keys:
                 # The workload lookup — the only cache access that counts
                 # toward the hit rate.  Any bookkeeping or post-run
                 # inspection of the cache must pass ``record_stats=False``.
@@ -277,7 +280,7 @@ class CacheSimulation:
                 record_read(key, time, served_from_cache=entry is not None)
                 record_constraint(key, constraint, time)
         else:
-            for key in query.keys:
+            for key in keys:
                 # The workload lookup (see above): the only stats-counted get.
                 entry = cache_get(key, time)
                 intervals[key] = entry.interval if entry is not None else UNBOUNDED
@@ -289,7 +292,7 @@ class CacheSimulation:
         def fetch_exact(key: Hashable) -> float:
             return self._refresh(key, time, True)
 
-        run_query_refreshes(query.kind, intervals, constraint, fetch_exact)
+        run_query_refreshes(kind, intervals, constraint, fetch_exact)
 
     # ------------------------------------------------------------------
     # Refresh

@@ -1,5 +1,6 @@
 """Unit tests for the simulation configuration."""
 
+import math
 import random
 
 import pytest
@@ -37,6 +38,14 @@ class TestValidation:
             {"value_refresh_cost": 0.0},
             {"query_refresh_cost": 0.0},
             {"engine": "warp"},
+            # NaN compares false both ways, so a sign test alone lets it in.
+            {"duration": math.nan},
+            {"warmup": math.nan},
+            {"query_period": math.nan},
+            {"constraint_average": math.nan},
+            {"constraint_variation": math.nan},
+            {"constraint_bounds": (math.nan, 5.0)},
+            {"value_refresh_cost": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -1,5 +1,6 @@
 """Unit tests for precision-constraint generation."""
 
+import math
 import random
 
 import pytest
@@ -36,12 +37,21 @@ class TestDistribution:
             ConstraintDistribution(minimum=-1.0, maximum=1.0)
         with pytest.raises(ValueError):
             ConstraintDistribution(minimum=5.0, maximum=1.0)
+        with pytest.raises(ValueError):
+            ConstraintDistribution(minimum=math.nan, maximum=1.0)
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             PrecisionConstraintGenerator(average=-1.0)
         with pytest.raises(ValueError):
             PrecisionConstraintGenerator(average=1.0, variation=-0.1)
+        with pytest.raises(ValueError):
+            PrecisionConstraintGenerator(average=math.nan)
+        with pytest.raises(ValueError):
+            PrecisionConstraintGenerator(average=1.0, variation=math.nan)
+        with pytest.raises(ValueError):
+            # inf * (1 - 1) is NaN: the range would have no lower end.
+            PrecisionConstraintGenerator(average=math.inf, variation=1.0)
 
 
 class TestSampling:
@@ -101,3 +111,5 @@ class TestFromBounds:
             PrecisionConstraintGenerator.from_bounds(-1.0, 1.0)
         with pytest.raises(ValueError):
             PrecisionConstraintGenerator.from_bounds(5.0, 1.0)
+        with pytest.raises(ValueError):
+            PrecisionConstraintGenerator.from_bounds(math.nan, 1.0)

@@ -375,6 +375,31 @@ class TestCorruption:
         length, _crc = RECORD_HEADER.unpack_from(frame)
         assert len(frame) == RECORD_HEADER.size + length
 
+    @pytest.mark.parametrize(
+        "record,named",
+        [
+            ({"k": "zz", "n": 2, "t": 2.0}, "unknown kind 'zz'"),
+            ({"k": "ub", "n": 2}, "kind 'ub' is malformed"),
+        ],
+        ids=["unknown-kind", "missing-field"],
+    )
+    def test_unreplayable_record_raises_and_keeps_files(self, tmp_path, record, named):
+        """A CRC-valid record replay cannot apply must not be skipped."""
+        durability = PartitionDurability(tmp_path)
+        down = {"k": "down", "n": 1, "keys": ["a"], "t": 1.0}
+        durability.wal_path.write_bytes(_encode_record(down) + _encode_record(record))
+        wal = durability.wal_path.read_bytes()
+        with pytest.raises(UnrecoverablePartition, match=named) as info:
+            CacheServer(
+                StaticWidthPolicy(width=1.0),
+                value_refresh_cost=1.0,
+                query_refresh_cost=2.0,
+                durability=durability,
+            )
+        assert "WAL record 2" in str(info.value)
+        assert (info.value.expected, info.value.found) == (2, 2)
+        assert durability.wal_path.read_bytes() == wal
+
 
 # ----------------------------------------------------------------------
 # Recovery equivalence: snapshot+WAL replay == pure-WAL replay

@@ -1,5 +1,6 @@
 """Unit and small integration tests for the cache simulator."""
 
+import dataclasses
 import math
 import random
 from typing import Dict, Iterator, Tuple
@@ -11,8 +12,10 @@ from repro.caching.policies.exact_caching import ExactCachingPolicy
 from repro.caching.policies.static import StaticWidthPolicy
 from repro.core.parameters import PrecisionParameters
 from repro.data.streams import UpdateStream
+from repro.queries import workload as workload_module
 from repro.queries.aggregates import AggregateKind
 from repro.simulation.config import SimulationConfig
+from repro.simulation.metrics import SimulationResult
 from repro.simulation.simulator import CacheSimulation, run_simulation
 
 
@@ -267,3 +270,64 @@ class TestPolicyObservers:
         assert policy.writes == [(key, time) for time, _, key in expected]
         assert set(result.interval_samples) == {"s1", "s4"}
         assert all(result.interval_samples.values())
+
+
+class TestSharedQueryDraws:
+    """A sweep's runs replay one shared query draw script."""
+
+    @staticmethod
+    def _streams() -> Dict[str, ScriptedStream]:
+        rng = random.Random(8)
+        return {
+            f"s{index}": ScriptedStream(
+                0.0,
+                [(float(time), rng.uniform(-20.0, 20.0)) for time in range(1, 120)],
+            )
+            for index in range(12)
+        }
+
+    @staticmethod
+    def _sweep():
+        """A theta sweep with the constraint range changing along with it."""
+        for theta, average, variation in (
+            (0.0, 8.0, 1.0),
+            (2.0, 8.0, 0.0),
+            (4.0, 3.0, 0.5),
+            (math.inf, 8.0, 2.0),
+            (1.0, 0.0, 1.0),
+        ):
+            config = _config(
+                duration=120.0,
+                warmup=10.0,
+                query_period=0.5,
+                query_size=4,
+                aggregates=(AggregateKind.SUM, AggregateKind.MAX),
+                constraint_average=average,
+                constraint_variation=variation,
+                seed=31,
+            )
+            policy = AdaptivePrecisionPolicy(
+                PrecisionParameters(lower_threshold=theta),
+                initial_width=3.0,
+                rng=random.Random(5),
+            )
+            yield config, policy
+
+    def test_back_to_back_sweep_equals_cold_runs(self):
+        workload_module._shared_scripts.clear()
+        warm = [
+            run_simulation(config, self._streams(), policy)
+            for config, policy in self._sweep()
+        ]
+        # The whole sweep replayed one script, drawn once.
+        (script,) = workload_module._shared_scripts.values()
+        assert len(script.draws) == 240
+        cold = []
+        for config, policy in self._sweep():
+            workload_module._shared_scripts.clear()
+            cold.append(run_simulation(config, self._streams(), policy))
+        assert len({result.cost_rate for result in warm}) > 1
+        for warm_result, cold_result in zip(warm, cold):
+            for field in dataclasses.fields(SimulationResult):
+                name = field.name
+                assert getattr(warm_result, name) == getattr(cold_result, name), name
