@@ -12,7 +12,6 @@ from repro.caching.cache import ApproximateCache
 from repro.caching.policies.adaptive import AdaptivePrecisionPolicy
 from repro.core.parameters import PrecisionParameters
 from repro.core.policy import AdaptiveWidthController
-from repro.data.engine import get_engine
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import RandomWalkStream
 from repro.data.traffic import SyntheticTrafficTraceGenerator
@@ -22,27 +21,22 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import CacheSimulation
 
 #: Scale of the data-plane generation benchmarks: a 100-host trace (twice the
-#: paper's host population, a 900 s window so burst batches amortise numpy
-#: call overhead) and 20k-step walk schedules.  The reference and vector rows
-#: measure the same work on the two engines, so their ratio is the
-#: vector-engine speedup recorded per PR in BENCH_micro.json.
+#: paper's host population over a 900 s window) and 20k-step walk schedules.
 BENCH_TRACE_HOSTS = 100
 BENCH_TRACE_DURATION = 900
 BENCH_WALK_STEPS = 20_000
 
 
-def _generate_trace(engine_name):
+def _generate_trace():
     return SyntheticTrafficTraceGenerator(
         host_count=BENCH_TRACE_HOSTS,
         duration_seconds=BENCH_TRACE_DURATION,
         seed=7,
-        engine=get_engine(engine_name),
     ).generate()
 
 
-def _generate_walk_schedule(engine_name):
-    engine = get_engine(engine_name)
-    walk = RandomWalkGenerator(start=100.0, rng=engine.rng(11), engine=engine)
+def _generate_walk_schedule():
+    walk = RandomWalkGenerator(start=100.0, rng=random.Random(11))
     return RandomWalkStream(walk).schedule(float(BENCH_WALK_STEPS))
 
 
@@ -118,22 +112,12 @@ def test_columnar_sum_selection_throughput(benchmark):
 
 
 def test_trace_generation_reference_throughput(benchmark):
-    trace = benchmark(_generate_trace, "reference")
-    assert len(trace.keys) == BENCH_TRACE_HOSTS
-
-
-def test_trace_generation_vector_throughput(benchmark):
-    trace = benchmark(_generate_trace, "vector")
+    trace = benchmark(_generate_trace)
     assert len(trace.keys) == BENCH_TRACE_HOSTS
 
 
 def test_walk_schedule_reference_throughput(benchmark):
-    times, values = benchmark(_generate_walk_schedule, "reference")
-    assert len(times) == len(values) == BENCH_WALK_STEPS
-
-
-def test_walk_schedule_vector_throughput(benchmark):
-    times, values = benchmark(_generate_walk_schedule, "vector")
+    times, values = benchmark(_generate_walk_schedule)
     assert len(times) == len(values) == BENCH_WALK_STEPS
 
 

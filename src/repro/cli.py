@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run figure03
     python -m repro.cli run figure07_09 --workers 4
-    python -m repro.cli run section45 --engine vector
     python -m repro.cli run figure03 --profile figure03.prof
     python -m repro.cli run-all --workers 4
 
@@ -14,20 +13,13 @@ processes through :mod:`repro.experiments.runner`; the printed tables are
 identical to sequential runs (every sub-run is deterministically seeded).
 Experiments without a parallel plan simply run sequentially.
 
-``--engine {reference,vector}`` selects the stream-generation engine of the
-data plane (:mod:`repro.data.engine`): ``reference`` (the default) keeps the
-``random.Random`` sequences behind the committed figure tables, ``vector``
-switches to numpy batch synthesis for paper-scale sweeps.
-
 ``--profile FILE`` dumps a :mod:`cProfile` of the run to ``FILE``
 (``run-all`` derives one file per experiment from it; with ``--workers``
 pools only the parent process is profiled).
 
 Every simulation runs on the merged-timeline batch kernel
-(:mod:`repro.simulation.kernel`) over the per-object state layout.
-
-Experiments whose plans do not take an engine note on stderr that the flag
-was ignored.
+(:mod:`repro.simulation.kernel`) over the per-object state layout, fed by
+the one seeded data plane (:mod:`repro.data`).
 
 The serving layer (:mod:`repro.serving`) adds two more commands::
 
@@ -102,12 +94,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import importlib.metadata
-import inspect
 import os
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.data.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.experiments.base import ExperimentResult, format_table, registry
 from repro.serving.durability import DEFAULT_CHECKPOINT_EVERY, FSYNC_POLICIES
 from repro.experiments.runner import plan_registry, run_plan
@@ -150,16 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="fan independent sub-runs out over this many processes",
-        )
-        subparser.add_argument(
-            "--engine",
-            choices=ENGINE_NAMES,
-            default=None,
-            help=(
-                "stream-generation engine for the data plane "
-                f"(default: {DEFAULT_ENGINE}; 'reference' reproduces the "
-                "committed tables byte-for-byte, 'vector' uses numpy batches)"
-            ),
         )
         subparser.add_argument(
             "--profile",
@@ -312,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument("--feeders", type=int, default=1)
     loadgen_parser.add_argument("--seed", type=int, default=5)
-    loadgen_parser.add_argument("--engine", choices=ENGINE_NAMES, default=None)
     loadgen_parser.add_argument(
         "--connect",
         default=None,
@@ -478,43 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _accepts_keyword(func, name: str) -> bool:
-    """True when ``func`` takes an explicit keyword named ``name``."""
-    try:
-        return name in inspect.signature(func).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-        return False
-
-
-def _run_experiment(
-    experiment_id: str,
-    workers: Optional[int],
-    engine: Optional[str] = None,
-) -> ExperimentResult:
-    """Run one experiment, through its parallel plan when it declares one.
-
-    ``engine`` is forwarded to experiments whose plan factory (or runner)
-    accepts the keyword; for the rest the flag is reported as ignored so a
-    vector-engine sweep never silently reproduces the default tables.
-    """
+def _run_experiment(experiment_id: str, workers: Optional[int]) -> ExperimentResult:
+    """Run one experiment, through its parallel plan when ``workers > 1``
+    and it declares one, else through its sequential runner."""
     plan_factory = plan_registry().get(experiment_id)
-    runner = registry()[experiment_id]
-    target = plan_factory if plan_factory is not None else runner
-    forwarded: Dict[str, Any] = {}
-    if engine is not None:
-        if _accepts_keyword(target, "engine"):
-            forwarded["engine"] = engine
-        else:
-            print(
-                f"note: {experiment_id} does not take 'engine'; --engine ignored",
-                file=sys.stderr,
-            )
     if workers is not None and workers > 1 and plan_factory is not None:
-        return run_plan(plan_factory(**forwarded), workers=workers)
-    runner_accepts_all = all(_accepts_keyword(runner, name) for name in forwarded)
-    if forwarded and plan_factory is not None and not runner_accepts_all:
-        return run_plan(plan_factory(**forwarded))
-    return runner(**forwarded)
+        return run_plan(plan_factory(), workers=workers)
+    return registry()[experiment_id]()
 
 
 def _profile_destination(base: str, experiment_id: Optional[str]) -> str:
@@ -580,11 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = _run_profiled(
             args.profile,
             None,
-            lambda: _run_experiment(
-                args.experiment,
-                args.workers,
-                args.engine,
-            ),
+            lambda: _run_experiment(args.experiment, args.workers),
         )
         print(format_table(result))
         return 0
@@ -594,9 +539,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.profile,
                 experiment_id,
                 lambda experiment_id=experiment_id: _run_experiment(
-                    experiment_id,
-                    args.workers,
-                    args.engine,
+                    experiment_id, args.workers
                 ),
             )
             print(format_table(result))
@@ -837,9 +780,8 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
     from repro.serving.procs import _configure_observability
 
     _configure_observability({**_obs_spec(args), "seed": args.seed}, "loadgen")
-    engine = args.engine if args.engine is not None else DEFAULT_ENGINE
-    trace = traffic_trace(host_count=args.hosts, duration=args.duration, engine=engine)
-    config = serving_config(trace, seed=args.seed, engine=engine)
+    trace = traffic_trace(host_count=args.hosts, duration=args.duration)
+    config = serving_config(trace, seed=args.seed)
 
     dialer = None
     if args.target is not None:

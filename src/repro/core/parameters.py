@@ -58,21 +58,23 @@ class PrecisionParameters:
     cost_factor_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.value_refresh_cost <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: every comparison with NaN is
+        # false, so the negated form rejects NaN along with the bad signs.
+        if not self.value_refresh_cost > 0:
             raise ValueError("value_refresh_cost (C_vr) must be positive")
-        if self.query_refresh_cost <= 0:
+        if not self.query_refresh_cost > 0:
             raise ValueError("query_refresh_cost (C_qr) must be positive")
-        if self.adaptivity < 0:
+        if not self.adaptivity >= 0:
             raise ValueError("adaptivity (alpha) must be non-negative")
-        if self.lower_threshold < 0:
+        if not self.lower_threshold >= 0:
             raise ValueError("lower_threshold (theta_0) must be non-negative")
-        if self.upper_threshold < 0:
+        if not self.upper_threshold >= 0:
             raise ValueError("upper_threshold (theta_1) must be non-negative")
         if self.upper_threshold < self.lower_threshold:
             raise ValueError(
                 "upper_threshold (theta_1) must be >= lower_threshold (theta_0)"
             )
-        if self.cost_factor_multiplier <= 0:
+        if not self.cost_factor_multiplier > 0:
             raise ValueError("cost_factor_multiplier must be positive")
 
     # ------------------------------------------------------------------
@@ -141,7 +143,7 @@ class PrecisionParameters:
         ``C_qr = 2``; this constructor inverts ``rho = 2 * C_vr / C_qr`` to
         recover the implied ``C_vr``.
         """
-        if cost_factor <= 0:
+        if not cost_factor > 0:
             raise ValueError("cost_factor must be positive")
         value_refresh_cost = cost_factor * query_refresh_cost / 2.0
         return cls(

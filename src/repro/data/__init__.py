@@ -8,22 +8,12 @@ stand-in with the same structure (bursty, heavy-tailed ON/OFF behaviour,
 one-minute moving-window averaging, the same value range); see DESIGN.md for
 the substitution rationale.
 
-All random generation flows through a pluggable stream engine
-(:mod:`repro.data.engine`): ``reference`` preserves the ``random.Random``
-sequences behind the committed figure tables, ``vector`` synthesises numpy
-batches for paper-scale sweeps.  Generated traces can be persisted in an
-on-disk cache (:mod:`repro.data.trace_cache`) keyed by
-``(host_count, duration, seed, engine)``.
+All random generation draws from seeded ``random.Random`` generators in the
+order the committed figure tables were produced with, so every seeded stream
+and trace is byte-identical run to run.  Generated traces are memoised per
+process by :func:`repro.experiments.workloads.traffic_trace`.
 """
 
-from repro.data.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    ReferenceEngine,
-    StreamEngine,
-    VectorEngine,
-    get_engine,
-)
 from repro.data.merged import MergedTimeline, merge_timelines
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import (
@@ -33,16 +23,9 @@ from repro.data.streams import (
     UpdateStream,
 )
 from repro.data.trace import Trace, moving_window_average
-from repro.data.trace_cache import clear_trace_cache, load_or_generate, trace_cache_dir
 from repro.data.traffic import SyntheticTrafficTraceGenerator
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINE_NAMES",
-    "StreamEngine",
-    "ReferenceEngine",
-    "VectorEngine",
-    "get_engine",
     "MergedTimeline",
     "merge_timelines",
     "RandomWalkGenerator",
@@ -53,7 +36,4 @@ __all__ = [
     "Trace",
     "moving_window_average",
     "SyntheticTrafficTraceGenerator",
-    "load_or_generate",
-    "clear_trace_cache",
-    "trace_cache_dir",
 ]

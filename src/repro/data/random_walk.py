@@ -4,10 +4,8 @@ Every second the value either increases or decreases by an amount sampled
 uniformly from ``[0.5, 1.5]``.  A *biased* walk (used in the Section 4.5
 variation study) moves up with probability greater than one half.
 
-Step generation goes through a pluggable :class:`~repro.data.engine.StreamEngine`:
-the default :class:`~repro.data.engine.ReferenceEngine` draws from
-``random.Random`` exactly as the committed figure tables require, while the
-``vector`` engine synthesises whole trajectories as numpy batches.
+Steps are drawn from a ``random.Random``: one uniform magnitude then one
+direction draw per step, the order the committed figure tables require.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-from repro.data.engine import DEFAULT_ENGINE, StreamEngine, get_engine
 
 
 class RandomWalkGenerator:
@@ -33,12 +30,7 @@ class RandomWalkGenerator:
     start:
         Initial value.
     rng:
-        Randomness handle (pass a seeded one for reproducibility).  Must be
-        a handle produced by — or compatible with — the chosen engine: a
-        :class:`random.Random` for the reference engine, an
-        ``engine.rng(seed)`` handle for the vector engine.
-    engine:
-        The stream engine drawing the steps (reference by default).
+        Random generator (pass a seeded one for reproducibility).
     """
 
     def __init__(
@@ -48,7 +40,6 @@ class RandomWalkGenerator:
         up_probability: float = 0.5,
         start: float = 0.0,
         rng: Optional[random.Random] = None,
-        engine: Optional[StreamEngine] = None,
     ) -> None:
         if step_low < 0:
             raise ValueError("step_low must be non-negative")
@@ -60,18 +51,12 @@ class RandomWalkGenerator:
         self._step_high = step_high
         self._up_probability = up_probability
         self._value = float(start)
-        self._engine = engine if engine is not None else get_engine(DEFAULT_ENGINE)
-        self._rng = rng if rng is not None else self._engine.rng()
+        self._rng = rng if rng is not None else random.Random()
 
     @property
     def value(self) -> float:
         """The current value of the walk."""
         return self._value
-
-    @property
-    def engine(self) -> StreamEngine:
-        """The stream engine drawing this walk's steps."""
-        return self._engine
 
     @property
     def mean_step_magnitude(self) -> float:
@@ -96,23 +81,28 @@ class RandomWalkGenerator:
         """Advance the walk ``count`` steps and return all values at once.
 
         This is the batch path the simulator uses to pre-materialise update
-        schedules.  Under the reference engine it draws from the RNG in
-        exactly the same order as ``count`` calls to :meth:`step` (so seeded
-        walks produce identical trajectories); under the vector engine the
-        whole trajectory is synthesised as one numpy batch.
+        schedules.  It draws from the RNG in exactly the same order as
+        ``count`` calls to :meth:`step` (so seeded walks produce identical
+        trajectories), with the hot attributes bound locally.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        values = self._engine.walk_values(
-            self._rng,
-            self._value,
-            count,
-            self._step_low,
-            self._step_high,
-            self._up_probability,
-        )
-        if values:
-            self._value = values[-1]
+        uniform = self._rng.uniform
+        rand = self._rng.random
+        step_low = self._step_low
+        step_high = self._step_high
+        up_probability = self._up_probability
+        value = self._value
+        values: List[float] = []
+        append = values.append
+        for _ in range(count):
+            magnitude = uniform(step_low, step_high)
+            if rand() < up_probability:
+                value += magnitude
+            else:
+                value -= magnitude
+            append(value)
+        self._value = value
         return values
 
     def walk(self, steps: int) -> List[float]:

@@ -10,10 +10,9 @@ streams cover the paper's workloads:
   (Divergence Caching) experiments of Section 4.7 where only the *number* of
   updates matters.
 
-Randomised streams generate through a pluggable
-:class:`~repro.data.engine.StreamEngine`; :meth:`UpdateStream.schedule` is the
-single generation path (``updates`` zips the same batched columns), so an
-engine's output is identical whichever accessor a caller uses.
+:meth:`UpdateStream.schedule` is the single generation path (``updates``
+zips the same batched columns), so a seeded stream's output is identical
+whichever accessor a caller uses.
 
 A schedule is a pair of parallel columns ``(times, values)``, not a list of
 per-event tuples: the consumers (the merged-timeline builder, the batch
@@ -28,7 +27,7 @@ from abc import ABC, abstractmethod
 from itertools import accumulate, repeat
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.data.engine import DEFAULT_ENGINE, StreamEngine, get_engine
+from repro.data.engine import schedule_times
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.trace import Trace
 
@@ -52,16 +51,14 @@ class UpdateStream(ABC):
         The result is ``(times, values)``: two equal-length lists, the
         update instants in increasing order and the value each update
         installs.  This is the batch construction the simulator
-        pre-materialises per-source timelines from; randomised streams draw
-        it through their stream engine in as few RNG calls as the engine
-        allows.  Callers must not mutate the lists (trace streams share one
-        ``times`` list across all series of a trace).
+        pre-materialises per-source timelines from.  Callers must not mutate
+        the lists (trace streams share one ``times`` list across all series
+        of a trace).
 
         Subclasses must override :meth:`schedule` or :meth:`updates` (the
         defaults are defined in terms of each other).  The bundled streams
         all override ``schedule`` — the single generation path — so both
-        accessors emit identical events for a given randomness handle and
-        engine.
+        accessors emit identical events for a given seeded generator.
         """
         if type(self).updates is UpdateStream.updates:
             raise NotImplementedError(
@@ -107,7 +104,7 @@ class RandomWalkStream(UpdateStream):
     def schedule(self, duration: float) -> ScheduleColumns:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        times = self._walk.engine.schedule_times(self._interval, duration)
+        times = schedule_times(self._interval, duration)
         return times, self._walk.steps_array(len(times))
 
 
@@ -147,15 +144,13 @@ class CounterStream(UpdateStream):
         poisson: bool = False,
         start: float = 0.0,
         rng: Optional[random.Random] = None,
-        engine: Optional[StreamEngine] = None,
     ) -> None:
         if mean_interval <= 0:
             raise ValueError("mean_interval must be positive")
         self._mean_interval = mean_interval
         self._poisson = poisson
         self._start = float(start)
-        self._engine = engine if engine is not None else get_engine(DEFAULT_ENGINE)
-        self._rng = rng if rng is not None else self._engine.rng()
+        self._rng = rng if rng is not None else random.Random()
 
     @property
     def initial_value(self) -> float:
@@ -165,12 +160,18 @@ class CounterStream(UpdateStream):
         if duration <= 0:
             raise ValueError("duration must be positive")
         horizon = duration + 1e-9
+        times: List[float] = []
+        time = 0.0
         if self._poisson:
-            times = self._engine.poisson_times(self._rng, self._mean_interval, horizon)
+            expovariate = self._rng.expovariate
+            rate = 1.0 / self._mean_interval
+            while True:
+                time += expovariate(rate)
+                if time > horizon:
+                    break
+                times.append(time)
         else:
             mean_interval = self._mean_interval
-            times = []
-            time = 0.0
             while True:
                 time += mean_interval
                 if time > horizon:

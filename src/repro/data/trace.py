@@ -118,19 +118,13 @@ class Trace:
             self._update_times[duration] = times
         return times
 
-    def smoothed(self, window_seconds: float, engine=None) -> "Trace":
-        """Return a new trace smoothed by a trailing moving-window average.
-
-        ``engine`` (a :class:`~repro.data.engine.StreamEngine`) selects the
-        smoothing implementation: the default scalar running sum reproduces
-        the committed tables bit for bit, while the vector engine's
-        cumulative-sum path is faster and equal up to float reassociation.
-        """
+    def smoothed(self, window_seconds: float) -> "Trace":
+        """Return a new trace smoothed by a trailing moving-window average."""
         window = max(int(round(window_seconds / self.sample_interval)), 1)
-        average = moving_window_average if engine is None else engine.moving_average
         return Trace(
             series={
-                key: average(values, window) for key, values in self.series.items()
+                key: moving_window_average(values, window)
+                for key, values in self.series.items()
             },
             sample_interval=self.sample_interval,
         )

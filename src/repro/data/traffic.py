@@ -19,19 +19,19 @@ a synthetic equivalent preserving the properties the experiments depend on:
 * hosts are heterogeneous — some are busy most of the time, others mostly
   idle — so that the cache and eviction experiments see skew.
 
-Generation runs on a pluggable :class:`~repro.data.engine.StreamEngine`: the
-reference engine reproduces the committed tables byte-for-byte, the vector
-engine fills burst segments and smooths with numpy batches.
+Generation draws from one seeded ``random.Random`` in a fixed order, so a
+seed always yields the same trace and the committed tables regenerate
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List
 
-from repro.data.engine import DEFAULT_ENGINE, StreamEngine, get_engine
-from repro.data.trace import Trace
+from repro.data.trace import Trace, moving_window_average
 
 #: The paper reports traffic levels from 0 to 5.2e6 bytes per second.
 PAPER_PEAK_TRAFFIC = 5.2e6
@@ -84,10 +84,7 @@ class SyntheticTrafficTraceGenerator:
         Length of the trailing moving-average window (60 s in the paper).
     seed:
         Seed for the internal random generator; the same seed always yields
-        the same trace (per engine).
-    engine:
-        The stream engine drawing burst parameters and filling burst
-        segments (reference by default).
+        the same trace.
     """
 
     def __init__(
@@ -97,7 +94,6 @@ class SyntheticTrafficTraceGenerator:
         peak_rate: float = PAPER_PEAK_TRAFFIC,
         smoothing_window_seconds: float = PAPER_SMOOTHING_WINDOW_SECONDS,
         seed: int = 0,
-        engine: Optional[StreamEngine] = None,
     ) -> None:
         if host_count < 1:
             raise ValueError("host_count must be at least 1")
@@ -112,23 +108,16 @@ class SyntheticTrafficTraceGenerator:
         self._peak_rate = peak_rate
         self._window = smoothing_window_seconds
         self._seed = seed
-        self._engine = engine if engine is not None else get_engine(DEFAULT_ENGINE)
-
-    @property
-    def engine(self) -> StreamEngine:
-        """The stream engine this generator draws from."""
-        return self._engine
 
     # ------------------------------------------------------------------
     # Host heterogeneity
     # ------------------------------------------------------------------
-    def _host_model(self, rng) -> BurstModel:
+    def _host_model(self, rng: random.Random) -> BurstModel:
         """Draw one host's burst parameters.
 
         Hosts differ in how often they are active and how heavy their bursts
         are, producing the skewed population the paper's cache-size
-        experiments rely on.  These are a handful of scalar draws per host,
-        served by either engine's randomness handle.
+        experiments rely on.  These are a handful of scalar draws per host.
         """
         activity_bias = rng.betavariate(1.2, 2.0)
         mean_off = rng.uniform(30.0, 400.0) * (1.0 - 0.8 * activity_bias)
@@ -143,15 +132,15 @@ class SyntheticTrafficTraceGenerator:
             activity_bias=activity_bias,
         )
 
-    def _raw_host_series(self, model: BurstModel, rng):
+    def _raw_host_series(self, model: BurstModel, rng: random.Random) -> List[float]:
         """Generate per-second raw (unsmoothed) traffic for one host.
 
-        The ON/OFF state machine stays scalar (a few draws per burst), while
-        each burst's per-second values are filled in one engine batch into
-        an engine-native container — the hot part at paper scale.
+        The ON/OFF state machine takes a few draws per burst; each burst
+        second then takes one jitter draw, in index order.
         """
-        engine = self._engine
-        values = engine.new_series(self._duration)
+        values = [0.0] * self._duration
+        uniform = rng.uniform
+        peak_rate = self._peak_rate
         time = 0.0
         # Start some hosts mid-burst so the trace does not open fully idle.
         in_burst = rng.random() < model.activity_bias
@@ -163,11 +152,8 @@ class SyntheticTrafficTraceGenerator:
                 burst_rate = model.peak_rate * rng.uniform(0.3, 1.0)
                 end = min(time + burst_length, self._duration)
                 second = int(time)
-                count = max(math.ceil(end) - second, 0)
-                if count:
-                    engine.fill_burst(
-                        rng, values, second, count, burst_rate, self._peak_rate
-                    )
+                for index in range(second, math.ceil(end)):
+                    values[index] = min(burst_rate * uniform(0.7, 1.3), peak_rate)
                 time = end
                 in_burst = False
             else:
@@ -176,10 +162,10 @@ class SyntheticTrafficTraceGenerator:
                 in_burst = True
         return values
 
-    def _raw_series_map(self) -> Dict[str, object]:
-        """Raw per-host series in the engine's native containers."""
-        rng = self._engine.rng(self._seed)
-        series: Dict[str, object] = {}
+    def _raw_series_map(self) -> Dict[str, List[float]]:
+        """Raw per-host series, keyed by host name."""
+        rng = random.Random(self._seed)
+        series: Dict[str, List[float]] = {}
         for host_index in range(self._host_count):
             model = self._host_model(rng)
             series[f"host-{host_index:02d}"] = self._raw_host_series(model, rng)
@@ -194,24 +180,22 @@ class SyntheticTrafficTraceGenerator:
         Each host's raw series is smoothed with the one-minute trailing
         window and clamped into ``[0, peak]`` (the running-sum average can
         leave tiny negative residues from floating-point cancellation, and
-        traffic levels are physically >= 0) in one engine pass.
+        traffic levels are physically >= 0).
         """
         # Raw series are sampled per second (sample_interval 1.0), so the
         # window in samples equals the window in seconds — the same value
         # Trace.smoothed would compute.
         window = max(int(round(self._window)), 1)
-        engine = self._engine
+        peak_rate = self._peak_rate
         series = {
-            key: engine.finalize_series(values, window, 0.0, self._peak_rate)
+            key: [
+                min(max(value, 0.0), peak_rate)
+                for value in moving_window_average(values, window)
+            ]
             for key, values in self._raw_series_map().items()
         }
         return Trace(series=series, sample_interval=1.0)
 
     def generate_raw(self) -> Trace:
         """Generate the unsmoothed per-second trace (useful for tests)."""
-        engine = self._engine
-        series = {
-            key: engine.as_list(values)
-            for key, values in self._raw_series_map().items()
-        }
-        return Trace(series=series, sample_interval=1.0)
+        return Trace(series=self._raw_series_map(), sample_interval=1.0)

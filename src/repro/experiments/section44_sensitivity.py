@@ -37,17 +37,15 @@ def lower_threshold_rows(
     host_count: int,
     duration: int,
     seed: int,
-    engine: str = "reference",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
-    trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
+    trace = traffic_trace(host_count=host_count, duration=duration)
     config = traffic_config(
         trace,
         query_period=1.0,
         constraint_bounds=constraint_bounds,
         cost_factor=1.0,
         seed=seed,
-        engine=engine,
     )
     policy = adaptive_policy(
         cost_factor=1.0,
@@ -89,10 +87,9 @@ def constraint_variation_rows(
     host_count: int,
     duration: int,
     seed: int,
-    engine: str = "reference",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
-    trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
+    trace = traffic_trace(host_count=host_count, duration=duration)
     config = traffic_config(
         trace,
         query_period=1.0,
@@ -100,7 +97,6 @@ def constraint_variation_rows(
         constraint_variation=variation,
         cost_factor=1.0,
         seed=seed,
-        engine=engine,
     )
     policy = adaptive_policy(
         cost_factor=1.0,
@@ -147,7 +143,6 @@ def plan(
     host_count: int = DEFAULT_HOST_COUNT,
     duration: int = DEFAULT_TRACE_DURATION,
     seed: int = 21,
-    engine: str = "reference",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
     subruns = [
@@ -160,7 +155,6 @@ def plan(
                 host_count=host_count,
                 duration=duration,
                 seed=seed,
-                engine=engine,
             ),
         )
         for lower_threshold in DEFAULT_LOWER_THRESHOLDS
@@ -175,7 +169,6 @@ def plan(
                 host_count=host_count,
                 duration=duration,
                 seed=seed,
-                engine=engine,
             ),
         )
         for constraint_average in DEFAULT_CONSTRAINT_AVERAGES
@@ -199,7 +192,6 @@ def run(
     duration: int = DEFAULT_TRACE_DURATION,
     seed: int = 21,
     workers: Optional[int] = None,
-    engine: str = "reference",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
     return run_plan(
@@ -207,7 +199,6 @@ def run(
             host_count=host_count,
             duration=duration,
             seed=seed,
-            engine=engine,
         ),
         workers=workers,
     )

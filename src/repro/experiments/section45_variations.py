@@ -43,7 +43,6 @@ DEFAULT_SOURCE_COUNT = 5
 def _config(
     duration: float,
     seed: int,
-    engine: str = "reference",
 ) -> SimulationConfig:
     return SimulationConfig(
         duration=duration,
@@ -56,7 +55,6 @@ def _config(
         value_refresh_cost=1.0,
         query_refresh_cost=2.0,
         seed=seed,
-        engine=engine,
     )
 
 
@@ -76,15 +74,10 @@ def variation_rows(
     duration: float,
     source_count: int,
     seed: int,
-    engine: str = "reference",
 ) -> List[Tuple]:
-    """The row for one (walk bias, placement variant) cell (picklable).
-
-    ``engine`` selects the stream engine generating the walks
-    (``reference`` reproduces the committed table byte-for-byte).
-    """
+    """The row for one (walk bias, placement variant) cell (picklable)."""
     walk_kind = "unbiased walk" if up_probability == 0.5 else "biased walk"
-    config = _config(duration, seed, engine=engine)
+    config = _config(duration, seed)
     if variant == "centred":
         policy = AdaptivePrecisionPolicy(
             _parameters(), initial_width=4.0, rng=random.Random(seed)
@@ -99,9 +92,7 @@ def variation_rows(
         raise ValueError(f"unknown variant {variant!r}")
     result = CacheSimulation(
         config,
-        random_walk_streams(
-            source_count, seed, up_probability=up_probability, engine=engine
-        ),
+        random_walk_streams(source_count, seed, up_probability=up_probability),
         policy,
     ).run()
     return [(walk_kind, variant_label, result.cost_rate)]
@@ -112,7 +103,6 @@ def plan(
     source_count: int = DEFAULT_SOURCE_COUNT,
     up_probabilities: Sequence[float] = (0.5, 0.8),
     seed: int = 23,
-    engine: str = "reference",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
     subruns = tuple(
@@ -125,7 +115,6 @@ def plan(
                 duration=duration,
                 source_count=source_count,
                 seed=seed,
-                engine=engine,
             ),
         )
         for up_probability in up_probabilities
@@ -151,7 +140,6 @@ def run(
     up_probabilities: Sequence[float] = (0.5, 0.8),
     seed: int = 23,
     workers: Optional[int] = None,
-    engine: str = "reference",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
     return run_plan(
@@ -160,7 +148,6 @@ def run(
             source_count=source_count,
             up_probabilities=up_probabilities,
             seed=seed,
-            engine=engine,
         ),
         workers=workers,
     )

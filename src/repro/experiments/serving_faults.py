@@ -65,11 +65,10 @@ def chaos_row(
     host_count: int,
     duration: int,
     seed: int,
-    engine: str = "reference",
 ) -> Tuple:
     """Replay the deterministic trace under one fault plan, audited."""
-    trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
-    config = serving_config(trace, seed=seed, engine=engine)
+    trace = traffic_trace(host_count=host_count, duration=duration)
+    config = serving_config(trace, seed=seed)
 
     async def drive():
         server = CacheServer(
@@ -108,7 +107,6 @@ def run(
     host_count: int = DEFAULT_HOST_COUNT,
     duration: int = DEFAULT_DURATION,
     seed: int = 5,
-    engine: str = "reference",
 ) -> ExperimentResult:
     """Sweep fault plans over the audited deterministic replay."""
     rows = [
@@ -117,7 +115,6 @@ def run(
             host_count=host_count,
             duration=duration,
             seed=seed,
-            engine=engine,
         )
         for plan in plans
     ]

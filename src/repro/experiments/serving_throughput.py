@@ -78,11 +78,10 @@ def serving_row(
     duration: int,
     queries_per_client: int,
     seed: int,
-    engine: str = "reference",
 ) -> Tuple:
     """Measure one client count against a fresh loopback server."""
-    trace = traffic_trace(host_count=host_count, duration=duration, engine=engine)
-    config = serving_config(trace, seed=seed, engine=engine)
+    trace = traffic_trace(host_count=host_count, duration=duration)
+    config = serving_config(trace, seed=seed)
 
     async def drive():
         server = CacheServer(
@@ -123,7 +122,6 @@ def run(
     duration: int = DEFAULT_DURATION,
     queries_per_client: int = DEFAULT_QUERIES_PER_CLIENT,
     seed: int = 11,
-    engine: str = "reference",
 ) -> ExperimentResult:
     """Sweep concurrent client counts on the loopback serving stack."""
     rows = [
@@ -133,7 +131,6 @@ def run(
             duration=duration,
             queries_per_client=queries_per_client,
             seed=seed,
-            engine=engine,
         )
         for clients in client_counts
     ]

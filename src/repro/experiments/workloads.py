@@ -18,11 +18,10 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 from repro.caching.policies.adaptive import AdaptivePrecisionPolicy
 from repro.caching.policies.exact_caching import ExactCachingPolicy
 from repro.core.parameters import PrecisionParameters
-from repro.data.engine import DEFAULT_ENGINE, get_engine
+from repro.data.engine import DEFAULT_ENGINE
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import RandomWalkStream, TraceStream, UpdateStream
 from repro.data.trace import Trace
-from repro.data.trace_cache import load_or_generate
 from repro.data.traffic import SyntheticTrafficTraceGenerator
 from repro.queries.aggregates import AggregateKind
 from repro.simulation.config import SimulationConfig
@@ -45,31 +44,21 @@ def traffic_trace(
     seed: int = 7,
     engine: str = DEFAULT_ENGINE,
 ) -> Trace:
-    """Return (and cache) the synthetic network-monitoring trace.
+    """Return (and memoise, per process) the synthetic monitoring trace.
 
-    Two cache layers: the ``lru_cache`` keeps the trace hot within one
-    process, and the on-disk trace cache (:mod:`repro.data.trace_cache`,
-    keyed by ``(host_count, duration, seed, engine)``) shares it across
-    worker processes and repeated sweeps, so ``--workers N`` loads each
-    trace from disk instead of regenerating it N times.  ``engine`` names
-    the stream engine generating the trace on a miss.
+    ``engine`` is kept as the fourth positional parameter because the
+    benchmark harness in ``perfbench/`` passes :data:`DEFAULT_ENGINE` there;
+    any other value raises :class:`ValueError`, as there is one data plane.
     """
-
-    def build() -> Trace:
-        return SyntheticTrafficTraceGenerator(
-            host_count=host_count,
-            duration_seconds=duration,
-            seed=seed,
-            engine=get_engine(engine),
-        ).generate()
-
-    return load_or_generate(
+    if engine != DEFAULT_ENGINE:
+        raise ValueError(
+            f"unknown data plane {engine!r}; the only one is {DEFAULT_ENGINE!r}"
+        )
+    return SyntheticTrafficTraceGenerator(
         host_count=host_count,
-        duration=duration,
+        duration_seconds=duration,
         seed=seed,
-        engine=engine,
-        generate=build,
-    )
+    ).generate()
 
 
 def traffic_streams(trace: Trace) -> Dict[Hashable, UpdateStream]:
@@ -82,21 +71,17 @@ def random_walk_streams(
     seed: int,
     up_probability: float = 0.5,
     start: float = 100.0,
-    engine: str = DEFAULT_ENGINE,
 ) -> Dict[Hashable, UpdateStream]:
     """Build ``count`` independent random-walk streams (paper Section 4.2 data).
 
-    ``engine`` selects the stream engine drawing the steps; every walk gets
-    its own deterministically derived randomness handle either way.
+    Every walk gets its own deterministically derived random generator.
     """
-    stream_engine = get_engine(engine)
     streams: Dict[Hashable, UpdateStream] = {}
     for index in range(count):
         walk = RandomWalkGenerator(
             up_probability=up_probability,
             start=start,
-            rng=stream_engine.rng(seed * 1000 + index),
-            engine=stream_engine,
+            rng=random.Random(seed * 1000 + index),
         )
         streams[f"walk-{index}"] = RandomWalkStream(walk)
     return streams
@@ -138,11 +123,7 @@ def serving_policy(cost_factor: float = 1.0, seed: int = 0) -> AdaptivePrecision
     )
 
 
-def serving_config(
-    trace: Trace,
-    seed: int = 5,
-    engine: str = DEFAULT_ENGINE,
-) -> SimulationConfig:
+def serving_config(trace: Trace, seed: int = 5) -> SimulationConfig:
     """The serving stack's default workload config (shared construction).
 
     The warmup-free twin of the monitoring workload: one construction shared
@@ -158,7 +139,6 @@ def serving_config(
         constraint_variation=1.0,
         cost_factor=1.0,
         seed=seed,
-        engine=engine,
     ).with_changes(warmup=0.0)
 
 
@@ -187,15 +167,12 @@ def traffic_config(
     seed: int = 0,
     track_keys: Sequence[Hashable] = (),
     query_size: Optional[int] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
 
     ``query_size`` defaults to one fifth of the host population, preserving
     the paper's ratio (10 values per query out of 50 hosts) and therefore the
     per-item read rate when experiments run on a reduced host count.
-    ``engine`` records which stream engine generated the run's data (see
-    :mod:`repro.data.engine`).
     """
     if query_size is None:
         query_size = max(len(trace.keys) // 5, 1)
@@ -211,7 +188,6 @@ def traffic_config(
         constraint_variation=constraint_variation,
         constraint_bounds=constraint_bounds,
         cache_capacity=cache_capacity,
-        engine=engine,
         value_refresh_cost=value_refresh_cost,
         query_refresh_cost=query_refresh_cost,
         seed=seed,

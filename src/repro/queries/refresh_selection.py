@@ -35,12 +35,22 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Hashable, List, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Sequence,
+    Tuple,
+)
 
 from repro.intervals.interval import Interval
 from repro.queries.aggregates import AggregateKind, aggregate_bound
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is only needed by the array path
+    import numpy as np
 
 FetchExact = Callable[[Hashable], float]
 
@@ -196,6 +206,10 @@ def select_sum_refreshes_columnar(
             )
         ]
     else:
+        # Imported here so the package runs on the standard library alone:
+        # only this array path, which nothing in the package calls, needs it.
+        import numpy as np
+
         finite = np.isfinite(widths)
         if bool(finite.all()):
             unordered_total = float(widths.sum())

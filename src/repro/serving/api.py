@@ -511,6 +511,10 @@ class ServeConfig:
             )
         if self.partitions < 1:
             raise ValueError("partitions must be at least 1")
+        # Negated so NaN fails too: the policy is built from it only after
+        # the partitions are spawned.
+        if not self.cost_factor > 0:
+            raise ValueError(f"cost_factor must be positive, not {self.cost_factor}")
         if self.role != "gateway" and self.partitions != 1:
             raise ValueError("--partitions applies to the gateway role only")
         if self.max_inflight < 1:

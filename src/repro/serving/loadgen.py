@@ -345,7 +345,7 @@ def _trace_replay_parts(
     streams = {key: TraceStream(trace, key) for key in trace.keys}
     initials = {key: stream.initial_value for key, stream in streams.items()}
     columns = {key: stream.schedule(config.duration) for key, stream in streams.items()}
-    merged = merge_timelines(columns, engine=config.stream_engine())
+    merged = merge_timelines(columns)
     walk = MergedEventWalk(merged, config.duration + HORIZON_TOLERANCE)
     return list(trace.keys), initials, walk
 

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
-from repro.data.engine import DEFAULT_ENGINE, ENGINE_NAMES, StreamEngine, get_engine
 from repro.queries.aggregates import AggregateKind
 from repro.queries.constraints import PrecisionConstraintGenerator
 
@@ -57,17 +56,6 @@ class SimulationConfig:
     cache_capacity:
         ``kappa`` — maximum number of cached approximations (``None`` means
         large enough for everything).
-    engine:
-        Name of the stream-generation engine of the run's data plane
-        (:mod:`repro.data.engine`).  ``"reference"`` (the default) keeps the
-        ``random.Random`` sequences behind the committed figure tables;
-        ``"vector"`` selects numpy batch synthesis for paper-scale sweeps.
-        The simulator consumes pre-built streams, so this field does not
-        rebuild them: the workload builders and experiment plans
-        (:mod:`repro.experiments.workloads`, CLI ``--engine``) resolve it
-        when constructing streams and record it here so a run's provenance
-        travels with its config.  Callers wiring streams by hand must build
-        them against :meth:`stream_engine` themselves.
     value_refresh_cost / query_refresh_cost:
         ``C_vr`` and ``C_qr`` charged per refresh.
     seed:
@@ -87,7 +75,6 @@ class SimulationConfig:
     constraint_variation: float = 0.0
     constraint_bounds: Optional[Tuple[float, float]] = None
     cache_capacity: Optional[int] = None
-    engine: str = DEFAULT_ENGINE
     value_refresh_cost: float = 1.0
     query_refresh_cost: float = 2.0
     seed: int = 0
@@ -118,11 +105,6 @@ class SimulationConfig:
                 raise ValueError("constraint_bounds must satisfy 0 <= min <= max")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity (kappa) must be at least 1")
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; available: "
-                f"{', '.join(ENGINE_NAMES)}"
-            )
         if not (self.value_refresh_cost > 0 and self.query_refresh_cost > 0):
             raise ValueError("refresh costs must be positive")
 
@@ -133,10 +115,6 @@ class SimulationConfig:
     def cost_factor(self) -> float:
         """``rho = 2 * C_vr / C_qr`` implied by the configured costs."""
         return 2.0 * self.value_refresh_cost / self.query_refresh_cost
-
-    def stream_engine(self) -> StreamEngine:
-        """The resolved :class:`~repro.data.engine.StreamEngine` instance."""
-        return get_engine(self.engine)
 
     def constraint_generator(self, rng: random.Random) -> PrecisionConstraintGenerator:
         """Build the precision-constraint generator this config describes."""

@@ -6,8 +6,8 @@ pre-materialised and the query clock is strictly periodic.  So instead of
 pushing every event through a priority queue, this module replays the
 events as a merged stream (:mod:`repro.data.merged`) interleaved with the
 query clock by a two-pointer walk.  It dispatches straight to the
-update/query handler bodies, with no heap traffic on the lockstep/static
-paths and no event objects ever.
+update/query handler bodies, with no heap traffic on the lockstep path and
+no event objects ever.
 
 The kernel executes events in exactly the order a general discrete-event
 scheduler would:
@@ -16,10 +16,10 @@ scheduler would:
   queries at equal instants, FIFO within a class;
 * tie-break sequences are drawn when an event is (re)scheduled, so two
   sources tied at one instant execute in the order their *previous* events
-  were handled (initial events in source-insertion order).  The lockstep and
-  static representations are only selected when that dynamic order coincides
-  with their static order (identical grids / no shared instants); otherwise
-  the dynamic path replays the sequence draws with a small cursor heap;
+  were handled (initial events in source-insertion order).  The lockstep
+  representation is only selected when that dynamic order coincides with
+  its static order (identical grids); otherwise the dynamic path replays the
+  sequence draws with a small cursor heap;
 * the query clock accumulates ``time += period`` in floating point and both
   processes observe the ``HORIZON_TOLERANCE`` horizon slack.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Hashable, Optional
 
-from repro.data.merged import MODE_LOCKSTEP, MODE_STATIC, MergedTimeline
+from repro.data.merged import MODE_LOCKSTEP, MergedTimeline
 
 #: Slack when comparing event times against the run's horizon: an event
 #: nominally at the horizon still executes even if float accumulation
@@ -82,8 +82,8 @@ def run_batch_kernel(
         passes one on every lockstep run; the event count is
         unchanged (one event per source per instant).  Without it the kernel
         fans out per source, which is how ``tests/test_event_kernel.py``
-        checks the event order.  Ignored on the static/dynamic paths,
-        which never batch.
+        checks the event order.  Ignored on the dynamic path, which never
+        batches.
 
     Returns
     -------
@@ -123,26 +123,6 @@ def run_batch_kernel(
                 for key, column in sources:
                     handle_update(key, time, column[position])
                 processed += source_count
-    elif merged.mode == MODE_STATIC:
-        times = merged.times
-        assert (
-            times is not None
-            and merged.values is not None
-            and merged.source_indices is not None
-        )
-        keys = merged.keys
-        values = merged.values
-        source_indices = merged.source_indices
-        for position, time in enumerate(times):
-            if time > horizon:
-                break
-            while query_live and query_time < time:
-                handle_query(query_time)
-                processed += 1
-                query_time += query_period
-                query_live = query_time <= horizon
-            handle_update(keys[source_indices[position]], time, values[position])
-            processed += 1
     else:
         # Dynamic path: cross-source ties must follow a scheduler's
         # sequence semantics, so replay the sequence draws with a heap of
@@ -230,7 +210,7 @@ class MergedEventWalk:
         if merged.mode == MODE_LOCKSTEP:
             assert merged.times is not None and merged.columns is not None
             self._sources = list(zip(merged.keys, merged.columns))
-        elif merged.mode != MODE_STATIC:
+        else:
             times_per_source = merged.times_per_source
             assert times_per_source is not None
             heap = []
@@ -265,20 +245,6 @@ class MergedEventWalk:
                 for key, column in sources:
                     handle_update(key, time, column[position])
                 executed += len(sources)
-                position += 1
-            self._position = position
-        elif merged.mode == MODE_STATIC:
-            times = merged.times
-            keys = merged.keys
-            values = merged.values
-            source_indices = merged.source_indices
-            position = self._position
-            while position < len(times):
-                time = times[position]
-                if time > until:
-                    break
-                handle_update(keys[source_indices[position]], time, values[position])
-                executed += 1
                 position += 1
             self._position = position
         else:

@@ -181,10 +181,10 @@ class CacheSimulation:
 
         Every walk calls the same ``_apply_updates`` / ``_run_query`` bodies
         in event order: a lockstep walk hands ``_apply_updates`` every
-        source of one grid instant at once, every other walk one update at a
+        source of one grid instant at once, a dynamic walk one update at a
         time.
         """
-        merged = merge_timelines(self._columns, engine=self._config.stream_engine())
+        merged = merge_timelines(self._columns)
         return run_batch_kernel(
             merged,
             duration=self._config.duration,
@@ -217,7 +217,7 @@ class CacheSimulation:
         return partial(self._apply_updates, sources)
 
     def _apply_one_update(self, key: Hashable, time: float, payload: float) -> None:
-        """One update event of a static or dynamic walk."""
+        """One update event of a dynamic walk."""
         self._apply_updates(((self._sources[key], (payload,)),), time, 0)
 
     def _apply_updates(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 from pathlib import Path
@@ -16,24 +15,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.parameters import PrecisionParameters  # noqa: E402
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_trace_cache(tmp_path_factory):
-    """Keep the suite hermetic: route the on-disk trace cache to a per-run
-    temp directory so tests never read traces written by earlier runs or
-    other checkouts.  Session-scoped so it precedes module-scoped trace
-    fixtures; ``tests/test_trace_cache.py`` exercises the disk layer
-    deliberately through explicit ``cache_dir``/env overrides.
-    """
-    cache_dir = tmp_path_factory.getbasetemp() / "trace-cache"
-    previous = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    os.environ["REPRO_TRACE_CACHE_DIR"] = str(cache_dir)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_TRACE_CACHE_DIR"] = previous
 
 
 @pytest.fixture

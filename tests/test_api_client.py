@@ -6,6 +6,7 @@ combinations the CLI forwards to it.
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -103,3 +104,9 @@ class TestServeConfig:
             ServeConfig(role="gateway", partitions=0)
         with pytest.raises(ValueError, match="max_inflight"):
             ServeConfig(max_inflight=0)
+
+    @pytest.mark.parametrize("cost_factor", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_or_nan_cost_factor(self, cost_factor):
+        # Checked at construction, before a gateway spawns any partition.
+        with pytest.raises(ValueError, match="cost_factor"):
+            ServeConfig(role="gateway", partitions=2, cost_factor=cost_factor)

@@ -44,22 +44,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--shards", "2"])
 
-    def test_run_accepts_engine(self):
-        args = build_parser().parse_args(["run", "section45", "--engine", "vector"])
-        assert args.engine == "vector"
-
-    def test_engine_defaults_to_none(self):
-        args = build_parser().parse_args(["run", "section45"])
-        assert args.engine is None
-
-    def test_run_all_accepts_engine(self):
-        args = build_parser().parse_args(["run-all", "--engine", "reference"])
-        assert args.engine == "reference"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "section45", "--engine", "warp"])
-
     def test_run_accepts_profile(self):
         args = build_parser().parse_args(
             ["run", "section45", "--profile", "run.prof"]
@@ -109,31 +93,6 @@ class TestMain:
             tmp_path / "all-table1.prof"
         )
         assert _profile_destination(base, None) == base
-
-    def test_engine_reference_matches_default(self, capsys):
-        # --engine reference is the default data plane: the printed table
-        # must not change by a byte (the CI smoke job diffs it against the
-        # committed section45 table as well).
-        assert main(["run", "section45"]) == 0
-        default = capsys.readouterr().out
-        assert main(["run", "section45", "--engine", "reference"]) == 0
-        explicit = capsys.readouterr().out
-        assert explicit == default
-
-    def test_engine_vector_runs_and_differs(self, capsys):
-        assert main(["run", "section45"]) == 0
-        reference = capsys.readouterr().out
-        assert main(["run", "section45", "--engine", "vector"]) == 0
-        vector = capsys.readouterr().out
-        # Same table shape, different random sequences.
-        assert vector.splitlines()[0] == reference.splitlines()[0]
-        assert vector != reference
-
-    def test_engine_flag_ignored_with_note_for_unsupported_experiment(self, capsys):
-        assert main(["run", "table1", "--engine", "vector"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--engine ignored" in captured.err
 
 
 class TestVersion:

@@ -37,8 +37,8 @@ class TestValidation:
             {"cache_capacity": 0},
             {"value_refresh_cost": 0.0},
             {"query_refresh_cost": 0.0},
-            {"engine": "warp"},
             # NaN compares false both ways, so a sign test alone lets it in.
+            {"query_refresh_cost": math.nan},
             {"duration": math.nan},
             {"warmup": math.nan},
             {"query_period": math.nan},
@@ -87,14 +87,6 @@ class TestDerived:
 
     def test_default_aggregate_is_sum(self):
         assert _config().aggregates == (AggregateKind.SUM,)
-
-    def test_engine_defaults_to_reference(self):
-        from repro.data.engine import ReferenceEngine, VectorEngine
-
-        assert _config().engine == "reference"
-        assert isinstance(_config().stream_engine(), ReferenceEngine)
-        vector = _config(engine="vector")
-        assert isinstance(vector.stream_engine(), VectorEngine)
 
     def test_track_keys_default_empty(self):
         assert _config().track_keys == ()

@@ -21,13 +21,7 @@ from hypothesis import strategies as st
 
 from repro.caching.policies.adaptive import AdaptivePrecisionPolicy
 from repro.core.parameters import PrecisionParameters
-from repro.data.engine import get_engine
-from repro.data.merged import (
-    MODE_DYNAMIC,
-    MODE_LOCKSTEP,
-    MODE_STATIC,
-    merge_timelines,
-)
+from repro.data.merged import MODE_DYNAMIC, MODE_LOCKSTEP, merge_timelines
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import CounterStream, RandomWalkStream
 from repro.simulation.config import SimulationConfig
@@ -37,10 +31,10 @@ from repro.simulation.simulator import CacheSimulation
 from scheduler_oracle import EventPriority, EventScheduler, scheduler_event_sequence
 
 
-def kernel_event_sequence(timelines, duration, query_period, engine=None):
+def kernel_event_sequence(timelines, duration, query_period):
     """Replay the same workload through the batch kernel."""
     events = []
-    merged = merge_timelines(timelines, engine=engine)
+    merged = merge_timelines(timelines)
     processed = run_batch_kernel(
         merged,
         duration=duration,
@@ -96,18 +90,6 @@ def test_kernel_matches_scheduler_on_tie_heavy_workloads(workload):
     assert actual_count == expected_count
 
 
-@settings(max_examples=100, deadline=None)
-@given(tie_heavy_workloads())
-def test_kernel_matches_scheduler_with_vector_merge(workload):
-    """The vector engine's batch merge must never alter the event order."""
-    timelines, duration, query_period = workload
-    expected, _ = scheduler_event_sequence(timelines, duration, query_period)
-    actual, _, _ = kernel_event_sequence(
-        timelines, duration, query_period, engine=get_engine("vector")
-    )
-    assert actual == expected
-
-
 # ----------------------------------------------------------------------
 # The scheduler's own tie-break invariants (the contract being replicated)
 # ----------------------------------------------------------------------
@@ -158,14 +140,6 @@ def test_tied_sources_follow_predecessor_processing_order():
     actual, _, mode = kernel_event_sequence(timelines, 6.0, 100.0)
     assert mode == MODE_DYNAMIC
     assert actual == expected
-    # The static merge would order this tie by insertion position (b first),
-    # which is why the vector engine must refuse to batch-merge it.
-    assert (
-        get_engine("vector").merge_timelines(
-            [[3.0, 5.0], [1.0, 5.0]], [[0.0, 1.0], [0.0, 1.0]]
-        )
-        is None
-    )
 
 
 # ----------------------------------------------------------------------
@@ -179,18 +153,6 @@ def test_lockstep_mode_for_identical_grids():
     merged = merge_timelines(timelines)
     assert merged.mode == MODE_LOCKSTEP
     assert merged.event_count == 4
-
-
-def test_static_mode_for_disjoint_times_with_vector_engine():
-    timelines = {
-        "a": ([1.0, 4.0], [10.0, 11.0]),
-        "b": ([2.5, 3.5], [20.0, 21.0]),
-    }
-    merged = merge_timelines(timelines, engine=get_engine("vector"))
-    assert merged.mode == MODE_STATIC
-    assert merged.times == [1.0, 2.5, 3.5, 4.0]
-    assert merged.source_indices == [0, 1, 1, 0]
-    assert merged.values == [10.0, 20.0, 21.0, 11.0]
 
 
 def test_dynamic_mode_without_engine_merge():
@@ -229,11 +191,10 @@ def _walk_simulation():
     return CacheSimulation(config, streams, policy)
 
 
-def _poisson_simulation(engine_name="reference"):
-    engine = get_engine(engine_name)
+def _poisson_simulation():
     streams = {
         f"counter-{index}": CounterStream(
-            mean_interval=1.0, poisson=True, rng=engine.rng(50 + index), engine=engine
+            mean_interval=1.0, poisson=True, rng=random.Random(50 + index)
         )
         for index in range(3)
     }
@@ -244,7 +205,6 @@ def _poisson_simulation(engine_name="reference"):
         query_size=2,
         constraint_average=4.0,
         seed=11,
-        engine=engine_name,
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=2.0, rng=random.Random(11)
@@ -280,16 +240,12 @@ def _oracle_replay(simulation):
     [
         (_walk_simulation, MODE_LOCKSTEP),
         (_poisson_simulation, MODE_DYNAMIC),
-        (lambda: _poisson_simulation("vector"), MODE_STATIC),
     ],
-    ids=["walk-lockstep", "poisson-dynamic", "vector-static"],
+    ids=["walk-lockstep", "poisson-dynamic"],
 )
 def test_full_simulation_matches_oracle_replay(build, mode):
     simulation = build()
-    merged = merge_timelines(
-        simulation._columns, engine=simulation.config.stream_engine()
-    )
-    assert merged.mode == mode
+    assert merge_timelines(simulation._columns).mode == mode
     actual = simulation.run()
     expected = _oracle_replay(build())
     for field in dataclasses.fields(SimulationResult):
@@ -300,12 +256,12 @@ def test_full_simulation_matches_oracle_replay(build, mode):
 # ----------------------------------------------------------------------
 # MergedEventWalk: the resumable cursor equals the kernel's event stream
 # ----------------------------------------------------------------------
-def walk_event_sequence(timelines, duration, query_period, engine=None):
+def walk_event_sequence(timelines, duration, query_period):
     """Replay the workload through MergedEventWalk's advance/drain pattern."""
     from repro.simulation.kernel import MergedEventWalk
 
     events = []
-    merged = merge_timelines(timelines, engine=engine)
+    merged = merge_timelines(timelines)
     horizon = duration + HORIZON_TOLERANCE
     walk = MergedEventWalk(merged, horizon)
     processed = 0
@@ -332,26 +288,5 @@ def test_merged_event_walk_matches_kernel(workload):
         timelines, duration, query_period
     )
     walk_events, walk_processed = walk_event_sequence(timelines, duration, query_period)
-    assert walk_events == kernel_events
-    assert walk_processed == kernel_processed
-
-
-def test_merged_event_walk_matches_kernel_on_vector_static_merge():
-    rng = random.Random(11)
-    timelines = {
-        f"src-{index}": (
-            sorted(round(rng.uniform(0.1, 19.9), 3) + index * 20.0 for _ in range(8)),
-            [float(step) for step in range(8)],
-        )
-        for index in range(3)
-    }
-    engine = get_engine("vector")
-    kernel_events, kernel_processed, mode = kernel_event_sequence(
-        timelines, 70.0, 3.0, engine=engine
-    )
-    walk_events, walk_processed = walk_event_sequence(
-        timelines, 70.0, 3.0, engine=engine
-    )
-    assert mode == MODE_STATIC
     assert walk_events == kernel_events
     assert walk_processed == kernel_processed

@@ -29,6 +29,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrecisionParameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "value_refresh_cost",
+            "query_refresh_cost",
+            "adaptivity",
+            "lower_threshold",
+            "upper_threshold",
+            "cost_factor_multiplier",
+        ],
+    )
+    def test_rejects_nan(self, field):
+        # Every comparison with NaN is false, so a plain sign test lets it in.
+        with pytest.raises(ValueError, match=field):
+            PrecisionParameters(**{field: math.nan})
+
     def test_rejects_upper_below_lower_threshold(self):
         with pytest.raises(ValueError):
             PrecisionParameters(lower_threshold=5.0, upper_threshold=1.0)
@@ -86,6 +102,10 @@ class TestConstructorsAndTransforms:
     def test_for_cost_factor_rejects_non_positive(self):
         with pytest.raises(ValueError):
             PrecisionParameters.for_cost_factor(0.0)
+
+    def test_for_cost_factor_rejects_nan(self):
+        with pytest.raises(ValueError, match="cost_factor"):
+            PrecisionParameters.for_cost_factor(math.nan)
 
     def test_with_thresholds(self):
         params = PrecisionParameters().with_thresholds(1.0, 10.0)

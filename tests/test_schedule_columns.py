@@ -4,19 +4,15 @@ A schedule is a ``(times, values)`` pair of parallel lists; ``updates()``
 zips the same columns.  The streams of one trace share a single ``times``
 list, which :func:`merge_timelines` recognises as a lockstep grid.  The
 columns must describe exactly the events the per-event loops used to emit,
-and the static and dynamic merged representations built from them must
-equal those built from per-event tuples.
+and the dynamic merged representation built from them must equal the one
+built from per-event tuples.
 """
+
+import random
 
 import pytest
 
-from repro.data.engine import ENGINE_NAMES, get_engine
-from repro.data.merged import (
-    MODE_DYNAMIC,
-    MODE_LOCKSTEP,
-    MODE_STATIC,
-    merge_timelines,
-)
+from repro.data.merged import MODE_DYNAMIC, MODE_LOCKSTEP, merge_timelines
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.streams import (
     CounterStream,
@@ -28,26 +24,25 @@ from repro.data.trace import Trace
 from repro.data.traffic import SyntheticTrafficTraceGenerator
 
 
-def _trace(engine):
+def _trace():
     return SyntheticTrafficTraceGenerator(
-        host_count=3, duration_seconds=90, seed=5, engine=engine
+        host_count=3, duration_seconds=90, seed=5
     ).generate()
 
 
-def _trace_stream(engine):
-    trace = _trace(engine)
+def _trace_stream():
+    trace = _trace()
     return TraceStream(trace, trace.keys[1])
 
 
 STREAM_BUILDERS = {
-    "random_walk": lambda engine: RandomWalkStream(
-        RandomWalkGenerator(start=20.0, rng=engine.rng(3), engine=engine),
-        interval=0.7,
+    "random_walk": lambda: RandomWalkStream(
+        RandomWalkGenerator(start=20.0, rng=random.Random(3)), interval=0.7
     ),
     "trace": _trace_stream,
-    "counter": lambda engine: CounterStream(mean_interval=1.3, start=0.1),
-    "poisson_counter": lambda engine: CounterStream(
-        mean_interval=0.8, poisson=True, rng=engine.rng(9), engine=engine
+    "counter": lambda: CounterStream(mean_interval=1.3, start=0.1),
+    "poisson_counter": lambda: CounterStream(
+        mean_interval=0.8, poisson=True, rng=random.Random(9)
     ),
 }
 
@@ -80,16 +75,14 @@ def _split(events):
     return [time for time, _ in events], [value for _, value in events]
 
 
-@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 @pytest.mark.parametrize("kind", sorted(STREAM_BUILDERS))
-def test_updates_zip_the_schedule_columns(kind, engine_name):
-    engine = get_engine(engine_name)
+def test_updates_zip_the_schedule_columns(kind):
     build = STREAM_BUILDERS[kind]
-    times, values = build(engine).schedule(60.0)
+    times, values = build().schedule(60.0)
     assert isinstance(times, list) and isinstance(values, list)
     assert len(times) == len(values) > 0
     assert times == sorted(times) and 0.0 < times[0] and times[-1] <= 60.0
-    assert list(build(engine).updates(60.0)) == list(zip(times, values))
+    assert list(build().updates(60.0)) == list(zip(times, values))
 
 
 @pytest.mark.parametrize("duration", [0.5, 1.0, 29.999999999, 30.0, 44.4, 500.0])
@@ -112,16 +105,15 @@ def test_periodic_counter_equals_legacy_loop(start):
     assert list(stream.updates(40.0)) == expected
 
 
-@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
-def test_streams_of_one_trace_share_one_times_list(engine_name):
-    trace = _trace(get_engine(engine_name))
+def test_streams_of_one_trace_share_one_times_list():
+    trace = _trace()
     schedules = {
         key: stream.schedule(45.0) for key, stream in streams_from_trace(trace).items()
     }
     grid = next(iter(schedules.values()))[0]
     assert all(times is grid for times, _ in schedules.values())
     assert grid == [float(second) for second in range(1, 46)]
-    merged = merge_timelines(schedules, engine=get_engine(engine_name))
+    merged = merge_timelines(schedules)
     assert merged.mode == MODE_LOCKSTEP
     assert merged.times is grid
     assert merged.columns == [values for _, values in schedules.values()]
@@ -133,22 +125,26 @@ def test_streams_of_one_trace_share_one_times_list(engine_name):
 POISSON_SEEDS = (70, 71, 72)
 
 
-def _poisson_columns(engine):
+def _poisson_columns():
     return {
         seed: CounterStream(
-            mean_interval=1.0, poisson=True, rng=engine.rng(seed), engine=engine
+            mean_interval=1.0, poisson=True, rng=random.Random(seed)
         ).schedule(80.0)
         for seed in POISSON_SEEDS
     }
 
 
-def _legacy_poisson_split(engine):
+def _legacy_poisson_split():
     """Per-event tuples from the loop the Poisson ``CounterStream`` used to
     run, split per source the way ``merge_timelines`` used to split them."""
     split = []
     for seed in POISSON_SEEDS:
-        events, value = [], 0.0
-        for time in engine.poisson_times(engine.rng(seed), 1.0, 80.0 + 1e-9):
+        rng = random.Random(seed)
+        events, time, value = [], 0.0, 0.0
+        while True:
+            time += rng.expovariate(1.0)
+            if time > 80.0 + 1e-9:
+                break
             value += 1.0
             events.append((time, value))
         split.append(_split(events))
@@ -156,28 +152,8 @@ def _legacy_poisson_split(engine):
 
 
 def test_dynamic_mode_equals_the_legacy_events():
-    engine = get_engine("reference")
-    merged = merge_timelines(_poisson_columns(engine), engine=engine)
+    merged = merge_timelines(_poisson_columns())
     assert merged.mode == MODE_DYNAMIC
-    times_per_source, values_per_source = _legacy_poisson_split(engine)
+    times_per_source, values_per_source = _legacy_poisson_split()
     assert merged.times_per_source == times_per_source
     assert merged.values_per_source == values_per_source
-
-
-def test_static_mode_equals_the_legacy_events():
-    engine = get_engine("vector")
-    merged = merge_timelines(_poisson_columns(engine), engine=engine)
-    assert merged.mode == MODE_STATIC
-    times_per_source, values_per_source = _legacy_poisson_split(engine)
-    expected = engine.merge_timelines(times_per_source, values_per_source)
-    assert (merged.times, merged.source_indices, merged.values) == expected
-    flat = sorted(
-        (time, index, value)
-        for index, (times, values) in enumerate(
-            zip(times_per_source, values_per_source)
-        )
-        for time, value in zip(times, values)
-    )
-    assert merged.times == [time for time, _, _ in flat]
-    assert merged.source_indices == [index for _, index, _ in flat]
-    assert merged.values == [value for _, _, value in flat]
