@@ -47,7 +47,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         placement: Optional[IntervalPlacement] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if initial_width <= 0:
+        if not initial_width > 0:
             raise ValueError("initial_width must be positive")
         self._parameters = parameters
         self._initial_width = initial_width
@@ -131,7 +131,7 @@ class UncenteredAdaptivePolicy(PrecisionPolicy):
         initial_width: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if initial_width <= 0:
+        if not initial_width > 0:
             raise ValueError("initial_width must be positive")
         self._parameters = parameters
         self._initial_width = initial_width

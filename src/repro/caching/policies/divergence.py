@@ -80,11 +80,11 @@ class DivergenceCachingPolicy(PrecisionPolicy):
         window_size: int = 23,
         initial_allowance: float = 1.0,
     ) -> None:
-        if value_refresh_cost <= 0 or query_refresh_cost <= 0:
+        if not (value_refresh_cost > 0 and query_refresh_cost > 0):
             raise ValueError("refresh costs must be positive")
         if window_size < 1:
             raise ValueError("window_size (k) must be at least 1")
-        if initial_allowance < 0:
+        if not initial_allowance >= 0:
             raise ValueError("initial_allowance must be non-negative")
         self._c_vr = value_refresh_cost
         self._c_qr = query_refresh_cost

@@ -63,7 +63,7 @@ class ExactCachingPolicy(PrecisionPolicy):
         reevaluation_window: int = 20,
         cache_initially: bool = True,
     ) -> None:
-        if value_refresh_cost <= 0 or query_refresh_cost <= 0:
+        if not (value_refresh_cost > 0 and query_refresh_cost > 0):
             raise ValueError("refresh costs must be positive")
         if reevaluation_window < 1:
             raise ValueError("reevaluation_window (x) must be at least 1")

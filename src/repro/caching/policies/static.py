@@ -22,7 +22,7 @@ class StaticWidthPolicy(PrecisionPolicy):
         width: float,
         placement: Optional[IntervalPlacement] = None,
     ) -> None:
-        if width < 0:
+        if not width >= 0:
             raise ValueError("width must be non-negative")
         self._width = float(width)
         self._placement = placement or CenteredPlacement()

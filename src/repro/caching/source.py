@@ -2,11 +2,12 @@
 
 Each :class:`DataSource` hosts one exact numeric value (the paper's setting in
 Section 4.1 — one value per source) and remembers the interval approximation
-it last sent to the cache.  On every update the source applies the validity
-test ``Valid([L, H], V)``; when it fails, a value-initiated refresh is due.
-The source also tracks the *original* (unclamped) width used by its precision
-policy so that the next width can be derived from it, and a cumulative update
-counter used by the stale-value (Divergence Caching) experiments.
+it last sent to the cache.  On every update the cache core
+(:mod:`repro.caching.core`) applies the validity test ``Valid([L, H], V)``;
+when it fails, a value-initiated refresh is due.  The source also tracks the
+*original* (unclamped) width used by its precision policy so that the next
+width can be derived from it, and a cumulative update counter used by the
+stale-value (Divergence Caching) experiments.
 """
 
 from __future__ import annotations
@@ -38,43 +39,10 @@ class DataSource:
     last_update_time: float = 0.0
 
     # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def apply_update(self, new_value: float, time: float) -> bool:
-        """Install a new exact value and report whether a refresh is needed.
-
-        Returns ``True`` when the cache currently holds an approximation (as
-        far as the source knows) and the new value falls outside it, i.e. a
-        value-initiated refresh must be sent.
-        """
-        if time < self.last_update_time:
-            raise ValueError("updates must arrive in non-decreasing time order")
-        self.value = float(new_value)
-        self.update_count += 1
-        self.last_update_time = time
-        if self.published_interval is None:
-            return False
-        return not self.published_interval.contains(self.value)
-
-    # ------------------------------------------------------------------
     # Refresh bookkeeping
     # ------------------------------------------------------------------
-    def publish(self, interval: Interval, original_width: float, time: float) -> None:
-        """Record the approximation just sent to the cache."""
-        if original_width < 0:
-            raise ValueError("original_width must be non-negative")
-        self.published_interval = interval
-        self.published_width = original_width
-        self.last_refresh_time = time
-
     def forget_publication(self) -> None:
-        """Stop tracking the cached approximation (eviction notification).
-
-        Only policies that notify sources of evictions (the WJH97 exact
-        caching baseline) call this; the paper's algorithm does not require
-        eviction notifications, so the source keeps refreshing evicted
-        approximations at its own expense.
-        """
+        """Stop tracking the cached approximation (dropped or evicted)."""
         self.published_interval = None
 
     @property

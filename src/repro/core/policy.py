@@ -91,7 +91,7 @@ class AdaptiveWidthController:
         initial_width: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if initial_width <= 0:
+        if not initial_width > 0:
             raise ValueError(
                 "initial_width must be positive so the width can adapt in both "
                 f"directions, got {initial_width}"

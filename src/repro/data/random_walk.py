@@ -41,9 +41,9 @@ class RandomWalkGenerator:
         start: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if step_low < 0:
+        if not step_low >= 0:
             raise ValueError("step_low must be non-negative")
-        if step_high < step_low:
+        if not step_high >= step_low:
             raise ValueError("step_high must be >= step_low")
         if not 0.0 <= up_probability <= 1.0:
             raise ValueError("up_probability must lie in [0, 1]")

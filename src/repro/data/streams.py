@@ -86,7 +86,7 @@ class RandomWalkStream(UpdateStream):
         interval: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("interval must be positive")
         self._walk = walk if walk is not None else RandomWalkGenerator(rng=rng)
         self._interval = interval
@@ -145,7 +145,7 @@ class CounterStream(UpdateStream):
         start: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if mean_interval <= 0:
+        if not mean_interval > 0:
             raise ValueError("mean_interval must be positive")
         self._mean_interval = mean_interval
         self._poisson = poisson

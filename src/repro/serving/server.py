@@ -2,18 +2,18 @@
 
 :class:`CacheServer` hosts one :class:`~repro.caching.cache.ApproximateCache`
 behind the length-prefixed JSON protocol of :mod:`repro.serving.protocol`.
-Its behaviour per event mirrors the offline simulator exactly — the
+Each event runs on the same :class:`~repro.caching.core.CacheCore` ops as
+the offline :class:`~repro.simulation.simulator.CacheSimulation` — the
 deterministic load-generator equivalence test in
 ``tests/test_serving_equivalence.py`` pins refresh counts and hit rates to
-:class:`~repro.simulation.simulator.CacheSimulation`'s — while the plumbing
-around the events is a real server:
+the simulator's — while the plumbing around the events is a real server:
 
 * **Feeders** register the keys they own with initial exact values and push
-  ``update`` RPCs.  The server keeps a
+  ``update`` RPCs.  The core keeps a
   :class:`~repro.caching.source.DataSource` mirror per key: when an update
   escapes the published interval, the precision policy decides a fresh
-  approximation and a value-initiated refresh is charged, exactly as in the
-  simulator's ``_apply_updates``.
+  approximation and a value-initiated refresh is charged, by the core's
+  ``apply_updates`` as in the simulator.
 * **Clients** send ``query`` RPCs (keys, aggregate, precision constraint).
   Cached intervals are snapshotted (these lookups are the only ones counted
   in the hit rate, as offline) and the shared refresh-selection logic runs
@@ -59,10 +59,12 @@ import math
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     ClassVar,
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     List,
     NoReturn,
     Optional,
@@ -73,10 +75,11 @@ from typing import (
 )
 
 from repro.caching.cache import ApproximateCache
+from repro.caching.core import CacheCore, UpdateOrderError
 from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
 from repro.caching.source import DataSource
-from repro.intervals.interval import UNBOUNDED, Interval
+from repro.intervals.interval import Interval
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.serving.durability import PartitionDurability
@@ -168,16 +171,16 @@ _STATS_GAUGE_METRICS: Tuple[Tuple[str, str, str], ...] = (
 
 @dataclass
 class ServingStatistics:
-    """Running counters of one server's lifetime (all-time totals)."""
+    """Running counters of one server's lifetime (all-time totals).
+
+    The refresh counts and cost are kept by the core's network model.
+    """
 
     updates_applied: int = 0
     updates_ignored: int = 0
-    value_refreshes: int = 0
-    query_refreshes: int = 0
     queries_served: int = 0
     queries_rejected: int = 0
     refresh_rpcs: int = 0
-    total_cost: float = 0.0
     connections_opened: int = 0
     connections_closed: int = 0
     refreshes_failed: int = 0
@@ -185,11 +188,6 @@ class ServingStatistics:
     stale_epoch_rejections: int = 0
     feeder_resyncs: int = 0
     partition_restarts: int = 0
-
-    @property
-    def refresh_count(self) -> int:
-        """Total refreshes of both kinds."""
-        return self.value_refreshes + self.query_refreshes
 
 
 class _FeederLost(Exception):
@@ -282,20 +280,6 @@ class _Connection:
         self.pending.clear()
 
 
-class _ReplayOwner:
-    """Duck-typed :class:`_Connection` stand-in that owns keys during WAL
-    replay.  Recovery drops its ownerships once the replay is done — a
-    recovered key has no live feeder until one re-registers."""
-
-    __slots__ = ("keys", "closing", "feeder_id", "epoch")
-
-    def __init__(self) -> None:
-        self.keys: Set[Hashable] = set()
-        self.closing = False
-        self.feeder_id: Optional[str] = None
-        self.epoch = 0
-
-
 class BaseFrameServer:
     """Connection plumbing shared by :class:`CacheServer` and the gateway.
 
@@ -326,7 +310,7 @@ class BaseFrameServer:
             raise ValueError("max_inflight_queries must be at least 1")
         if admission_queue_limit < 0:
             raise ValueError("admission_queue_limit must be non-negative")
-        if refresh_timeout is not None and refresh_timeout <= 0:
+        if refresh_timeout is not None and not refresh_timeout > 0:
             raise ValueError("refresh_timeout must be positive (or None)")
         self._query_gate = asyncio.Semaphore(max_inflight_queries)
         self._admission_queue_limit = admission_queue_limit
@@ -659,10 +643,10 @@ class CacheServer(BaseFrameServer):
     durability:
         Optional :class:`~repro.serving.durability.PartitionDurability`.
         When given, construction first recovers the snapshot+WAL state the
-        directory holds (replayed through the same apply paths live
-        traffic uses, so the recovered server is field-for-field the one
-        that crashed), then every state-mutating op is write-ahead logged
-        and checkpointed per the durability object's policy.
+        directory holds (each record replayed as the core op live traffic
+        ran, so the recovered server is field-for-field the one that
+        crashed), then every state-mutating op is write-ahead logged and
+        checkpointed per the durability object's policy.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this server
         publishes into (defaults to the process registry).  A scrape-time
@@ -693,32 +677,23 @@ class CacheServer(BaseFrameServer):
             admission_queue_limit=admission_queue_limit,
             refresh_timeout=refresh_timeout,
         )
-        if degraded_slack < 1.0:
+        if not degraded_slack >= 1.0:
             raise ValueError("degraded_slack must be at least 1")
-        self._policy = policy
-        self._cache = ApproximateCache(
-            capacity=capacity, eviction_policy=eviction_policy
+        self._core = self._build_core(
+            policy,
+            ApproximateCache(capacity=capacity, eviction_policy=eviction_policy),
+            NetworkModel(
+                value_refresh_cost=value_refresh_cost,
+                query_refresh_cost=query_refresh_cost,
+                latency_per_message=latency_per_message,
+            ),
+            {},
         )
-        self._network = NetworkModel(
-            value_refresh_cost=value_refresh_cost,
-            query_refresh_cost=query_refresh_cost,
-            latency_per_message=latency_per_message,
-        )
-        self._sources: Dict[Hashable, DataSource] = {}
         self._owners: Dict[Hashable, _Connection] = {}
         self._down_since: Dict[Hashable, float] = {}
         self._drift: Dict[Hashable, _KeyDrift] = {}
         self._degraded_slack = degraded_slack
         self._clock = 0.0
-        self._notify_on_eviction = policy.notifies_source_on_eviction()
-        policy_type = type(policy)
-        self._policy_observes_writes = (
-            policy_type.record_write is not PrecisionPolicy.record_write
-        )
-        self._policy_observes_reads = (
-            policy_type.record_read is not PrecisionPolicy.record_read
-            or policy_type.record_constraint is not PrecisionPolicy.record_constraint
-        )
         self.statistics = ServingStatistics()
         self._durability = durability
         if durability is not None:
@@ -726,23 +701,35 @@ class CacheServer(BaseFrameServer):
         self._registry = REGISTRY if registry is None else registry
         self._register_metrics()
 
+    def _build_core(
+        self,
+        policy: PrecisionPolicy,
+        cache: ApproximateCache,
+        network: NetworkModel,
+        sources: Dict[Hashable, DataSource],
+    ) -> CacheCore:
+        """The cache core over this state; applied updates feed the drift model."""
+        return CacheCore(
+            policy, cache, network, sources=sources, observe_update=self._observe_drift
+        )
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def cache(self) -> ApproximateCache:
         """The hosted cache."""
-        return self._cache
+        return self._core.cache
 
     @property
     def network(self) -> NetworkModel:
-        """The cost/latency accounting model."""
-        return self._network
+        """The cost/latency accounting model (it keeps the refresh totals)."""
+        return self._core.network
 
     @property
     def sources(self) -> Dict[Hashable, DataSource]:
         """The server-side source mirrors, keyed by value id."""
-        return self._sources
+        return self._core.sources
 
     @property
     def clock(self) -> float:
@@ -819,92 +806,95 @@ class CacheServer(BaseFrameServer):
         all keys down and lets feeders (or the gateway's resync) re-adopt
         them through the normal register path.
         """
+        core = self._core
         return {
-            "sources": self._sources,
-            "cache": self._cache,
+            "sources": core.sources,
+            "cache": core.cache,
             "drift": self._drift,
             "down_since": dict(self._down_since),
             "clock": self._clock,
             "epochs": dict(self._feeder_epochs),
             "statistics": self.statistics,
-            "network": self._network,
-            "policy": self._policy,
+            "network": core.network,
+            "policy": core.policy,
         }
 
     def _restore_durable_state(self, state: Dict[str, Any]) -> None:
-        self._sources = state["sources"]
-        self._cache = state["cache"]
+        network = state["network"]
+        self._core = self._build_core(
+            state["policy"], state["cache"], network, state["sources"]
+        )
         self._drift = state["drift"]
         self._down_since = dict(state["down_since"])
         self._clock = state["clock"]
         self._feeder_epochs.clear()
         self._feeder_epochs.update(state["epochs"])
         self.statistics = state["statistics"]
-        self._network = state["network"]
-        self._policy = state["policy"]
-        self._notify_on_eviction = self._policy.notifies_source_on_eviction()
+        # Snapshots taken before the refresh totals moved into the network
+        # model carry them as statistics fields.
+        legacy = vars(self.statistics)
+        for field in ("value_refreshes", "query_refreshes", "total_cost"):
+            if field in legacy:
+                setattr(network, field, legacy.pop(field))
 
     def _recover_durable_state(self) -> None:
         state, records = self._durability.load()
         if state is not None:
             self._restore_durable_state(state)
-        owner = _ReplayOwner()
         try:
             for record in records:
-                self._replay_record(owner, record)
+                self._replay_record(record)
         except UnrecoverablePartition:
             self._durability.close()
             raise
-        # Replay ownership is synthetic: every recovered key is down until
-        # a live feeder (or the gateway resync) re-registers it.  Keys
-        # whose down-stamp survived in the snapshot/WAL keep the earlier
-        # (wider, safer) timestamp.
-        self._owners.clear()
-        for key in self._sources:
+        # Replay assigns no owners: every recovered key is down until a live
+        # feeder (or the gateway resync) re-registers it.  Keys whose
+        # down-stamp survived in the snapshot/WAL keep the earlier (wider,
+        # safer) timestamp.
+        for key in self._core.sources:
             self._down_since.setdefault(key, self._clock)
 
-    def _replay_record(self, owner: _ReplayOwner, record: Dict[str, Any]) -> None:
+    #: The op each timed WAL record kind replays, at the record's time.
+    _REPLAY_OPS: ClassVar[Dict[str, Callable[..., Any]]] = {
+        "u": lambda server, record, time: server._feed(
+            None, ((record["key"], record["v"]),), time
+        ),
+        "ub": lambda server, record, time: server._feed(None, record["u"], time),
+        "snap": lambda server, record, time: server._core.snapshot(
+            list(record["keys"]), record["c"], time
+        ),
+        "qr": lambda server, record, time: server._core.refresh(
+            record["key"], time, True, float(record["v"])
+        ),
+    }
+
+    def _replay_record(self, record: Dict[str, Any]) -> None:
         """Re-apply one WAL record through the live code paths.
 
-        Replay drives the same methods live traffic does — policy calls,
-        cost charges, installs and statistics fire in original order, so
-        the policy's RNG stream and every counter reconstruct exactly.
-        A record replay cannot apply — an unknown kind, or a known one
-        missing a field — raises :class:`UnrecoverablePartition`: skipping
-        it would bring the partition back without that op.
+        Each record is one core op or the server-only registration and
+        down-stamp state, so policy calls, cost charges, installs and
+        statistics fire in original order: the policy's RNG stream and
+        every counter reconstruct exactly.  A record replay cannot apply —
+        an unknown kind, or a known one missing a field — raises
+        :class:`UnrecoverablePartition`: skipping it would bring the
+        partition back without that op.
         """
         kind = record.get("k")
         try:
-            if kind == "u":
-                time = self._advance_clock(record["t"])
-                self._apply_update(owner, record["key"], record["v"], time)
-            elif kind == "ub":
-                time = self._advance_clock(record["t"])
-                for key, value in record["u"]:
-                    self._apply_update(owner, key, value, time)
-            elif kind == "snap":
-                time = self._advance_clock(record["t"])
-                self._snapshot_intervals(list(record["keys"]), record["c"], time)
-            elif kind == "qr":
-                time = self._advance_clock(record["t"])
-                self._apply_query_refresh(record["key"], float(record["v"]), time)
-            elif kind == "reg":
+            if kind == "reg":
                 feeder = record.get("f")
                 if feeder is not None:
                     self._feeder_epochs[feeder] = (
                         self._feeder_epochs.get(feeder, 0) + 1
                     )
-                if record.get("r"):
-                    time = self._advance_clock(record["t"])
-                    for key, value in zip(record["keys"], record["vals"]):
-                        self._resync_key(owner, key, float(value), time)
-                    self.statistics.feeder_resyncs += 1
-                else:
-                    for key, value in zip(record["keys"], record["vals"]):
-                        self._register_key(owner, key, float(value))
+                time = self._advance_clock(record["t"]) if record.get("r") else None
+                self._adopt_keys(None, record["keys"], record["vals"], time)
             elif kind == "down":
                 for key in record["keys"]:
                     self._down_since.setdefault(key, record["t"])
+            elif kind in self._REPLAY_OPS:
+                time = self._advance_clock(record["t"])
+                self._REPLAY_OPS[kind](self, record, time)
             else:
                 self._unreplayable(record, f"has unknown kind {kind!r}")
         except ProtocolError:
@@ -942,7 +932,7 @@ class CacheServer(BaseFrameServer):
             durability.checkpoint(self._capture_durable_state(), self._clock)
         return {
             "checkpointed": durability is not None,
-            "keys": len(self._sources),
+            "keys": len(self._core.sources),
             "records_replayed": (
                 durability.records_replayed if durability is not None else 0
             ),
@@ -954,8 +944,8 @@ class CacheServer(BaseFrameServer):
             "ok": True,
             "role": "cache",
             "state": "ok",
-            "keys": len(self._sources),
-            "keys_down": sum(1 for key in self._sources if self._key_down(key)),
+            "keys": len(self._core.sources),
+            "keys_down": sum(1 for key in self._core.sources if self._key_down(key)),
             "clock": self._clock,
         }
         if self._durability is not None:
@@ -1030,7 +1020,6 @@ class CacheServer(BaseFrameServer):
         self, connection: _Connection, request: RegisterFeeder
     ) -> RegisterAck:
         epoch: Optional[int] = None
-        refreshes: Optional[int] = None
         if request.feeder is not None:
             # Mint the next epoch for this feeder identity: any previous
             # session holding it is fenced off from now on.
@@ -1038,90 +1027,75 @@ class CacheServer(BaseFrameServer):
             self._feeder_epochs[request.feeder] = epoch
             connection.feeder_id = request.feeder
             connection.epoch = epoch
-        if request.resync:
-            time = self._advance_clock(request.time)
-            if self._durability is not None:
-                self._durability.append(
-                    {
-                        "k": "reg",
-                        "f": request.feeder,
-                        "r": 1,
-                        "e": epoch,
-                        "t": time,
-                        "keys": list(request.keys),
-                        "vals": [float(value) for value in request.values],
-                    }
-                )
-            refreshes = 0
-            for key, value in zip(request.keys, request.values):
-                if self._resync_key(connection, key, float(value), time):
-                    refreshes += 1
-            self.statistics.feeder_resyncs += 1
-        else:
-            if self._durability is not None:
-                self._durability.append(
-                    {
-                        "k": "reg",
-                        "f": request.feeder,
-                        "r": 0,
-                        "e": epoch,
-                        "t": None,
-                        "keys": list(request.keys),
-                        "vals": [float(value) for value in request.values],
-                    }
-                )
-            for key, value in zip(request.keys, request.values):
-                self._register_key(connection, key, float(value))
+        time = self._advance_clock(request.time) if request.resync else None
+        if self._durability is not None:
+            self._durability.append(
+                {
+                    "k": "reg",
+                    "f": request.feeder,
+                    "r": 1 if request.resync else 0,
+                    "e": epoch,
+                    "t": time,
+                    "keys": list(request.keys),
+                    "vals": [float(value) for value in request.values],
+                }
+            )
+        refreshes = self._adopt_keys(connection, request.keys, request.values, time)
         self._durable_checkpoint_if_due()
         return RegisterAck(
             registered=len(request.keys), epoch=epoch, refreshes=refreshes
         )
 
-    def _register_key(
-        self, connection: _Connection, key: Hashable, value: float
-    ) -> None:
-        source = self._sources.get(key)
-        if source is None:
-            self._sources[key] = DataSource(key=key, value=value)
-        else:
-            # Re-registration hands the key a fresh lifecycle: the new
-            # feeder's initial value replaces any stale mirror state and the
-            # previous owner's cached approximation is dropped, so a second
-            # replay against a persistent server starts from a clean slate
-            # instead of tripping the update time-order check.
-            source.value = float(value)
-            source.update_count = 0
-            source.last_update_time = 0.0
-            source.last_refresh_time = 0.0
-            source.forget_publication()
-            self._cache.invalidate(key)
-            self._drift.pop(key, None)
-        self._owners[key] = connection
-        connection.keys.add(key)
-        self._down_since.pop(key, None)
+    def _adopt_keys(
+        self,
+        connection: Optional[_Connection],
+        keys: Sequence[Hashable],
+        values: Sequence[float],
+        resync_time: Optional[float],
+    ) -> Optional[int]:
+        """Register ``keys`` to ``connection`` (live or WAL replay).
 
-    def _resync_key(
-        self, connection: _Connection, key: Hashable, value: float, time: float
-    ) -> bool:
-        """Re-adopt ``key`` after a reconnect *without* resetting its state.
-
-        The mirror keeps its update history, published interval and cached
-        approximation; only a value it missed while the feeder was away is
-        folded in, through the normal update path — so a missed update that
-        escaped the published interval triggers exactly the value-initiated
-        refresh it would have caused live, mirroring the offline
-        ``_refresh`` path.  A resync with unchanged values perturbs
-        nothing, which is what keeps a drop+reconnect replay bit-identical
-        to the offline run.  Returns whether folding the value in fired a
-        refresh.
+        Without a ``resync_time`` each key starts over at its value.  A
+        resync re-adopts each known key *without* resetting its state: a
+        value it missed while the feeder was away folds in through the
+        normal update path, so a missed update that escaped the published
+        interval fires the refresh it would have caused live, and unchanged
+        values perturb nothing — which keeps a drop+reconnect replay
+        bit-identical to the offline run.  Returns the refreshes a resync
+        fired (``None`` otherwise).
         """
-        if key not in self._sources:
-            self._register_key(connection, key, value)
-            return False
-        self._owners[key] = connection
-        connection.keys.add(key)
+        if resync_time is None:
+            for key, value in zip(keys, values):
+                self._register_key(connection, key, float(value))
+            return None
+        refreshes = 0
+        for key, value in zip(keys, values):
+            if key in self._core.sources:
+                self._take_ownership(connection, key)
+                refreshes += self._feed(connection, ((key, float(value)),), resync_time)
+            else:
+                self._register_key(connection, key, float(value))
+        self.statistics.feeder_resyncs += 1
+        return refreshes
+
+    def _register_key(
+        self, connection: Optional[_Connection], key: Hashable, value: float
+    ) -> None:
+        """Start ``key`` over at ``value`` in the core, owned by ``connection``.
+
+        A re-registered key also forgets the drift its previous lifecycle
+        observed.
+        """
+        self._core.register(key, value)
+        self._drift.pop(key, None)
+        self._take_ownership(connection, key)
+
+    def _take_ownership(self, connection: Optional[_Connection], key: Hashable) -> None:
+        """Hand ``key`` to ``connection``; WAL replay (``None``) owns nothing."""
         self._down_since.pop(key, None)
-        return self._apply_update(connection, key, value, time)
+        if connection is not None:
+            self._owners[key] = connection
+            connection.keys.add(key)
 
     def _handle_update(self, connection: _Connection, request: Update) -> Any:
         if self._connection_fenced(connection):
@@ -1137,9 +1111,9 @@ class CacheServer(BaseFrameServer):
                     "t": time,
                 }
             )
-        refreshed = self._apply_update(connection, request.key, request.value, time)
+        refreshes = self._feed(connection, ((request.key, request.value),), time)
         self._durable_checkpoint_if_due()
-        return UpdateAck(refresh=refreshed)
+        return UpdateAck(refresh=refreshes > 0)
 
     def _handle_update_batch(
         self, connection: _Connection, request: UpdateBatch
@@ -1156,56 +1130,52 @@ class CacheServer(BaseFrameServer):
                     "t": time,
                 }
             )
-        refreshes = 0
-        for key, value in request.updates:
-            if self._apply_update(connection, key, value, time):
-                refreshes += 1
+        refreshes = self._feed(connection, request.updates, time)
         self._durable_checkpoint_if_due()
         return UpdateBatchAck(refreshes=refreshes)
 
-    def _apply_update(
-        self, connection: _Connection, key: Hashable, value: float, time: float
-    ) -> bool:
-        """Mirror of the simulator's ``_apply_updates`` body, for one update.
+    def _feed(
+        self,
+        owner: Optional[_Connection],
+        updates: Iterable[Tuple[Hashable, float]],
+        time: float,
+    ) -> int:
+        """Apply a feeder's ``(key, value)`` updates; the refreshes they fired.
 
-        Returns whether the update triggered a value-initiated refresh.
-        Unknown keys are registered implicitly to the sending connection
-        (the first update then behaves like the simulator's initial value:
-        no interval is published yet, so no refresh can fire).
+        Live traffic and WAL replay both land here.  Each update is one core
+        op, counted as applied or ignored as it lands, so a batch that fails
+        part-way keeps the counts of the updates before the failure.  An
+        unknown key registers to ``owner`` (its value is the initial value:
+        nothing is published yet, so nothing can fire), and an out-of-order
+        update is the feeder's protocol error.
         """
-        source = self._sources.get(key)
-        if source is None:
-            self._register_key(connection, key, value)
-            self.statistics.updates_applied += 1
-            return False
-        if value == source.value:
-            # Not a modification (idle stretches in trace replays): nothing
-            # changes, no write is recorded, no refresh can be needed.
-            self.statistics.updates_ignored += 1
-            return False
-        if time < source.last_update_time:
-            raise ProtocolError("updates must arrive in non-decreasing time order")
-        step = abs(value - source.value)
-        gap = time - source.last_update_time if source.update_count > 0 else None
-        source.value = value
-        source.update_count += 1
-        source.last_update_time = time
-        self.statistics.updates_applied += 1
+        sources = self._core.sources
+        apply_updates = self._core.apply_updates
+        statistics = self.statistics
+        refreshes = 0
+        for key, value in updates:
+            source = sources.get(key)
+            if source is None:
+                self._register_key(owner, key, value)
+                statistics.updates_applied += 1
+                continue
+            update_count = source.update_count
+            try:
+                refreshes += apply_updates(((source, (value,)),), time)
+            except UpdateOrderError as error:
+                raise ProtocolError(str(error)) from None
+            if source.update_count == update_count:
+                statistics.updates_ignored += 1
+            else:
+                statistics.updates_applied += 1
+        return refreshes
+
+    def _observe_drift(self, key: Hashable, step: float, gap: Optional[float]) -> None:
+        """The core's update observer: feed ``key``'s drift envelope."""
         drift = self._drift.get(key)
         if drift is None:
             drift = self._drift[key] = _KeyDrift()
         drift.observe(step, gap)
-        if self._policy_observes_writes:
-            self._policy.record_write(key, time)
-        interval = source.published_interval
-        if interval is not None and not (interval.low <= value <= interval.high):
-            decision = self._policy.on_value_initiated_refresh(key, value, time)
-            cost = self._network.charge_value_refresh()
-            self.statistics.value_refreshes += 1
-            self.statistics.total_cost += cost
-            self._install(key, decision, time)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Query execution
@@ -1225,7 +1195,7 @@ class CacheServer(BaseFrameServer):
             self._durability.append(
                 {"k": "snap", "keys": keys, "c": constraint, "t": time}
             )
-        intervals, hits = self._snapshot_intervals(keys, constraint, time)
+        intervals, hits = self._core.snapshot(keys, constraint, time)
 
         refreshed: List[Hashable] = []
 
@@ -1275,37 +1245,6 @@ class CacheServer(BaseFrameServer):
             degraded_keys=tuple(degraded),
         )
 
-    def _snapshot_intervals(
-        self, keys: List[Hashable], constraint: float, time: float
-    ) -> "tuple[Dict[Hashable, Interval], int]":
-        """The query's snapshot phase: cached intervals plus the hit count.
-
-        These lookups are the only cache accesses counted in the hit rate,
-        exactly as the simulator's ``_run_query`` counts them — and exactly
-        once per query, whether the selection then runs locally
-        (``query``) or at the gateway (``snapshot``).
-        """
-        cache_get = self._cache.get
-        intervals: Dict[Hashable, Interval] = {}
-        hits = 0
-        if self._policy_observes_reads:
-            record_read = self._policy.record_read
-            record_constraint = self._policy.record_constraint
-            for key in keys:
-                entry = cache_get(key, time)
-                if entry is not None:
-                    hits += 1
-                intervals[key] = entry.interval if entry is not None else UNBOUNDED
-                record_read(key, time, served_from_cache=entry is not None)
-                record_constraint(key, constraint, time)
-        else:
-            for key in keys:
-                entry = cache_get(key, time)
-                if entry is not None:
-                    hits += 1
-                intervals[key] = entry.interval if entry is not None else UNBOUNDED
-        return intervals, hits
-
     # ------------------------------------------------------------------
     # Gateway internals: partition-side snapshot and single-key refresh
     # ------------------------------------------------------------------
@@ -1325,7 +1264,7 @@ class CacheServer(BaseFrameServer):
             self._durability.append(
                 {"k": "snap", "keys": keys, "c": request.constraint, "t": time}
             )
-        intervals, hits = self._snapshot_intervals(keys, request.constraint, time)
+        intervals, hits = self._core.snapshot(keys, request.constraint, time)
         self._durable_checkpoint_if_due()
         down = [index for index, key in enumerate(keys) if self._key_down(key)]
         down_intervals = [
@@ -1353,7 +1292,7 @@ class CacheServer(BaseFrameServer):
         local ``_FeederLost`` retry loop.
         """
         key = request.key
-        if key not in self._sources:
+        if key not in self._core.sources:
             raise ProtocolError(f"refresh_key of unknown key {key!r}")
         time = self._advance_clock(request.time)
         values, failure = await self._query_initiated_refreshes([key], time)
@@ -1368,7 +1307,7 @@ class CacheServer(BaseFrameServer):
 
     def _current_interval(self, key: Hashable, time: float) -> Interval:
         """The key's cached interval *without* touching hit statistics."""
-        return self._cache.approximation(key, time, record_stats=False)
+        return self._core.cache.approximation(key, time, record_stats=False)
 
     def _key_down(self, key: Hashable) -> bool:
         """Whether a *registered* key currently has no live owner.
@@ -1376,7 +1315,7 @@ class CacheServer(BaseFrameServer):
         Unknown keys are not "down" — they behave exactly as before this
         layer existed (unbounded snapshot; a selected refresh errors).
         """
-        if key not in self._sources:
+        if key not in self._core.sources:
             return False
         owner = self._owners.get(key)
         return owner is None or owner.closing
@@ -1386,7 +1325,7 @@ class CacheServer(BaseFrameServer):
     ) -> Interval:
         """The honest read-only bound for a key whose owner is down."""
         if snapshot.is_unbounded:
-            snapshot = Interval.exact(self._sources[key].value)
+            snapshot = Interval.exact(self._core.sources[key].value)
         allowance = self._degraded_allowance(key, time)
         if allowance > 0.0:
             return Interval(snapshot.low - allowance, snapshot.high + allowance)
@@ -1449,7 +1388,7 @@ class CacheServer(BaseFrameServer):
         timed-out RPC also counts in ``refreshes_failed`` and fences its
         connection.
         """
-        sources = self._sources
+        sources = self._core.sources
         owners = self._owners
         requests: List[Tuple[_Connection, Hashable]] = []
         issued_counts: List[int] = []
@@ -1479,14 +1418,14 @@ class CacheServer(BaseFrameServer):
         if values and self._durability is not None:
             # The fetched exact values cannot be re-fetched at replay (the
             # feeder RPCs are gone), so the records carry them; the policy
-            # decisions and installs replay through the same code below.
+            # decisions and installs replay through the same core op below.
             records = [
                 {"k": "qr", "key": key, "v": value, "t": time}
                 for (_, key), value in zip(requests, values)
             ]
             self._durability.append(*records)
         for (_, key), value in zip(requests, values):
-            self._apply_query_refresh(key, value, time)
+            self._core.refresh(key, time, True, value)
         if len(values) == len(keys):
             return values, None
         failed_key = keys[len(values)]
@@ -1510,33 +1449,6 @@ class CacheServer(BaseFrameServer):
         self._mark_connection_down(owner)
         return values, _FeederLost(failed_key)
 
-    def _apply_query_refresh(self, key: Hashable, value: float, time: float) -> None:
-        """Install one query-initiated refresh's exact value (live or replay)."""
-        self._sources[key].value = value
-        decision = self._policy.on_query_initiated_refresh(key, value, time)
-        cost = self._network.charge_query_refresh()
-        self.statistics.query_refreshes += 1
-        self.statistics.total_cost += cost
-        self._install(key, decision, time)
-
-    # ------------------------------------------------------------------
-    # Shared installation path (mirror of the publication half of the
-    # simulator's ``_refresh``)
-    # ------------------------------------------------------------------
-    def _install(self, key: Hashable, decision, time: float) -> None:
-        source = self._sources[key]
-        if self._notify_on_eviction and decision.interval.is_unbounded:
-            self._cache.invalidate(key)
-            source.forget_publication()
-        else:
-            source.publish(decision.interval, decision.original_width, time)
-            evicted = self._cache.put(
-                key, decision.interval, decision.original_width, time
-            )
-            if evicted and self._notify_on_eviction:
-                for evicted_key in evicted:
-                    self._sources[evicted_key].forget_publication()
-
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
@@ -1554,7 +1466,9 @@ class CacheServer(BaseFrameServer):
     }
 
     def _handle_stats(self) -> Dict[str, Any]:
-        cache_stats = self._cache.statistics
+        core = self._core
+        cache_stats = core.cache.statistics
+        network = core.network
         serving = self.statistics
         if self._durability is not None:
             durability_stats = self._durability.stats_fields(self._clock)
@@ -1563,8 +1477,8 @@ class CacheServer(BaseFrameServer):
         return {
             **durability_stats,
             "clock": self._clock,
-            "keys": len(self._sources),
-            "cached_entries": len(self._cache),
+            "keys": len(core.sources),
+            "cached_entries": len(core.cache),
             "connections": len(self._connections),
             "hits": cache_stats.hits,
             "misses": cache_stats.misses,
@@ -1573,8 +1487,8 @@ class CacheServer(BaseFrameServer):
             "evictions": cache_stats.evictions,
             "updates_applied": serving.updates_applied,
             "updates_ignored": serving.updates_ignored,
-            "value_refreshes": serving.value_refreshes,
-            "query_refreshes": serving.query_refreshes,
+            "value_refreshes": network.value_refreshes,
+            "query_refreshes": network.query_refreshes,
             "queries_served": serving.queries_served,
             "queries_rejected": serving.queries_rejected,
             "refresh_rpcs": serving.refresh_rpcs,
@@ -1582,10 +1496,10 @@ class CacheServer(BaseFrameServer):
             "queries_degraded": serving.queries_degraded,
             "stale_epoch_rejections": serving.stale_epoch_rejections,
             "feeder_resyncs": serving.feeder_resyncs,
-            "keys_down": sum(1 for key in self._sources if self._key_down(key)),
-            "total_cost": serving.total_cost,
-            "messages_sent": self._network.messages_sent,
-            "total_latency": self._network.total_latency,
+            "keys_down": sum(1 for key in core.sources if self._key_down(key)),
+            "total_cost": network.total_cost,
+            "messages_sent": network.messages_sent,
+            "total_latency": network.total_latency,
         }
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ The paper abstracts network behaviour into two per-refresh costs (Section
 (``C_qr = 2``); a value-initiated refresh costs ``C_vr = 4`` under two-phase
 locking (two round trips) or ``C_vr = 1`` when updates are simply pushed
 (loose consistency).  :class:`NetworkModel` carries those costs and also
-counts raw messages, which is occasionally useful for sanity checks.
+counts the refreshes it charges, their total cost and their raw messages.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.core.parameters import PrecisionParameters
 
 @dataclass
 class NetworkModel:
-    """Per-refresh message costs plus running message counters.
+    """Per-refresh message costs plus running refresh and message counters.
 
     Parameters
     ----------
@@ -33,6 +33,8 @@ class NetworkModel:
         is latency-free, so the default of ``0.0`` leaves every historical
         number untouched; the serving layer (:mod:`repro.serving`) sets it
         to estimate how much refresh traffic contributes to query latency.
+
+    Every charge counts into the running (all-time) totals below.
     """
 
     value_refresh_cost: float = 1.0
@@ -40,15 +42,18 @@ class NetworkModel:
     messages_per_value_refresh: int = 1
     messages_per_query_refresh: int = 2
     latency_per_message: float = 0.0
+    value_refreshes: int = field(default=0, init=False)
+    query_refreshes: int = field(default=0, init=False)
+    total_cost: float = field(default=0.0, init=False)
     messages_sent: int = field(default=0, init=False)
     total_latency: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.value_refresh_cost <= 0 or self.query_refresh_cost <= 0:
+        if not (self.value_refresh_cost > 0 and self.query_refresh_cost > 0):
             raise ValueError("refresh costs must be positive")
         if self.messages_per_value_refresh < 1 or self.messages_per_query_refresh < 1:
             raise ValueError("message counts must be at least 1")
-        if self.latency_per_message < 0:
+        if not self.latency_per_message >= 0:
             raise ValueError("latency_per_message must be non-negative")
 
     @classmethod
@@ -83,7 +88,9 @@ class NetworkModel:
     # Charging
     # ------------------------------------------------------------------
     def charge_value_refresh(self) -> float:
-        """Record the messages of one value-initiated refresh, return its cost."""
+        """Count one value-initiated refresh and its messages, return its cost."""
+        self.value_refreshes += 1
+        self.total_cost += self.value_refresh_cost
         self.messages_sent += self.messages_per_value_refresh
         if self.latency_per_message:
             self.total_latency += (
@@ -92,7 +99,9 @@ class NetworkModel:
         return self.value_refresh_cost
 
     def charge_query_refresh(self) -> float:
-        """Record the messages of one query-initiated refresh, return its cost."""
+        """Count one query-initiated refresh and its messages, return its cost."""
+        self.query_refreshes += 1
+        self.total_cost += self.query_refresh_cost
         self.messages_sent += self.messages_per_query_refresh
         if self.latency_per_message:
             self.total_latency += (

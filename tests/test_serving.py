@@ -732,8 +732,8 @@ class TestPipelinedRefreshes:
             )
             assert recovered.sources["a"].published_interval == Interval(2.0, 12.0)
             assert recovered.sources["b"].published_interval == Interval(10.0, 30.0)
-            assert recovered.statistics.query_refreshes == 2
-            assert recovered.statistics.total_cost == 4.0
+            assert recovered.network.query_refreshes == 2
+            assert recovered.network.total_cost == 4.0
             await recovered.close()
 
         run(scenario())
