@@ -195,7 +195,7 @@ class ApproximateCache:
         when the incoming approximation is immediately chosen as the victim,
         which the paper explicitly allows).
         """
-        if original_width < 0:
+        if not original_width >= 0:
             raise ValueError("original_width must be non-negative")
         entry = CacheEntry(
             key=key,

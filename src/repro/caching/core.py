@@ -227,7 +227,7 @@ class CacheCore:
             kind = RefreshKind.VALUE_INITIATED
         interval = decision.interval
         original_width = decision.original_width
-        if original_width < 0:
+        if not original_width >= 0:
             raise ValueError("original_width must be non-negative")
         record_refresh = self._record_refresh
         if record_refresh is not None and time >= self._record_from:

@@ -36,7 +36,7 @@ class PrecisionDecision:
     __slots__ = ("interval", "original_width")
 
     def __init__(self, interval: Interval, original_width: float) -> None:
-        if original_width < 0:
+        if not original_width >= 0:
             raise ValueError("original_width must be non-negative")
         self.interval = interval
         self.original_width = original_width

@@ -56,7 +56,6 @@ truncates the WAL.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import struct
@@ -67,6 +66,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.serving.errors import UnrecoverablePartition
+from repro.serving.protocol import decode_json, encode_json
 
 #: Framed size of each appended WAL record, in bytes.  A process-registry
 #: histogram (one handle shared by every partition in the process; in the
@@ -105,13 +105,8 @@ class WalCorruption(Exception):
         self.reason = reason
 
 
-#: The compact JSON codec, bound once instead of per record.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
-
-
 def _encode_record(record: Dict[str, Any]) -> bytes:
-    payload = _encode_json(record).encode("utf-8")
+    payload = encode_json(record).encode("utf-8")
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -279,7 +274,7 @@ class PartitionDurability:
                 if zlib.crc32(payload) != crc:
                     raise WalCorruption(offset, "record payload fails its CRC")
                 try:
-                    records.append(_decode_json(payload.decode("utf-8")))
+                    records.append(decode_json(payload.decode("utf-8")))
                 except ValueError as exc:
                     raise WalCorruption(offset, f"undecodable record: {exc}") from None
                 offset = start + length

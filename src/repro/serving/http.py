@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import hashlib
-import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
@@ -38,6 +37,7 @@ from repro.serving.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     decode_payload,
+    encode_json,
     parse_request,
 )
 
@@ -140,7 +140,7 @@ class WebSocketFrameTransport:
 
     async def write_frame(self, message: Dict[str, Any]) -> None:
         """Write one message as a single text frame."""
-        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        payload = encode_json(message).encode("utf-8")
         if len(payload) > MAX_FRAME_BYTES:
             raise ProtocolError(
                 f"frame of {len(payload)} bytes exceeds the "
@@ -333,7 +333,7 @@ class HttpEdge:
     async def _respond_json(
         self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, Any]
     ) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = encode_json(payload).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
             status, "Error"
         )

@@ -59,7 +59,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple, Type
+from typing import Any, Callable, ClassVar, Dict, Hashable, Optional, Tuple, Type
 
 from repro.queries.aggregates import AggregateKind
 
@@ -72,10 +72,61 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
-#: The compact JSON codec, bound once: ``json.dumps(..., separators=...)``
-#: would build a fresh ``JSONEncoder`` for every frame.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
+def _build_json_codec(
+    make_encoder: Any = json.encoder.c_make_encoder,
+) -> Tuple[Callable[[Any], str], Callable[[str], Any]]:
+    """The compact JSON codec every serving frame and WAL record goes through.
+
+    ``encode(obj)`` equals ``json.dumps(obj, separators=(",", ":"))`` and
+    ``decode(text)`` equals ``json.loads(text)``, results and errors alike,
+    but both skip per-call work the bytes never need.  The C encoder is
+    built once here, where ``JSONEncoder.encode`` rebuilds it on every call,
+    and with no circular-reference ``markers``: a cyclic message still
+    raises (``RecursionError``), it just no longer pays to track every
+    nested list and dict.  Decoding runs the scanner directly and accepts
+    its result only when it consumed the whole text; anything else (leading
+    or trailing whitespace, extra data, a syntax error) goes through the
+    strict ``decode``, so it is accepted or rejected exactly as before.
+    Without the ``_json`` accelerator (``make_encoder`` is ``None``) the
+    encoder is the pure-Python one, minus the circular check.
+    """
+    if make_encoder is None:
+        encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    else:
+        iterencode = make_encoder(
+            None,  # markers: no circular check
+            json.JSONEncoder().default,
+            json.encoder.encode_basestring_ascii,
+            None,  # indent
+            ":",
+            ",",
+            False,  # sort_keys
+            False,  # skipkeys
+            True,  # allow_nan
+        )
+        join = "".join
+
+        def encode(obj: Any) -> str:
+            return join(iterencode(obj, 0))
+
+    decoder = json.JSONDecoder()
+    scan_once, strict_decode = decoder.scan_once, decoder.decode
+
+    def decode(text: str) -> Any:
+        try:
+            obj, end = scan_once(text, 0)
+        except (StopIteration, ValueError):
+            return strict_decode(text)
+        if end != len(text):
+            return strict_decode(text)
+        return obj
+
+    return encode, decode
+
+
+#: The one compact JSON codec: wire frames (:func:`encode_frame`,
+#: :func:`decode_payload`, the WebSocket and HTTP paths) and WAL records.
+encode_json, decode_json = _build_json_codec()
 
 
 class ProtocolError(Exception):
@@ -169,7 +220,7 @@ def _check_updates(updates: Tuple[Tuple[Hashable, float], ...]) -> None:
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialise one message into a length-prefixed frame."""
-    payload = _encode_json(message).encode("utf-8")
+    payload = encode_json(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES} limit"
@@ -180,7 +231,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
 def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Parse a frame's JSON payload into a message object."""
     try:
-        message = _decode_json(payload.decode("utf-8"))
+        message = decode_json(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict):

@@ -116,7 +116,7 @@ class MetricsCollector:
         warmup: float = 0.0,
         track_keys: Optional[List[Hashable]] = None,
     ) -> None:
-        if warmup < 0:
+        if not warmup >= 0:
             raise ValueError("warmup must be non-negative")
         self._warmup = warmup
         self._accountant = CostAccountant()
