@@ -194,21 +194,33 @@ class ApproximateCache:
         Returns the list of evicted keys (possibly containing ``key`` itself
         when the incoming approximation is immediately chosen as the victim,
         which the paper explicitly allows).
+
+        A key already cached keeps its :class:`CacheEntry`, updated in place
+        (so an entry a caller holds reflects the later ``put``), and moves to
+        the end of the insertion order with a fresh ``seq``, exactly as a new
+        entry would.
         """
         if not original_width >= 0:
             raise ValueError("original_width must be non-negative")
-        entry = CacheEntry(
-            key=key,
-            interval=interval,
-            original_width=original_width,
-            installed_at=time,
-            last_access_time=time,
-            seq=next(self._seq),
-        )
-        existing = self._entries.pop(key, None)
-        self._entries[key] = entry
-        if existing is None:
+        entries = self._entries
+        entry = entries.pop(key, None)
+        if entry is None:
+            entry = CacheEntry(
+                key=key,
+                interval=interval,
+                original_width=original_width,
+                installed_at=time,
+                last_access_time=time,
+                seq=next(self._seq),
+            )
             self.statistics.insertions += 1
+        else:
+            entry.interval = interval
+            entry.original_width = original_width
+            entry.installed_at = time
+            entry.last_access_time = time
+            entry.seq = next(self._seq)
+        entries[key] = entry
         if self._indexed is None:
             self._indexed = self._eviction_policy.index_priority(entry) is not None
         evicted: List[Hashable] = []

@@ -8,11 +8,14 @@ snapshots a query's cached intervals.  It is synchronous and does no I/O:
 the offline simulator drives it from the batch kernel, the serving layer
 from its request handlers and from WAL replay.  What the callers do
 differently is passed in once, as hooks; a hook a caller does not pass
-costs one ``None`` test per event.
+costs one ``None`` test per event.  The network model is the one refresh
+counter: the simulator restarts it at the end of its warm-up
+(``count_from``), the server keeps it all-time.
 """
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -26,7 +29,6 @@ from typing import (
 
 from repro.caching.cache import ApproximateCache
 from repro.caching.policies.base import PrecisionPolicy
-from repro.caching.refresh import RefreshKind
 from repro.caching.source import DataSource
 from repro.intervals.interval import UNBOUNDED, Interval
 
@@ -42,11 +44,12 @@ class CacheCore:
     """One approximate cache's state and its per-event operations.
 
     ``sources`` maps each value id to its source (default: none yet; see
-    :meth:`register`).  The hooks:
+    :meth:`register`).  ``count_from`` restarts the refresh count: the first
+    refresh at or after that time zeroes the network model's counters, once,
+    before it is charged, so from then on they count exactly the refreshes
+    from ``count_from`` (see :meth:`start_count`).  Without it the counters
+    are all-time.  The hooks:
 
-    ``record_refresh(kind, key, time, cost, published_width)``
-        Every refresh at or after ``record_from``: the simulator's
-        post-warm-up cost accountant.
     ``sample(key, time, value, published_interval)``
         After every update that fires no refresh and after every refresh:
         the simulator's tracked-key interval sampling.
@@ -63,8 +66,7 @@ class CacheCore:
         network: "NetworkModel",
         *,
         sources: Optional[Dict[Hashable, DataSource]] = None,
-        record_refresh: Optional[Callable[..., None]] = None,
-        record_from: float = 0.0,
+        count_from: Optional[float] = None,
         sample: Optional[Callable[..., None]] = None,
         observe_update: Optional[Callable[..., None]] = None,
     ) -> None:
@@ -72,8 +74,11 @@ class CacheCore:
         self.cache = cache
         self.network = network
         self.sources: Dict[Hashable, DataSource] = {} if sources is None else sources
-        self._record_refresh = record_refresh
-        self._record_from = record_from
+        if count_from is not None and not count_from >= 0:
+            raise ValueError("count_from must be non-negative")
+        # Infinity once the count has started (or when it never restarts),
+        # so the per-refresh test is one comparison.
+        self._count_from = math.inf if count_from is None else count_from
         self._sample = sample
         self._observe_update = observe_update
         # Protocol properties of the policy, resolved once instead of per
@@ -116,6 +121,17 @@ class CacheCore:
             source.forget_publication()
             self.cache.invalidate(key)
         return source
+
+    def start_count(self) -> None:
+        """Start the refresh count now, empty, unless it has started.
+
+        The first refresh at or after ``count_from`` calls this; a caller
+        that ran past ``count_from`` with no refresh calls it so that the
+        counters read zero.  Without ``count_from`` it does nothing.
+        """
+        if self._count_from != math.inf:
+            self._count_from = math.inf
+            self.network.reset_counters()
 
     # ------------------------------------------------------------------
     # Updates
@@ -217,21 +233,18 @@ class CacheCore:
         source = self.sources[key]
         if value is not None:
             source.value = value
+        if time >= self._count_from:
+            self.start_count()
         if query_initiated:
             decision = self._policy_query_refresh(key, source.value, time)
-            cost = self._charge_query_refresh()
-            kind = RefreshKind.QUERY_INITIATED
+            self._charge_query_refresh()
         else:
             decision = self._policy_value_refresh(key, source.value, time)
-            cost = self._charge_value_refresh()
-            kind = RefreshKind.VALUE_INITIATED
+            self._charge_value_refresh()
         interval = decision.interval
         original_width = decision.original_width
         if not original_width >= 0:
             raise ValueError("original_width must be non-negative")
-        record_refresh = self._record_refresh
-        if record_refresh is not None and time >= self._record_from:
-            record_refresh(kind, key, time, cost, interval.width)
         # The cheap flag goes first: only eviction-notifying policies ever
         # take the invalidate branch, so the default policies skip the
         # unboundedness probe entirely.

@@ -8,8 +8,11 @@ cache.  The paper distinguishes two kinds:
 * **query-initiated** — pulled by the cache because a query needed the exact
   value (cost ``C_qr``).
 
-:class:`CostAccountant` accumulates the cost and count of each kind, giving
-the cost-rate metric ``Omega`` that every experiment in the paper reports.
+:class:`CostAccountant` accumulates the cost and count of each kind from
+:class:`RefreshEvent` records.  A simulation or serving run does not record
+events: the cache core charges each refresh to its
+:class:`~repro.simulation.network.NetworkModel`, whose counters give the
+cost-rate metric ``Omega`` that every experiment in the paper reports.
 """
 
 from __future__ import annotations
@@ -75,37 +78,6 @@ class CostAccountant:
             self.query_refresh_cost += event.cost
         if self.keep_events:
             self.events.append(event)
-
-    def record_refresh(
-        self,
-        kind: RefreshKind,
-        key: Hashable,
-        time: float,
-        cost: float,
-        published_width: float,
-    ) -> None:
-        """Record a refresh from its components.
-
-        Equivalent to :meth:`record` with a fresh :class:`RefreshEvent`, but
-        only materialises the event object when the log is kept — the
-        simulator records every refresh through here, and aggregate-only
-        accounting (the default) then never constructs per-refresh objects.
-        """
-        self.total_cost += cost
-        self.per_key_counts[key] = self.per_key_counts.get(key, 0) + 1
-        if kind is RefreshKind.VALUE_INITIATED:
-            self.value_refresh_count += 1
-            self.value_refresh_cost += cost
-        else:
-            self.query_refresh_count += 1
-            self.query_refresh_cost += cost
-        if self.keep_events:
-            self.events.append(
-                RefreshEvent(
-                    kind=kind, key=key, time=time, cost=cost,
-                    published_width=published_width,
-                )
-            )
 
     @property
     def refresh_count(self) -> int:

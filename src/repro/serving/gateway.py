@@ -642,7 +642,7 @@ class GatewayServer(BaseFrameServer):
         for key, value in values.items():
             self._observe_value(key, float(value), request.time)
             self._owners[key] = connection
-            connection.keys.add(key)
+            connection.keys[key] = None
         if request.resync:
             self.statistics.feeder_resyncs += 1
         return RegisterAck(
@@ -670,7 +670,7 @@ class GatewayServer(BaseFrameServer):
             break
         self._observe_value(request.key, float(request.value), request.time)
         self._owners.setdefault(request.key, connection)
-        connection.keys.add(request.key)
+        connection.keys[request.key] = None
         self.statistics.updates_applied += 1
         return UpdateAck(refresh=refresh)
 
@@ -711,7 +711,7 @@ class GatewayServer(BaseFrameServer):
         for key, value in request.updates:
             self._observe_value(key, float(value), request.time)
             self._owners.setdefault(key, connection)
-            connection.keys.add(key)
+            connection.keys[key] = None
         self.statistics.updates_applied += len(request.updates)
         return UpdateBatchAck(refreshes=refreshes)
 

@@ -249,7 +249,10 @@ class _Connection:
         # temporal, so a serialized replay re-derives identical span IDs.
         self.ordinal = 0
         self.frames_read = 0
-        self.keys: Set[Hashable] = set()
+        # The keys this connection owns, as an insertion-ordered set (the
+        # values are None): a ``down`` WAL record lists them in this order,
+        # so it must not depend on the string-hash seed.
+        self.keys: Dict[Hashable, None] = {}
         self.request_tasks: Set[asyncio.Task] = set()
         self.closing = False
         # Feeder session identity: set by a ``register`` carrying a
@@ -1095,7 +1098,7 @@ class CacheServer(BaseFrameServer):
         self._down_since.pop(key, None)
         if connection is not None:
             self._owners[key] = connection
-            connection.keys.add(key)
+            connection.keys[key] = None
 
     def _handle_update(self, connection: _Connection, request: Update) -> Any:
         if self._connection_fenced(connection):

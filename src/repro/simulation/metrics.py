@@ -3,8 +3,11 @@
 Every experiment in the paper reports the average cost per time unit ``Omega``
 measured *after an initial warm-up period* so that transient start-up effects
 (the empty cache, unconverged widths) do not pollute the steady-state
-numbers.  :class:`MetricsCollector` implements exactly that accounting and
-optionally keeps time series used by the Figure 4/5 style plots.
+numbers.  The refresh counts and cost come from the run's
+:class:`~repro.simulation.network.NetworkModel`, whose counters the cache
+core restarts at the end of the warm-up; :class:`MetricsCollector` counts
+the post-warm-up queries, builds the result, and optionally keeps time
+series used by the Figure 4/5 style plots.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
-from repro.caching.refresh import CostAccountant, RefreshEvent, RefreshKind
 from repro.intervals.interval import Interval
+from repro.simulation.network import NetworkModel
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,12 @@ class SimulationResult:
 
 
 class MetricsCollector:
-    """Accumulates refresh costs, discarding everything before the warm-up end.
+    """Counts the post-warm-up queries and builds a run's result.
 
     Parameters
     ----------
     warmup:
-        Length of the initial period whose refreshes are ignored.
+        Length of the initial period excluded from the result.
     track_keys:
         Keys whose (value, interval) evolution should be sampled after every
         change, for the time-series figures.
@@ -119,7 +122,6 @@ class MetricsCollector:
         if not warmup >= 0:
             raise ValueError("warmup must be non-negative")
         self._warmup = warmup
-        self._accountant = CostAccountant()
         self._query_count = 0
         self._interval_samples: Dict[Hashable, List[IntervalSample]] = {
             key: [] for key in (track_keys or [])
@@ -130,20 +132,9 @@ class MetricsCollector:
         """The configured warm-up length."""
         return self._warmup
 
-    @property
-    def accountant(self) -> CostAccountant:
-        """The underlying post-warm-up cost accountant."""
-        return self._accountant
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_refresh(self, event: RefreshEvent) -> None:
-        """Record one refresh (ignored when it falls inside the warm-up)."""
-        if event.time < self._warmup:
-            return
-        self._accountant.record(event)
-
     def record_query(self, time: float) -> None:
         """Count one executed query (ignored during warm-up)."""
         if time < self._warmup:
@@ -170,27 +161,27 @@ class MetricsCollector:
     def finalize(
         self,
         end_time: float,
+        network: NetworkModel,
         final_widths: Optional[Dict[Hashable, float]] = None,
         cache_hit_rate: float = 0.0,
         events_processed: int = 0,
     ) -> SimulationResult:
-        """Build the :class:`SimulationResult` for a run ending at ``end_time``."""
+        """Build the :class:`SimulationResult` for a run ending at ``end_time``.
+
+        ``network`` is the run's network model, whose counters hold the
+        post-warm-up refresh counts and cost.
+        """
         if end_time <= self._warmup:
             raise ValueError("end_time must exceed the warm-up period")
         duration = end_time - self._warmup
-        accountant = self._accountant
         return SimulationResult(
-            cost_rate=accountant.cost_rate(duration),
+            cost_rate=network.total_cost / duration,
             duration=duration,
-            value_refresh_count=accountant.value_refresh_count,
-            query_refresh_count=accountant.query_refresh_count,
-            value_refresh_rate=accountant.refresh_rate(
-                RefreshKind.VALUE_INITIATED, duration
-            ),
-            query_refresh_rate=accountant.refresh_rate(
-                RefreshKind.QUERY_INITIATED, duration
-            ),
-            total_cost=accountant.total_cost,
+            value_refresh_count=network.value_refreshes,
+            query_refresh_count=network.query_refreshes,
+            value_refresh_rate=network.value_refreshes / duration,
+            query_refresh_rate=network.query_refreshes / duration,
+            total_cost=network.total_cost,
             query_count=self._query_count,
             interval_samples={
                 key: list(samples) for key, samples in self._interval_samples.items()

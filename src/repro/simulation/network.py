@@ -34,7 +34,8 @@ class NetworkModel:
         number untouched; the serving layer (:mod:`repro.serving`) sets it
         to estimate how much refresh traffic contributes to query latency.
 
-    Every charge counts into the running (all-time) totals below.
+    Every charge counts into the running totals below, which are all-time
+    until :meth:`reset_counters` restarts them.
     """
 
     value_refresh_cost: float = 1.0
@@ -108,6 +109,14 @@ class NetworkModel:
                 self.messages_per_query_refresh * self.latency_per_message
             )
         return self.query_refresh_cost
+
+    def reset_counters(self) -> None:
+        """Zero the refresh, cost, message and latency counters."""
+        self.value_refreshes = 0
+        self.query_refreshes = 0
+        self.total_cost = 0.0
+        self.messages_sent = 0
+        self.total_latency = 0.0
 
     @property
     def cost_factor(self) -> float:

@@ -7,9 +7,10 @@ policy decides the approximation sent on every refresh and whose
 widest-first eviction when space-constrained), and a
 :class:`~repro.queries.workload.QueryWorkload` issues bounded aggregates every
 ``T_q`` seconds whose unmet precision constraints trigger query-initiated
-refreshes.  Costs are charged through a :class:`~repro.simulation.network.NetworkModel`
-and the post-warm-up ones aggregated by a
-:class:`~repro.simulation.metrics.MetricsCollector`.
+refreshes.  Costs are charged through a
+:class:`~repro.simulation.network.NetworkModel`, whose counters restart at
+the end of the warm-up, and a :class:`~repro.simulation.metrics.MetricsCollector`
+builds the result from them.
 
 The run's state lives in the core alone; the simulator only feeds it events
 in order.
@@ -67,8 +68,8 @@ class CacheSimulation:
         self._metrics = MetricsCollector(
             warmup=config.warmup, track_keys=list(config.track_keys)
         )
-        # The simulator's differences from the server are the core's hooks:
-        # refreshes are accounted after the warm-up, and interval samples
+        # The simulator's differences from the server: the network model
+        # counts refreshes from the end of the warm-up, and interval samples
         # are only collected for tracked keys.
         self._core = CacheCore(
             policy,
@@ -79,8 +80,7 @@ class CacheSimulation:
                 value_refresh_cost=config.value_refresh_cost,
                 query_refresh_cost=config.query_refresh_cost,
             ),
-            record_refresh=self._metrics.accountant.record_refresh,
-            record_from=config.warmup,
+            count_from=config.warmup,
             sample=self._metrics.record_interval_sample if config.track_keys else None,
         )
         # Pre-materialised per-source update timelines: every stream's whole
@@ -124,7 +124,12 @@ class CacheSimulation:
 
     @property
     def network(self) -> NetworkModel:
-        """The cost/message model used for charging refreshes."""
+        """The cost/message model used for charging refreshes.
+
+        After the run its counters cover only the post-warm-up period: they
+        restart at the first refresh at or after the warm-up end, and a run
+        with none there ends with them at zero.
+        """
         return self._core.network
 
     # ------------------------------------------------------------------
@@ -136,8 +141,11 @@ class CacheSimulation:
             raise RuntimeError("a CacheSimulation instance can only be run once")
         self._ran = True
         processed = self._execute()
+        # A run with no refresh after the warm-up starts its count, empty, here.
+        self._core.start_count()
         return self._metrics.finalize(
             end_time=self._config.duration,
+            network=self._core.network,
             final_widths=self._collect_final_widths(),
             cache_hit_rate=self._core.cache.statistics.hit_rate,
             events_processed=processed,

@@ -175,3 +175,68 @@ def test_custom_policy_without_index_priority_still_works():
     cache.put(1, Interval.centered(0.0, 1.0), 1.0, 1.0)
     evicted = cache.put(2, Interval.centered(0.0, 1.0), 1.0, 2.0)
     assert evicted == [1]
+
+
+@pytest.mark.parametrize(
+    "fast_policy, naive_policy",
+    [
+        (WidestFirstEviction, _NaiveWidest),
+        (LeastRecentlyUsedEviction, _NaiveLRU),
+    ],
+    ids=["widest-first", "lru"],
+)
+def test_reputting_the_same_keys_matches_reference_victim_for_victim(
+    fast_policy, naive_policy
+):
+    """A re-put reuses its key's entry; the victims are still the scan's.
+
+    Eight keys share a five-entry cache and are re-put thousands of times, so
+    almost every put updates a live entry in place and leaves a stale heap
+    tuple behind with the entry's old ``seq`` and priority.
+    """
+    rng = random.Random(20261019)
+    fast = ApproximateCache(capacity=5, eviction_policy=fast_policy())
+    naive = ApproximateCache(capacity=5, eviction_policy=naive_policy())
+    time = 0.0
+    evictions = 0
+    for _ in range(4000):
+        time += rng.choice([0.0, 0.5, 1.0])
+        key = rng.randrange(8)
+        if rng.random() < 0.75:
+            width = rng.choice([1.0, 2.0, 2.0, 4.0])
+            evicted = fast.put(key, Interval.centered(float(key), width), width, time)
+            assert evicted == naive.put(
+                key, Interval.centered(float(key), width), width, time
+            )
+            evictions += len(evicted)
+        else:
+            assert (fast.get(key, time) is None) == (naive.get(key, time) is None)
+        assert _entry_state(fast) == _entry_state(naive)
+        assert [e.seq for e in fast.entries()] == [e.seq for e in naive.entries()]
+    assert evictions > 100
+    assert fast.statistics == naive.statistics
+
+
+def test_a_held_entry_is_updated_by_a_later_put_of_its_key():
+    """``put`` of a cached key updates its :class:`CacheEntry` in place.
+
+    A caller holding the entry sees the new approximation, its fresh
+    ``seq`` and the key's move to the end of the insertion order; a key put
+    after an invalidation gets a new entry.
+    """
+    cache = ApproximateCache(capacity=3)
+    cache.put("a", Interval.centered(0.0, 4.0), 4.0, 1.0)
+    cache.put("b", Interval.centered(0.0, 2.0), 2.0, 1.0)
+    held = cache.get("a", record_stats=False)
+    first_seq = held.seq
+    cache.put("a", Interval.centered(1.0, 1.0), 1.0, 2.0)
+    assert cache.get("a", record_stats=False) is held
+    assert (held.interval, held.original_width) == (Interval.centered(1.0, 1.0), 1.0)
+    assert (held.installed_at, held.last_access_time) == (2.0, 2.0)
+    assert held.seq > first_seq
+    assert cache.keys() == ["b", "a"]
+    assert cache.statistics.insertions == 2
+    cache.invalidate("a")
+    cache.put("a", Interval.centered(0.0, 3.0), 3.0, 3.0)
+    assert cache.get("a", record_stats=False) is not held
+    assert held.interval == Interval.centered(1.0, 1.0)

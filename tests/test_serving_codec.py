@@ -247,6 +247,9 @@ GOLDEN_WAL = (
     b'\x00\x00\x00L\xcd\x06$5{"n":7,"k":"reg","f":null,"r":0,"e":null,"t":null,'
     b'"keys":["c"],"vals":[9.0]}',
     b'\x00\x00\x00\'\xeb\xf6,\x10{"n":8,"k":"down","keys":["c"],"t":4.0}',
+    b'\x00\x00\x00T%\x83\n\x07{"n":9,"k":"reg","f":null,"r":0,"e":null,"t":null,'
+    b'"keys":["q","p"],"vals":[3.0,4.0]}',
+    b'\x00\x00\x00,B4\x1f\x9f{"n":10,"k":"down","keys":["q","p"],"t":4.0}',
 )
 
 
@@ -278,6 +281,7 @@ async def _live_run(directory):
     )
     client = await Client.from_transport(server.connect())
     other = await Client.from_transport(server.connect())
+    pair = await Client.from_transport(server.connect())
     await feeder.request("register", keys=["a", "b"], values=[0.0, 5.0], feeder="f")
     values["a"] = 1.5
     await feeder.request("update", key="a", value=1.5, time=1.0)
@@ -287,9 +291,13 @@ async def _live_run(directory):
         "query", keys=["a", "b"], aggregate="SUM", constraint=math.inf, time=3.0
     )
     await client.request("query", keys=["a"], aggregate="SUM", constraint=0.0, time=4.0)
-    # A one-key feeder going down: a set of one key has one order.
+    # A one-key and a two-key connection going down: a ``down`` record
+    # lists the keys in the order the connection registered them.
     await other.request("register", keys=["c"], values=[9.0])
     await other.close()
+    await client.request("stats")
+    await pair.request("register", keys=["q", "p"], values=[3.0, 4.0])
+    await pair.close()
     await client.request("stats")
     state = _core_state(server)
     wal = server.durability.wal_path.read_bytes()
@@ -302,6 +310,43 @@ async def _live_run(directory):
 def test_wal_bytes_match_the_golden_records(tmp_path):
     _, wal = asyncio.run(_live_run(tmp_path))
     assert wal == b"".join(GOLDEN_WAL)
+
+
+#: Prints the golden run's WAL bytes, as hex, from a fresh interpreter.
+_WAL_HEX = """
+import asyncio, tempfile
+from pathlib import Path
+from test_serving_codec import _live_run
+with tempfile.TemporaryDirectory() as directory:
+    _, wal = asyncio.run(_live_run(Path(directory)))
+print(wal.hex())
+"""
+
+
+def test_wal_bytes_do_not_depend_on_the_string_hash_seed():
+    """Two interpreters with different string-hash seeds write the same WAL.
+
+    A connection's keys are insertion-ordered, so the two-key ``down``
+    record lists them as registered, ``["q","p"]``; a hash-ordered set
+    listed ``["p","q"]`` under seed 0 and ``["q","p"]`` under seed 2.
+    """
+    tests = Path(__file__).resolve().parent
+    wals = []
+    for seed in ("0", "2"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _WAL_HEX],
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([str(_SRC), str(tests)]),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        wals.append(bytes.fromhex(completed.stdout.strip()))
+    assert wals[0] == wals[1] == b"".join(GOLDEN_WAL)
 
 
 def test_recovery_from_golden_wal_equals_the_live_state(tmp_path):
@@ -318,6 +363,6 @@ def test_recovery_from_golden_wal_equals_the_live_state(tmp_path):
     asyncio.run(recovered.close())
     assert state == live
     assert recovered_updates == updates == 3
-    assert live_down == {"c": 4.0}
-    # Recovery keeps the logged stamp and marks the rest down at its clock.
-    assert recovered_down == {"c": 4.0, "a": 4.0, "b": 4.0}
+    assert live_down == {"c": 4.0, "q": 4.0, "p": 4.0}
+    # Recovery keeps the logged stamps and marks the rest down at its clock.
+    assert recovered_down == {"c": 4.0, "q": 4.0, "p": 4.0, "a": 4.0, "b": 4.0}
