@@ -15,6 +15,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+from repro.core.checks import positive
+
 
 def relative_regret(adaptive_cost_rate: float, optimal_cost_rate: float) -> float:
     """Fractional excess cost of the adaptive run over the optimum.
@@ -24,8 +26,7 @@ def relative_regret(adaptive_cost_rate: float, optimal_cost_rate: float) -> floa
     beat the best width in the sweep grid (e.g. because the true optimum lies
     between grid points).
     """
-    if optimal_cost_rate <= 0:
-        raise ValueError("optimal_cost_rate must be positive")
+    positive("optimal_cost_rate", optimal_cost_rate, finite=True)
     return (adaptive_cost_rate - optimal_cost_rate) / optimal_cost_rate
 
 
@@ -48,8 +49,7 @@ def convergence_report(
     final_widths: Mapping[Hashable, float], reference_width: float
 ) -> ConvergenceReport:
     """Summarise the final adapted widths against ``reference_width``."""
-    if reference_width <= 0:
-        raise ValueError("reference_width must be positive")
+    positive("reference_width", reference_width, finite=True)
     finite = [width for width in final_widths.values() if math.isfinite(width)]
     if not finite:
         raise ValueError("no finite final widths to report on")

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+from repro.core.checks import non_negative, positive
+
 
 def random_walk_variance(step_size: float, steps: float) -> float:
     """Variance of a random walk's displacement after ``steps`` steps.
@@ -27,10 +29,8 @@ def random_walk_variance(step_size: float, steps: float) -> float:
     Each step moves the value up or down by ``step_size``; the displacement is
     binomially distributed with variance ``step_size**2 * steps``.
     """
-    if step_size < 0:
-        raise ValueError("step_size must be non-negative")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    non_negative("step_size", step_size, finite=True)
+    non_negative("steps", steps, finite=True)
     return step_size**2 * steps
 
 
@@ -42,8 +42,7 @@ def chebyshev_escape_probability(
     ``P[|X_t| >= k] <= Var(X_t) / k**2 = steps * (step_size / distance)**2``,
     capped at 1.
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
+    positive("distance", distance, finite=False)
     variance = random_walk_variance(step_size, steps)
     return min(variance / distance**2, 1.0)
 
@@ -54,8 +53,7 @@ def value_refresh_probability(step_size: float, steps: float, width: float) -> f
     With a centred interval the walk must cover ``width / 2`` to escape, so
     ``P_vr ≈ steps * (2 * step_size / width)**2`` (capped at 1).
     """
-    if width < 0:
-        raise ValueError("width must be non-negative")
+    non_negative("width", width, finite=False)
     if width == 0:
         return 1.0
     if math.isinf(width):
@@ -72,12 +70,9 @@ def query_refresh_probability(
     (``delta_max``); a zero ``delta_max`` means every query demands exactness,
     so any non-zero width triggers a refresh whenever a query arrives.
     """
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if query_period <= 0:
-        raise ValueError("query_period must be positive")
-    if max_constraint < 0:
-        raise ValueError("max_constraint must be non-negative")
+    non_negative("width", width, finite=False)
+    positive("query_period", query_period, finite=True)
+    non_negative("max_constraint", max_constraint, finite=False)
     query_probability = min(1.0 / query_period, 1.0)
     if max_constraint == 0:
         too_wide_probability = 0.0 if width == 0 else 1.0
@@ -97,12 +92,9 @@ def model_constants(
     refresh (``t = 1``), i.e. ``K1 = 4 * s**2``; ``K2`` through
     ``P_qr = K2 * W``, i.e. ``K2 = 1 / (T_q * delta_max)``.
     """
-    if max_constraint <= 0:
-        raise ValueError("max_constraint must be positive to define K2")
-    if query_period <= 0:
-        raise ValueError("query_period must be positive")
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
+    positive("max_constraint (defines K2)", max_constraint, finite=False)
+    positive("query_period", query_period, finite=True)
+    positive("step_size", step_size, finite=True)
     k1 = 4.0 * step_size**2
     k2 = 1.0 / (query_period * max_constraint)
     return k1, k2

@@ -13,16 +13,12 @@ from repro.caching.eviction import (
     RandomEviction,
     WidestFirstEviction,
 )
-from repro.caching.refresh import CostAccountant, RefreshEvent, RefreshKind
 from repro.caching.source import DataSource
 
 __all__ = [
     "ApproximateCache",
     "CacheEntry",
     "DataSource",
-    "RefreshKind",
-    "RefreshEvent",
-    "CostAccountant",
     "EvictionPolicy",
     "WidestFirstEviction",
     "LeastRecentlyUsedEviction",

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.caching.eviction import EvictionPolicy, WidestFirstEviction
+from repro.core.checks import at_least
 from repro.intervals.interval import UNBOUNDED, Interval
 
 #: The lazy heap is compacted (rebuilt from live entries) when it holds more
@@ -97,8 +98,8 @@ class ApproximateCache:
         capacity: Optional[int] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
     ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be at least 1 (or None for unbounded)")
+        if capacity is not None:
+            at_least("capacity", capacity, 1, finite=True)
         self._capacity = capacity
         self._eviction_policy = eviction_policy or WidestFirstEviction()
         self._entries: Dict[Hashable, CacheEntry] = {}

@@ -30,6 +30,7 @@ from typing import (
 from repro.caching.cache import ApproximateCache
 from repro.caching.policies.base import PrecisionPolicy
 from repro.caching.source import DataSource
+from repro.core.checks import non_negative
 from repro.intervals.interval import UNBOUNDED, Interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle through repro.simulation
@@ -74,8 +75,8 @@ class CacheCore:
         self.cache = cache
         self.network = network
         self.sources: Dict[Hashable, DataSource] = {} if sources is None else sources
-        if count_from is not None and not count_from >= 0:
-            raise ValueError("count_from must be non-negative")
+        if count_from is not None:
+            non_negative("count_from", count_from, finite=False)
         # Infinity once the count has started (or when it never restarts),
         # so the per-refresh test is one comparison.
         self._count_from = math.inf if count_from is None else count_from

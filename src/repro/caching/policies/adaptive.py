@@ -13,6 +13,7 @@ import random
 from typing import Dict, Hashable, Optional
 
 from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
+from repro.core.checks import positive
 from repro.core.parameters import PrecisionParameters
 from repro.core.policy import AdaptiveWidthController
 from repro.core.variations import UncenteredWidthController
@@ -47,10 +48,8 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         placement: Optional[IntervalPlacement] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not initial_width > 0:
-            raise ValueError("initial_width must be positive")
         self._parameters = parameters
-        self._initial_width = initial_width
+        self._initial_width = positive("initial_width", initial_width, finite=True)
         self._placement = placement or CenteredPlacement()
         self._rng = rng if rng is not None else random.Random()
         self._controllers: Dict[Hashable, AdaptiveWidthController] = {}
@@ -131,10 +130,8 @@ class UncenteredAdaptivePolicy(PrecisionPolicy):
         initial_width: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not initial_width > 0:
-            raise ValueError("initial_width must be positive")
         self._parameters = parameters
-        self._initial_width = initial_width
+        self._initial_width = positive("initial_width", initial_width, finite=True)
         self._rng = rng if rng is not None else random.Random()
         self._controllers: Dict[Hashable, UncenteredWidthController] = {}
         self._last_interval: Dict[Hashable, Interval] = {}

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Hashable
 
 from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
+from repro.core.checks import at_least, non_negative, positive
 from repro.intervals.interval import Interval
 
 
@@ -80,16 +81,12 @@ class DivergenceCachingPolicy(PrecisionPolicy):
         window_size: int = 23,
         initial_allowance: float = 1.0,
     ) -> None:
-        if not (value_refresh_cost > 0 and query_refresh_cost > 0):
-            raise ValueError("refresh costs must be positive")
-        if window_size < 1:
-            raise ValueError("window_size (k) must be at least 1")
-        if not initial_allowance >= 0:
-            raise ValueError("initial_allowance must be non-negative")
-        self._c_vr = value_refresh_cost
-        self._c_qr = query_refresh_cost
-        self._window_size = window_size
-        self._initial_allowance = initial_allowance
+        self._c_vr = positive("value_refresh_cost", value_refresh_cost, finite=True)
+        self._c_qr = positive("query_refresh_cost", query_refresh_cost, finite=True)
+        self._window_size = at_least("window_size (k)", window_size, 1, finite=True)
+        self._initial_allowance = non_negative(
+            "initial_allowance", initial_allowance, finite=False
+        )
         self._windows: Dict[Hashable, _AccessWindows] = {}
 
     # ------------------------------------------------------------------
@@ -109,7 +106,7 @@ class DivergenceCachingPolicy(PrecisionPolicy):
         self._window(key).read_times.append(time)
 
     def record_constraint(self, key: Hashable, constraint: float, time: float) -> None:
-        if constraint < 0:
+        if not constraint >= 0:
             raise ValueError("constraint must be non-negative")
         self._window(key).constraints.append(constraint)
 
@@ -118,7 +115,7 @@ class DivergenceCachingPolicy(PrecisionPolicy):
     # ------------------------------------------------------------------
     def projected_cost(self, key: Hashable, allowance: float, now: float) -> float:
         """Projected cost rate of using ``allowance`` for ``key`` at ``now``."""
-        if allowance < 0:
+        if not allowance >= 0:
             raise ValueError("allowance must be non-negative")
         window = self._window(key)
         write_rate = _rate(window.write_times, now)

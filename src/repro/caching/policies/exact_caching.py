@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable
 
 from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
+from repro.core.checks import at_least, positive
 from repro.intervals.interval import UNBOUNDED, Interval
 
 
@@ -63,12 +64,9 @@ class ExactCachingPolicy(PrecisionPolicy):
         reevaluation_window: int = 20,
         cache_initially: bool = True,
     ) -> None:
-        if not (value_refresh_cost > 0 and query_refresh_cost > 0):
-            raise ValueError("refresh costs must be positive")
-        if reevaluation_window < 1:
-            raise ValueError("reevaluation_window (x) must be at least 1")
-        self._c_vr = value_refresh_cost
-        self._c_qr = query_refresh_cost
+        self._c_vr = positive("value_refresh_cost", value_refresh_cost, finite=True)
+        self._c_qr = positive("query_refresh_cost", query_refresh_cost, finite=True)
+        at_least("reevaluation_window (x)", reevaluation_window, 1, finite=True)
         self._window = reevaluation_window
         self._cache_initially = cache_initially
         self._stats: Dict[Hashable, _ValueStatistics] = {}

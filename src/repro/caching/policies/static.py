@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from repro.caching.policies.base import PrecisionDecision, PrecisionPolicy
+from repro.core.checks import non_negative
 from repro.intervals.placement import CenteredPlacement, IntervalPlacement
 
 
@@ -22,9 +23,7 @@ class StaticWidthPolicy(PrecisionPolicy):
         width: float,
         placement: Optional[IntervalPlacement] = None,
     ) -> None:
-        if not width >= 0:
-            raise ValueError("width must be non-negative")
-        self._width = float(width)
+        self._width = float(non_negative("width", width, finite=False))
         self._placement = placement or CenteredPlacement()
 
     @property

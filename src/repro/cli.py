@@ -94,6 +94,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import importlib.metadata
+import math
 import os
 import sys
 from typing import Any, Callable, Dict, List, Optional
@@ -111,6 +112,15 @@ def _package_version() -> str:
         import repro
 
         return repro.__version__
+
+
+def real(text: str) -> float:
+    """A float flag's value.  ``float`` parses ``nan``, which every sign
+    test downstream would have to catch, so the parser refuses it here."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity", type=int, default=None, help="cache capacity kappa"
     )
     serve_parser.add_argument(
-        "--cost-factor", type=float, default=1.0, dest="cost_factor"
+        "--cost-factor", type=real, default=1.0, dest="cost_factor"
     )
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument(
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=int, default=100, help="queries per client (concurrent)"
     )
     loadgen_parser.add_argument(
-        "--rate", type=float, default=0.0, help="queries/s per client (0 = unpaced)"
+        "--rate", type=real, default=0.0, help="queries/s per client (0 = unpaced)"
     )
     loadgen_parser.add_argument("--feeders", type=int, default=1)
     loadgen_parser.add_argument("--seed", type=int, default=5)
@@ -360,28 +370,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument(
         "--peak-rate",
-        type=float,
+        type=real,
         default=0.0,
         dest="peak_rate",
         help="peak queries/s for ramp and flash shapes (open-loop mode)",
     )
     loadgen_parser.add_argument(
         "--zipf-s",
-        type=float,
+        type=real,
         default=1.1,
         dest="zipf_s",
         help="Zipf skew of key popularity (open-loop mode)",
     )
     loadgen_parser.add_argument(
         "--open-duration",
-        type=float,
+        type=real,
         default=2.0,
         dest="open_duration",
         help="open-loop run length in wall seconds (open-loop mode)",
     )
     loadgen_parser.add_argument(
         "--constraint",
-        type=float,
+        type=real,
         default=float("inf"),
         help=(
             "precision constraint per open-loop query (interval width "
@@ -423,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument(
         "--deadline",
-        type=float,
+        type=real,
         default=None,
         help="per-operation client deadline in seconds (default: none)",
     )

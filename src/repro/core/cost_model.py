@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.core.checks import non_negative, positive
 from repro.core.parameters import PrecisionParameters
 
 
@@ -48,17 +49,15 @@ class CostModel:
     k2: float = 1.0 / 200.0
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if self.k2 <= 0:
-            raise ValueError("k2 must be positive")
+        positive("k1", self.k1, finite=True)
+        positive("k2", self.k2, finite=True)
 
     # ------------------------------------------------------------------
     # Model functions
     # ------------------------------------------------------------------
     def value_refresh_probability(self, width: float) -> float:
         """``P_vr(W) = k1 / W**2`` (capped at 1), infinite-width gives 0."""
-        self._check_width(width)
+        non_negative("width", width, finite=False)
         if math.isinf(width):
             return 0.0
         if width == 0:
@@ -67,7 +66,7 @@ class CostModel:
 
     def query_refresh_probability(self, width: float) -> float:
         """``P_qr(W) = k2 * W`` (capped at 1), zero-width gives 0."""
-        self._check_width(width)
+        non_negative("width", width, finite=False)
         if math.isinf(width):
             return 1.0
         return min(self.k2 * width, 1.0)
@@ -114,11 +113,6 @@ class CostModel:
                 )
             )
         return rows
-
-    @staticmethod
-    def _check_width(width: float) -> None:
-        if width < 0:
-            raise ValueError(f"width must be non-negative, got {width}")
 
     # ------------------------------------------------------------------
     # Fitting helpers (used to validate the model against measurements)

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
+from repro.core.checks import non_negative, positive
+
 
 @dataclass(frozen=True)
 class PrecisionParameters:
@@ -58,24 +60,16 @@ class PrecisionParameters:
     cost_factor_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` rather than ``x <= 0``: every comparison with NaN is
-        # false, so the negated form rejects NaN along with the bad signs.
-        if not self.value_refresh_cost > 0:
-            raise ValueError("value_refresh_cost (C_vr) must be positive")
-        if not self.query_refresh_cost > 0:
-            raise ValueError("query_refresh_cost (C_qr) must be positive")
-        if not self.adaptivity >= 0:
-            raise ValueError("adaptivity (alpha) must be non-negative")
-        if not self.lower_threshold >= 0:
-            raise ValueError("lower_threshold (theta_0) must be non-negative")
-        if not self.upper_threshold >= 0:
-            raise ValueError("upper_threshold (theta_1) must be non-negative")
+        positive("value_refresh_cost (C_vr)", self.value_refresh_cost, finite=True)
+        positive("query_refresh_cost (C_qr)", self.query_refresh_cost, finite=True)
+        non_negative("adaptivity (alpha)", self.adaptivity, finite=True)
+        non_negative("lower_threshold (theta_0)", self.lower_threshold, finite=False)
+        non_negative("upper_threshold (theta_1)", self.upper_threshold, finite=False)
         if self.upper_threshold < self.lower_threshold:
             raise ValueError(
                 "upper_threshold (theta_1) must be >= lower_threshold (theta_0)"
             )
-        if not self.cost_factor_multiplier > 0:
-            raise ValueError("cost_factor_multiplier must be positive")
+        positive("cost_factor_multiplier", self.cost_factor_multiplier, finite=True)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -143,8 +137,7 @@ class PrecisionParameters:
         ``C_qr = 2``; this constructor inverts ``rho = 2 * C_vr / C_qr`` to
         recover the implied ``C_vr``.
         """
-        if not cost_factor > 0:
-            raise ValueError("cost_factor must be positive")
+        positive("cost_factor", cost_factor, finite=True)
         value_refresh_cost = cost_factor * query_refresh_cost / 2.0
         return cls(
             value_refresh_cost=value_refresh_cost,

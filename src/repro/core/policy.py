@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 
+from repro.core.checks import positive
 from repro.core.parameters import PrecisionParameters
 from repro.core.thresholds import apply_thresholds
 
@@ -91,11 +92,8 @@ class AdaptiveWidthController:
         initial_width: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not initial_width > 0:
-            raise ValueError(
-                "initial_width must be positive so the width can adapt in both "
-                f"directions, got {initial_width}"
-            )
+        # Positive, so multiplicative updates can move it both ways.
+        positive("initial_width", initial_width, finite=True)
         self._parameters = parameters
         self._width = float(initial_width)
         self._rng = rng if rng is not None else random.Random()
@@ -233,7 +231,7 @@ class AdaptiveWidthController:
 
     def reset(self, width: float) -> None:
         """Reset the internal width (used by experiments, not by the algorithm)."""
-        if width <= 0:
+        if not width > 0:
             raise ValueError("width must be positive")
         self._width = float(width)
         self._reset_width_table()

@@ -35,9 +35,9 @@ def apply_thresholds(
     lower-test-first ordering delivers (widths below the common threshold go
     to 0, all others to inf).
     """
-    if width < 0:
+    if not width >= 0:
         raise ValueError(f"width must be non-negative, got {width}")
-    if lower_threshold < 0 or upper_threshold < 0:
+    if not (lower_threshold >= 0 and upper_threshold >= 0):
         raise ValueError("thresholds must be non-negative")
     if upper_threshold < lower_threshold:
         raise ValueError("upper threshold must be >= lower threshold")

@@ -23,6 +23,7 @@ import random
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+from repro.core.checks import at_least, non_negative, positive
 from repro.core.parameters import PrecisionParameters
 from repro.core.policy import WidthAdjustment
 from repro.core.thresholds import apply_thresholds
@@ -43,8 +44,7 @@ class UncenteredWidthController:
         initial_width: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if initial_width <= 0:
-            raise ValueError("initial_width must be positive")
+        positive("initial_width", initial_width, finite=True)
         self._parameters = parameters
         self._upper_width = initial_width / 2.0
         self._lower_width = initial_width / 2.0
@@ -128,12 +128,9 @@ class TimeVaryingWidthController:
         growth_scale: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if initial_width <= 0:
-            raise ValueError("initial_width must be positive")
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
-        if growth_scale < 0:
-            raise ValueError("growth_scale must be non-negative")
+        positive("initial_width", initial_width, finite=True)
+        positive("exponent", exponent, finite=True)
+        non_negative("growth_scale", growth_scale, finite=True)
         self._parameters = parameters
         self._base_width = initial_width
         self._exponent = exponent
@@ -147,7 +144,7 @@ class TimeVaryingWidthController:
 
     def width_at(self, elapsed: float) -> float:
         """Published width ``elapsed`` time units after the last refresh."""
-        if elapsed < 0:
+        if not elapsed >= 0:
             raise ValueError("elapsed must be non-negative")
         grown = self._base_width + self._growth_scale * elapsed**self._exponent
         return apply_thresholds(
@@ -193,10 +190,8 @@ class HistoryWindowController:
         initial_width: float = 1.0,
         window: int = 3,
     ) -> None:
-        if initial_width <= 0:
-            raise ValueError("initial_width must be positive")
-        if window < 1:
-            raise ValueError("window must be at least 1")
+        positive("initial_width", initial_width, finite=True)
+        at_least("window", window, 1, finite=True)
         self._parameters = parameters
         self._width = initial_width
         self._window = window

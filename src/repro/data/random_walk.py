@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
+from repro.core.checks import at_least, finite, non_negative, probability
+
 
 
 class RandomWalkGenerator:
@@ -41,16 +43,10 @@ class RandomWalkGenerator:
         start: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not step_low >= 0:
-            raise ValueError("step_low must be non-negative")
-        if not step_high >= step_low:
-            raise ValueError("step_high must be >= step_low")
-        if not 0.0 <= up_probability <= 1.0:
-            raise ValueError("up_probability must lie in [0, 1]")
-        self._step_low = step_low
-        self._step_high = step_high
-        self._up_probability = up_probability
-        self._value = float(start)
+        self._step_low = non_negative("step_low", step_low, finite=True)
+        self._step_high = at_least("step_high", step_high, step_low, finite=True)
+        self._up_probability = probability("up_probability", up_probability)
+        self._value = float(finite("start", start))
         self._rng = rng if rng is not None else random.Random()
 
     @property
@@ -85,8 +81,7 @@ class RandomWalkGenerator:
         ``count`` calls to :meth:`step` (so seeded walks produce identical
         trajectories), with the hot attributes bound locally.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        at_least("count", count, 0, finite=True)
         uniform = self._rng.uniform
         rand = self._rng.random
         step_low = self._step_low

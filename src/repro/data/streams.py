@@ -27,6 +27,7 @@ from abc import ABC, abstractmethod
 from itertools import accumulate, repeat
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.checks import finite, positive
 from repro.data.engine import schedule_times
 from repro.data.random_walk import RandomWalkGenerator
 from repro.data.trace import Trace
@@ -86,10 +87,8 @@ class RandomWalkStream(UpdateStream):
         interval: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not interval > 0:
-            raise ValueError("interval must be positive")
         self._walk = walk if walk is not None else RandomWalkGenerator(rng=rng)
-        self._interval = interval
+        self._interval = positive("interval", interval, finite=True)
         self._initial = self._walk.value
 
     @property
@@ -102,8 +101,7 @@ class RandomWalkStream(UpdateStream):
         return self._interval
 
     def schedule(self, duration: float) -> ScheduleColumns:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        positive("duration", duration, finite=True)
         times = schedule_times(self._interval, duration)
         return times, self._walk.steps_array(len(times))
 
@@ -122,8 +120,7 @@ class TraceStream(UpdateStream):
         return self._values[0]
 
     def schedule(self, duration: float) -> ScheduleColumns:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        positive("duration", duration, finite=True)
         # Sample ``i`` lands at ``times[i - 1]``; the grid is the trace's
         # own, so every stream of one trace returns the same ``times``.
         times = self._trace.update_times(duration)
@@ -145,11 +142,9 @@ class CounterStream(UpdateStream):
         start: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not mean_interval > 0:
-            raise ValueError("mean_interval must be positive")
-        self._mean_interval = mean_interval
+        self._mean_interval = positive("mean_interval", mean_interval, finite=True)
         self._poisson = poisson
-        self._start = float(start)
+        self._start = float(finite("start", start))
         self._rng = rng if rng is not None else random.Random()
 
     @property
@@ -157,8 +152,7 @@ class CounterStream(UpdateStream):
         return self._start
 
     def schedule(self, duration: float) -> ScheduleColumns:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        positive("duration", duration, finite=True)
         horizon = duration + 1e-9
         times: List[float] = []
         time = 0.0

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Sequence
 
+from repro.core.checks import at_least, positive
+
 
 def moving_window_average(values: Sequence[float], window: int) -> List[float]:
     """Return the trailing moving average of ``values`` with the given window.
@@ -24,8 +26,7 @@ def moving_window_average(values: Sequence[float], window: int) -> List[float]:
     how a monitoring system reports a one-minute average during its first
     minute).
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    at_least("window", window, 1, finite=True)
     averages: List[float] = []
     running = 0.0
     for index, value in enumerate(values):
@@ -60,8 +61,7 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.series:
             raise ValueError("a trace needs at least one series")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+        positive("sample_interval", self.sample_interval, finite=True)
         lengths = {len(values) for values in self.series.values()}
         if len(lengths) != 1:
             raise ValueError("all series in a trace must have the same length")
@@ -91,7 +91,7 @@ class Trace:
     # ------------------------------------------------------------------
     def value_at(self, key: Hashable, time: float) -> float:
         """Value of ``key`` at (the sample covering) ``time``."""
-        if time < 0:
+        if not time >= 0:
             raise ValueError("time must be non-negative")
         index = min(int(time / self.sample_interval), self.length - 1)
         return self.series[key][index]
@@ -145,8 +145,7 @@ class Trace:
         The paper "picked the 50 most heavily trafficked hosts"; this helper
         performs that selection on any trace.
         """
-        if count < 1:
-            raise ValueError("count must be at least 1")
+        at_least("count", count, 1, finite=True)
         ranked = sorted(
             self.series.items(), key=lambda item: sum(item[1]), reverse=True
         )

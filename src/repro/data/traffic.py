@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.core.checks import at_least, positive, probability
 from repro.data.trace import Trace, moving_window_average
 
 #: The paper reports traffic levels from 0 to 5.2e6 bytes per second.
@@ -57,16 +58,12 @@ class BurstModel:
     activity_bias: float
 
     def __post_init__(self) -> None:
-        if self.mean_off_seconds <= 0:
-            raise ValueError("mean_off_seconds must be positive")
-        if self.pareto_shape <= 1.0:
+        positive("mean_off_seconds", self.mean_off_seconds, finite=True)
+        if not self.pareto_shape > 1.0:
             raise ValueError("pareto_shape must exceed 1 (finite mean burst length)")
-        if self.min_burst_seconds <= 0:
-            raise ValueError("min_burst_seconds must be positive")
-        if self.peak_rate <= 0:
-            raise ValueError("peak_rate must be positive")
-        if not 0.0 <= self.activity_bias <= 1.0:
-            raise ValueError("activity_bias must lie in [0, 1]")
+        positive("min_burst_seconds", self.min_burst_seconds, finite=True)
+        positive("peak_rate", self.peak_rate, finite=True)
+        probability("activity_bias", self.activity_bias)
 
 
 class SyntheticTrafficTraceGenerator:
@@ -95,18 +92,13 @@ class SyntheticTrafficTraceGenerator:
         smoothing_window_seconds: float = PAPER_SMOOTHING_WINDOW_SECONDS,
         seed: int = 0,
     ) -> None:
-        if host_count < 1:
-            raise ValueError("host_count must be at least 1")
-        if duration_seconds < 2:
-            raise ValueError("duration_seconds must be at least 2")
-        if peak_rate <= 0:
-            raise ValueError("peak_rate must be positive")
-        if smoothing_window_seconds < 1:
-            raise ValueError("smoothing_window_seconds must be at least 1")
-        self._host_count = host_count
+        self._host_count = at_least("host_count", host_count, 1, finite=True)
+        at_least("duration_seconds", duration_seconds, 2, finite=True)
         self._duration = int(duration_seconds)
-        self._peak_rate = peak_rate
-        self._window = smoothing_window_seconds
+        self._peak_rate = positive("peak_rate", peak_rate, finite=True)
+        self._window = at_least(
+            "smoothing_window_seconds", smoothing_window_seconds, 1, finite=True
+        )
         self._seed = seed
 
     # ------------------------------------------------------------------

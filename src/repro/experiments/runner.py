@@ -38,6 +38,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.checks import at_least
 from repro.experiments.base import ExperimentResult
 
 
@@ -123,8 +124,8 @@ def run_plan(
         result is identical either way (sub-runs are deterministic and
         results are reassembled in plan order).
     """
-    if workers is not None and workers < 0:
-        raise ValueError("workers must be non-negative")
+    if workers is not None:
+        at_least("workers", workers, 0, finite=True)
     if not plan.subruns:
         return _assemble(plan, [])
     if workers is None or workers <= 1:

@@ -89,7 +89,7 @@ class Interval:
         the paper's convention that widths clamped to ``theta_1 = inf`` mean
         "effectively not cached".
         """
-        if width < 0:
+        if not width >= 0:
             raise ValueError(f"width must be non-negative, got {width}")
         if math.isinf(width):
             return UNBOUNDED
@@ -103,7 +103,7 @@ class Interval:
         One-sided intervals are used for monotone quantities such as the
         update counters of stale-value approximations (Section 4.7).
         """
-        if width < 0:
+        if not width >= 0:
             raise ValueError(f"width must be non-negative, got {width}")
         if math.isinf(width):
             return cls(anchor, math.inf)
@@ -165,7 +165,7 @@ class Interval:
         A query with precision constraint ``delta`` accepts an approximation
         whose width does not exceed ``delta``.
         """
-        if max_width < 0:
+        if not max_width >= 0:
             raise ValueError(f"precision constraint must be >= 0, got {max_width}")
         return self.width <= max_width
 
@@ -200,7 +200,7 @@ class Interval:
 
     def scale(self, factor: float) -> "Interval":
         """Return the interval scaled by a non-negative ``factor``."""
-        if factor < 0:
+        if not factor >= 0:
             raise ValueError("scale factor must be non-negative")
         if factor == 0:
             return Interval.exact(0.0)

@@ -15,6 +15,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.core.checks import finite, non_negative, positive, probability
 from repro.intervals.interval import UNBOUNDED, Interval
 
 
@@ -65,13 +66,10 @@ class UncenteredPlacement(IntervalPlacement):
     upper_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.upper_fraction <= 1.0:
-            raise ValueError(
-                f"upper_fraction must lie in [0, 1], got {self.upper_fraction}"
-            )
+        probability("upper_fraction", self.upper_fraction)
 
     def place(self, value: float, width: float) -> Interval:
-        if width < 0:
+        if not width >= 0:
             raise ValueError(f"width must be non-negative, got {width}")
         if math.isinf(width):
             return UNBOUNDED
@@ -94,12 +92,15 @@ class LinearGrowthPlacement(IntervalPlacement):
 
     drift_rate: float = 0.0
 
+    def __post_init__(self) -> None:
+        finite("drift_rate", self.drift_rate)
+
     def place(self, value: float, width: float) -> Interval:
         return Interval.centered(value, width)
 
     def at_elapsed(self, base: Interval, elapsed: float) -> Interval:
         """Return the interval ``base`` drifted by ``elapsed`` time units."""
-        if elapsed < 0:
+        if not elapsed >= 0:
             raise ValueError("elapsed time must be non-negative")
         if base.is_unbounded:
             return base
@@ -120,17 +121,15 @@ class PowerGrowthPlacement(IntervalPlacement):
     growth_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
-        if self.growth_scale < 0:
-            raise ValueError("growth_scale must be non-negative")
+        positive("exponent", self.exponent, finite=True)
+        non_negative("growth_scale", self.growth_scale, finite=True)
 
     def place(self, value: float, width: float) -> Interval:
         return Interval.centered(value, width)
 
     def at_elapsed(self, base: Interval, elapsed: float) -> Interval:
         """Return ``base`` symmetrically widened after ``elapsed`` time units."""
-        if elapsed < 0:
+        if not elapsed >= 0:
             raise ValueError("elapsed time must be non-negative")
         if base.is_unbounded:
             return base

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.checks import at_least, finite, non_negative
 from repro.intervals.interval import Interval
 
 
@@ -39,10 +40,9 @@ class StalenessBound:
     allowance: float
 
     def __post_init__(self) -> None:
-        if self.allowance < 0:
-            raise ValueError(f"allowance must be non-negative, got {self.allowance}")
-        if self.refresh_update_count < 0:
-            raise ValueError("refresh_update_count must be non-negative")
+        finite("snapshot", self.snapshot)
+        non_negative("allowance", self.allowance, finite=False)
+        at_least("refresh_update_count", self.refresh_update_count, 0, finite=True)
 
     @property
     def width(self) -> float:
@@ -70,7 +70,7 @@ class StalenessBound:
 
     def meets_constraint(self, max_staleness: float) -> bool:
         """True when the allowance satisfies a query's staleness constraint."""
-        if max_staleness < 0:
+        if not max_staleness >= 0:
             raise ValueError("staleness constraint must be non-negative")
         return self.allowance <= max_staleness
 

@@ -32,6 +32,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from repro.core.checks import at_least
+
 __all__ = [
     "DEFAULT_RING_SIZE",
     "FlightRecorder",
@@ -59,8 +61,7 @@ class FlightRecorder:
     __slots__ = ("ring", "dropped", "dumps_written")
 
     def __init__(self, size: int = DEFAULT_RING_SIZE) -> None:
-        if size < 1:
-            raise ValueError("ring size must be at least 1")
+        at_least("ring size", size, 1, finite=True)
         self.ring: Deque[Dict[str, Any]] = deque(maxlen=size)
         self.dropped = 0
         self.dumps_written = 0

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.checks import non_negative
+
 
 @dataclass(frozen=True)
 class ConstraintDistribution:
@@ -22,8 +24,7 @@ class ConstraintDistribution:
     maximum: float
 
     def __post_init__(self) -> None:
-        if not self.minimum >= 0:
-            raise ValueError("constraint minimum must be non-negative")
+        non_negative("constraint minimum", self.minimum, finite=False)
         if not self.maximum >= self.minimum:
             raise ValueError("constraint maximum must be >= minimum")
 
@@ -55,13 +56,8 @@ class PrecisionConstraintGenerator:
         variation: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        # The negated tests reject NaN too: it compares false with anything.
-        if not average >= 0:
-            raise ValueError("average constraint (delta_avg) must be non-negative")
-        if not variation >= 0:
-            raise ValueError("constraint variation (sigma) must be non-negative")
-        self._average = average
-        self._variation = variation
+        self._average = non_negative("average (delta_avg)", average, finite=False)
+        self._variation = non_negative("variation (sigma)", variation, finite=True)
         self._rng = rng if rng is not None else random.Random()
         # The effective range is constant for the generator's lifetime;
         # precompute it once instead of per sample (one sample per query).

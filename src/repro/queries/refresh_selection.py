@@ -100,7 +100,7 @@ def select_sum_refreshes(
     The remaining (unrefreshed) intervals' total width must not exceed the
     constraint; refreshed intervals contribute zero width.
     """
-    if constraint < 0:
+    if not constraint >= 0:
         raise ValueError("constraint must be non-negative")
     # Fast path, O(n) with no sorting: when the total width is already within
     # the constraint the answer is empty.  Float addition is order-sensitive
@@ -175,7 +175,7 @@ def select_sum_refreshes_columnar(
     matches the decorated sort; positions are unique, so the key never
     tie-breaks).
     """
-    if constraint < 0:
+    if not constraint >= 0:
         raise ValueError("constraint must be non-negative")
     count = len(keys)
     if count < _SCALAR_SELECT_LIMIT:
@@ -263,7 +263,7 @@ def bounded_query_steps(
     """
     if not intervals:
         raise ValueError("a query must touch at least one value")
-    if constraint < 0:
+    if not constraint >= 0:
         raise ValueError("constraint must be non-negative")
     if math.isinf(constraint):
         return QueryExecution(
@@ -478,7 +478,7 @@ def run_query_refreshes(
     """
     if not intervals:
         raise ValueError("a query must touch at least one value")
-    if constraint < 0:
+    if not constraint >= 0:
         raise ValueError("constraint must be non-negative")
     if math.isinf(constraint):
         return

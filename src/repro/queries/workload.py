@@ -23,6 +23,7 @@ import random
 from collections import OrderedDict
 from typing import Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.checks import at_least, positive
 from repro.queries.aggregates import AggregateKind
 from repro.queries.constraints import PrecisionConstraintGenerator
 
@@ -286,10 +287,8 @@ class QueryWorkload:
     ) -> None:
         if not keys:
             raise ValueError("the workload needs at least one key")
-        if not period > 0:
-            raise ValueError("query period (T_q) must be positive")
-        if query_size < 1:
-            raise ValueError("query_size must be at least 1")
+        positive("period (T_q)", period, finite=True)
+        at_least("query_size", query_size, 1, finite=True)
         if not aggregates:
             raise ValueError("at least one aggregate kind is required")
         if rng is not None and script is not None:

@@ -40,6 +40,7 @@ from typing import (
     Union,
 )
 
+from repro.core.checks import at_least, positive
 from repro.queries.aggregates import AggregateKind
 from repro.serving.durability import DEFAULT_CHECKPOINT_EVERY, FSYNC_POLICIES
 from repro.serving.errors import (
@@ -94,8 +95,8 @@ class Client:
         ] = None,
         default_deadline: Optional[float] = None,
     ) -> None:
-        if default_deadline is not None and default_deadline <= 0:
-            raise ValueError("default_deadline must be positive (or None)")
+        if default_deadline is not None:
+            positive("default_deadline", default_deadline, finite=False)
         self._transport = transport
         self._on_request = on_request
         self._default_deadline = default_deadline
@@ -354,8 +355,7 @@ class Client:
         but the generator shape is what a dashboard consumes.  Stops
         cleanly when the connection dies.
         """
-        if period <= 0:
-            raise ValueError("period must be positive")
+        positive("period", period, finite=True)
         remaining = count
         while remaining is None or remaining > 0:
             try:
@@ -509,18 +509,16 @@ class ServeConfig:
             raise ValueError(
                 f"role must be one of {SERVE_ROLES}, not {self.role!r}"
             )
-        if self.partitions < 1:
-            raise ValueError("partitions must be at least 1")
-        # Negated so NaN fails too: the policy is built from it only after
-        # the partitions are spawned.
-        if not self.cost_factor > 0:
-            raise ValueError(f"cost_factor must be positive, not {self.cost_factor}")
+        at_least("partitions", self.partitions, 1, finite=True)
+        # Checked here: the policy is built from it only after the
+        # partitions are spawned.
+        positive("cost_factor", self.cost_factor, finite=True)
         if self.role != "gateway" and self.partitions != 1:
             raise ValueError("--partitions applies to the gateway role only")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
+        if self.capacity is not None:
+            at_least("capacity", self.capacity, 1, finite=True)
+        at_least("max_inflight", self.max_inflight, 1, finite=True)
+        at_least("checkpoint_every", self.checkpoint_every, 1, finite=True)
         if self.wal_fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"wal_fsync must be one of {FSYNC_POLICIES}, not "

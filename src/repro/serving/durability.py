@@ -64,6 +64,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.checks import at_least
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.serving.errors import UnrecoverablePartition
 from repro.serving.protocol import decode_json, encode_json
@@ -146,8 +147,8 @@ class PartitionDurability:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         fsync: str = "checkpoint",
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
+        at_least("partition_index", partition_index, 0, finite=True)
+        at_least("checkpoint_every", checkpoint_every, 1, finite=True)
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, not {fsync!r}")
         self.directory = Path(directory)

@@ -78,7 +78,7 @@ def merge_aggregate_bounds(
         if len(counts) != len(partials):
             raise ValueError("counts must parallel the partial bounds")
         total = sum(counts)
-        if total < 1:
+        if not total >= 1:
             raise ValueError("AVG merges need at least one contributing value")
         return sum_bound(list(partials)).scale(1.0 / total)
     raise ValueError(f"unsupported aggregate kind: {kind!r}")

@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
+from repro.core.checks import at_least, non_negative, positive, probability
 from repro.obs.metrics import REGISTRY
 from repro.serving.errors import ConnectionLost
 
@@ -124,19 +125,18 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "truncate_rate", "delay_rate", "reorder_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
+            probability(name, getattr(self, name))
         if self.drop_rate + self.truncate_rate > 1.0:
             raise ValueError("drop_rate + truncate_rate must not exceed 1")
-        if self.delay_seconds < 0 or self.reorder_window <= 0:
-            raise ValueError("delay_seconds must be >= 0, reorder_window > 0")
-        if self.kill_every < 0 or self.outage_queries < 0:
-            raise ValueError("kill_every and outage_queries must be non-negative")
-        if self.partition_kill_every < 0 or self.partition_kills < 0:
-            raise ValueError(
-                "partition_kill_every and partition_kills must be non-negative"
-            )
+        non_negative("delay_seconds", self.delay_seconds, finite=True)
+        positive("reorder_window", self.reorder_window, finite=True)
+        for name in (
+            "kill_every",
+            "outage_queries",
+            "partition_kill_every",
+            "partition_kills",
+        ):
+            at_least(name, getattr(self, name), 0, finite=True)
 
     @property
     def is_zero(self) -> bool:

@@ -61,6 +61,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.checks import non_negative
 from repro.intervals.interval import Interval
 from repro.obs.metrics import (
     REGISTRY,
@@ -185,8 +186,7 @@ class GatewayServer(BaseFrameServer):
         )
         if not targets:
             raise ValueError("a gateway needs at least one partition target")
-        if recovery_grace < 0:
-            raise ValueError("recovery_grace must be non-negative")
+        non_negative("recovery_grace", recovery_grace, finite=False)
         self._targets: List[Any] = list(targets)
         self._pool = pool
         self._control: List[Optional[Client]] = [None] * len(self._targets)

@@ -54,6 +54,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.checks import at_least, non_negative, positive
 from repro.data.merged import merge_timelines
 from repro.data.streams import TraceStream
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, REGISTRY
@@ -171,13 +172,9 @@ class RetryPolicy:
         max_delay: float = 0.25,
         seed: int = 0,
     ) -> None:
-        if attempts < 1:
-            raise ValueError("attempts must be at least 1")
-        if base_delay <= 0 or max_delay < base_delay:
-            raise ValueError("need 0 < base_delay <= max_delay")
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
+        self.attempts = at_least("attempts", attempts, 1, finite=True)
+        self.base_delay = positive("base_delay", base_delay, finite=True)
+        self.max_delay = at_least("max_delay", max_delay, base_delay, finite=True)
         self._rng = random.Random(f"retry:{seed}")
 
     def delay(self, attempt: int) -> float:
@@ -821,10 +818,8 @@ async def replay_trace_concurrent(
     single ground-truth instant per query; use the deterministic mode's
     ``check_invariant`` for that.
     """
-    if clients < 1:
-        raise ValueError("clients must be at least 1")
-    if feeders < 1:
-        raise ValueError("feeders must be at least 1")
+    at_least("clients", clients, 1, finite=True)
+    at_least("feeders", feeders, 1, finite=True)
     plan = fault_plan if fault_plan is not None else FaultPlan()
     retry = retry if retry is not None else RetryPolicy(seed=plan.seed)
     dialer = _FaultDialer(server, plan)
@@ -998,14 +993,14 @@ class OpenLoopProfile:
             raise ValueError(
                 f"shape must be one of {ARRIVAL_SHAPES}, not {self.shape!r}"
             )
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if self.keys_per_query < 1:
-            raise ValueError("keys_per_query must be at least 1")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be non-negative")
+        # Finite, or ``arrival_times`` never returns: a NaN or infinite
+        # duration is never reached, and a NaN rate never advances time.
+        positive("duration_s", self.duration_s, finite=True)
+        positive("base_rate", self.base_rate, finite=True)
+        non_negative("peak_rate", self.peak_rate, finite=True)
+        non_negative("zipf_s", self.zipf_s, finite=True)
+        at_least("keys_per_query", self.keys_per_query, 1, finite=True)
+        non_negative("constraint", self.constraint, finite=False)
 
     def rate_at(self, t: float) -> float:
         """Offered arrival rate (queries/second) at wall offset ``t``."""
@@ -1074,8 +1069,7 @@ async def run_open_loop(
     arrivals, so refreshes compete with queries for the server like they
     would in production.
     """
-    if connections < 1:
-        raise ValueError("connections must be at least 1")
+    at_least("connections", connections, 1, finite=True)
     plan = fault_plan if fault_plan is not None else FaultPlan()
     retry = RetryPolicy(seed=plan.seed)
     dialer = _FaultDialer(server, plan)

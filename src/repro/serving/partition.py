@@ -50,7 +50,7 @@ def _canonical_key(key):
 
 def shard_index(key: Hashable, shard_count: int) -> int:
     """Return the partition owning ``key`` under stable hash partitioning."""
-    if shard_count < 1:
+    if not shard_count >= 1:
         raise ValueError("shard_count must be at least 1")
     return stable_key_hash(key) % shard_count
 
@@ -64,7 +64,7 @@ def partition_keys(
     mapping iterates in first-touched order, which the gateway's fan-out
     relies on being deterministic for a given key sequence.
     """
-    if shard_count < 1:
+    if not shard_count >= 1:
         raise ValueError("shard_count must be at least 1")
     groups: Dict[int, List[Hashable]] = {}
     for key in keys:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core.checks import at_least, positive
 from repro.experiments.runner import WorkerHandle
 from repro.serving.errors import SupervisionExhausted
 
@@ -236,18 +237,15 @@ class ProcessPartitionPool:
         start_timeout: float = DEFAULT_START_TIMEOUT,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
-        if partitions < 1:
-            raise ValueError("partitions must be at least 1")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        self._max_restarts = max_restarts
+        at_least("partitions", partitions, 1, finite=True)
+        self._max_restarts = at_least("max_restarts", max_restarts, 0, finite=True)
         self._spec = dict(spec or {})
         self._workers: List[WorkerHandle] = [
             WorkerHandle(index, partition_worker, (self._make_spec(index),))
             for index in range(partitions)
         ]
         self._ports: List[Optional[int]] = [None] * partitions
-        self._start_timeout = start_timeout
+        self._start_timeout = positive("start_timeout", start_timeout, finite=True)
 
     def _make_spec(self, index: int) -> Dict[str, Any]:
         spec = dict(self._spec)
@@ -376,7 +374,7 @@ class ServerProcess:
         self._spec = dict(spec or {})
         self._spec.setdefault("seed", 0)
         self._worker = WorkerHandle(0, entry, (self._spec,))
-        self._start_timeout = start_timeout
+        self._start_timeout = positive("start_timeout", start_timeout, finite=True)
         self._port: Optional[int] = None
 
     def __enter__(self) -> str:

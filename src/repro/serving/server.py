@@ -75,6 +75,7 @@ from typing import (
 )
 
 from repro.caching.cache import ApproximateCache
+from repro.core.checks import at_least, positive
 from repro.caching.core import CacheCore, UpdateOrderError
 from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
@@ -309,12 +310,10 @@ class BaseFrameServer:
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
     ) -> None:
-        if max_inflight_queries < 1:
-            raise ValueError("max_inflight_queries must be at least 1")
-        if admission_queue_limit < 0:
-            raise ValueError("admission_queue_limit must be non-negative")
-        if refresh_timeout is not None and not refresh_timeout > 0:
-            raise ValueError("refresh_timeout must be positive (or None)")
+        at_least("max_inflight_queries", max_inflight_queries, 1, finite=True)
+        at_least("admission_queue_limit", admission_queue_limit, 0, finite=True)
+        if refresh_timeout is not None:
+            positive("refresh_timeout", refresh_timeout, finite=False)
         self._query_gate = asyncio.Semaphore(max_inflight_queries)
         self._admission_queue_limit = admission_queue_limit
         self._admission_waiting = 0
@@ -680,8 +679,7 @@ class CacheServer(BaseFrameServer):
             admission_queue_limit=admission_queue_limit,
             refresh_timeout=refresh_timeout,
         )
-        if not degraded_slack >= 1.0:
-            raise ValueError("degraded_slack must be at least 1")
+        at_least("degraded_slack", degraded_slack, 1.0, finite=True)
         self._core = self._build_core(
             policy,
             ApproximateCache(capacity=capacity, eviction_policy=eviction_policy),

@@ -24,6 +24,7 @@ import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
+from repro.core.checks import at_least
 from repro.serving.protocol import HEADER, decode_length, decode_payload, encode_frame
 
 #: A well-framed but undecodable payload, used by ``write_corrupt_frame`` —
@@ -211,8 +212,7 @@ def loopback_pair(
     buffer: int = DEFAULT_LOOPBACK_BUFFER,
 ) -> Tuple[LoopbackFrameTransport, LoopbackFrameTransport]:
     """Create a connected (client end, server end) loopback transport pair."""
-    if buffer < 1:
-        raise ValueError("loopback buffer must hold at least one frame")
+    at_least("loopback buffer", buffer, 1, finite=True)
     client_to_server = _LoopbackDirection(buffer)
     server_to_client = _LoopbackDirection(buffer)
     return (

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
+from repro.core.checks import at_least, non_negative, positive
 from repro.queries.aggregates import AggregateKind
 from repro.queries.constraints import PrecisionConstraintGenerator
 
@@ -81,32 +82,28 @@ class SimulationConfig:
     track_keys: Tuple[Hashable, ...] = ()
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` rather than ``x <= 0``: every comparison with NaN is
-        # false, so the negated form rejects NaN along with the bad signs.
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        if not self.warmup >= 0:
-            raise ValueError("warmup must be non-negative")
+        positive("duration", self.duration, finite=True)
+        non_negative("warmup", self.warmup, finite=True)
         if self.warmup >= self.duration:
             raise ValueError("warmup must be shorter than the duration")
-        if not self.query_period > 0:
-            raise ValueError("query_period (T_q) must be positive")
-        if self.query_size < 1:
-            raise ValueError("query_size must be at least 1")
+        positive("query_period (T_q)", self.query_period, finite=True)
+        at_least("query_size", self.query_size, 1, finite=True)
         if not self.aggregates:
             raise ValueError("at least one aggregate kind is required")
-        if not self.constraint_average >= 0:
-            raise ValueError("constraint_average (delta_avg) must be non-negative")
-        if not self.constraint_variation >= 0:
-            raise ValueError("constraint_variation (sigma) must be non-negative")
+        non_negative(
+            "constraint_average (delta_avg)", self.constraint_average, finite=False
+        )
+        non_negative(
+            "constraint_variation (sigma)", self.constraint_variation, finite=True
+        )
         if self.constraint_bounds is not None:
             low, high = self.constraint_bounds
             if not 0 <= low <= high:
                 raise ValueError("constraint_bounds must satisfy 0 <= min <= max")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity (kappa) must be at least 1")
-        if not (self.value_refresh_cost > 0 and self.query_refresh_cost > 0):
-            raise ValueError("refresh costs must be positive")
+        if self.cache_capacity is not None:
+            at_least("cache_capacity (kappa)", self.cache_capacity, 1, finite=True)
+        positive("value_refresh_cost", self.value_refresh_cost, finite=True)
+        positive("query_refresh_cost", self.query_refresh_cost, finite=True)
 
     # ------------------------------------------------------------------
     # Derived objects

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
+from repro.core.checks import non_negative
 from repro.intervals.interval import Interval
 from repro.simulation.network import NetworkModel
 
@@ -119,8 +120,7 @@ class MetricsCollector:
         warmup: float = 0.0,
         track_keys: Optional[List[Hashable]] = None,
     ) -> None:
-        if not warmup >= 0:
-            raise ValueError("warmup must be non-negative")
+        non_negative("warmup", warmup, finite=True)
         self._warmup = warmup
         self._query_count = 0
         self._interval_samples: Dict[Hashable, List[IntervalSample]] = {
@@ -171,7 +171,7 @@ class MetricsCollector:
         ``network`` is the run's network model, whose counters hold the
         post-warm-up refresh counts and cost.
         """
-        if end_time <= self._warmup:
+        if not end_time > self._warmup:
             raise ValueError("end_time must exceed the warm-up period")
         duration = end_time - self._warmup
         return SimulationResult(

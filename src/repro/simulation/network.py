@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.checks import at_least, non_negative, positive
 from repro.core.parameters import PrecisionParameters
 
 
@@ -50,12 +51,11 @@ class NetworkModel:
     total_latency: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if not (self.value_refresh_cost > 0 and self.query_refresh_cost > 0):
-            raise ValueError("refresh costs must be positive")
-        if self.messages_per_value_refresh < 1 or self.messages_per_query_refresh < 1:
-            raise ValueError("message counts must be at least 1")
-        if not self.latency_per_message >= 0:
-            raise ValueError("latency_per_message must be non-negative")
+        positive("value_refresh_cost", self.value_refresh_cost, finite=True)
+        positive("query_refresh_cost", self.query_refresh_cost, finite=True)
+        for name in ("messages_per_value_refresh", "messages_per_query_refresh"):
+            at_least(name, getattr(self, name), 1, finite=True)
+        non_negative("latency_per_message", self.latency_per_message, finite=True)
 
     @classmethod
     def from_parameters(cls, parameters: PrecisionParameters) -> "NetworkModel":

@@ -169,6 +169,20 @@ class TestServingParser:
                  "2", "--partitions", "2"]
             )
 
+    @pytest.mark.parametrize("flag", ["--open-duration", "--peak-rate"])
+    def test_open_loop_rejects_nan(self, flag, monkeypatch):
+        # A NaN duration or peak rate never ends the arrival schedule; make
+        # reaching the run fail fast instead of hanging.
+        import repro.serving.loadgen
+
+        async def never(*args, **kwargs):
+            raise AssertionError("a NaN profile reached run_open_loop")
+
+        monkeypatch.setattr(repro.serving.loadgen, "run_open_loop", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--mode", "open-loop", "--hosts", "2", flag, "nan"])
+        assert excinfo.value.code == 2
+
     def test_partition_kill_plan_needs_partition_procs(self):
         with pytest.raises(SystemExit):
             main(
