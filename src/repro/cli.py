@@ -28,31 +28,31 @@ The serving layer (:mod:`repro.serving`) adds two more commands::
     python -m repro.cli loadgen --mode deterministic --compare-offline
     python -m repro.cli loadgen --clients 8 --feeders 2 --constraint 1e9
     python -m repro.cli loadgen --mode open-loop --shape flash --peak-rate 800
-    python -m repro.cli loadgen --target ws://127.0.0.1:7412/ws
+    python -m repro.cli loadgen --target tcp://127.0.0.1:7411
 
 ``serve`` hosts an approximate cache behind the length-prefixed JSON
 protocol on TCP.  ``--role single`` (default) is one
 :class:`~repro.serving.server.CacheServer`; ``--role gateway`` spawns
 ``--partitions N`` CacheServer worker processes and fronts them with the
 routing :class:`~repro.serving.gateway.GatewayServer` (same wire surface,
-supervised restarts); ``--role partition`` is a single cache intended to
-sit behind a gateway.  ``--http-port P`` additionally serves the
-HTTP/WebSocket edge (:mod:`repro.serving.http`) on the same backend.
+supervised restarts).  ``--http-port P`` additionally serves the HTTP
+edge (:mod:`repro.serving.http`: ``GET /metrics`` and ``GET /healthz``) on
+the same backend.
 
 ``loadgen`` replays the synthetic monitoring trace against an in-process
 server (the default; ``--partitions N`` fronts it with an in-process
-gateway) or a remote target: ``--target tcp://host:port`` or
-``--target ws://host:port/ws`` (``--connect host:port`` remains as the
-older spelling of the TCP form).  It prints hit rate, refresh counts,
-latency percentiles and throughput.  ``--compare-offline`` additionally
-runs the equivalent offline simulation and fails unless the refresh counts,
-hit rate, total cost and query count match exactly (deterministic mode
-only).  ``--mode open-loop`` (the default) fires a seeded Poisson arrival
-schedule (``--shape steady|ramp|flash``, ``--rate``, Zipf key popularity)
-over ``--clients`` connections that never wait for answers — the honest
-overload model, where rejections and deadline misses are counted instead
-of throttling the offered rate — while ``--feeders`` connections split
-the keys and replay their updates.
+gateway) or a remote target, ``--target tcp://host:port``.  It prints
+hit rate, refresh counts, latency percentiles and throughput.
+``--compare-offline`` additionally runs the equivalent offline simulation
+and fails unless the refresh counts, hit rate, total cost and query count
+match exactly (deterministic mode only).  ``--mode open-loop`` (the
+default) fires a seeded Poisson arrival schedule (``--shape
+steady|ramp|flash``, ``--rate``, Zipf key popularity) over ``--clients``
+connections that never wait for answers — the honest overload model,
+where rejections and deadline misses are counted instead of throttling
+the offered rate — while ``--feeders`` connections split the keys and
+replay their updates.  Counts and rates are checked as they are parsed:
+``--clients 0`` or ``--rate -5`` is a usage error (exit 2).
 
 ``--fault-plan`` turns either loadgen mode into a chaos run: transports
 drop, truncate, delay and reorder frames on a seeded, replayable schedule
@@ -100,6 +100,7 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.checks import at_least, non_negative
 from repro.experiments.base import ExperimentResult, format_table, registry
 from repro.serving.durability import DEFAULT_CHECKPOINT_EVERY, FSYNC_POLICIES
 from repro.experiments.runner import plan_registry, run_plan
@@ -122,6 +123,24 @@ def real(text: str) -> float:
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     return value
+
+
+def checked(
+    parse: Callable[[str], Any], check: Callable[..., Any], *bounds: Any
+) -> Callable[[str], Any]:
+    """A flag converter: ``parse`` the text, then hold it to a
+    :mod:`repro.core.checks` rule (finite), so a refused value is a usage
+    error (exit 2) rather than a traceback from inside the run."""
+
+    def convert(text: str) -> Any:
+        value = parse(text)
+        try:
+            return check("the value", value, *bounds, finite=True)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,13 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=7411)
     serve_parser.add_argument(
         "--role",
-        choices=("single", "gateway", "partition"),
+        choices=("single", "gateway"),
         default="single",
         help=(
             "deployment role: 'single' is one cache server (default), "
             "'gateway' fronts --partitions supervised CacheServer "
-            "processes, 'partition' is a cache meant to sit behind a "
-            "gateway"
+            "processes"
         ),
     )
     serve_parser.add_argument(
@@ -237,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="http_port",
-        help="also serve the HTTP/WebSocket edge on this port",
+        help="also serve the HTTP edge (GET /metrics, GET /healthz) on this port",
     )
     serve_parser.add_argument(
         "--capacity", type=int, default=None, help="cache capacity kappa"
@@ -295,54 +313,54 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--hosts", type=int, default=25)
     loadgen_parser.add_argument("--duration", type=int, default=300)
     loadgen_parser.add_argument(
-        "--clients", type=int, default=4, help="query connections (open-loop mode)"
+        "--clients",
+        type=checked(int, at_least, 1),
+        default=4,
+        help="query connections, at least 1 (open-loop mode)",
     )
     loadgen_parser.add_argument(
         "--rate",
-        type=real,
+        type=checked(real, non_negative),
         default=0.0,
-        help="open-loop base arrival rate in queries/s (0 = 200/s)",
+        help=(
+            "open-loop base arrival rate in queries/s, non-negative "
+            "(0, the default, means 200/s)"
+        ),
     )
     loadgen_parser.add_argument(
         "--feeders",
-        type=int,
+        type=checked(int, at_least, 1),
         default=1,
-        help="feeder connections splitting the keys (open-loop mode)",
+        help="feeder connections splitting the keys, at least 1 (open-loop mode)",
     )
     loadgen_parser.add_argument("--seed", type=int, default=5)
-    loadgen_parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="drive a remote 'repro serve' instead of an in-process server",
-    )
     loadgen_parser.add_argument(
         "--target",
         default=None,
         metavar="URL",
         help=(
-            "drive a remote serving target by URL: tcp://host:port or "
-            "ws://host:port/ws (the HTTP edge); supersedes --connect"
+            "drive a remote 'repro serve' by URL (tcp://host:port) "
+            "instead of an in-process server"
         ),
     )
     loadgen_parser.add_argument(
         "--partitions",
-        type=int,
+        type=checked(int, at_least, 1),
         default=1,
         help=(
             "front the in-process server with a gateway over this many "
-            "in-process partitions (no --target/--connect)"
+            "in-process partitions (no --target)"
         ),
     )
     loadgen_parser.add_argument(
         "--partition-procs",
-        type=int,
+        type=checked(int, non_negative),
         default=0,
         dest="partition_procs",
         help=(
             "front the replay with a supervised gateway over this many "
             "partition *processes* (deterministic mode; required for "
-            "fault-plan partition kills; no --target/--connect)"
+            "fault-plan partition kills; no --target)"
         ),
     )
     loadgen_parser.add_argument(
@@ -687,7 +705,7 @@ async def _serve(config) -> None:
 
             edge = HttpEdge(backend)
             await edge.start(config.host, config.http_port)
-            banner += f", http/ws on {config.host}:{config.http_port}"
+            banner += f", http on {config.host}:{config.http_port}"
         from repro.obs.logging import get_logger
 
         get_logger("cli").info(
@@ -724,21 +742,24 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
         traffic_streams,
     )
     from repro.serving.faults import FaultPlan
+    from repro.serving.api import parse_target
     from repro.serving.loadgen import (
         OpenLoopProfile,
-        dialer_for_target,
         replay_trace_deterministic,
         run_open_loop,
     )
     from repro.serving.server import CacheServer
 
-    if args.partitions < 1:
-        parser.error(f"--partitions must be at least 1, got {args.partitions}")
-    remote = args.target is not None or args.connect is not None
+    remote = args.target is not None
+    if remote:
+        try:
+            parse_target(args.target)
+        except ValueError as error:
+            parser.error(f"--target: {error}")
     if args.compare_offline and (args.mode != "deterministic" or remote):
         parser.error(
             "--compare-offline needs --mode deterministic and an "
-            "in-process server (no --target/--connect)"
+            "in-process server (no --target)"
         )
     if args.check_invariant and args.mode != "deterministic":
         parser.error(
@@ -749,15 +770,13 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
     if args.partitions > 1 and remote:
         parser.error(
             "--partitions builds an in-process gateway; it cannot be "
-            "combined with --target/--connect"
+            "combined with --target"
         )
-    if args.partition_procs < 0:
-        parser.error("--partition-procs must be non-negative")
     if args.partition_procs:
         if remote:
             parser.error(
                 "--partition-procs spawns its own partition pool; it cannot "
-                "be combined with --target/--connect"
+                "be combined with --target"
             )
         if args.partitions > 1:
             parser.error("--partition-procs and --partitions are exclusive")
@@ -800,18 +819,6 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
     trace = traffic_trace(host_count=args.hosts, duration=args.duration)
     config = serving_config(trace, seed=args.seed)
 
-    dialer = None
-    if args.target is not None:
-        try:
-            dialer = dialer_for_target(args.target)
-        except ValueError as error:
-            parser.error(f"--target: {error}")
-    elif args.connect is not None:
-        host, separator, port_text = args.connect.rpartition(":")
-        if not separator or not host or not port_text.isdigit():
-            parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")
-        dialer = dialer_for_target(args.connect)
-
     profile = None
     if args.mode == "open-loop":
         try:
@@ -839,8 +846,8 @@ def _run_loadgen(args, parser: argparse.ArgumentParser) -> int:
         partitions = []
         server = None
         pool = None
-        if dialer is not None:
-            target = dialer
+        if remote:
+            target = args.target
         elif args.partition_procs:
             import tempfile
 

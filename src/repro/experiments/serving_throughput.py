@@ -30,7 +30,6 @@ from repro.experiments.workloads import (
 from repro.serving.loadgen import (
     MultiTargetDialer,
     OpenLoopProfile,
-    dialer_for_target,
     run_open_loop,
 )
 from repro.serving.procs import ProcessPartitionPool, ServerProcess
@@ -57,10 +56,10 @@ def _sweep_deployment(
     spec = {"seed": seed, "max_inflight": max_inflight}
     if partitions == 0:
         server = ServerProcess("single", spec)
-        return [server], dialer_for_target(server.start())
+        return [server], server.start()
     if edges <= 1:
         server = ServerProcess("gateway", dict(spec, partitions=partitions))
-        return [server], dialer_for_target(server.start())
+        return [server], server.start()
     # Scaled edge: one shared partition pool, ``edges`` stateless gateway
     # processes in front of it, client connections spread round-robin.
     pool = ProcessPartitionPool(partitions, spec)

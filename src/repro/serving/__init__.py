@@ -11,31 +11,31 @@ simulator replays that environment offline; this package serves it for real:
 * :mod:`repro.serving.transport` — frame transports over TCP streams or an
   in-process loopback (so tests and CI run server plus clients
   deterministically without sockets),
-* :mod:`repro.serving.api` — the one typed client (:class:`Client`), target
-  dialing (``tcp://``, ``ws://``, loopback) and the :class:`ServeConfig`
-  deployment description every ``repro serve`` role is built from,
+* :mod:`repro.serving.api` — the one typed client (:class:`Client`), the
+  one target dialer (:func:`dial`: ``tcp://`` URLs and loopback) and the
+  :class:`ServeConfig` deployment description every ``repro serve`` role is
+  built from,
 * :mod:`repro.serving.execution` — asynchronous bounded-query execution
   reusing the offline refresh-selection logic,
 * :mod:`repro.serving.server` — the asyncio cache server: ``update`` RPCs
   from source feeders, ``query`` RPCs from clients (refresh RPCs are issued
   back to the owning feeder connection when needed), ``stats``, admission
-  control and bounded per-connection write queues,
+  control and write-through sends bounded by each transport,
 * :mod:`repro.serving.gateway` — the partitioned front-end: stable-hash key
   routing across N partition servers, feeder tunnelling, global policy-free
   refresh selection (serialized replay is bit-identical to the offline
   simulator at any partition count), partition supervision and resync,
 * :mod:`repro.serving.procs` — partition/gateway worker processes
   (:class:`ProcessPartitionPool`, :class:`ServerProcess`),
-* :mod:`repro.serving.http` — the stdlib HTTP/1.1 + RFC 6455 WebSocket
-  edge (``GET /ws`` carries the full duplex protocol; ``POST /query``,
-  ``GET /stats``, ``GET /healthz`` wrap one-shot operations),
+* :mod:`repro.serving.http` — the stdlib HTTP/1.1 edge: ``GET /metrics``
+  (Prometheus text) and ``GET /healthz`` beside the framed protocol,
 * :mod:`repro.serving.loadgen` — the trace-replay load harness:
   deterministic mode reproducing the offline simulator's numbers exactly,
   and open-loop mode firing seeded arrival schedules (steady/ramp/flash,
   Zipf key popularity) at any dialable target, measuring latency
   percentiles, throughput, rejections and deadline misses.
 
-CLI entry points: ``repro serve --role {single,gateway,partition}`` and
+CLI entry points: ``repro serve --role {single,gateway}`` and
 ``repro loadgen``; the ``serving_faults`` experiment audits the
 deterministic replay under seeded faults and ``serving_partition_sweep``
 sweeps whole multi-process deployments open loop.  See ``docs/SERVING.md``.
@@ -43,12 +43,11 @@ sweeps whole multi-process deployments open loop.  See ``docs/SERVING.md``.
 
 from repro.serving.api import Client, ServeConfig, dial
 from repro.serving.gateway import GatewayServer
-from repro.serving.http import HttpEdge, connect_websocket
+from repro.serving.http import HttpEdge
 from repro.serving.loadgen import (
     LoadgenReport,
     MultiTargetDialer,
     OpenLoopProfile,
-    dialer_for_target,
     replay_trace_deterministic,
     run_open_loop,
 )
@@ -74,9 +73,7 @@ __all__ = [
     "ServerProcess",
     "ServingStatistics",
     "StreamFrameTransport",
-    "connect_websocket",
     "dial",
-    "dialer_for_target",
     "loopback_pair",
     "replay_trace_deterministic",
     "run_open_loop",

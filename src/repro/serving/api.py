@@ -5,9 +5,9 @@
 * **loopback** — pass a :class:`~repro.serving.server.CacheServer` or
   :class:`~repro.serving.gateway.GatewayServer` (anything with a
   ``connect()``) and the client dials it in-process;
-* **TCP** — pass ``"tcp://host:port"`` (a ``repro serve`` endpoint);
-* **WebSocket** — pass ``"ws://host:port/ws"`` (the HTTP edge), and the
-  same length-free JSON messages ride RFC 6455 text frames.
+* **TCP** — pass ``"tcp://host:port"`` (a ``repro serve`` endpoint).
+
+:func:`dial` is the one place that turns a target into a frame transport.
 
 One background task reads frames and demultiplexes them: responses resolve
 the matching pending request future; requests — the server's ``refresh``
@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from typing import (
     Any,
-    AsyncIterator,
     Awaitable,
     Callable,
     Dict,
@@ -145,8 +144,7 @@ class Client:
 
         ``target`` may be a server object or dialer (anything with a
         ``connect()`` returning a frame transport, sync or async), a
-        ``"tcp://host:port"`` / ``"ws://host:port/path"`` URL, or a
-        ``(host, port)`` tuple (TCP).
+        ``"tcp://host:port"`` URL, or a ``(host, port)`` tuple (TCP).
         """
         transport = await dial(target)
         return await cls.from_transport(
@@ -346,28 +344,6 @@ class Client:
         """
         return await self.call(MetricsRequest(), deadline)
 
-    async def subscribe_stats(
-        self, period: float, *, count: Optional[int] = None
-    ) -> AsyncIterator[Dict[str, Any]]:
-        """Yield a stats snapshot every ``period`` seconds (``count`` caps it).
-
-        Polling, not server push — the protocol stays request/response —
-        but the generator shape is what a dashboard consumes.  Stops
-        cleanly when the connection dies.
-        """
-        positive("period", period, finite=True)
-        remaining = count
-        while remaining is None or remaining > 0:
-            try:
-                yield await self.stats()
-            except ConnectionLost:
-                return
-            if remaining is not None:
-                remaining -= 1
-                if remaining == 0:
-                    return
-            await asyncio.sleep(period)
-
     async def close(self) -> None:
         """Close the transport and wait for the read loop to finish.
 
@@ -413,7 +389,7 @@ async def dial(target: Any) -> Any:
     """Resolve ``target`` into one connected frame transport.
 
     Accepts a server/dialer object (``connect()``, sync or async), a
-    ``tcp://`` or ``ws://`` URL, a bare ``"host:port"`` string (TCP), or a
+    ``tcp://host:port`` URL, a bare ``"host:port"`` string, or a
     ``(host, port)`` tuple.
     """
     if isinstance(target, str):
@@ -430,19 +406,19 @@ async def dial(target: Any) -> Any:
     return transport
 
 
+def parse_target(url: str) -> Tuple[str, int]:
+    """The ``(host, port)`` of a ``tcp://host:port`` or ``host:port`` URL."""
+    address = url[len("tcp://") :] if url.startswith("tcp://") else url
+    host, _, port = address.rpartition(":")
+    if not host or "/" in host or not port.isdigit():
+        raise ValueError(f"cannot parse serving target {url!r} as host:port")
+    return host, int(port)
+
+
 async def _dial_url(url: str) -> Any:
     from repro.serving.transport import StreamFrameTransport
 
-    if url.startswith("ws://") or url.startswith("wss://"):
-        from repro.serving.http import connect_websocket
-
-        return await connect_websocket(url)
-    if url.startswith("tcp://"):
-        url = url[len("tcp://") :]
-    host, _, port = url.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"cannot parse serving target {url!r} as host:port")
-    reader, writer = await asyncio.open_connection(host, int(port))
+    reader, writer = await asyncio.open_connection(*parse_target(url))
     return StreamFrameTransport(reader, writer)
 
 
@@ -450,7 +426,7 @@ async def _dial_url(url: str) -> Any:
 # Deployment description
 # ---------------------------------------------------------------------------
 
-SERVE_ROLES = ("single", "gateway", "partition")
+SERVE_ROLES = ("single", "gateway")
 
 
 @dataclass(frozen=True)
@@ -462,13 +438,10 @@ class ServeConfig:
     * ``single`` — one :class:`CacheServer` on ``host:port`` (the pre-
       gateway behaviour, and the default);
     * ``gateway`` — a :class:`GatewayServer` on ``host:port`` fronting
-      ``partitions`` CacheServer processes it spawns and supervises;
-    * ``partition`` — one CacheServer meant to sit *behind* a gateway
-      (identical wire surface to ``single``; the distinct role keeps
-      intent explicit in process listings and scripts).
+      ``partitions`` CacheServer processes it spawns and supervises.
 
-    ``http_port`` additionally serves the HTTP/WebSocket edge on the same
-    backend (``0``/``None`` disables it).
+    ``http_port`` additionally serves the HTTP edge (``GET /metrics``,
+    ``GET /healthz``) on the same backend (``0``/``None`` disables it).
 
     ``wal_dir`` makes the partition state durable: every state-mutating op
     is appended to a per-partition write-ahead log under that directory and

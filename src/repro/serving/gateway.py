@@ -3,7 +3,7 @@
 :class:`GatewayServer` fronts N :class:`~repro.serving.server.CacheServer`
 partitions behind the same wire protocol a single server speaks, so every
 client — the typed :class:`~repro.serving.api.Client`, the load generator,
-the HTTP/WebSocket edge — is deployment-shape agnostic.  Keys are routed by
+the HTTP edge — is deployment-shape agnostic.  Keys are routed by
 :func:`~repro.serving.partition.stable_key_hash`, a CRC-32 hash that is
 stable across processes.
 
@@ -106,6 +106,7 @@ from repro.serving.server import (
     _Connection,
     _KeyDrift,
 )
+from repro.serving.transport import join
 
 _LOG = get_logger("serving.gateway")
 
@@ -489,13 +490,10 @@ class GatewayServer(BaseFrameServer):
         return Interval.exact(value)
 
     async def close(self) -> None:
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except asyncio.CancelledError:
-                pass
-            self._supervisor = None
+        supervisor, self._supervisor = self._supervisor, None
+        if supervisor is not None:
+            supervisor.cancel()
+            await join(supervisor)
         await super().close()
         for links in list(self._upstreams.values()):
             for link in links.values():

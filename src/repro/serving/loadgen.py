@@ -64,7 +64,7 @@ from repro.data.streams import TraceStream
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, REGISTRY
 from repro.data.trace import Trace
 from repro.queries.aggregates import AggregateKind
-from repro.serving.api import Client, dial
+from repro.serving.api import Client, dial, parse_target
 from repro.serving.errors import (
     ConnectionLost,
     DeadlineExceeded,
@@ -78,76 +78,32 @@ from repro.serving.protocol import (
     RegisterAck,
     Request,
 )
-from repro.serving.transport import StreamFrameTransport
 from repro.simulation.config import SimulationConfig
 from repro.simulation.kernel import HORIZON_TOLERANCE, MergedEventWalk
 
 
-class TcpDialer:
-    """Dial adapter for load-generating against a remote ``repro serve``.
-
-    Presents the same ``connect()`` surface as
-    :meth:`repro.serving.server.CacheServer.connect` (the loopback path), so
-    both replay modes accept either a local server or a ``TcpDialer``.
-    """
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-
-    async def connect(self) -> StreamFrameTransport:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        return StreamFrameTransport(reader, writer)
-
-
-class WsDialer:
-    """Dial adapter for load-generating against the HTTP/WebSocket edge."""
-
-    def __init__(self, url: str) -> None:
-        self.url = url
-
-    async def connect(self) -> Any:
-        from repro.serving.http import connect_websocket
-
-        return await connect_websocket(self.url)
-
-
 class MultiTargetDialer:
-    """Round-robin dial adapter over several serving targets.
+    """Round-robin dial adapter over several serving target URLs.
 
     The scaled-edge topology runs N stateless gateway processes over one
     shared partition pool; spreading the load generator's connections
     across the gateways exercises it the way a fleet load balancer
-    would.  Each ``connect()`` dials the next target in rotation.
+    would.  Each ``connect()`` dials the next URL in rotation through
+    :func:`~repro.serving.api.dial`.
     """
 
     def __init__(self, targets: Sequence[str]) -> None:
         if not targets:
             raise ValueError("MultiTargetDialer needs at least one target")
-        self._dialers = [dialer_for_target(target) for target in targets]
+        for target in targets:
+            parse_target(target)
+        self._targets = list(targets)
         self._next = 0
 
     async def connect(self) -> Any:
-        dialer = self._dialers[self._next % len(self._dialers)]
+        target = self._targets[self._next % len(self._targets)]
         self._next += 1
-        return await dialer.connect()
-
-
-def dialer_for_target(target: str) -> Any:
-    """A dialer for a ``tcp://host:port`` or ``ws://host:port/path`` URL."""
-    if target.startswith("ws://") or target.startswith("wss://"):
-        return WsDialer(target)
-    if target.startswith("tcp://"):
-        target = target[len("tcp://") :]
-    host, _, port = target.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"cannot parse loadgen target {target!r} as host:port")
-    return TcpDialer(host, int(port))
-
-
-async def _dial(target: Any) -> Any:
-    """Open one connection on a server, dialer, or URL (see ``api.dial``)."""
-    return await dial(target)
+        return await dial(target)
 
 
 def percentile(sorted_values: List[float], fraction: float) -> float:
@@ -575,7 +531,7 @@ class _FaultDialer:
         self.sessions: List[SessionFaults] = []
 
     async def dial(self, role: str) -> Any:
-        transport = await _dial(self._target)
+        transport = await dial(self._target)
         if self._plan.is_zero:
             return transport
         index = self._ordinals.get(role, 0)

@@ -125,7 +125,7 @@ def _build_json_codec(
 
 
 #: The one compact JSON codec: wire frames (:func:`encode_frame`,
-#: :func:`decode_payload`, the WebSocket and HTTP paths) and WAL records.
+#: :func:`decode_payload`, the HTTP edge's JSON replies) and WAL records.
 encode_json, decode_json = _build_json_codec()
 
 

@@ -27,7 +27,7 @@ the simulator's — while the plumbing around the events is a real server:
   ``admission_queue_limit`` more may wait, and anything beyond that is
   rejected with an ``overloaded`` error instead of growing unbounded queues.
   Every send writes straight through to the connection's transport, whose
-  own bound (the loopback buffer, the TCP drain, the WebSocket write lock)
+  own bound (the loopback buffer, the TCP drain)
   back-pressures the sender, so one slow reader slows its producers
   instead of ballooning memory.
 * **Fault tolerance** leans on the paper's own semantics: a bounded answer
@@ -112,6 +112,7 @@ from repro.serving.transport import (
     DEFAULT_LOOPBACK_BUFFER,
     LoopbackFrameTransport,
     StreamFrameTransport,
+    close_and_join,
     loopback_pair,
 )
 from repro.simulation.network import NetworkModel
@@ -320,8 +321,12 @@ class BaseFrameServer:
         self._refresh_timeout = refresh_timeout
         self._feeder_epochs: Dict[str, int] = {}
         self._connections: Set[_Connection] = set()
-        self._serve_tasks: Set[asyncio.Task] = set()
+        # Each serving task and the transport it serves, registered at dial
+        # or accept time so ``close`` reaches a connection whose task has
+        # not run yet.
+        self._serve_tasks: Dict[asyncio.Task, Any] = {}
         self._tcp_server: Optional[asyncio.AbstractServer] = None
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Accepting connections
@@ -336,8 +341,7 @@ class BaseFrameServer:
         """
         client_end, server_end = loopback_pair(buffer)
         task = asyncio.ensure_future(self.serve_transport(server_end))
-        self._serve_tasks.add(task)
-        task.add_done_callback(self._serve_tasks.discard)
+        self._track(task, server_end)
         return client_end
 
     async def start_tcp(self, host: str, port: int) -> asyncio.AbstractServer:
@@ -349,14 +353,22 @@ class BaseFrameServer:
             # Track the per-connection handler like loopback serve tasks so
             # ``close()`` waits for in-flight teardowns (``Server.wait_closed``
             # does not cover running handlers on every Python version).
+            transport = StreamFrameTransport(reader, writer)
+            if self._closed:
+                # Accepted while close() ran: it never saw this connection.
+                transport.close()
+                return
             task = asyncio.current_task()
             if task is not None:
-                self._serve_tasks.add(task)
-                task.add_done_callback(self._serve_tasks.discard)
-            await self.serve_transport(StreamFrameTransport(reader, writer))
+                self._track(task, transport)
+            await self.serve_transport(transport)
 
         self._tcp_server = await asyncio.start_server(handler, host, port)
         return self._tcp_server
+
+    def _track(self, task: asyncio.Task, transport: Any) -> None:
+        self._serve_tasks[task] = transport
+        task.add_done_callback(self._serve_tasks.pop)
 
     async def serve_transport(self, transport: Any) -> None:
         """Serve one connection until EOF (the per-connection main loop)."""
@@ -430,18 +442,22 @@ class BaseFrameServer:
         connection.keys.clear()
 
     async def close(self) -> None:
-        """Close every connection and stop accepting new ones."""
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
+        """Close every connection and stop accepting new ones.
+
+        Ends in bounded time after any sequence of dials: every transport
+        this server dialled or accepted is closed whether or not its serve
+        task has started.  A cancel aimed at ``close`` itself raises
+        ``CancelledError``.
+        """
+        self._closed = True
+        tcp_server, self._tcp_server = self._tcp_server, None
+        if tcp_server is not None:
+            tcp_server.close()
         for connection in list(self._connections):
             connection.transport.close()
-        for task in list(self._serve_tasks):
-            try:
-                await task
-            except asyncio.CancelledError:  # pragma: no cover - defensive
-                pass
+        await close_and_join(self._serve_tasks)
+        if tcp_server is not None:
+            await tcp_server.wait_closed()
 
     # ------------------------------------------------------------------
     # Dispatch (subclass responsibility) and query admission

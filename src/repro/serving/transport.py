@@ -219,3 +219,28 @@ def loopback_pair(
         LoopbackFrameTransport(inbound=server_to_client, outbound=client_to_server),
         LoopbackFrameTransport(inbound=client_to_server, outbound=server_to_client),
     )
+
+
+async def join(task: asyncio.Task) -> None:
+    """Wait for ``task`` to end, raising what it raised.
+
+    ``task`` ending cancelled is not an error; a cancel aimed at the
+    caller raises ``CancelledError`` (and leaves ``task`` running).
+    """
+    try:
+        await asyncio.shield(task)
+    except asyncio.CancelledError:
+        if not task.cancelled():
+            raise
+
+
+async def close_and_join(served: Dict[asyncio.Task, Any]) -> None:
+    """Close every served connection, then :func:`join` each serving task.
+
+    ``served`` maps a serving task to the connection it serves (anything
+    with ``close()``).
+    """
+    for connection in list(served.values()):
+        connection.close()
+    for task in list(served):
+        await join(task)

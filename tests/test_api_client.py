@@ -63,22 +63,6 @@ class TestClientConnect:
 
         asyncio.run(drive())
 
-    def test_subscribe_stats_yields_and_stops(self):
-        async def drive():
-            server = _server()
-            client = await Client.connect(server)
-            try:
-                seen = []
-                async for stats in client.subscribe_stats(0.01, count=3):
-                    seen.append(stats)
-                assert len(seen) == 3
-                assert all("hit_rate" in s for s in seen)
-            finally:
-                await client.close()
-                await server.close()
-
-        asyncio.run(drive())
-
     def test_default_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             Client(None, default_deadline=0)
@@ -90,9 +74,10 @@ class TestServeConfig:
         assert config.role == "single"
         assert config.partitions == 1
 
-    def test_rejects_unknown_role(self):
+    @pytest.mark.parametrize("role", ["cluster", "partition"])
+    def test_rejects_unknown_role(self, role):
         with pytest.raises(ValueError, match="role"):
-            ServeConfig(role="cluster")
+            ServeConfig(role=role)
 
     def test_partitions_require_gateway_role(self):
         with pytest.raises(ValueError, match="gateway"):

@@ -124,7 +124,40 @@ class TestServingParser:
         args = build_parser().parse_args(["loadgen"])
         assert args.mode == "open-loop"
         assert args.clients == 4
-        assert args.connect is None
+        assert args.feeders == 1
+        assert args.rate == 0.0  # 0 means the default 200/s
+        assert args.target is None
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--feeders", "0"),
+            ("--clients", "-1"),
+            ("--rate", "-5"),
+            ("--rate", "inf"),
+            ("--partitions", "0"),
+            ("--partition-procs", "-1"),
+        ],
+    )
+    def test_loadgen_counts_and_rate_are_checked_at_parse_time(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["loadgen", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_loadgen_rate_zero_is_the_default_rate(self):
+        assert build_parser().parse_args(["loadgen", "--rate", "0"]).rate == 0.0
+
+    def test_loadgen_target_must_be_host_port(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--target", "http://127.0.0.1:7412"])
+        assert excinfo.value.code == 2
+
+    def test_serve_has_no_partition_role(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--role", "partition"])
 
     def test_loadgen_mode_choices(self):
         with pytest.raises(SystemExit):
@@ -161,7 +194,7 @@ class TestServingParser:
         with pytest.raises(SystemExit):
             main(
                 ["loadgen", "--mode", "deterministic", "--partition-procs",
-                 "2", "--connect", "localhost:1"]
+                 "2", "--target", "tcp://localhost:1"]
             )
         with pytest.raises(SystemExit):
             main(

@@ -357,10 +357,32 @@ class TestServerProcess:
 
 
 class TestMultiTargetDialer:
-    def test_round_robins_targets(self):
+    def test_round_robins_urls_through_dial(self, monkeypatch):
+        import repro.serving.loadgen as loadgen
+
+        dialled = []
+
+        async def fake_dial(target):
+            dialled.append(target)
+            return target
+
+        monkeypatch.setattr(loadgen, "dial", fake_dial)
+        targets = ["tcp://127.0.0.1:1", "127.0.0.1:2"]
+        dialer = loadgen.MultiTargetDialer(targets)
+
+        async def drive():
+            return [await dialer.connect() for _ in range(5)]
+
+        assert asyncio.run(drive()) == targets * 2 + targets[:1]
+        assert dialled == targets * 2 + targets[:1]
+
+    @pytest.mark.parametrize(
+        "targets, match",
+        [([], "at least one target"), (["127.0.0.1"], "cannot parse")],
+        ids=["empty", "no-port"],
+    )
+    def test_rejects_bad_targets(self, targets, match):
         from repro.serving.loadgen import MultiTargetDialer
 
-        dialer = MultiTargetDialer(["tcp://127.0.0.1:1", "tcp://127.0.0.1:2"])
-        assert [d.port for d in dialer._dialers] == [1, 2]
-        with pytest.raises(ValueError, match="at least one target"):
-            MultiTargetDialer([])
+        with pytest.raises(ValueError, match=match):
+            MultiTargetDialer(targets)

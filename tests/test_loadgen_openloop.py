@@ -353,30 +353,20 @@ async def _close_within(server, seconds):
     Not ``asyncio.wait_for``: on Python 3.11 and older it runs ``close`` as
     a new task, queued behind the serve tasks of freshly dialled loopback
     connections, so those register and get closed first — which hides a
-    leak of exactly those connections.
+    leak of exactly those connections.  ``close`` raises the cancel aimed
+    at it, so one timer bounds it.
     """
-    task = asyncio.current_task()
-    loop = asyncio.get_running_loop()
-    expired = False
-
-    def expire():
-        # ``close`` absorbs a cancelled serve task and awaits the next one,
-        # so keep cancelling until it returns.
-        nonlocal expired, timer
-        expired = True
-        task.cancel()
-        timer = loop.call_later(0.05, expire)
-
-    timer = loop.call_later(seconds, expire)
+    timer = asyncio.get_running_loop().call_later(
+        seconds, asyncio.current_task().cancel
+    )
     try:
         await server.close()
     except asyncio.CancelledError:
-        if not expired:
-            raise
+        raise AssertionError(
+            f"server.close() still waiting after {seconds} s"
+        ) from None
     finally:
         timer.cancel()
-    if expired:
-        raise AssertionError(f"server.close() still waiting after {seconds} s")
 
 
 class TestOpenLoopClosesConnections:

@@ -381,8 +381,6 @@ EXCLUDED = {
     "repro.serving.durability.WalCorruption": "an exception",
     "repro.serving.errors.SupervisionExhausted": "an exception",
     "repro.serving.errors.UnrecoverablePartition": "an exception",
-    # A socket address, checked by the operating system when dialled.
-    "repro.serving.loadgen.TcpDialer": "a port number",
     # Wire messages, decoded and checked per frame by the protocol codec.
     "repro.serving.protocol.BoundedAnswer": "a wire message",
     "repro.serving.protocol.QueryRequest": "a wire message",

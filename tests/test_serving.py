@@ -23,6 +23,7 @@ from repro.serving.protocol import (
     is_request,
 )
 from repro.serving.durability import PartitionDurability
+from repro.serving.gateway import GatewayServer
 from repro.serving.server import CacheServer
 from repro.serving.transport import loopback_pair
 from repro.caching.policies.base import PrecisionDecision
@@ -1143,6 +1144,70 @@ class TestPipelinedRefreshes:
             ("partition0:1:r1", ["'a'", "'c'"]),
             ("partition0:2:r1", ["'b'"]),
         ]
+
+
+# ----------------------------------------------------------------------
+# Shutdown: close() ends, and never eats its own cancel
+# ----------------------------------------------------------------------
+class _SlowTeardown:
+    """Mixin: each connection's teardown hangs, so ``close`` must wait."""
+
+    async def _connection_lost(self, connection):
+        await asyncio.sleep(60)
+        await super()._connection_lost(connection)
+
+
+async def _backend(kind, mixin=()):
+    """A started ``kind`` backend and everything to close after it."""
+    if kind == "server":
+        server = type("Server", (*mixin, CacheServer), {})(
+            StaticWidthPolicy(width=10.0)
+        )
+        return server, []
+    partitions = [_server(), _server()]
+    gateway = type("Gateway", (*mixin, GatewayServer), {})(partitions)
+    await gateway.start()
+    return gateway, partitions
+
+
+class TestCloseContract:
+    @pytest.mark.parametrize("kind", ["server", "gateway"])
+    def test_close_right_after_connect_ends(self, kind):
+        # No yield between the dial and close(): the serve task of the
+        # loopback connection has not run when close() looks for it.
+        bound = 2.0
+
+        async def scenario():
+            backend, partitions = await _backend(kind)
+            loop = asyncio.get_running_loop()
+            backend.connect()
+            started = loop.time()
+            timer = loop.call_later(bound, asyncio.current_task().cancel)
+            try:
+                await backend.close()
+            finally:
+                timer.cancel()
+            elapsed = loop.time() - started
+            for partition in partitions:
+                await partition.close()
+            return elapsed
+
+        assert run(scenario()) < bound
+
+    @pytest.mark.parametrize("kind", ["server", "gateway"])
+    def test_cancelled_close_raises(self, kind):
+        async def scenario():
+            backend, _ = await _backend(kind, (_SlowTeardown,))
+            client = await Client.connect(backend)
+            closing = asyncio.ensure_future(backend.close())
+            await asyncio.sleep(0.05)
+            assert not closing.done()  # held up by the slow teardown
+            closing.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await closing
+            await client.close()
+
+        run(scenario())
 
 
 # ----------------------------------------------------------------------

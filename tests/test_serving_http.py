@@ -1,11 +1,10 @@
-"""The HTTP/WebSocket edge: RFC 6455 handshake, framing, and the routes.
+"""The HTTP edge: its two routes, and what it answers to anything else.
 
-The edge speaks the same typed protocol as the TCP front door — a
-WebSocket session carries registrations, queries *and* the server's
-refresh RPCs back to the feeder — so these tests drive a real
-:class:`CacheServer` through a real socket, plus the plain HTTP routes
-(``POST /query``, ``GET /stats``, ``GET /healthz``) that wrap one-shot
-operations for curl-style consumers.
+The edge serves ``GET /healthz`` and ``GET /metrics`` (the scrape is
+covered in ``tests/test_obs_serving.py``) beside the framed protocol.
+These tests drive a real :class:`CacheServer` through a real socket:
+the health surface, a 404 for every other route, a 400 for a malformed
+request, and a ``close`` that ends the connections it accepted.
 """
 
 import asyncio
@@ -14,8 +13,8 @@ import json
 import pytest
 
 from repro.experiments.workloads import serving_policy
-from repro.serving.api import Client
-from repro.serving.http import HttpEdge, connect_websocket, websocket_accept
+from repro.serving.http import HttpEdge
+from repro.serving.protocol import MAX_FRAME_BYTES
 from repro.serving.server import CacheServer
 
 
@@ -42,147 +41,30 @@ async def _http(port, request: bytes) -> tuple:
     return status, json.loads(body) if body else None
 
 
-def _request(method, path, payload=None):
-    body = (
-        json.dumps(payload).encode("utf-8") if payload is not None else b""
-    )
-    head = (
+def _request(method, path, content_length="0"):
+    return (
         f"{method} {path} HTTP/1.1\r\n"
         "Host: 127.0.0.1\r\n"
-        f"Content-Length: {len(body)}\r\n"
+        f"Content-Length: {content_length}\r\n"
         "\r\n"
-    )
-    return head.encode("ascii") + body
+    ).encode("ascii")
 
 
-class TestHandshake:
-    def test_accept_matches_rfc6455_example(self):
-        # The worked example from RFC 6455 section 1.3.
-        assert (
-            websocket_accept("dGhlIHNhbXBsZSBub25jZQ==")
-            == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-        )
-
-    def test_non_upgrade_get_ws_is_rejected(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            try:
-                return await _http(port, _request("GET", "/ws"))
-            finally:
-                await edge.close()
-                await server.close()
-
-        status, payload = asyncio.run(drive())
-        assert status == 400
-        assert "upgrade" in payload["error"]
-
-    def test_wss_is_rejected_by_the_client(self):
-        from repro.serving.protocol import ProtocolError
-
-        with pytest.raises(ProtocolError, match="no TLS"):
-            asyncio.run(connect_websocket("wss://127.0.0.1:1/ws"))
-
-
-class TestWebSocketSession:
-    def test_register_query_and_refresh_round_trip(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            values = {"h0": 4.0, "h1": -1.5}
-            try:
-                feeder = await Client.from_transport(
-                    await connect_websocket(f"ws://127.0.0.1:{port}/ws"),
-                    on_refresh=values.__getitem__,
-                )
-                querier = await Client.from_transport(
-                    await connect_websocket(f"ws://127.0.0.1:{port}/ws")
-                )
-                try:
-                    ack = await feeder.register(
-                        list(values), list(values.values()), feeder="ws-feeder"
-                    )
-                    assert ack.registered == 2
-                    assert ack.epoch == 1
-                    # constraint 0 forces refresh RPCs back through the
-                    # feeder's WebSocket — the full duplex protocol on WS.
-                    answer = await querier.query(list(values), constraint=0.0)
-                    assert answer.low == answer.high == sum(values.values())
-                    assert set(answer.refreshed) == set(values)
-                finally:
-                    await querier.close()
-                    await feeder.close()
-            finally:
-                await edge.close()
-                await server.close()
-
-        asyncio.run(drive())
-
-    def test_updates_over_websocket(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            try:
-                feeder = await Client.from_transport(
-                    await connect_websocket(f"ws://127.0.0.1:{port}/ws")
-                )
-                try:
-                    await feeder.register(["k"], [1.0], feeder="f")
-                    ack = await feeder.update_batch([("k", 2.0)], time=1.0)
-                    assert ack.refreshes >= 0
-                finally:
-                    await feeder.close()
-            finally:
-                await edge.close()
-                await server.close()
-
-        asyncio.run(drive())
+async def _ask(request: bytes) -> tuple:
+    """Send one raw request to an edge over a fresh server."""
+    server = _server()
+    edge, port = await _edge(server)
+    try:
+        return await _http(port, request)
+    finally:
+        await edge.close()
+        await server.close()
 
 
 class TestHttpRoutes:
-    def test_post_query(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            try:
-                feeder = await Client.from_transport(server.connect())
-                await feeder.register(["h0", "h1"], [2.0, 3.0], feeder="f")
-                try:
-                    return await _http(
-                        port,
-                        _request(
-                            "POST",
-                            "/query",
-                            {"keys": ["h0", "h1"], "aggregate": "SUM"},
-                        ),
-                    )
-                finally:
-                    await feeder.close()
-            finally:
-                await edge.close()
-                await server.close()
-
-        status, payload = asyncio.run(drive())
+    def test_healthz(self):
+        status, health = asyncio.run(_ask(_request("GET", "/healthz")))
         assert status == 200
-        assert payload["ok"] is True
-        assert payload["low"] <= 5.0 <= payload["high"]
-
-    def test_stats_and_healthz(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            try:
-                stats = await _http(port, _request("GET", "/stats"))
-                health = await _http(port, _request("GET", "/healthz"))
-                return stats, health
-            finally:
-                await edge.close()
-                await server.close()
-
-        (stats_status, stats), (health_status, health) = asyncio.run(drive())
-        assert stats_status == 200
-        assert "hit_rate" in stats
-        assert health_status == 200
         assert health["ok"] is True
         assert health["role"] == "cache"
         assert health["state"] == "ok"
@@ -226,36 +108,55 @@ class TestHttpRoutes:
         assert status == 200
         assert health == {"ok": True}
 
-    def test_unknown_route_is_404(self):
-        async def drive():
-            server = _server()
-            edge, port = await _edge(server)
-            try:
-                return await _http(port, _request("GET", "/nope"))
-            finally:
-                await edge.close()
-                await server.close()
-
-        status, payload = asyncio.run(drive())
+    @pytest.mark.parametrize(
+        "method, path",
+        [("GET", "/nope"), ("POST", "/query"), ("GET", "/stats"), ("GET", "/ws")],
+    )
+    def test_unknown_route_is_404(self, method, path):
+        status, payload = asyncio.run(_ask(_request(method, path)))
         assert status == 404
         assert payload["ok"] is False
 
-    def test_malformed_query_body_is_400(self):
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n",
+        ],
+        ids=["garbage", "header-over-buffer"],
+    )
+    def test_malformed_request_is_400(self, request_bytes):
+        status, payload = asyncio.run(_ask(request_bytes))
+        assert status == 400
+        assert payload["ok"] is False
+
+    @pytest.mark.parametrize(
+        "content_length",
+        ["abc", "-5", str(MAX_FRAME_BYTES + 1), "9" * 5000],
+        ids=["abc", "negative", "over-limit", "5000-digits"],
+    )
+    def test_bad_content_length_is_400(self, content_length):
+        status, payload = asyncio.run(
+            _ask(_request("GET", "/healthz", content_length))
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+
+class TestEdgeClose:
+    def test_close_ends_an_idle_connection(self):
+        # A client that connected but never sent its request: close() must
+        # end that connection rather than leave its handler reading.
         async def drive():
             server = _server()
             edge, port = await _edge(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await asyncio.sleep(0.05)  # the edge accepts the connection
             try:
-                head = (
-                    "POST /query HTTP/1.1\r\n"
-                    "Host: x\r\n"
-                    "Content-Length: 8\r\n"
-                    "\r\n"
-                ).encode("ascii")
-                return await _http(port, head + b"not json")
-            finally:
                 await edge.close()
+                return await asyncio.wait_for(reader.read(), 2.0)
+            finally:
+                writer.close()
                 await server.close()
 
-        status, payload = asyncio.run(drive())
-        assert status == 400
-        assert payload["ok"] is False
+        assert asyncio.run(drive()) == b""
