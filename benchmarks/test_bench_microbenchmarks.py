@@ -185,9 +185,8 @@ def test_serving_loopback_query_throughput(benchmark):
 
 
 def test_serving_loopback_metrics_throughput(benchmark):
-    # The identical replay with the full metrics registry ENABLED (every
-    # stats collector registered, the query-keys histogram observing each
-    # query): the delta against test_serving_loopback_query_throughput is
+    # The identical replay with the full metrics registry ENABLED (the
+    # query-keys and refresh-batch histograms observing each query): the delta against test_serving_loopback_query_throughput is
     # the price of observability, which the PR-10 acceptance bounds at 5%.
     import asyncio
 

@@ -100,7 +100,7 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.checks import at_least, non_negative
+from repro.core.checks import at_least, in_range, non_negative, positive
 from repro.experiments.base import ExperimentResult, format_table, registry
 from repro.serving.durability import DEFAULT_CHECKPOINT_EVERY, FSYNC_POLICIES
 from repro.experiments.runner import plan_registry, run_plan
@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_arguments(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=7411)
+    serve_parser.add_argument(
+        "--port", type=checked(int, in_range, 0, 65535), default=7411
+    )
     serve_parser.add_argument(
         "--role",
         choices=("single", "gateway"),
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--http-port",
-        type=int,
+        type=checked(int, in_range, 0, 65535),
         default=None,
         dest="http_port",
         help="also serve the HTTP edge (GET /metrics, GET /healthz) on this port",
@@ -310,8 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("deterministic", "open-loop"),
         default="open-loop",
     )
-    loadgen_parser.add_argument("--hosts", type=int, default=25)
-    loadgen_parser.add_argument("--duration", type=int, default=300)
+    loadgen_parser.add_argument(
+        "--hosts", type=checked(int, at_least, 1), default=25
+    )
+    loadgen_parser.add_argument(
+        "--duration",
+        type=checked(int, at_least, 2),
+        default=300,
+        help="trace length in seconds, at least 2",
+    )
     loadgen_parser.add_argument(
         "--clients",
         type=checked(int, at_least, 1),
@@ -375,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=checked(int, at_least, 1),
         default=DEFAULT_CHECKPOINT_EVERY,
         dest="checkpoint_every",
         metavar="N",
-        help="checkpoint cadence for --partition-procs WALs",
+        help="checkpoint cadence for --partition-procs WALs, at least 1",
     )
     loadgen_parser.add_argument(
         "--wal-fsync",
@@ -459,9 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument(
         "--deadline",
-        type=real,
+        type=checked(real, positive),
         default=None,
-        help="per-operation client deadline in seconds (default: none)",
+        help=(
+            "per-operation client deadline in seconds, positive (default: "
+            "none in deterministic mode, 2 in open-loop mode)"
+        ),
     )
     obs_parser = subparsers.add_parser(
         "obs", help="pretty-print a /metrics exposition (URL or file)"

@@ -42,6 +42,16 @@ def at_least(name: str, value: float, minimum: float, *, finite: bool) -> float:
     return value
 
 
+def in_range(
+    name: str, value: float, low: float, high: float, *, finite: bool
+) -> float:
+    """``low <= value <= high`` for finite bounds, which refuse ``+inf``
+    on their own; ``finite`` only keeps the signature of the other rules."""
+    if not low <= value <= high:
+        raise _refuse(name, f"in [{low}, {high}]", value, finite=False)
+    return value
+
+
 def probability(name: str, value: float) -> float:
     """``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:

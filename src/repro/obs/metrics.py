@@ -1,9 +1,10 @@
 """The process-local metrics registry: counters, gauges, histograms.
 
-One registry per process absorbs every counter the system used to scatter
-across ad-hoc surfaces (`/stats` snapshot dicts, fault-injection counters,
-loadgen percentiles) behind a single API with a Prometheus-shaped data
-model:
+One registry per process records what no component already keeps
+(histograms, fault-injection counters, loadgen gauges) behind a single API
+with a Prometheus-shaped data model.  Totals a server already keeps are not
+copied in: its ``metrics`` op renders them into the snapshot at scrape time
+(``repro.serving.server.STATS_CATALOG``).  The metric kinds:
 
 * :class:`Counter` — a monotonically increasing total.
 * :class:`Gauge` — a point-in-time value that can go up and down.
@@ -22,12 +23,6 @@ costs nothing measurable when nobody is scraping.
 the clock, never draws randomness, and never feeds a value back into the
 serving or simulation path — a replay with metrics enabled is byte-identical
 to one with metrics disabled (CI's ``obs-smoke`` job diffs exactly this).
-
-**Collectors.**  Existing cumulative state (``ServingStatistics``, WAL
-counters, cache statistics) is absorbed without touching its hot paths: a
-*collector* callback registered with :meth:`MetricsRegistry.collector` runs
-at snapshot time and copies the current totals into registry handles, so
-the scrape pays the cost, not the serving path.
 
 **Snapshots.**  :meth:`MetricsRegistry.snapshot` returns a JSON-able dict
 (the ``metrics`` protocol op carries it from partitions to the gateway);
@@ -80,11 +75,7 @@ def _labels_key(labels: Dict[str, str]) -> _LabelsKey:
 
 
 class Counter:
-    """A monotonically increasing total.
-
-    ``set_total`` exists for collectors that mirror an existing cumulative
-    counter into the registry at scrape time; hot paths use :meth:`inc`.
-    """
+    """A monotonically increasing total."""
 
     __slots__ = ("name", "help", "labels", "value", "registry")
     kind = "counter"
@@ -101,11 +92,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if self.registry.enabled:
             self.value += amount
-
-    def set_total(self, total: float) -> None:
-        """Collector-only: mirror an externally maintained running total."""
-        if self.registry.enabled:
-            self.value = total
 
     def sample(self) -> Dict[str, Any]:
         return {"labels": dict(self.labels), "value": self.value}
@@ -219,7 +205,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A process-local family of metrics plus its collectors.
+    """A process-local family of metrics.
 
     Disabled by default: handles can be created and held unconditionally,
     and recording through them is a no-op until :meth:`enable` — the
@@ -239,7 +225,6 @@ class MetricsRegistry:
         self._metrics: Dict[Tuple[str, _LabelsKey], Any] = {}
         self._kinds: Dict[str, str] = {}
         self._order: List[str] = []
-        self._collectors: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -254,7 +239,7 @@ class MetricsRegistry:
         self.constant_labels.update({k: str(v) for k, v in labels.items()})
 
     def reset(self) -> None:
-        """Zero every value, keeping registrations and collectors."""
+        """Zero every value, keeping registrations."""
         for metric in self._metrics.values():
             metric.reset()
 
@@ -312,20 +297,6 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    # Collectors
-    # ------------------------------------------------------------------
-    def collector(self, fn: Callable[[], None]) -> Callable[[], None]:
-        """Register a scrape-time callback that refreshes mirrored values."""
-        self._collectors.append(fn)
-        return fn
-
-    def remove_collector(self, fn: Callable[[], None]) -> None:
-        try:
-            self._collectors.remove(fn)
-        except ValueError:
-            pass
-
-    # ------------------------------------------------------------------
     # Introspection / exposition
     # ------------------------------------------------------------------
     def value(self, name: str, **labels: str) -> float:
@@ -338,10 +309,7 @@ class MetricsRegistry:
         return metric.value
 
     def snapshot(self) -> Dict[str, Any]:
-        """The registry's JSON-able state (collectors run first when enabled)."""
-        if self.enabled:
-            for collect in list(self._collectors):
-                collect()
+        """The registry's JSON-able state."""
         metrics: List[Dict[str, Any]] = []
         for name in self._order:
             kind = self._kinds[name]

@@ -336,11 +336,11 @@ class Client:
         return await self.call(StatsRequest(), deadline)
 
     async def metrics(self, deadline: Any = _UNSET_DEADLINE) -> Dict[str, Any]:
-        """The server's metrics-registry snapshot (``repro.obs`` shape).
+        """The server's metrics snapshot (``repro.obs`` shape).
 
-        A gateway answers with its own registry merged with every routable
-        partition's; a partition answers with its local registry alone.
-        The reply is empty (``{"metrics": []}``) when metrics are disabled.
+        Its ``stats`` totals, rendered at scrape time, plus its registry.
+        A gateway merges in every routable partition's snapshot.  With
+        metrics disabled every series reads 0.
         """
         return await self.call(MetricsRequest(), deadline)
 

@@ -63,12 +63,7 @@ from typing import (
 
 from repro.core.checks import non_negative
 from repro.intervals.interval import Interval
-from repro.obs.metrics import (
-    REGISTRY,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-    merge_snapshots,
-)
+from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.logging import get_logger
 from repro.obs.trace import TRACER
 from repro.serving.api import Client, dial
@@ -100,11 +95,12 @@ from repro.serving.server import (
     DEFAULT_DEGRADED_SLACK,
     DEFAULT_MAX_INFLIGHT_QUERIES,
     DEFAULT_REFRESH_TIMEOUT,
-    _STATS_COUNTER_METRICS,
+    STATS_CATALOG,
     BaseFrameServer,
     ServingStatistics,
     _Connection,
     _KeyDrift,
+    render_stats,
 )
 from repro.serving.transport import join
 
@@ -184,6 +180,7 @@ class GatewayServer(BaseFrameServer):
             max_inflight_queries=max_inflight_queries,
             admission_queue_limit=admission_queue_limit,
             refresh_timeout=refresh_timeout,
+            registry=registry,
         )
         if not targets:
             raise ValueError("a gateway needs at least one partition target")
@@ -217,8 +214,11 @@ class GatewayServer(BaseFrameServer):
         self._last_update_time: Dict[Hashable, float] = {}
         self._degraded_slack = DEFAULT_DEGRADED_SLACK
         self._clock = 0.0
-        self._registry = REGISTRY if registry is None else registry
-        self._register_metrics()
+        self._fanout_histogram = self._registry.histogram(
+            "repro_gateway_fanout_partitions",
+            "Partitions touched per routed query.",
+            buckets=SIZE_BUCKETS,
+        )
 
     @property
     def partition_count(self) -> int:
@@ -229,91 +229,34 @@ class GatewayServer(BaseFrameServer):
         return shard_index(key, len(self._targets))
 
     # ------------------------------------------------------------------
-    # Metrics (repro.obs): gateway-local handles plus partition aggregation
+    # Metrics (repro.obs): the gateway's totals plus each partition's
     # ------------------------------------------------------------------
-    #: The slice of the shared counter catalog the gateway itself maintains
-    #: (its registry's ``role`` label keeps these series distinct from the
-    #: partitions' identically named ones).
-    _GATEWAY_COUNTER_FIELDS = frozenset(
-        {
-            "updates_applied",
-            "updates_ignored",
-            "queries_served",
-            "queries_rejected",
-            "queries_degraded",
-            "refresh_rpcs",
-            "refreshes_failed",
-            "stale_epoch_rejections",
-            "feeder_resyncs",
-            "connections_opened",
-            "connections_closed",
-            "partition_restarts",
+    def totals(self) -> Dict[str, Any]:
+        """The gateway's own counters and gauges (no partition's)."""
+        return {
+            **vars(self.statistics),
+            "connections": len(self._connections),
+            "clock": self._clock,
+            "partitions": len(self._targets),
+            "partitions_unreachable": sum(
+                1 for state in self._health if state != "ok"
+            ),
         }
-    )
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry this gateway publishes into."""
-        return self._registry
-
-    def _register_metrics(self) -> None:
-        registry = self._registry
-        self._metric_counters = {
-            field: registry.counter(name, help_text)
-            for field, name, help_text in _STATS_COUNTER_METRICS
-            if field in self._GATEWAY_COUNTER_FIELDS
-        }
-        self._metric_connections = registry.gauge(
-            "repro_connections", "Connections currently open."
-        )
-        self._metric_clock = registry.gauge(
-            "repro_logical_clock", "The server's logical clock."
-        )
-        self._metric_partitions = registry.gauge(
-            "repro_gateway_partitions", "Partitions behind this gateway."
-        )
-        self._metric_unroutable = registry.gauge(
-            "repro_gateway_partitions_unroutable",
-            "Partitions currently not in the ok state.",
-        )
-        self._fanout_histogram = registry.histogram(
-            "repro_gateway_fanout_partitions",
-            "Partitions touched per routed query.",
-            buckets=SIZE_BUCKETS,
-        )
-        registry.collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> None:
-        """Scrape-time: mirror gateway-local totals into registry handles.
-
-        Deliberately partition-RPC-free (collectors are synchronous); the
-        cross-partition view is assembled by :meth:`_handle_metrics`, which
-        fetches and merges per-partition snapshots over the control links.
-        """
-        serving = self.statistics
-        for field, counter in self._metric_counters.items():
-            counter.set_total(float(getattr(serving, field)))
-        self._metric_connections.set(float(len(self._connections)))
-        self._metric_clock.set(self._clock)
-        self._metric_partitions.set(float(len(self._targets)))
-        self._metric_unroutable.set(
-            float(sum(1 for state in self._health if state != "ok"))
-        )
 
     async def _handle_metrics(self) -> Dict[str, Any]:
-        """The gateway's registry merged with every reachable partition's.
+        """The gateway's scrape merged with every reachable partition's.
 
-        A partition sharing this process's registry object (the in-process
-        loopback shape) is already present in the gateway's own snapshot
-        and is skipped, so nothing is counted twice.
+        An in-process partition that shares this gateway's registry adds
+        only its totals, labelled ``partition="<index>"``: its histograms
+        are already in the gateway's own registry snapshot.
         """
 
         async def fetch(index: int) -> Optional[Dict[str, Any]]:
             target = self._targets[index]
-            if not isinstance(target, str) and (
-                getattr(target, "registry", None) is self._registry
-            ):
-                return None
+            if getattr(target, "registry", None) is self._registry:
+                return render_stats(
+                    target.totals(), self._registry, partition=str(index)
+                )
             if not self._partition_routable(index):
                 return None
             try:
@@ -325,7 +268,10 @@ class GatewayServer(BaseFrameServer):
         fetched = await asyncio.gather(
             *(fetch(index) for index in range(len(self._targets)))
         )
-        snapshots = [self._registry.snapshot()]
+        snapshots = [
+            render_stats(self.totals(), self._registry),
+            self._registry.snapshot(),
+        ]
         snapshots.extend(snapshot for snapshot in fetched if snapshot)
         return merge_snapshots(snapshots)
 
@@ -503,7 +449,6 @@ class GatewayServer(BaseFrameServer):
             if link is not None:
                 await link.close()
                 self._control[index] = None
-        self._registry.remove_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
     # Connection teardown hooks
@@ -831,38 +776,9 @@ class GatewayServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Stats aggregation
     # ------------------------------------------------------------------
-    #: Partition counters that sum meaningfully across the deployment.
-    _SUMMED_STATS = (
-        "keys",
-        "cached_entries",
-        "hits",
-        "misses",
-        "insertions",
-        "evictions",
-        "updates_applied",
-        "updates_ignored",
-        "value_refreshes",
-        "query_refreshes",
-        "refresh_rpcs",
-        "refreshes_failed",
-        "stale_epoch_rejections",
-        "feeder_resyncs",
-        "keys_down",
-        "total_cost",
-        "messages_sent",
-        "total_latency",
-    )
-
-    #: Durability counters summed across partitions into the merged stats.
-    _SUMMED_WAL_STATS = (
-        "wal_records",
-        "wal_bytes",
-        "wal_records_replayed",
-        "wal_torn_tails",
-        "checkpoints",
-    )
-
     async def _handle_stats(self) -> Dict[str, Any]:
+        """The partitions' replies merged by each field's catalog rule."""
+
         async def partition(index: int) -> Dict[str, Any]:
             # An unroutable partition contributes nothing rather than
             # failing the whole stats op.
@@ -877,50 +793,28 @@ class GatewayServer(BaseFrameServer):
         partition_stats = await asyncio.gather(
             *(partition(index) for index in range(len(self._targets)))
         )
-        merged: Dict[str, Any] = {name: 0 for name in self._SUMMED_STATS}
-        merged.update({name: 0 for name in self._SUMMED_WAL_STATS})
-        clock = 0.0
-        durable = False
-        checkpoint_age: Optional[float] = None
-        for stats in partition_stats:
-            for name in self._SUMMED_STATS:
-                merged[name] += stats.get(name, 0)
-            for name in self._SUMMED_WAL_STATS:
-                merged[name] += stats.get(name, 0)
-            clock = max(clock, stats.get("clock", 0.0))
-            durable = durable or bool(stats.get("durable"))
-            age = stats.get("last_checkpoint_age")
-            if age is not None:
-                checkpoint_age = age if checkpoint_age is None else max(
-                    checkpoint_age, age
-                )
+        own = self.totals()
+        merged: Dict[str, Any] = {}
+        for stat in STATS_CATALOG:
+            rules = stat.gateway.split()
+            values = [
+                stats[stat.field]
+                for stats in partition_stats
+                if stats.get(stat.field) is not None
+            ]
+            if "sum" in rules:
+                merged[stat.field] = sum(values, stat.default)
+            elif "max" in rules:
+                merged[stat.field] = max(values, default=stat.default)
+            elif "any" in rules:
+                merged[stat.field] = any(values)
+            elif "own" in rules:
+                merged[stat.field] = own[stat.field]
+            if "gateway_" in rules:
+                merged["gateway_" + stat.field] = own[stat.field]
         lookups = merged["hits"] + merged["misses"]
-        serving = self.statistics
-        merged.update(
-            {
-                "clock": clock,
-                "partitions": len(self._targets),
-                "partition_restarts": serving.partition_restarts,
-                "partition_health": list(self._health),
-                "durable": durable,
-                "last_checkpoint_age": checkpoint_age,
-                "connections": len(self._connections),
-                "hit_rate": (merged["hits"] / lookups) if lookups else 0.0,
-                "queries_served": serving.queries_served,
-                "queries_rejected": serving.queries_rejected,
-                "queries_degraded": serving.queries_degraded,
-                "gateway_refresh_rpcs": serving.refresh_rpcs,
-                "gateway_stale_epoch_rejections": serving.stale_epoch_rejections,
-                # Gateway-local connection churn and the count of partitions
-                # that contributed nothing above — without these a merged
-                # snapshot with unreachable partitions silently under-counts.
-                "gateway_connections_opened": serving.connections_opened,
-                "gateway_connections_closed": serving.connections_closed,
-                "partitions_unreachable": sum(
-                    1 for state in self._health if state != "ok"
-                ),
-            }
-        )
+        merged["hit_rate"] = (merged["hits"] / lookups) if lookups else 0.0
+        merged["partition_health"] = list(self._health)
         return merged
 
     def health(self) -> Dict[str, Any]:

@@ -3,8 +3,9 @@
 Stdlib-only (asyncio): a deliberately minimal HTTP/1.1 server with two
 routes, both read-only views of a running backend:
 
-* ``GET /metrics`` — the backend's metrics registry as Prometheus text
-  (a gateway merges every reachable partition's registry into the scrape).
+* ``GET /metrics`` — the backend's ``metrics`` op as Prometheus text: its
+  ``stats`` totals and registry (a gateway merges in every reachable
+  partition's).
 * ``GET /healthz`` — the cheap liveness probe (a gateway reports
   per-partition state, a single server its keys and durability counters).
 
@@ -114,10 +115,10 @@ class HttpEdge:
         return health()
 
     async def _respond_metrics(self, writer: asyncio.StreamWriter) -> None:
-        """``GET /metrics``: the backend's registry as Prometheus text.
+        """``GET /metrics``: the backend's ``metrics`` op as Prometheus text.
 
         The snapshot rides the ``metrics`` protocol op over a throwaway
-        loopback link, so a gateway backend answers with its registry
+        loopback link, so a gateway backend answers with its own scrape
         merged with every reachable partition's — the scrape sees the
         whole deployment.
         """

@@ -28,8 +28,9 @@ Operations (see ``docs/SERVING.md`` for the full schemas):
 ``stats``
     Server statistics snapshot.
 ``metrics``
-    Metrics-registry snapshot (``repro.obs``); the gateway merges the
-    per-partition snapshots it fetches with this op into its own.
+    The server's ``stats`` totals and metrics registry, as one snapshot
+    (``repro.obs``); the gateway merges the per-partition snapshots it
+    fetches with this op into its own.
 ``refresh``
     Server-to-feeder: fetch the current exact values of owned ``keys``.
     A query's refresh batch is one frame per owner connection, answered
@@ -471,7 +472,7 @@ class StatsRequest(Request):
 
 @dataclass(frozen=True)
 class MetricsRequest(Request):
-    """Ask for the server's metrics-registry snapshot (JSON-able mapping)."""
+    """Ask for the server's metrics snapshot (JSON-able mapping)."""
 
     OP: ClassVar[str] = "metrics"
 

@@ -66,6 +66,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     NoReturn,
     Optional,
     Sequence,
@@ -81,7 +82,7 @@ from repro.caching.eviction import EvictionPolicy
 from repro.caching.policies.base import PrecisionPolicy
 from repro.caching.source import DataSource
 from repro.intervals.interval import Interval
-from repro.obs.metrics import REGISTRY, SIZE_BUCKETS, MetricsRegistry
+from repro.obs.metrics import REGISTRY, SIZE_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.trace import TRACER
 from repro.serving.durability import PartitionDurability
 from repro.serving.errors import UnrecoverablePartition
@@ -123,52 +124,107 @@ DEFAULT_REFRESH_TIMEOUT = 30.0
 DEFAULT_DEGRADED_SLACK = 4.0
 
 # ---------------------------------------------------------------------------
-# Metric catalog (docs/OBSERVABILITY.md documents every entry)
+# Stats catalog (docs/OBSERVABILITY.md documents every metric)
 # ---------------------------------------------------------------------------
-# Each entry maps a cumulative ``/stats`` field to its registry metric; a
-# scrape-time collector mirrors the current totals into the handles, so the
-# serving hot paths stay untouched.  The gateway and the partitions expose
-# the same names — their registries carry distinguishing ``role`` /
-# ``partition`` constant labels, so merged series never collide.
-_STATS_COUNTER_METRICS: Tuple[Tuple[str, str, str], ...] = (
-    ("updates_applied", "repro_updates_applied_total", "Source updates applied to the mirror."),
-    ("updates_ignored", "repro_updates_ignored_total", "Stale or unknown-key updates dropped."),
-    ("value_refreshes", "repro_value_refreshes_total", "Value-initiated refreshes installed."),
-    ("query_refreshes", "repro_query_refreshes_total", "Query-initiated refreshes installed."),
-    ("queries_served", "repro_queries_served_total", "Bounded queries answered."),
-    ("queries_rejected", "repro_queries_rejected_total", "Queries rejected by admission control."),
-    ("refresh_rpcs", "repro_refresh_rpcs_total", "Keys fetched by refresh RPCs."),
-    ("refreshes_failed", "repro_refreshes_failed_total", "Refresh RPCs that failed or timed out."),
-    ("queries_degraded", "repro_queries_degraded_total", "Queries answered with widened intervals."),
-    ("stale_epoch_rejections", "repro_stale_epoch_rejections_total", "Frames fenced off as stale feeder epochs."),
-    ("feeder_resyncs", "repro_feeder_resyncs_total", "Feeder resync registrations handled."),
-    ("connections_opened", "repro_connections_opened_total", "Serving connections accepted."),
-    ("connections_closed", "repro_connections_closed_total", "Serving connections torn down."),
-    ("partition_restarts", "repro_partition_restarts_total", "Partition restarts observed by supervision."),
-    ("hits", "repro_cache_hits_total", "Cache hits (interval satisfied the constraint)."),
-    ("misses", "repro_cache_misses_total", "Cache misses (refresh was required)."),
-    ("insertions", "repro_cache_insertions_total", "Cache insertions."),
-    ("evictions", "repro_cache_evictions_total", "Cache evictions."),
-    ("total_cost", "repro_refresh_cost_total", "Accumulated refresh cost (the paper's Omega units)."),
-    ("messages_sent", "repro_network_messages_total", "Messages charged to the network model."),
-    ("total_latency", "repro_network_latency_seconds_total", "Modelled network latency accumulated."),
-    ("wal_records", "repro_wal_records_total", "WAL records appended."),
-    ("wal_bytes", "repro_wal_bytes_total", "WAL bytes appended."),
-    ("wal_records_replayed", "repro_wal_replayed_records_total", "WAL records replayed during recovery."),
-    ("wal_torn_tails", "repro_wal_torn_tails_total", "Torn WAL tails truncated during recovery."),
-    ("checkpoints", "repro_wal_checkpoints_total", "Checkpoints taken."),
+class StatsField(NamedTuple):
+    """One ``stats`` total, its ``/metrics`` series and its gateway merge.
+
+    ``metric`` is empty for a field with no series.  ``gateway`` says how a
+    gateway's ``stats`` reply combines the field: ``sum``, ``max`` or
+    ``any`` over its partitions' replies, ``own`` for the gateway's own
+    total, ``gateway_`` for the gateway's own total under a ``gateway_``
+    prefix (``sum gateway_`` reports both), and empty for neither.
+    ``default`` is the value before any partition answers, and for a WAL
+    field the value of a server with no WAL.
+    """
+
+    field: str
+    metric: str
+    kind: str
+    help: str
+    gateway: str = "sum"
+    default: Any = 0
+
+
+# fmt: off
+#: The WAL layer's fields (``PartitionDurability.stats_fields``).
+_WAL_STATS: Tuple[StatsField, ...] = (
+    StatsField("durable", "repro_wal_enabled", "gauge", "1 when a WAL/checkpoint layer is attached.", "any", False),
+    StatsField("wal_records", "repro_wal_records_total", "counter", "WAL records appended."),
+    StatsField("wal_bytes", "repro_wal_bytes_total", "counter", "WAL bytes appended."),
+    StatsField("wal_records_replayed", "repro_wal_replayed_records_total", "counter", "WAL records replayed during recovery."),
+    StatsField("wal_torn_tails", "repro_wal_torn_tails_total", "counter", "Torn WAL tails truncated during recovery."),
+    StatsField("checkpoints", "repro_wal_checkpoints_total", "counter", "Checkpoints taken."),
+    StatsField("snapshot_restored", "", "", "", "", False),
+    StatsField("last_checkpoint_age", "repro_wal_last_checkpoint_age", "gauge", "Logical time since the last checkpoint (-1 when none).", "max", None),
 )
 
-_STATS_GAUGE_METRICS: Tuple[Tuple[str, str, str], ...] = (
-    ("clock", "repro_logical_clock", "The server's logical clock."),
-    ("keys", "repro_keys", "Keys with a registered source mirror."),
-    ("cached_entries", "repro_cache_entries", "Entries currently cached."),
-    ("connections", "repro_connections", "Connections currently open."),
-    ("keys_down", "repro_keys_down", "Keys whose owning feeder is down."),
-    ("hit_rate", "repro_cache_hit_rate", "All-time cache hit rate."),
-    ("durable", "repro_wal_enabled", "1 when a WAL/checkpoint layer is attached."),
-    ("last_checkpoint_age", "repro_wal_last_checkpoint_age", "Logical time since the last checkpoint (-1 when none)."),
+#: The one table of serving totals.  The totals themselves live where they
+#: are kept (``ServingStatistics``, the core's cache statistics and network
+#: model, the WAL layer); ``/metrics`` renders them through this table at
+#: scrape time, and the gateway merges ``stats`` replies with it.
+STATS_CATALOG: Tuple[StatsField, ...] = (
+    StatsField("updates_applied", "repro_updates_applied_total", "counter", "Source updates applied to the mirror."),
+    StatsField("updates_ignored", "repro_updates_ignored_total", "counter", "Stale or unknown-key updates dropped."),
+    StatsField("value_refreshes", "repro_value_refreshes_total", "counter", "Value-initiated refreshes installed."),
+    StatsField("query_refreshes", "repro_query_refreshes_total", "counter", "Query-initiated refreshes installed."),
+    StatsField("queries_served", "repro_queries_served_total", "counter", "Bounded queries answered.", "own"),
+    StatsField("queries_rejected", "repro_queries_rejected_total", "counter", "Queries rejected by admission control.", "own"),
+    StatsField("refresh_rpcs", "repro_refresh_rpcs_total", "counter", "Keys fetched by refresh RPCs.", "sum gateway_"),
+    StatsField("refreshes_failed", "repro_refreshes_failed_total", "counter", "Refresh RPCs that failed or timed out."),
+    StatsField("queries_degraded", "repro_queries_degraded_total", "counter", "Queries answered with widened intervals.", "own"),
+    StatsField("stale_epoch_rejections", "repro_stale_epoch_rejections_total", "counter", "Frames fenced off as stale feeder epochs.", "sum gateway_"),
+    StatsField("feeder_resyncs", "repro_feeder_resyncs_total", "counter", "Feeder resync registrations handled."),
+    StatsField("connections_opened", "repro_connections_opened_total", "counter", "Serving connections accepted.", "gateway_"),
+    StatsField("connections_closed", "repro_connections_closed_total", "counter", "Serving connections torn down.", "gateway_"),
+    StatsField("partition_restarts", "repro_partition_restarts_total", "counter", "Partition restarts observed by supervision.", "own"),
+    StatsField("hits", "repro_cache_hits_total", "counter", "Cache hits (interval satisfied the constraint)."),
+    StatsField("misses", "repro_cache_misses_total", "counter", "Cache misses (refresh was required)."),
+    StatsField("insertions", "repro_cache_insertions_total", "counter", "Cache insertions."),
+    StatsField("evictions", "repro_cache_evictions_total", "counter", "Cache evictions."),
+    StatsField("total_cost", "repro_refresh_cost_total", "counter", "Accumulated refresh cost (the paper's Omega units)."),
+    StatsField("messages_sent", "repro_network_messages_total", "counter", "Messages charged to the network model."),
+    StatsField("total_latency", "repro_network_latency_seconds_total", "counter", "Modelled network latency accumulated."),
+    *_WAL_STATS,
+    StatsField("clock", "repro_logical_clock", "gauge", "The server's logical clock.", "max", 0.0),
+    StatsField("keys", "repro_keys", "gauge", "Keys with a registered source mirror."),
+    StatsField("cached_entries", "repro_cache_entries", "gauge", "Entries currently cached."),
+    StatsField("connections", "repro_connections", "gauge", "Connections currently open.", "own"),
+    StatsField("keys_down", "repro_keys_down", "gauge", "Keys whose owning feeder is down."),
+    # The gateway recomputes its hit rate from the summed hits and misses.
+    StatsField("hit_rate", "repro_cache_hit_rate", "gauge", "All-time cache hit rate.", ""),
+    StatsField("partitions", "repro_gateway_partitions", "gauge", "Partitions behind this gateway.", "own"),
+    StatsField("partitions_unreachable", "repro_gateway_partitions_unroutable", "gauge", "Partitions currently not in the ok state.", "own"),
 )
+# fmt: on
+
+
+def render_stats(
+    totals: Dict[str, Any], registry: MetricsRegistry, **labels: str
+) -> Dict[str, Any]:
+    """The catalog series of ``totals``, as a registry snapshot.
+
+    Each series carries ``registry``'s constant labels plus ``labels``.  A
+    disabled registry records nothing, so its series all read 0.
+    """
+    stamp = {**registry.constant_labels, **labels}
+    metrics: List[Dict[str, Any]] = []
+    for stat in STATS_CATALOG:
+        if stat.metric and stat.field in totals:
+            value = totals[stat.field] if registry.enabled else 0.0
+            sample = {
+                "labels": dict(stamp),
+                "value": -1.0 if value is None else float(value),
+            }
+            metrics.append(
+                {
+                    "name": stat.metric,
+                    "kind": stat.kind,
+                    "help": stat.help,
+                    "samples": [sample],
+                }
+            )
+    return {"metrics": metrics}
 
 
 @dataclass
@@ -296,8 +352,9 @@ class BaseFrameServer:
     (:meth:`_handle_query` around the subclass's ``_execute_query``).  The
     subclass provides a ``statistics`` object with ``connections_opened`` /
     ``connections_closed`` / ``refresh_rpcs`` / ``stale_epoch_rejections``
-    / ``queries_rejected`` counters and may override the
-    ``_connection_lost`` / ``_connection_removed`` teardown hooks.
+    / ``queries_rejected`` counters and a ``totals`` method (what its
+    ``metrics`` op renders); it may override the ``_connection_lost`` /
+    ``_connection_removed`` teardown hooks.
     """
 
     #: Operations dispatched as tasks so the connection's read loop stays
@@ -310,6 +367,7 @@ class BaseFrameServer:
         max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
         refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         at_least("max_inflight_queries", max_inflight_queries, 1, finite=True)
         at_least("admission_queue_limit", admission_queue_limit, 0, finite=True)
@@ -327,6 +385,12 @@ class BaseFrameServer:
         self._serve_tasks: Dict[asyncio.Task, Any] = {}
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._closed = False
+        self._registry = REGISTRY if registry is None else registry
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The metrics registry this server records into."""
+        return self._registry
 
     # ------------------------------------------------------------------
     # Accepting connections
@@ -667,11 +731,11 @@ class CacheServer(BaseFrameServer):
         checkpointed per the durability object's policy.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this server
-        publishes into (defaults to the process registry).  A scrape-time
-        collector mirrors the ``/stats`` totals into registry handles —
-        the serving hot paths are untouched, so a disabled registry (the
-        default) costs nothing and an enabled one costs one branch per
-        instrumented site.
+        records its histograms into and stamps its scrapes with (defaults
+        to the process registry).  The ``stats`` totals are not copied
+        into it: the ``metrics`` op renders them through
+        :data:`STATS_CATALOG` when it is scraped, so the serving hot paths
+        are untouched.
     """
 
     def __init__(
@@ -694,6 +758,7 @@ class CacheServer(BaseFrameServer):
             max_inflight_queries=max_inflight_queries,
             admission_queue_limit=admission_queue_limit,
             refresh_timeout=refresh_timeout,
+            registry=registry,
         )
         at_least("degraded_slack", degraded_slack, 1.0, finite=True)
         self._core = self._build_core(
@@ -715,8 +780,16 @@ class CacheServer(BaseFrameServer):
         self._durability = durability
         if durability is not None:
             self._recover_durable_state()
-        self._registry = REGISTRY if registry is None else registry
-        self._register_metrics()
+        self._query_keys_histogram = self._registry.histogram(
+            "repro_query_keys",
+            "Keys touched per bounded query.",
+            buckets=SIZE_BUCKETS,
+        )
+        self._refresh_batch_histogram = self._registry.histogram(
+            "repro_refresh_batch_size",
+            "Refresh RPCs sent together in one pipelined batch.",
+            buckets=SIZE_BUCKETS,
+        )
 
     def _build_core(
         self,
@@ -762,55 +835,18 @@ class CacheServer(BaseFrameServer):
         await super().close()
         if self._durability is not None:
             self._durability.close()
-        self._registry.remove_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
-    # Metrics (repro.obs): handles plus the scrape-time collector
+    # Metrics (repro.obs): the totals, rendered at scrape time
     # ------------------------------------------------------------------
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry this server publishes into."""
-        return self._registry
-
-    def _register_metrics(self) -> None:
-        registry = self._registry
-        self._metric_counters = {
-            field: registry.counter(name, help_text)
-            for field, name, help_text in _STATS_COUNTER_METRICS
-        }
-        self._metric_gauges = {
-            field: registry.gauge(name, help_text)
-            for field, name, help_text in _STATS_GAUGE_METRICS
-        }
-        self._query_keys_histogram = registry.histogram(
-            "repro_query_keys",
-            "Keys touched per bounded query.",
-            buckets=SIZE_BUCKETS,
-        )
-        self._refresh_batch_histogram = registry.histogram(
-            "repro_refresh_batch_size",
-            "Refresh RPCs sent together in one pipelined batch.",
-            buckets=SIZE_BUCKETS,
-        )
-        registry.collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> None:
-        """Scrape-time: mirror the cumulative stats into registry handles."""
-        stats = self._handle_stats()
-        serving = self.statistics
-        stats["connections_opened"] = serving.connections_opened
-        stats["connections_closed"] = serving.connections_closed
-        stats["partition_restarts"] = serving.partition_restarts
-        for field, counter in self._metric_counters.items():
-            counter.set_total(float(stats[field]))
-        for field, gauge in self._metric_gauges.items():
-            value = stats[field]
-            if value is None:
-                value = -1.0
-            gauge.set(float(value))
+    def totals(self) -> Dict[str, Any]:
+        """The ``stats`` reply plus the connection and restart counters."""
+        return {**vars(self.statistics), **self._handle_stats()}
 
     def _handle_metrics(self) -> Dict[str, Any]:
-        return self._registry.snapshot()
+        return merge_snapshots(
+            [render_stats(self.totals(), self._registry), self._registry.snapshot()]
+        )
 
     # ------------------------------------------------------------------
     # Durability: write-ahead logging, checkpoints and crash recovery
@@ -1469,19 +1505,6 @@ class CacheServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
-    #: WAL/checkpoint counter defaults, so the stats surface is uniform
-    #: whether or not the server is durable (the gateway sums them).
-    _DURABILITY_STATS_OFF: ClassVar[Dict[str, Any]] = {
-        "durable": False,
-        "wal_records": 0,
-        "wal_bytes": 0,
-        "wal_records_replayed": 0,
-        "wal_torn_tails": 0,
-        "checkpoints": 0,
-        "snapshot_restored": False,
-        "last_checkpoint_age": None,
-    }
-
     def _handle_stats(self) -> Dict[str, Any]:
         core = self._core
         cache_stats = core.cache.statistics
@@ -1490,7 +1513,7 @@ class CacheServer(BaseFrameServer):
         if self._durability is not None:
             durability_stats = self._durability.stats_fields(self._clock)
         else:
-            durability_stats = dict(self._DURABILITY_STATS_OFF)
+            durability_stats = {stat.field: stat.default for stat in _WAL_STATS}
         return {
             **durability_stats,
             "clock": self._clock,

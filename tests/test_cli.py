@@ -129,21 +129,31 @@ class TestServingParser:
         assert args.target is None
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "command, flag, value",
         [
-            ("--feeders", "0"),
-            ("--clients", "-1"),
-            ("--rate", "-5"),
-            ("--rate", "inf"),
-            ("--partitions", "0"),
-            ("--partition-procs", "-1"),
+            ("loadgen", "--feeders", "0"),
+            ("loadgen", "--clients", "-1"),
+            ("loadgen", "--rate", "-5"),
+            ("loadgen", "--rate", "inf"),
+            ("loadgen", "--partitions", "0"),
+            ("loadgen", "--partition-procs", "-1"),
+            ("loadgen", "--hosts", "0"),
+            ("loadgen", "--duration", "-10"),
+            ("loadgen", "--duration", "1"),
+            ("loadgen", "--deadline", "-1"),
+            ("loadgen", "--deadline", "0"),
+            ("loadgen", "--checkpoint-every", "0"),
+            ("serve", "--port", "-1"),
+            ("serve", "--port", "65536"),
+            ("serve", "--http-port", "-1"),
+            ("serve", "--http-port", "65536"),
         ],
     )
     def test_loadgen_counts_and_rate_are_checked_at_parse_time(
-        self, flag, value, capsys
+        self, command, flag, value, capsys
     ):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["loadgen", flag, value])
+            build_parser().parse_args([command, flag, value])
         assert excinfo.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 

@@ -31,7 +31,6 @@ class TestNoOpMode:
         gauge = registry.gauge("g")
         histogram = registry.histogram("h", buckets=(1.0, 2.0))
         counter.inc(5)
-        counter.set_total(9)
         gauge.set(3.0)
         gauge.inc()
         histogram.observe(1.5)
@@ -49,16 +48,6 @@ class TestNoOpMode:
         registry.disable()
         counter.inc()
         assert counter.value == 1.0
-
-    def test_disabled_snapshot_skips_collectors(self):
-        registry = MetricsRegistry()
-        calls = []
-        registry.collector(lambda: calls.append(1))
-        registry.snapshot()
-        assert calls == []
-        registry.enable()
-        registry.snapshot()
-        assert calls == [1]
 
 
 class TestHandles:
@@ -102,13 +91,6 @@ class TestHandles:
         assert counter.value == 0.0
         assert histogram.count == 0
         assert registry.counter("c_total") is counter
-
-    def test_set_total_mirrors_external_counter(self):
-        registry = _enabled()
-        counter = registry.counter("c_total")
-        counter.set_total(41)
-        counter.set_total(42)
-        assert counter.value == 42
 
 
 class TestHistogramBuckets:
@@ -167,24 +149,6 @@ class TestSnapshot:
             "partition": "3",
             "kind": "x",
         }
-
-    def test_collector_mirrors_external_state_at_scrape_time(self):
-        registry = _enabled()
-        state = {"applied": 0}
-        counter = registry.counter("applied_total")
-        registry.collector(lambda: counter.set_total(state["applied"]))
-        state["applied"] = 17
-        snapshot = registry.snapshot()
-        (metric,) = snapshot["metrics"]
-        assert metric["samples"][0]["value"] == 17
-
-    def test_remove_collector(self):
-        registry = _enabled()
-        calls = []
-        fn = registry.collector(lambda: calls.append(1))
-        registry.remove_collector(fn)
-        registry.snapshot()
-        assert calls == []
 
 
 class TestMergeSnapshots:

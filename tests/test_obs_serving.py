@@ -1,8 +1,10 @@
 """Observability through the serving stack, end to end.
 
-Covers the tentpole's serving surface: the ``metrics`` protocol op on a
-:class:`CacheServer`, the gateway's merged per-partition snapshot (and its
-skip rule for in-process partitions that share the gateway's registry),
+Covers the serving surface: the ``metrics`` protocol op on a
+:class:`CacheServer`, which renders the server's own ``stats`` totals at
+scrape time, the gateway's merged per-partition snapshot (in-process
+partitions that share the gateway's registry get a ``partition`` label),
+a server that is never closed staying collectable,
 ``GET /metrics`` on the HTTP edge, the ``GET /stats`` regressions of the
 merged-dict path (gateway connection counters, ``partitions_unreachable``),
 the partition-RPC-free ``/healthz``, and the determinism acceptance: a
@@ -10,6 +12,8 @@ deterministic replay is identical with metrics on or off.
 """
 
 import asyncio
+import gc
+import weakref
 
 from repro.experiments.workloads import (
     serving_policy,
@@ -24,7 +28,7 @@ from repro.serving.api import Client
 from repro.serving.gateway import GatewayServer
 from repro.serving.http import HttpEdge
 from repro.serving.loadgen import replay_trace_deterministic
-from repro.serving.server import CacheServer
+from repro.serving.server import STATS_CATALOG, CacheServer
 from repro.simulation.simulator import CacheSimulation
 
 
@@ -125,8 +129,8 @@ class TestServerMetricsOp:
                 await server.close()
 
         snapshot = asyncio.run(drive())
-        # Registrations are visible (the scrape shape is stable) but the
-        # collectors never ran, so every series is still zero.
+        # Registrations and the rendered totals are visible (the scrape
+        # shape is stable), but a disabled registry reads zero throughout.
         for metric in snapshot["metrics"]:
             for sample in metric["samples"]:
                 if metric["kind"] == "histogram":
@@ -182,29 +186,73 @@ class TestGatewayMerge:
         assert fanout["count"] == 1
 
     def test_shared_registry_partitions_are_not_double_counted(self):
+        """Partitions sharing the gateway's registry each get their own
+        ``partition`` series, equal to their own ``stats``; the gateway's
+        unlabelled series equal its statistics; shared histograms appear
+        once."""
+        trace = traffic_trace(host_count=10, duration=200)
+        config = traffic_config(trace, seed=5)
+
         async def drive():
             shared = _registry()
             partitions = [_server(shared) for _ in range(2)]
             gateway = GatewayServer(partitions, registry=shared)
             await gateway.start()
-            feeder, querier = await _drive(gateway, {"h0": 1.0, "h1": 2.0})
             try:
-                return await querier.metrics()
-            finally:
+                await replay_trace_deterministic(gateway, trace, config)
+                querier = await Client.from_transport(gateway.connect())
+                snapshot = await querier.metrics()
+                own = dict(vars(gateway.statistics))
                 await querier.close()
-                await feeder.close()
+                partition_stats = []
+                for partition in partitions:
+                    client = await Client.from_transport(partition.connect())
+                    partition_stats.append(await client.stats())
+                    await client.close()
+                return snapshot, own, partition_stats
+            finally:
                 await gateway.close()
                 for partition in partitions:
                     await partition.close()
 
-        snapshot = asyncio.run(drive())
-        # One registry, fetched exactly once: every metric exposes exactly
-        # one series (identical labels would have merged into 2x sums had
-        # the gateway also fetched each partition's copy).
-        for metric in snapshot["metrics"]:
-            assert len(metric["samples"]) == 1, metric["name"]
-        (served,) = _samples(snapshot, "repro_queries_served_total")
-        assert served["value"] == 1.0
+        snapshot, own, partition_stats = asyncio.run(drive())
+
+        def series(name):
+            return {
+                sample["labels"].get("partition"): sample["value"]
+                for sample in _samples(snapshot, name)
+            }
+
+        for field, name in (
+            ("hits", "repro_cache_hits_total"),
+            ("updates_applied", "repro_updates_applied_total"),
+            ("queries_served", "repro_queries_served_total"),
+        ):
+            values = series(name)
+            for index, stats in enumerate(partition_stats):
+                assert values[str(index)] == stats[field], (name, index)
+        assert all(stats["hits"] > 0 for stats in partition_stats)
+        assert all(stats["updates_applied"] > 0 for stats in partition_stats)
+        metric_of = {stat.field: stat.metric for stat in STATS_CATALOG}
+        for field, value in own.items():
+            assert series(metric_of[field])[None] == value, field
+        assert own["queries_served"] > 0
+        assert None not in series("repro_cache_hits_total")
+        # The shared registry's histograms are rendered once, not per
+        # partition: one fan-out observation per routed query.
+        (fanout,) = _samples(snapshot, "repro_gateway_fanout_partitions")
+        assert fanout["count"] == own["queries_served"]
+
+
+class TestServerLifetime:
+    def test_unclosed_servers_are_garbage_collected(self):
+        """The process registry holds no reference to a server or gateway."""
+        server = CacheServer(serving_policy())
+        gateway = GatewayServer([server])
+        refs = [weakref.ref(server), weakref.ref(gateway)]
+        del server, gateway
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestHttpEdge:
