@@ -16,7 +16,10 @@ silently forget published intervals.  :class:`PartitionDurability` gives a
     logical-clock time and feeder epoch, so replaying the records through
     the server's own apply paths reconstructs the partition — sources,
     published intervals, cache, drift model, statistics and the policy's
-    RNG stream — exactly.
+    RNG stream — exactly.  A record that logs a request carries the
+    request's frame payload as received, spliced in verbatim as its last
+    field ``req`` (see :func:`_encode_record`), so a logged request is
+    never encoded twice.
 
 ``partition-<i>.snapshot``
     A periodic checkpoint: the pickled durable state, CRC-framed the same
@@ -83,6 +86,7 @@ _WAL_RECORD_BYTES = REGISTRY.histogram(
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "FSYNC_POLICIES",
+    "REQUEST_FIELD",
     "PartitionDurability",
     "WalCorruption",
 ]
@@ -96,6 +100,10 @@ DEFAULT_CHECKPOINT_EVERY = 256
 
 FSYNC_POLICIES = ("always", "checkpoint", "never")
 
+#: The record field holding a logged request's frame payload.
+REQUEST_FIELD = "req"
+_REQUEST_KEY = f',"{REQUEST_FIELD}":'.encode("ascii")
+
 
 class WalCorruption(Exception):
     """Internal: the WAL is unreadable past a given byte offset."""
@@ -106,8 +114,17 @@ class WalCorruption(Exception):
         self.reason = reason
 
 
-def _encode_record(record: Dict[str, Any]) -> bytes:
+def _encode_record(record: Dict[str, Any], request: Optional[bytes] = None) -> bytes:
+    """Frame one record: the header, then the record as compact JSON.
+
+    ``request`` is a request frame's payload, as received: one JSON object,
+    so it is spliced in verbatim as the record's last field,
+    :data:`REQUEST_FIELD`, and the record stays one JSON object that
+    :meth:`PartitionDurability.load` decodes like any other.
+    """
     payload = encode_json(record).encode("utf-8")
+    if request is not None:
+        payload = b"".join((payload[:-1], _REQUEST_KEY, request, b"}"))
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -134,7 +151,7 @@ class PartitionDurability:
     The owning server calls :meth:`load` once at construction (recovering
     snapshot and surviving records, truncating any torn tail), replays the
     records through its own apply paths, then :meth:`append`\\ s one record
-    per applied op (a query's batch of refreshes in one call) and calls
+    per applied op (a query's batch of refreshes is one op) and calls
     :meth:`checkpoint` whenever :attr:`checkpoint_due` says the log has
     grown past ``checkpoint_every`` records.
     """
@@ -290,25 +307,22 @@ class PartitionDurability:
     # ------------------------------------------------------------------
     # The append path
     # ------------------------------------------------------------------
-    def append(self, *records: Dict[str, Any]) -> None:
-        """Write op records (write-ahead: call *before* applying them).
+    def append(self, record: Dict[str, Any], request: Optional[bytes] = None) -> None:
+        """Write one op record (write-ahead: call *before* applying it).
 
-        Several records go out as one ``write`` + ``flush`` (one ``fsync``
-        under ``"always"``), in argument order with consecutive sequence
-        numbers — a query's batch of refreshes logs this way.  If the write,
-        flush or fsync raises, the log is cut back to its last complete
-        record and the sequence is not consumed before the error re-raises.
+        The record gets the next sequence number ``n``; ``request`` is the
+        frame payload of the request it logs, written verbatim (see
+        :func:`_encode_record`).  The record goes out as one ``write`` +
+        ``flush`` (plus an ``fsync`` under ``"always"``).  If any of them
+        raises, the log is cut back to its last complete record and the
+        sequence is not consumed before the error re-raises.
         """
         if self._file is None:
             raise RuntimeError("durability not loaded; call load() first")
-        sequence = self._sequence
-        frames = []
-        for record in records:
-            sequence += 1
-            frames.append(_encode_record({"n": sequence, **record}))
-        blob = b"".join(frames)
+        sequence = self._sequence + 1
+        frame = _encode_record({"n": sequence, **record}, request)
         try:
-            self._file.write(blob)
+            self._file.write(frame)
             self._file.flush()
             if self.fsync == "always":
                 os.fsync(self._file.fileno())
@@ -316,12 +330,11 @@ class PartitionDurability:
             self._discard_partial_append()
             raise
         self._sequence = sequence
-        self._wal_size += len(blob)
-        self.records_appended += len(frames)
-        self.bytes_appended += len(blob)
-        self._records_since_checkpoint += len(frames)
-        for frame in frames:
-            _WAL_RECORD_BYTES.observe(float(len(frame)))
+        self._wal_size += len(frame)
+        self.records_appended += 1
+        self.bytes_appended += len(frame)
+        self._records_since_checkpoint += 1
+        _WAL_RECORD_BYTES.observe(float(len(frame)))
 
     def _discard_partial_append(self) -> None:
         """Truncate the WAL to its complete records and reopen the handle.

@@ -232,9 +232,15 @@ class GatewayServer(BaseFrameServer):
     # Metrics (repro.obs): the gateway's totals plus each partition's
     # ------------------------------------------------------------------
     def totals(self) -> Dict[str, Any]:
-        """The gateway's own counters and gauges (no partition's)."""
+        """The gateway's own counters and gauges (no partition's).
+
+        Updates are applied or ignored by the partitions, whose series
+        count them; the gateway only routes them, so it has no such series.
+        """
+        own = dict(vars(self.statistics))
+        del own["updates_applied"], own["updates_ignored"]
         return {
-            **vars(self.statistics),
+            **own,
             "connections": len(self._connections),
             "clock": self._clock,
             "partitions": len(self._targets),
@@ -471,7 +477,9 @@ class GatewayServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, connection: _Connection, frame: Dict[str, Any]) -> None:
+    async def _dispatch(
+        self, connection: _Connection, frame: Dict[str, Any], payload: bytes
+    ) -> None:
         op = frame.get("op")
         request_id = frame.get("id")
         try:
@@ -614,7 +622,6 @@ class GatewayServer(BaseFrameServer):
         self._observe_value(request.key, float(request.value), request.time)
         self._owners.setdefault(request.key, connection)
         connection.keys[request.key] = None
-        self.statistics.updates_applied += 1
         return UpdateAck(refresh=refresh)
 
     async def _handle_update_batch(
@@ -655,7 +662,6 @@ class GatewayServer(BaseFrameServer):
             self._observe_value(key, float(value), request.time)
             self._owners.setdefault(key, connection)
             connection.keys[key] = None
-        self.statistics.updates_applied += len(request.updates)
         return UpdateBatchAck(refreshes=refreshes)
 
     # ------------------------------------------------------------------

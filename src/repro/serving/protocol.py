@@ -360,6 +360,11 @@ class Update(Request):
     value: float
     time: Optional[float] = None
 
+    @property
+    def updates(self) -> Tuple[Tuple[Hashable, float], ...]:
+        """This update as the pairs an :class:`UpdateBatch` carries."""
+        return ((self.key, self.value),)
+
     def wire_fields(self) -> Dict[str, Any]:
         fields: Dict[str, Any] = {"key": self.key, "value": self.value}
         if self.time is not None:

@@ -84,7 +84,7 @@ from repro.caching.source import DataSource
 from repro.intervals.interval import Interval
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.trace import TRACER
-from repro.serving.durability import PartitionDurability
+from repro.serving.durability import REQUEST_FIELD, PartitionDurability
 from repro.serving.errors import UnrecoverablePartition
 from repro.serving.execution import execute_partitioned_query
 from repro.serving.protocol import (
@@ -444,11 +444,12 @@ class BaseFrameServer:
         try:
             while True:
                 try:
-                    frame = await transport.read_frame()
+                    received = await transport.read_frame_with_payload()
                 except ProtocolError:
                     break
-                if frame is None:
+                if received is None:
                     break
+                frame, payload = received
                 if "op" in frame:
                     connection.frames_read += 1
                     if tracer.enabled:
@@ -465,11 +466,13 @@ class BaseFrameServer:
                         # owned by the *querying* connection itself, which
                         # would otherwise deadlock.  Updates stay inline so
                         # their per-connection ordering is preserved.
-                        task = asyncio.ensure_future(self._dispatch(connection, frame))
+                        task = asyncio.ensure_future(
+                            self._dispatch(connection, frame, payload)
+                        )
                         connection.request_tasks.add(task)
                         task.add_done_callback(connection.request_tasks.discard)
                     else:
-                        await self._dispatch(connection, frame)
+                        await self._dispatch(connection, frame, payload)
                 else:
                     self._complete_refresh_rpc(connection, frame)
         finally:
@@ -527,8 +530,9 @@ class BaseFrameServer:
     # Dispatch (subclass responsibility) and query admission
     # ------------------------------------------------------------------
     async def _dispatch(
-        self, connection: _Connection, frame: Dict[str, Any]
+        self, connection: _Connection, frame: Dict[str, Any], payload: bytes
     ) -> None:  # pragma: no cover - abstract
+        """Answer one request ``frame``, decoded from ``payload``."""
         raise NotImplementedError
 
     async def _execute_query(self, request: QueryRequest) -> Any:  # pragma: no cover
@@ -907,18 +911,44 @@ class CacheServer(BaseFrameServer):
         for key in self._core.sources:
             self._down_since.setdefault(key, self._clock)
 
+    def _replay_updates(self, record: Dict[str, Any], time: float) -> None:
+        """Feed a logged ``update`` or ``update_batch`` frame again.
+
+        The frame is parsed as the live dispatch parsed it.  It parsed then,
+        or it would not have been logged, so one that fails now is damage.
+        """
+        frame = record[REQUEST_FIELD]
+        try:
+            request = parse_request(frame) if isinstance(frame, dict) else None
+        except ProtocolError:
+            request = None
+        if not isinstance(request, (Update, UpdateBatch)):
+            self._unreplayable(record, "does not hold an update frame")
+        self._feed(None, request.updates, time)
+
+    def _replay_refreshes(self, record: Dict[str, Any], time: float) -> None:
+        """Install a logged refresh batch again, with its fetched values."""
+        keys, values = record["keys"], record["vals"]
+        if len(keys) != len(values):
+            self._unreplayable(record, "has unequal keys and vals")
+        self._install_refreshes(keys, values, time)
+
+    def _install_refreshes(
+        self, keys: Sequence[Hashable], values: Sequence[float], time: float
+    ) -> None:
+        """Install query-initiated refreshes of ``keys`` with their values, in order."""
+        refresh = self._core.refresh
+        for key, value in zip(keys, values):
+            refresh(key, time, True, value)
+
     #: The op each timed WAL record kind replays, at the record's time.
     _REPLAY_OPS: ClassVar[Dict[str, Callable[..., Any]]] = {
-        "u": lambda server, record, time: server._feed(
-            None, ((record["key"], record["v"]),), time
-        ),
-        "ub": lambda server, record, time: server._feed(None, record["u"], time),
+        "u": _replay_updates,
+        "ub": _replay_updates,
         "snap": lambda server, record, time: server._core.snapshot(
             list(record["keys"]), record["c"], time
         ),
-        "qr": lambda server, record, time: server._core.refresh(
-            record["key"], time, True, float(record["v"])
-        ),
+        "qr": _replay_refreshes,
     }
 
     def _replay_record(self, record: Dict[str, Any]) -> None:
@@ -1022,17 +1052,17 @@ class CacheServer(BaseFrameServer):
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, connection: _Connection, frame: Dict[str, Any]) -> None:
+    async def _dispatch(
+        self, connection: _Connection, frame: Dict[str, Any], payload: bytes
+    ) -> None:
         op = frame.get("op")
         request_id = frame.get("id")
         try:
             request = parse_request(frame)
             if request is None:
                 reply = error_response(request_id, f"unknown operation {op!r}")
-            elif isinstance(request, Update):
-                reply = self._handle_update(connection, request)
-            elif isinstance(request, UpdateBatch):
-                reply = self._handle_update_batch(connection, request)
+            elif isinstance(request, (Update, UpdateBatch)):
+                reply = self._handle_updates(connection, request, payload)
             elif isinstance(request, QueryRequest):
                 reply = await self._handle_query(request)
             elif isinstance(request, RegisterFeeder):
@@ -1150,41 +1180,26 @@ class CacheServer(BaseFrameServer):
             self._owners[key] = connection
             connection.keys[key] = None
 
-    def _handle_update(self, connection: _Connection, request: Update) -> Any:
-        if self._connection_fenced(connection):
-            return self._reject_stale()
-        time = self._advance_clock(request.time)
-        if self._durability is not None:
-            self._durability.append(
-                {
-                    "k": "u",
-                    "key": request.key,
-                    "v": request.value,
-                    "e": connection.epoch,
-                    "t": time,
-                }
-            )
-        refreshes = self._feed(connection, ((request.key, request.value),), time)
-        self._durable_checkpoint_if_due()
-        return UpdateAck(refresh=refreshes > 0)
-
-    def _handle_update_batch(
-        self, connection: _Connection, request: UpdateBatch
+    def _handle_updates(
+        self,
+        connection: _Connection,
+        request: Union[Update, UpdateBatch],
+        payload: bytes,
     ) -> Any:
+        """An ``update`` or ``update_batch``, logged as the frame received."""
         if self._connection_fenced(connection):
             return self._reject_stale()
         time = self._advance_clock(request.time)
+        single = type(request) is Update
         if self._durability is not None:
             self._durability.append(
-                {
-                    "k": "ub",
-                    "u": [[key, value] for key, value in request.updates],
-                    "e": connection.epoch,
-                    "t": time,
-                }
+                {"k": "u" if single else "ub", "e": connection.epoch, "t": time},
+                payload,
             )
         refreshes = self._feed(connection, request.updates, time)
         self._durable_checkpoint_if_due()
+        if single:
+            return UpdateAck(refresh=refreshes > 0)
         return UpdateBatchAck(refreshes=refreshes)
 
     def _feed(
@@ -1195,36 +1210,57 @@ class CacheServer(BaseFrameServer):
     ) -> int:
         """Apply a feeder's ``(key, value)`` updates; the refreshes they fired.
 
-        Live traffic and WAL replay both land here.  Each update is one core
-        op, counted as applied or ignored as it lands, so a batch that fails
-        part-way keeps the counts of the updates before the failure.  An
-        unknown key registers to ``owner`` (its value is the initial value:
-        nothing is published yet, so nothing can fire), and an out-of-order
-        update is the feeder's protocol error.
+        Live traffic and WAL replay both land here.  Each run of known keys
+        is one core call.  An unknown key ends the run and registers to
+        ``owner`` (its value is the initial value: nothing is published
+        yet, so nothing can fire), and an out-of-order update is the
+        feeder's protocol error.  A run counts its applied updates as the
+        core applies them (:meth:`_observe_drift`) and the rest as ignored,
+        so a batch that fails part-way keeps the counts of the updates
+        before the failure.
         """
         sources = self._core.sources
-        apply_updates = self._core.apply_updates
-        statistics = self.statistics
         refreshes = 0
+        run: List[Tuple[DataSource, Tuple[float]]] = []
         for key, value in updates:
             source = sources.get(key)
-            if source is None:
-                self._register_key(owner, key, value)
-                statistics.updates_applied += 1
+            if source is not None:
+                run.append((source, (value,)))
                 continue
-            update_count = source.update_count
-            try:
-                refreshes += apply_updates(((source, (value,)),), time)
-            except UpdateOrderError as error:
-                raise ProtocolError(str(error)) from None
-            if source.update_count == update_count:
-                statistics.updates_ignored += 1
-            else:
-                statistics.updates_applied += 1
+            if run:
+                refreshes += self._apply_run(run, time)
+                run = []
+            self._register_key(owner, key, value)
+            self.statistics.updates_applied += 1
+        if run:
+            refreshes += self._apply_run(run, time)
+        return refreshes
+
+    def _apply_run(
+        self, run: List[Tuple[DataSource, Tuple[float]]], time: float
+    ) -> int:
+        """One core call over ``run``; counts the updates it ignored."""
+        statistics = self.statistics
+        applied = statistics.updates_applied
+        try:
+            refreshes = self._core.apply_updates(run, time)
+        except UpdateOrderError as error:
+            # Every update of a run shares ``time``, so the one that raised
+            # is the first whose source is still stamped later than
+            # ``time`` and whose value differs: the updates before it ran.
+            ran = next(
+                index
+                for index, (source, (value,)) in enumerate(run)
+                if time < source.last_update_time and value != source.value
+            )
+            statistics.updates_ignored += ran - (statistics.updates_applied - applied)
+            raise ProtocolError(str(error)) from None
+        statistics.updates_ignored += len(run) - (statistics.updates_applied - applied)
         return refreshes
 
     def _observe_drift(self, key: Hashable, step: float, gap: Optional[float]) -> None:
-        """The core's update observer: feed ``key``'s drift envelope."""
+        """The core's update observer: count the update, feed ``key``'s drift."""
+        self.statistics.updates_applied += 1
         drift = self._drift.get(key)
         if drift is None:
             drift = self._drift[key] = _KeyDrift()
@@ -1425,9 +1461,9 @@ class CacheServer(BaseFrameServer):
         *Fetch* sends every key's refresh RPC to its feeder before awaiting
         any (:meth:`_refresh_rpcs`).  *Install* then applies, key by key in
         ``keys`` order, the policy decision, the cost charge and the
-        install — so policy RNG draws, WAL order and costs are exactly
-        those of refreshing the keys one after another.  The batch's ``qr``
-        records are written together, before any of them is installed.
+        install — so policy RNG draws and costs are exactly those of
+        refreshing the keys one after another.  The installed keys and
+        values are one ``qr`` record, written before the first install.
 
         Returns the installed values and the failure the caller raises
         once it has recorded them (``None`` when the whole batch
@@ -1468,17 +1504,15 @@ class CacheServer(BaseFrameServer):
                 # the older one would publish an interval that misses it.
                 outcome = source.value
             values.append(outcome)
+        installed = [key for _, key in requests[: len(values)]]
         if values and self._durability is not None:
             # The fetched exact values cannot be re-fetched at replay (the
-            # feeder RPCs are gone), so the records carry them; the policy
+            # feeder RPCs are gone), so the record carries them; the policy
             # decisions and installs replay through the same core op below.
-            records = [
-                {"k": "qr", "key": key, "v": value, "t": time}
-                for (_, key), value in zip(requests, values)
-            ]
-            self._durability.append(*records)
-        for (_, key), value in zip(requests, values):
-            self._core.refresh(key, time, True, value)
+            self._durability.append(
+                {"k": "qr", "keys": installed, "vals": values, "t": time}
+            )
+        self._install_refreshes(installed, values, time)
         if len(values) == len(keys):
             return values, None
         failed_key = keys[len(values)]

@@ -1,8 +1,10 @@
 """Frame transports: the same protocol over TCP streams or in-process queues.
 
 The server and every client speak through a *frame transport* — an object
-with ``read_frame`` / ``write_frame`` / ``close``.  Two implementations
-exist:
+with ``read_frame`` / ``write_frame`` / ``close``.  The server reads with
+``read_frame_with_payload``, which also returns the payload bytes each
+message was decoded from: a durable server logs an update's frame as it
+was received instead of encoding it again.  Two implementations exist:
 
 * :class:`StreamFrameTransport` wraps an asyncio ``(StreamReader,
   StreamWriter)`` pair, i.e. a real TCP connection (``repro serve``).
@@ -27,6 +29,10 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from repro.core.checks import at_least
 from repro.serving.protocol import HEADER, decode_length, decode_payload, encode_frame
 
+#: What ``read_frame_with_payload`` returns: the decoded message and the
+#: payload bytes it was decoded from.
+Received = Tuple[Dict[str, Any], bytes]
+
 #: A well-framed but undecodable payload, used by ``write_corrupt_frame`` —
 #: the fault-injection hook (:mod:`repro.serving.faults`) that makes the
 #: *peer's* reader take its ``ProtocolError`` path, as a frame mangled in
@@ -48,12 +54,17 @@ class StreamFrameTransport:
 
     async def read_frame(self) -> Optional[Dict[str, Any]]:
         """Read one message; ``None`` on a clean EOF at a frame boundary."""
+        received = await self.read_frame_with_payload()
+        return None if received is None else received[0]
+
+    async def read_frame_with_payload(self) -> Optional[Received]:
+        """Read one message and its payload bytes; ``None`` on a clean EOF."""
         try:
             header = await self._reader.readexactly(4)
             payload = await self._reader.readexactly(decode_length(header))
         except (asyncio.IncompleteReadError, ConnectionResetError):
             return None
-        return decode_payload(payload)
+        return decode_payload(payload), payload
 
     async def write_frame(self, message: Dict[str, Any]) -> None:
         """Write one message and drain (the stream's own backpressure)."""
@@ -141,6 +152,11 @@ class LoopbackFrameTransport:
     async def read_frame(self) -> Optional[Dict[str, Any]]:
         """Read one message; ``None`` once the peer closed and the buffer
         is drained."""
+        received = await self.read_frame_with_payload()
+        return None if received is None else received[0]
+
+    async def read_frame_with_payload(self) -> Optional[Received]:
+        """Read one message and its payload bytes; ``None`` at EOF."""
         inbound = self._inbound
         while not inbound.frames:
             if inbound.closed:
@@ -158,7 +174,8 @@ class LoopbackFrameTransport:
                 raise
         data = inbound.frames.popleft()
         inbound.release_slot()
-        return decode_payload(data[4:])
+        payload = data[4:]
+        return decode_payload(payload), payload
 
     async def write_frame(self, message: Dict[str, Any]) -> None:
         """Write one encoded frame; blocks while the peer's buffer is full."""

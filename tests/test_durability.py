@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.caching.policies.static import StaticWidthPolicy
-from repro.serving.api import Client
+from repro.serving.api import Client, dial
 from repro.serving.durability import (
     DEFAULT_CHECKPOINT_EVERY,
     RECORD_HEADER,
@@ -28,12 +28,22 @@ from repro.serving.durability import (
     _encode_record,
 )
 from repro.serving.errors import UnrecoverablePartition
+from repro.serving.protocol import HEADER, decode_length, decode_payload, encode_frame
 from repro.serving.server import CacheServer
 from refresh_feeder import refresh_answerer
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def _reload(directory, **options):
+    """``(state, records)`` of ``directory``, read by a layer closed after."""
+    durability = PartitionDurability(directory, **options)
+    try:
+        return durability.load()
+    finally:
+        durability.close()
 
 
 # ----------------------------------------------------------------------
@@ -57,27 +67,34 @@ class TestWalRoundTrip:
         # The sequence continues past the recovered tail.
         reader.append({"k": "u", "key": "c", "v": 3.0, "t": 3.0})
         reader.close()
-        _, again = PartitionDurability(tmp_path).load()
+        _, again = _reload(tmp_path)
         assert [record["n"] for record in again] == [1, 2, 3]
 
-    def test_one_append_writes_several_records_in_order(self, tmp_path):
-        """A query's refresh batch is one append: consecutive sequence
-        numbers, argument order, every framed byte counted."""
-        batch = [
-            {"k": "qr", "key": key, "v": float(index), "t": 1.0}
-            for index, key in enumerate("abc")
-        ]
+    def test_request_payload_is_logged_verbatim(self, tmp_path):
+        """A logged request's payload bytes are the record's last field,
+        unchanged, and load decodes the record as one JSON object."""
+        payload = b'{"op":"update","id":7,"key":"a","value":1.50,"time":2}'
         writer = PartitionDurability(tmp_path)
         writer.load()
-        writer.append({"k": "snap", "keys": list("abc"), "c": 0.0, "t": 1.0})
-        writer.append(*batch)
-        assert writer.records_appended == 4
-        assert writer.checkpoint_due is False
+        writer.append({"k": "u", "e": 0, "t": 2.0}, payload)
+        writer.append({"k": "qr", "keys": ["a", "b"], "vals": [1.0, 2.0], "t": 2.0})
+        assert writer.records_appended == 2
         writer.close()
-        _, records = PartitionDurability(tmp_path).load()
-        assert [record["n"] for record in records] == [1, 2, 3, 4]
-        assert [record.get("key") for record in records] == [None, "a", "b", "c"]
-        assert writer.bytes_appended == writer.wal_path.stat().st_size
+        blob = writer.wal_path.read_bytes()
+        assert blob[RECORD_HEADER.size :].startswith(
+            b'{"n":1,"k":"u","e":0,"t":2.0,"req":' + payload + b"}"
+        )
+        assert writer.bytes_appended == len(blob)
+        _, records = _reload(tmp_path)
+        assert [record["n"] for record in records] == [1, 2]
+        assert records[0]["req"] == {
+            "op": "update",
+            "id": 7,
+            "key": "a",
+            "value": 1.5,
+            "time": 2,
+        }
+        assert records[1]["keys"] == ["a", "b"]
 
     def test_checkpoint_truncates_and_recovery_skips_covered_records(
         self, tmp_path
@@ -93,6 +110,7 @@ class TestWalRoundTrip:
 
         reader = PartitionDurability(tmp_path)
         state, records = reader.load()
+        reader.close()
         assert state == {"value": 41}
         assert reader.snapshot_restored
         assert [record["n"] for record in records] == [4]
@@ -116,7 +134,7 @@ class TestWalRoundTrip:
         # New appends continue after the covered sequence numbers.
         reader.append({"k": "u", "key": "a", "v": 5.0, "t": 4.0})
         reader.close()
-        _, live = PartitionDurability(tmp_path).load()
+        _, live = _reload(tmp_path)
         assert [record["n"] for record in live] == [4]
 
     def test_checkpoint_due_follows_cadence(self, tmp_path):
@@ -146,7 +164,7 @@ class TestWalRoundTrip:
         writer.append({"k": "u", "key": "a", "v": 1.0, "t": 1.0})
         writer.checkpoint({"s": 1}, clock=1.0)
         writer.close()
-        state, records = PartitionDurability(tmp_path / fsync, fsync=fsync).load()
+        state, records = _reload(tmp_path / fsync, fsync=fsync)
         assert state == {"s": 1} and records == []
 
     @pytest.mark.parametrize("fsync", FSYNC_POLICIES)
@@ -227,6 +245,7 @@ class TestCorruption:
         reader.close()
         clean = PartitionDurability(tmp_path)
         _, records = clean.load()
+        clean.close()
         assert [record["n"] for record in records] == [1, 2, 3]
         assert clean.torn_tails == 0
 
@@ -235,6 +254,7 @@ class TestCorruption:
         wal_path.write_bytes(wal_path.read_bytes() + b"\x00\x01\x02")
         reader = PartitionDurability(tmp_path)
         _, records = reader.load()
+        reader.close()
         assert len(records) == 2 and reader.torn_tails == 1
 
     def test_crc_mismatch_truncates_from_bad_record(self, tmp_path):
@@ -247,6 +267,7 @@ class TestCorruption:
         wal_path.write_bytes(bytes(blob))
         reader = PartitionDurability(tmp_path)
         _, records = reader.load()
+        reader.close()
         assert [record["n"] for record in records] == [1]
         assert wal_path.stat().st_size == first
 
@@ -380,8 +401,43 @@ class TestCorruption:
         [
             ({"k": "zz", "n": 2, "t": 2.0}, "unknown kind 'zz'"),
             ({"k": "ub", "n": 2}, "kind 'ub' is malformed"),
+            # The record shapes written before updates logged their frame
+            # and refresh batches logged one record: no reader is kept.
+            (
+                {"k": "ub", "n": 2, "u": [["a", 1.0]], "e": 0, "t": 2.0},
+                "kind 'ub' is malformed",
+            ),
+            (
+                {"k": "u", "n": 2, "key": "a", "v": 1.0, "e": 0, "t": 2.0},
+                "kind 'u' is malformed",
+            ),
+            (
+                {"k": "qr", "n": 2, "key": "a", "v": 1.0, "t": 2.0},
+                "kind 'qr' is malformed",
+            ),
+            (
+                {"k": "ub", "n": 2, "e": 0, "t": 2.0, "req": {"op": "stats"}},
+                "does not hold an update frame",
+            ),
+            (
+                {"k": "ub", "n": 2, "e": 0, "t": 2.0, "req": {"op": "update"}},
+                "does not hold an update frame",
+            ),
+            (
+                {"k": "qr", "n": 2, "keys": ["a"], "vals": [], "t": 2.0},
+                "unequal keys and vals",
+            ),
         ],
-        ids=["unknown-kind", "missing-field"],
+        ids=[
+            "unknown-kind",
+            "missing-field",
+            "ub-without-frame",
+            "u-without-frame",
+            "per-key-qr",
+            "frame-not-an-update",
+            "unparsable-frame",
+            "qr-unequal-lengths",
+        ],
     )
     def test_unreplayable_record_raises_and_keeps_files(self, tmp_path, record, named):
         """A CRC-valid record replay cannot apply must not be skipped."""
@@ -399,6 +455,138 @@ class TestCorruption:
         assert "WAL record 2" in str(info.value)
         assert (info.value.expected, info.value.found) == (2, 2)
         assert durability.wal_path.read_bytes() == wal
+
+
+# ----------------------------------------------------------------------
+# Update records log the frame the server received
+# ----------------------------------------------------------------------
+def _durable_server(directory):
+    return CacheServer(
+        StaticWidthPolicy(width=10.0),
+        value_refresh_cost=1.0,
+        query_refresh_cost=2.0,
+        durability=PartitionDurability(directory, checkpoint_every=10**9),
+    )
+
+
+def _replayed_state(server):
+    """The durable state, minus connection-era counters and down-stamps."""
+    state = server._capture_durable_state()
+    statistics = state.pop("statistics")
+    state.pop("down_since")
+    counts = (statistics.updates_applied, statistics.updates_ignored)
+    return pickle.dumps(state), counts
+
+
+def _record_payloads(wal_path):
+    """The JSON payload bytes of every record in ``wal_path``, in order."""
+    blob = wal_path.read_bytes()
+    payloads, offset = [], 0
+    while offset < len(blob):
+        length, _ = RECORD_HEADER.unpack_from(blob, offset)
+        offset += RECORD_HEADER.size
+        payloads.append(blob[offset : offset + length])
+        offset += length
+    return payloads
+
+
+class _SentPayloads:
+    """A client transport that keeps the payload of every frame it sends."""
+
+    def __init__(self, transport):
+        self._transport = transport
+        self.sent = []
+
+    async def write_frame(self, message):
+        self.sent.append(encode_frame(message)[HEADER.size :])
+        await self._transport.write_frame(message)
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_update_records_carry_the_received_frames_and_recover(tmp_path, transport):
+    """Each ``u``/``ub`` record ends with the payload bytes the feeder sent,
+    batches that repeat a key, register a new one and keep a value among
+    them; recovery rebuilds the live state."""
+
+    async def drive():
+        server = _durable_server(tmp_path)
+        if transport == "tcp":
+            tcp = await server.start_tcp("127.0.0.1", 0)
+            target = ("127.0.0.1", tcp.sockets[0].getsockname()[1])
+        else:
+            target = server
+        values = {"a": 0.0, "b": 5.0}
+        sent = _SentPayloads(await dial(target))
+        feeder = await Client.from_transport(sent, on_request=refresh_answerer(values))
+        querier = await Client.connect(target)
+        await feeder.register(list(values), list(values.values()), feeder="f")
+        await querier.query(["a", "b"], constraint=0.0, time=0.5)
+        await feeder.request("update", key="a", value=30.0, time=1.0)
+        await feeder.request(
+            "update_batch", updates=[["a", 31.0], ["a", 31.0], ["b", 6.0]], time=2.0
+        )
+        await feeder.request(
+            "update_batch",
+            updates=[["a", 50.0], ["c", 1.0], ["b", 6.0], ["a", 60.0]],
+            time=3.0,
+        )
+        live = _replayed_state(server)
+        await querier.close()
+        await feeder.close()
+        await server.close()
+        return sent.sent, live
+
+    sent, live = run(drive())
+    updates = [payload for payload in sent if b'"op":"update' in payload]
+    assert len(updates) == 3
+    logged = [
+        payload
+        for payload in _record_payloads(tmp_path / "partition-0.wal")
+        if b'"req":' in payload
+    ]
+    assert len(logged) == len(updates)
+    for record, payload in zip(logged, updates):
+        assert record.endswith(b'"req":' + payload + b"}")
+    # The first batch applies a and b and ignores a's repeat; the second
+    # applies a twice and c (registered) and ignores b's unchanged value.
+    assert live[1] == (1 + 2 + 3, 1 + 1)
+    recovered = _durable_server(tmp_path)
+    assert _replayed_state(recovered) == live
+    run(recovered.close())
+
+
+def test_update_frame_is_logged_verbatim_over_tcp(tmp_path):
+    """A frame the server would encode differently is logged as sent."""
+    payload = b'{"op": "update_batch", "id": 1, "updates": [["a", 1.50]], "time": 2}'
+
+    async def drive():
+        server = _durable_server(tmp_path)
+        tcp = await server.start_tcp("127.0.0.1", 0)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", tcp.sockets[0].getsockname()[1]
+        )
+        writer.write(HEADER.pack(len(payload)) + payload)
+        await writer.drain()
+        length = decode_length(await reader.readexactly(HEADER.size))
+        reply = decode_payload(await reader.readexactly(length))
+        writer.close()
+        await writer.wait_closed()
+        live = _replayed_state(server)
+        await server.close()
+        return reply, live
+
+    reply, live = run(drive())
+    assert reply["ok"] is True
+    # The batch, then the ``down`` record of the closed connection's key.
+    record, _ = _record_payloads(tmp_path / "partition-0.wal")
+    assert record == b'{"n":1,"k":"ub","e":0,"t":2.0,"req":' + payload + b"}"
+    recovered = _durable_server(tmp_path)
+    assert recovered.sources["a"].value == 1.5
+    assert _replayed_state(recovered) == live
+    run(recovered.close())
 
 
 # ----------------------------------------------------------------------

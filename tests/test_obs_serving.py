@@ -167,21 +167,10 @@ class TestGatewayMerge:
             (s["labels"].get("role"), s["labels"].get("partition"))
             for s in applied
         )
-        assert roles == [
-            ("gateway", None),
-            ("partition", "0"),
-            ("partition", "1"),
-        ]
-        # The gateway's own series counts every update once; the partition
-        # series split the keys between them.
-        by_role = {
-            (s["labels"].get("role"), s["labels"].get("partition")): s["value"]
-            for s in applied
-        }
-        assert by_role[("gateway", None)] == 3.0
-        assert (
-            by_role[("partition", "0")] + by_role[("partition", "1")] == 3.0
-        )
+        # The gateway routes updates and counts none itself; the
+        # partition series split the keys between them.
+        assert roles == [("partition", "0"), ("partition", "1")]
+        assert sum(s["value"] for s in applied) == 3.0
         (fanout,) = _samples(snapshot, "repro_gateway_fanout_partitions")
         assert fanout["count"] == 1
 
@@ -202,7 +191,7 @@ class TestGatewayMerge:
                 await replay_trace_deterministic(gateway, trace, config)
                 querier = await Client.from_transport(gateway.connect())
                 snapshot = await querier.metrics()
-                own = dict(vars(gateway.statistics))
+                own = gateway.totals()
                 await querier.close()
                 partition_stats = []
                 for partition in partitions:
@@ -238,10 +227,64 @@ class TestGatewayMerge:
             assert series(metric_of[field])[None] == value, field
         assert own["queries_served"] > 0
         assert None not in series("repro_cache_hits_total")
+        assert None not in series("repro_updates_applied_total")
         # The shared registry's histograms are rendered once, not per
         # partition: one fan-out observation per routed query.
         (fanout,) = _samples(snapshot, "repro_gateway_fanout_partitions")
         assert fanout["count"] == own["queries_served"]
+
+
+    def test_gateway_update_counts_are_its_partitions(self):
+        """A gateway replay over 2 partitions with their own registries:
+        the gateway's ``stats`` update counts are its partitions' sums, and
+        its scrape has no ``repro_updates_applied_total`` or
+        ``repro_updates_ignored_total`` series of its own, only each
+        partition's, equal to that partition's ``stats``.  Routing counted
+        every update as applied, ignored ones too."""
+        trace = traffic_trace(host_count=10, duration=200)
+        config = traffic_config(trace, seed=5)
+
+        async def drive():
+            partitions = [
+                _server(_registry(role="partition", partition=str(index)))
+                for index in range(2)
+            ]
+            gateway = GatewayServer(partitions, registry=_registry(role="gateway"))
+            await gateway.start()
+            try:
+                report = await replay_trace_deterministic(gateway, trace, config)
+                querier = await Client.from_transport(gateway.connect())
+                snapshot = await querier.metrics()
+                merged = await querier.stats()
+                await querier.close()
+                partition_stats = []
+                for partition in partitions:
+                    client = await Client.from_transport(partition.connect())
+                    partition_stats.append(await client.stats())
+                    await client.close()
+                return report, snapshot, merged, partition_stats
+            finally:
+                await gateway.close()
+                for partition in partitions:
+                    await partition.close()
+
+        report, snapshot, merged, partition_stats = asyncio.run(drive())
+        for field, name in (
+            ("updates_applied", "repro_updates_applied_total"),
+            ("updates_ignored", "repro_updates_ignored_total"),
+        ):
+            values = {
+                sample["labels"].get("partition"): sample["value"]
+                for sample in _samples(snapshot, name)
+            }
+            expected = {
+                str(index): stats[field] for index, stats in enumerate(partition_stats)
+            }
+            assert values == expected, name
+            assert merged[field] == sum(stats[field] for stats in partition_stats)
+        assert merged["updates_ignored"] > 0
+        routed = merged["updates_applied"] + merged["updates_ignored"]
+        assert routed == report.updates_sent
 
 
 class TestServerLifetime:

@@ -2,8 +2,11 @@
 
 import asyncio
 import math
+import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.intervals.interval import UNBOUNDED, Interval
 from repro.obs.metrics import MetricsRegistry
@@ -20,6 +23,7 @@ from repro.serving.protocol import (
     decode_length,
     decode_payload,
     encode_frame,
+    encode_json,
     is_request,
 )
 from repro.serving.durability import PartitionDurability
@@ -27,7 +31,9 @@ from repro.serving.gateway import GatewayServer
 from repro.serving.server import CacheServer
 from repro.serving.transport import loopback_pair
 from repro.caching.policies.base import PrecisionDecision
+from repro.caching.core import UpdateOrderError
 from repro.caching.policies.static import StaticWidthPolicy
+from repro.experiments.workloads import serving_policy
 from refresh_feeder import refresh_answerer, refresh_reply
 
 
@@ -594,8 +600,11 @@ class TestCacheServer:
                 self.frames = [{"op": "stats", "id": 1}, {"op": "stats", "id": 2}]
                 self.writes = 0
 
-            async def read_frame(self):
-                return self.frames.pop(0) if self.frames else None
+            async def read_frame_with_payload(self):
+                if not self.frames:
+                    return None
+                frame = self.frames.pop(0)
+                return frame, encode_json(frame).encode()
 
             async def write_frame(self, message):
                 self.writes += 1
@@ -612,8 +621,8 @@ class TestCacheServer:
             dispatched = []
             dispatch = server._dispatch
 
-            async def recording_dispatch(connection, frame):
-                await dispatch(connection, frame)
+            async def recording_dispatch(connection, frame, payload):
+                await dispatch(connection, frame, payload)
                 dispatched.append((frame["id"], connection.closing))
 
             server._dispatch = recording_dispatch
@@ -628,6 +637,85 @@ class TestCacheServer:
     def test_validation(self):
         with pytest.raises(ValueError):
             _server(max_inflight_queries=0)
+
+
+# ----------------------------------------------------------------------
+# One core call per run of known keys
+# ----------------------------------------------------------------------
+def _per_update_feed(server, updates, time):
+    """The per-update loop ``_feed`` replaced: one core call per update.
+
+    Returns the refreshes fired (``"out-of-order"`` when an update raised)
+    and the applied and ignored counts, kept here because the server's own
+    counters also count through its update hook.
+    """
+    sources = server._core.sources
+    counts = [0, 0]
+    refreshes = 0
+    for key, value in updates:
+        source = sources.get(key)
+        if source is None:
+            server._register_key(None, key, value)
+            counts[0] += 1
+            continue
+        update_count = source.update_count
+        try:
+            refreshes += server._core.apply_updates(((source, (value,)),), time)
+        except UpdateOrderError:
+            return "out-of-order", tuple(counts)
+        counts[0 if source.update_count != update_count else 1] += 1
+    return refreshes, tuple(counts)
+
+
+def _feed_server():
+    """Known keys a, b, c published around 0; c is stamped ahead of t = 5."""
+    server = CacheServer(serving_policy(seed=3))
+    for key in "abc":
+        server._register_key(None, key, 0.0)
+        server._core.refresh(key, 1.0, False)
+    server.sources["c"].last_update_time = 9.0
+    return server
+
+
+def _feed_state(server):
+    core = server._core
+    return pickle.dumps(
+        (core.sources, core.cache, core.network, core.policy, server._drift)
+    )
+
+
+_FEED_UPDATES = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "x", "y"]),
+        st.sampled_from([0.0, 1.0, 500.0, 5000.0]),
+    ),
+    max_size=12,
+)
+
+
+class TestFeed:
+    @given(updates=_FEED_UPDATES)
+    @example(updates=[("a", 1.0), ("x", 2.0), ("a", 1.0), ("x", 3.0), ("b", 0.0)])
+    @example(updates=[("a", 5000.0), ("b", 0.0), ("c", 1.0), ("a", 1.0)])
+    @example(updates=[("c", 0.0), ("c", 0.0), ("y", 1.0), ("c", 500.0), ("a", 1.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_refreshes_match_the_per_update_loop(self, updates):
+        """Unknown keys mid-batch, repeated keys, unchanged values and an
+        out-of-order update (c's) part-way through: ``_feed`` fires the same
+        refreshes, counts the same applied and ignored updates and leaves
+        the same state as one core call per update."""
+        reference = _feed_server()
+        expected = _per_update_feed(reference, updates, 5.0)
+        server = _feed_server()
+        statistics = server.statistics
+        try:
+            refreshes = server._feed(None, updates, 5.0)
+        except ProtocolError as error:
+            assert "non-decreasing" in str(error)
+            refreshes = "out-of-order"
+        counts = (statistics.updates_applied, statistics.updates_ignored)
+        assert (refreshes, counts) == expected
+        assert _feed_state(server) == _feed_state(reference)
 
 
 # ----------------------------------------------------------------------
@@ -678,8 +766,8 @@ class TestPipelinedRefreshes:
         unbounded and the selection takes them in key order: a, then b.
         Feeder B (b = 20) answers before feeder A (a = 7).  Installs still
         run in selection order, so the policy's first refresh is a (width
-        10, [2, 12]) and its second is b (width 20, [10, 30]); the WAL logs
-        ``qr a`` before ``qr b``, and a server recovered from that WAL holds
+        10, [2, 12]) and its second is b (width 20, [10, 30]); the WAL's one
+        ``qr`` record lists a before b, and a server recovered from that WAL holds
         the same intervals, two query refreshes and a cost of 2 x 2.0.
         Installing in reply order would have swapped both widths.
         """
@@ -718,12 +806,8 @@ class TestPipelinedRefreshes:
             feeder_b.close()
             await server.close()
 
-            qr = [record for record in _wal_records(tmp_path) if record["k"] == "qr"]
-            assert [(record["key"], record["v"]) for record in qr] == [
-                ("a", 7.0),
-                ("b", 20.0),
-            ]
-            assert qr[1]["n"] == qr[0]["n"] + 1
+            (qr,) = [record for record in _wal_records(tmp_path) if record["k"] == "qr"]
+            assert (qr["keys"], qr["vals"]) == (["a", "b"], [7.0, 20.0])
 
             recovered = CacheServer(
                 _CountingWidthPolicy(),
@@ -918,7 +1002,7 @@ class TestPipelinedRefreshes:
             feeder.close()
             await server.close()
             (qr,) = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
-            assert qr["v"] == 100.0
+            assert (qr["keys"], qr["vals"]) == (["a"], [100.0])
 
         run(scenario())
 
@@ -955,11 +1039,8 @@ class TestPipelinedRefreshes:
             await querier.close()
             await feeder.close()
             await server.close()
-            qr = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
-            assert [(record["key"], record["v"]) for record in qr] == [
-                ("a", 1.0),
-                ("b", 2.0),
-            ]
+            (qr,) = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
+            assert (qr["keys"], qr["vals"]) == (["a", "b"], [1.0, 2.0])
 
         run(scenario())
 
@@ -1007,7 +1088,7 @@ class TestPipelinedRefreshes:
         The selection takes the unbounded keys in key order, so A's frame
         carries [a, c] and B's [b, d].  B answers first; installs still run
         a, b, c, d, so the policy's widths are 10, 20, 30, 40 in that
-        order, and the WAL logs the four ``qr`` records in that order too.
+        order, and the WAL's one ``qr`` record lists the keys in that order too.
         """
 
         async def scenario():
@@ -1050,8 +1131,8 @@ class TestPipelinedRefreshes:
             feeder_a.close()
             feeder_b.close()
             await server.close()
-            qr = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
-            assert [record["key"] for record in qr] == ["a", "b", "c", "d"]
+            (qr,) = [r for r in _wal_records(tmp_path) if r["k"] == "qr"]
+            assert qr["keys"] == ["a", "b", "c", "d"]
 
         run(scenario())
 

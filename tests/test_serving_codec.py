@@ -233,17 +233,23 @@ def test_fallback_codec_with_the_accelerator_blocked():
 # ----------------------------------------------------------------------
 #: The framed WAL records (``>II`` length + CRC-32, compact JSON payload)
 #: the ops of :func:`_live_run` write, in order: every record kind, a
-#: snapshot at an infinite constraint and a query refresh among them.
+#: snapshot at an infinite constraint and a two-key refresh batch among
+#: them.  The ``u`` and ``ub`` records end with the request frame exactly
+#: as the feeder's client encoded it.
 GOLDEN_WAL = (
     b'\x00\x00\x00P\xf7\x80\xd3l{"n":1,"k":"reg","f":"f","r":0,"e":1,"t":null,'
     b'"keys":["a","b"],"vals":[0.0,5.0]}',
-    b'\x00\x00\x00/l\xcb#\xe0{"n":2,"k":"u","key":"a","v":1.5,"e":1,"t":1.0}',
-    b'\x00\x00\x00:\xfe[\x1d^{"n":3,"k":"ub","u":[["a",-2.25],["b",7.0]],'
-    b'"e":1,"t":2.0}',
+    b'\x00\x00\x00[\xd5\xa6\xf8\xec{"n":2,"k":"u","e":1,"t":1.0,'
+    b'"req":{"op":"update","id":2,"key":"a","value":1.5,"time":1.0}}',
+    b'\x00\x00\x00n\xe97\xd6\xb4{"n":3,"k":"ub","e":1,"t":2.0,'
+    b'"req":{"op":"update_batch","id":3,"updates":[["a",-2.25],["b",7.0]],'
+    b'"time":2.0}}',
     b'\x00\x00\x0086\xe3?F{"n":4,"k":"snap","keys":["a","b"],"c":Infinity,'
     b'"t":3.0}',
-    b'\x00\x00\x00/\xb1 nj{"n":5,"k":"snap","keys":["a"],"c":0.0,"t":4.0}',
-    b'\x00\x00\x00,\xb5\xe4\xb9\x84{"n":6,"k":"qr","key":"a","v":-2.25,"t":4.0}',
+    b'\x00\x00\x003v\xfeQ\xba{"n":5,"k":"snap","keys":["a","b"],"c":0.0,'
+    b'"t":4.0}',
+    b'\x00\x00\x00<*\xdd\xe5\xf5{"n":6,"k":"qr","keys":["a","b"],'
+    b'"vals":[-2.25,7.0],"t":4.0}',
     b'\x00\x00\x00L\xcd\x06$5{"n":7,"k":"reg","f":null,"r":0,"e":null,"t":null,'
     b'"keys":["c"],"vals":[9.0]}',
     b'\x00\x00\x00\'\xeb\xf6,\x10{"n":8,"k":"down","keys":["c"],"t":4.0}',
@@ -290,7 +296,9 @@ async def _live_run(directory):
     await client.request(
         "query", keys=["a", "b"], aggregate="SUM", constraint=math.inf, time=3.0
     )
-    await client.request("query", keys=["a"], aggregate="SUM", constraint=0.0, time=4.0)
+    await client.request(
+        "query", keys=["a", "b"], aggregate="SUM", constraint=0.0, time=4.0
+    )
     # A one-key and a two-key connection going down: a ``down`` record
     # lists the keys in the order the connection registered them.
     await other.request("register", keys=["c"], values=[9.0])
