@@ -1,11 +1,12 @@
-"""Shared benchmark plumbing.
+"""Shared plumbing of the committed-table tests.
 
-Every benchmark regenerates the rows of one paper table or figure.  Because a
-single regeneration involves many simulation runs, benchmarks execute exactly
-one round (``benchmark.pedantic(..., rounds=1, iterations=1)``) — the timing
-is reported for completeness, but the real output is the reproduced table,
-which each benchmark writes to ``benchmarks/results/<experiment>.txt`` so it
-can be inspected after a ``pytest benchmarks/ --benchmark-only`` run.
+Each ``test_bench_*`` test regenerates the rows of one paper table or figure
+by calling its experiment once, checks the paper's claim about them, and
+writes the table to ``benchmarks/results/<experiment>.txt``.  The committed
+files are the byte-identity oracle: after ``pytest benchmarks/``,
+``git diff --exit-code -- benchmarks/results/`` must be clean.  Timing lives
+in the repository benchmark (``perfbench/``, compared across commits by
+``benchmarks/pairs.py``), not here.
 """
 
 from __future__ import annotations
@@ -34,8 +35,3 @@ def save_result():
         return target
 
     return _save
-
-
-def run_once(benchmark, func):
-    """Run ``func`` exactly once under pytest-benchmark and return its result."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)

@@ -1,12 +1,10 @@
 """Benchmark: design-choice ablations (adjustment probabilities, eviction policy)."""
 
-from conftest import run_once
-
 from repro.experiments import ablations
 
 
-def test_ablation_adjustment_probabilities(benchmark, save_result):
-    rows = run_once(benchmark, ablations.run_probability_ablation)
+def test_ablation_adjustment_probabilities(save_result):
+    rows = ablations.run_probability_ablation()
     from repro.experiments.base import ExperimentResult
 
     result = ExperimentResult(
@@ -26,8 +24,8 @@ def test_ablation_adjustment_probabilities(benchmark, save_result):
     assert paper_variant <= ablated * 1.15
 
 
-def test_ablation_eviction_policy(benchmark, save_result):
-    rows = run_once(benchmark, ablations.run_eviction_ablation)
+def test_ablation_eviction_policy(save_result):
+    rows = ablations.run_eviction_ablation()
     from repro.experiments.base import ExperimentResult
 
     result = ExperimentResult(

@@ -1,12 +1,10 @@
 """Benchmark: regenerate Figure 2 (analytical cost rate and refresh probabilities)."""
 
-from conftest import run_once
-
 from repro.experiments import figure02_model
 
 
-def test_figure02_model_curves(benchmark, save_result):
-    result = run_once(benchmark, figure02_model.run)
+def test_figure02_model_curves(save_result):
+    result = figure02_model.run()
     save_result(result)
     p_vr = result.column("P_vr")
     p_qr = result.column("P_qr")

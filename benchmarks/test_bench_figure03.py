@@ -6,14 +6,12 @@ the adaptive algorithm within a few percent of optimal; see EXPERIMENTS.md
 for the measured gap in this reproduction).
 """
 
-from conftest import run_once
-
 from repro.experiments import figure03_optimality
 from repro.experiments.base import ExperimentResult
 
 
-def test_figure03_width_sweep_and_adaptive(benchmark, save_result):
-    result = run_once(benchmark, figure03_optimality.run)
+def test_figure03_width_sweep_and_adaptive(save_result):
+    result = figure03_optimality.run()
     save_result(result)
     p_vr = result.column("P_vr (measured)")
     p_qr = result.column("P_qr (measured)")
@@ -25,11 +23,8 @@ def test_figure03_width_sweep_and_adaptive(benchmark, save_result):
     assert 0 < best_index < len(omega) - 1
 
 
-def test_figure03_convergence_grid(benchmark, save_result):
-    checks = run_once(
-        benchmark,
-        lambda: figure03_optimality.convergence_report(duration=2000.0),
-    )
+def test_figure03_convergence_grid(save_result):
+    checks = figure03_optimality.convergence_report(duration=2000.0)
     rows = [
         (
             check.query_period,

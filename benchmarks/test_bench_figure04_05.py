@@ -2,13 +2,11 @@
 
 import math
 
-from conftest import run_once
-
 from repro.experiments import figure04_05_timeseries
 
 
-def test_figure04_05_timeseries(benchmark, save_result):
-    result = run_once(benchmark, figure04_05_timeseries.run)
+def test_figure04_05_timeseries(save_result):
+    result = figure04_05_timeseries.run()
     save_result(result)
     figures = set(result.column("figure"))
     assert figures == {"fig4_small", "fig5_large"}
@@ -18,13 +16,9 @@ def test_figure04_05_timeseries(benchmark, save_result):
             assert low - 1e-6 <= value <= high + 1e-6
 
 
-def test_figure04_05_width_scales_with_constraint(benchmark):
-    def both_runs():
-        small = figure04_05_timeseries.run_timeseries(constraint_average=50_000.0)
-        large = figure04_05_timeseries.run_timeseries(constraint_average=500_000.0)
-        return small, large
-
-    small, large = run_once(benchmark, both_runs)
+def test_figure04_05_width_scales_with_constraint():
+    small = figure04_05_timeseries.run_timeseries(constraint_average=50_000.0)
+    large = figure04_05_timeseries.run_timeseries(constraint_average=500_000.0)
 
     def mean_final_width(run):
         widths = [w for w in run.result.final_widths.values() if w < float("inf")]

@@ -2,13 +2,11 @@
 
 from collections import defaultdict
 
-from conftest import run_once
-
 from repro.experiments import figure06_adaptivity
 
 
-def test_figure06_adaptivity_sweep(benchmark, save_result):
-    result = run_once(benchmark, figure06_adaptivity.run)
+def test_figure06_adaptivity_sweep(save_result):
+    result = figure06_adaptivity.run()
     save_result(result)
     # Group rows per configuration and check that alpha = 1 is a reasonable
     # overall setting: for every configuration its cost is within 50% of that

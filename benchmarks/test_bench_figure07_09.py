@@ -2,13 +2,11 @@
 
 from collections import defaultdict
 
-from conftest import run_once
-
 from repro.experiments import figure07_09_thresholds
 
 
-def test_figure07_09_threshold_settings(benchmark, save_result):
-    result = run_once(benchmark, figure07_09_thresholds.run)
+def test_figure07_09_threshold_settings(save_result):
+    result = figure07_09_thresholds.run()
     save_result(result)
     series = defaultdict(dict)
     for query_period, theta_label, delta_avg, omega in result.rows:

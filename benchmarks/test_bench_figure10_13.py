@@ -2,16 +2,11 @@
 
 from collections import defaultdict
 
-from conftest import run_once
-
 from repro.experiments import figure10_13_exact
 
 
-def test_figure10_13_exact_caching_comparison(benchmark, save_result):
-    result = run_once(
-        benchmark,
-        lambda: figure10_13_exact.run(query_periods=(1.0, 5.0)),
-    )
+def test_figure10_13_exact_caching_comparison(save_result):
+    result = figure10_13_exact.run(query_periods=(1.0, 5.0))
     save_result(result)
     by_setting = defaultdict(dict)
     for figure, query_period, policy, delta_avg, omega in result.rows:

@@ -2,13 +2,11 @@
 
 from collections import defaultdict
 
-from conftest import run_once
-
 from repro.experiments import figure14_15_divergence
 
 
-def test_figure14_15_divergence_comparison(benchmark, save_result):
-    result = run_once(benchmark, figure14_15_divergence.run)
+def test_figure14_15_divergence_comparison(save_result):
+    result = figure14_15_divergence.run()
     save_result(result)
     ours_by_period = defaultdict(dict)
     theirs_by_period = defaultdict(dict)

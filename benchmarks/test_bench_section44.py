@@ -1,12 +1,10 @@
 """Benchmark: regenerate the Section 4.4 sensitivity studies."""
 
-from conftest import run_once
-
 from repro.experiments import section44_sensitivity
 
 
-def test_section44_sensitivity(benchmark, save_result):
-    result = run_once(benchmark, section44_sensitivity.run)
+def test_section44_sensitivity(save_result):
+    result = section44_sensitivity.run()
     save_result(result)
     theta_rows = [row for row in result.rows if row[0] == "theta0_study"]
     sigma_rows = [row for row in result.rows if row[0] == "sigma_study"]

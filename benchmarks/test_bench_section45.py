@@ -1,12 +1,10 @@
 """Benchmark: regenerate the Section 4.5 "unsuccessful variations" comparison."""
 
-from conftest import run_once
-
 from repro.experiments import section45_variations
 
 
-def test_section45_uncentered_variation(benchmark, save_result):
-    result = run_once(benchmark, section45_variations.run)
+def test_section45_uncentered_variation(save_result):
+    result = section45_variations.run()
     save_result(result)
     costs = {(row[0], row[1]): row[2] for row in result.rows}
     centred_unbiased = costs[("unbiased walk", "centred (paper default)")]

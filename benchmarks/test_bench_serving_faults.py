@@ -4,13 +4,11 @@ Every fault schedule derives from its plan's seed, so the table is
 byte-stable and committed like the paper tables.
 """
 
-from conftest import run_once
-
 from repro.experiments import serving_faults
 
 
-def test_serving_faults(benchmark, save_result):
-    result = run_once(benchmark, serving_faults.run)
+def test_serving_faults(save_result):
+    result = serving_faults.run()
     save_result(result)
     # Faults may widen answers, never make them wrong: no returned interval
     # may exclude the true aggregate under any plan.

@@ -1,12 +1,10 @@
 """Benchmark: regenerate Table 1 (symbol glossary)."""
 
-from conftest import run_once
-
 from repro.experiments import table1
 
 
-def test_table1(benchmark, save_result):
-    result = run_once(benchmark, table1.run)
+def test_table1(save_result):
+    result = table1.run()
     save_result(result)
     assert len(result.rows) >= 20
     assert "rho" in result.column("symbol")

@@ -13,7 +13,7 @@ curve per process count.
 Unlike the reproduction tables, wall-clock columns depend on the host
 machine: the rows are *characterisation*, not committed-output material, so
 this experiment carries no parallel plan and is excluded from byte-identity
-CI diffs (like the microbenchmarks in ``benchmarks/``).
+CI diffs.
 """
 
 from __future__ import annotations

@@ -111,8 +111,8 @@ def serving_policy(cost_factor: float = 1.0, seed: int = 0) -> AdaptivePrecision
     """The serving stack's default policy: the monitoring workload's tuning.
 
     One construction shared by ``repro serve`` / ``repro loadgen``
-    (:mod:`repro.cli`), the ``serving_faults`` experiment and the serving
-    microbenchmarks, so the three surfaces always measure the same policy.
+    (:mod:`repro.cli`), the ``serving_faults`` experiment and perfbench's
+    serving workloads, so the three surfaces always measure the same policy.
     """
     return adaptive_policy(
         cost_factor=cost_factor,

@@ -163,17 +163,15 @@ def select_sum_refreshes_columnar(
     ``widths[i]`` is the cached interval width for ``keys[i]`` (``inf`` for
     unbounded/missing approximations), exactly the decoration the dict-based
     selector builds per call, handed in as one array.  Nothing in the
-    package calls it; it stays because ``perfbench``'s span tracer wraps it
-    and the ``columnar_sum_selection`` microbenchmark measures it.  Returns
-    the identical key list: the fast screen's
-    reordering margin covers numpy's pairwise summation as well as the
-    sequential sum (either ordering deviates from the exact descending total
-    by less than the margin), so a screen disagreement between the two
-    implementations can only happen when the exact path returns ``[]``
-    anyway, and the exact path below accumulates the same Python floats in
-    the same descending-width order (``lexsort`` on ``(-width, position)``
-    matches the decorated sort; positions are unique, so the key never
-    tie-breaks).
+    package calls it; it stays because ``perfbench``'s span tracer wraps it.
+    Returns the identical key list: the fast screen's reordering margin
+    covers numpy's pairwise summation as well as the sequential sum (either
+    ordering deviates from the exact descending total by less than the
+    margin), so a screen disagreement between the two implementations can
+    only happen when the exact path returns ``[]`` anyway, and the exact
+    path below accumulates the same Python floats in the same
+    descending-width order (``lexsort`` on ``(-width, position)`` matches
+    the decorated sort; positions are unique, so the key never tie-breaks).
     """
     if not constraint >= 0:
         raise ValueError("constraint must be non-negative")

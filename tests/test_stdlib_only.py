@@ -1,9 +1,9 @@
 """The simulator runs on the standard library alone.
 
-numpy is a dev dependency only (the benchmark harness and the columnar
-selection microbenchmark import it), so no module the simulator loads may
-import it at module level.  The check runs in a fresh interpreter where any
-``import numpy`` raises :class:`ImportError`.
+numpy is a dev dependency only (the repository benchmark, ``perfbench/``,
+imports it), so no module the simulator loads may import it at module level.
+The check runs in a fresh interpreter where any ``import numpy`` raises
+:class:`ImportError`.
 """
 
 import os
