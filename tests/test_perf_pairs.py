@@ -1,12 +1,14 @@
 """The parent/change pair gate of ``benchmarks/pairs.py``, fed synthetic runs.
 
 No test here starts a benchmark process: the runner's verdict and pairing
-functions take run results as plain data, and ``main`` is driven with its
-process launcher replaced.
+functions take run results as plain data, ``main`` is driven with its
+process launcher replaced, and the launcher itself runs a one-line Python
+stand-in for the benchmark command.
 """
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +150,65 @@ def test_main_reads_every_workload_and_metric(
         assert f"{name}: 2 pairs" in out
     for name in names:
         assert out.count(f"  {name} ") == len(workloads)
+
+
+#: A stand-in benchmark command: it echoes its arguments and working
+#: directory on the last line of its output, after a line that is not JSON.
+ECHO = [
+    sys.executable,
+    "-c",
+    "import json, os, sys; print('warming up');"
+    " print(json.dumps({'correct': True, 'argv': sys.argv[1:], 'cwd': os.getcwd()}))",
+]
+
+
+def test_run_benchmark_reads_the_last_line_in_the_checkout(tmp_path):
+    run = pairs.run_benchmark(ECHO, tmp_path, "replay_wal", 5.0, True)
+    assert run["correct"] is True
+    assert run["argv"] == ["--workload", "replay_wal", "--seconds", "5", "--trace", "1"]
+    assert Path(run["cwd"]).resolve() == tmp_path.resolve()
+    untraced = pairs.run_benchmark(ECHO, tmp_path, "tables", 2.5, False)
+    assert untraced["argv"][-3:] == ["2.5", "--trace", "0"]
+
+
+@pytest.mark.parametrize(
+    "code, error",
+    [
+        ("import sys; sys.exit('boom')", "exit 1: boom"),
+        ("print('no json here')", "exit 0: no result line"),
+        ("pass", "exit 0: no result line"),
+    ],
+)
+def test_run_benchmark_without_a_result_line_reads_incorrect(tmp_path, code, error):
+    command = [sys.executable, "-c", code]
+    run = pairs.run_benchmark(command, tmp_path, "tables", 1, False)
+    assert run == {"correct": False, "error": error}
+
+
+def test_metric_missing_from_every_run_reads_no_data():
+    runs = runs_of("run_s", PARENT, PARENT)
+    lines, failures = pairs.verdict([RUN_S, OPS_PER_S], runs)
+    assert failures == []
+    assert lines[1] == "  ops_per_s no data"
+
+
+def test_spread_prints_large_values_in_full():
+    counts = pairs.quartiles([12345.0, 12346.0, 12347.0])
+    assert pairs.spread(counts) == "12,346 [12,345, 12,347]"
+    assert pairs.spread(pairs.quartiles([0.123456])) == "0.1235 [0.1235, 0.1235]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--pairs", "0"], ["--seconds", "0"], ["--workload", "no_such_workload"]],
+)
+def test_main_rejects_bad_options_before_running(monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(
+        pairs, "run_benchmark", lambda *args: pytest.fail("a benchmark ran")
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", str(tmp_path), *argv])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", str(tmp_path / "missing")])
+    assert exit_info.value.code == 2
