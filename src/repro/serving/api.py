@@ -11,11 +11,14 @@
 
 One background task reads frames and demultiplexes them: responses resolve
 the matching pending request future; requests — the server's ``refresh``
-RPCs on feeder connections — are answered by the ``on_refresh`` callback.
-Requests and responses are the typed messages of
-:mod:`repro.serving.protocol`; :meth:`Client.call` sends any typed request
-and the typed helpers (:meth:`query`, :meth:`register`, ...) parse the
-reply into its typed response.
+RPCs on feeder connections — are answered inline by the ``on_refresh``
+callback.  :meth:`Client.send` is the one way a request goes out: it
+writes the frame and returns the future its reply resolves, so a caller
+can put several requests in flight before awaiting any.
+:meth:`Client.request` sends and awaits one.  Requests and responses are
+the typed messages of :mod:`repro.serving.protocol`; :meth:`Client.call`
+sends any typed request and the typed helpers (:meth:`query`,
+:meth:`register`, ...) parse the reply into its typed response.
 
 Also here: :class:`ServeConfig`, the one dataclass describing a serving
 deployment (role, partitions, ports) that the CLI builds from its flags.
@@ -77,6 +80,10 @@ _UNSET_DEADLINE = object()
 #: async).  Raise ``KeyError`` for a key the feeder does not own.
 RefreshHandler = Callable[[Hashable], Union[float, Awaitable[float]]]
 
+#: ``on_request``: given a request frame, return the reply frame, or
+#: ``None`` when the handler writes the reply to the transport itself later.
+RequestHandler = Callable[[Dict[str, Any]], Awaitable[Optional[Dict[str, Any]]]]
+
 
 class Client:
     """A typed serving-protocol client over any frame transport.
@@ -89,9 +96,7 @@ class Client:
     def __init__(
         self,
         transport: Any,
-        on_request: Optional[
-            Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
-        ] = None,
+        on_request: Optional[RequestHandler] = None,
         default_deadline: Optional[float] = None,
     ) -> None:
         if default_deadline is not None:
@@ -102,7 +107,6 @@ class Client:
         self._pending: Dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._reader: Optional[asyncio.Task] = None
-        self._request_tasks: set = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,9 +116,7 @@ class Client:
         cls,
         transport: Any,
         *,
-        on_request: Optional[
-            Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
-        ] = None,
+        on_request: Optional[RequestHandler] = None,
         on_refresh: Optional[RefreshHandler] = None,
         default_deadline: Optional[float] = None,
     ) -> "Client":
@@ -122,7 +124,10 @@ class Client:
 
         ``on_refresh`` is the feeder-role callback answering the server's
         ``refresh`` RPCs; ``on_request`` is the raw frame-level handler for
-        callers that need full control (at most one of the two).
+        callers that need full control (at most one of the two).  It
+        returns the reply frame, or ``None`` when it writes the reply to
+        ``transport`` itself later.  Both run inline in the read loop, so
+        they must not await a response on this connection.
         """
         if on_refresh is not None:
             if on_request is not None:
@@ -166,16 +171,17 @@ class Client:
                 if frame is None:
                     break
                 if is_request(frame):
-                    # Requests are answered as tasks so this loop keeps
-                    # delivering responses while a handler runs.  A gateway
-                    # upstream link depends on this: a partition's refresh
-                    # RPC (a request) may be in flight on the same link as
-                    # an update ack (a response) that the refresh
-                    # transitively waits on — answering inline would
-                    # deadlock the cycle.
-                    task = asyncio.ensure_future(self._answer_request(frame))
-                    self._request_tasks.add(task)
-                    task.add_done_callback(self._request_tasks.discard)
+                    # Answered inline, in arrival order.  No handler waits
+                    # for a frame that only this loop could deliver: a
+                    # feeder's callback returns a value, and a gateway
+                    # upstream link's relay only writes the partition's
+                    # refresh on to the feeder and returns (the feeder's
+                    # reply comes back through the gateway's read loop for
+                    # that feeder, which writes it to this link).  So a
+                    # refresh in flight on the same link as an update ack
+                    # the refresh transitively waits on never holds the ack
+                    # up.
+                    await self._answer_request(frame)
                 else:
                     future = self._pending.pop(frame.get("id"), None)
                     if future is not None and not future.done():
@@ -197,32 +203,30 @@ class Client:
                 reply = error_response(frame.get("id"), "client serves no requests")
             else:
                 reply = await self._on_request(frame)
+                if reply is None:
+                    return
                 reply.setdefault("id", frame.get("id"))
                 reply.setdefault("ok", True)
             await self._transport.write_frame(reply)
         except (ConnectionLost, ConnectionResetError, BrokenPipeError, OSError):
             pass
         except Exception:
-            # A failing handler ends the session, exactly as it did when
-            # requests were answered inline in the read loop (the closed
-            # transport EOFs the read loop, which fails pending requests).
+            # A failing handler ends the session: the closed transport EOFs
+            # the read loop, which fails pending requests.
             self._transport.close()
 
     # ------------------------------------------------------------------
     # Raw request plumbing
     # ------------------------------------------------------------------
-    async def request(
-        self, op: str, deadline: Any = _UNSET_DEADLINE, **fields: Any
-    ) -> Dict[str, Any]:
-        """Send one raw request and await its decoded response frame.
+    async def send(self, op: str, **fields: Any) -> asyncio.Future:
+        """Write one raw request; return the future its response resolves.
 
-        ``deadline`` (seconds; default: the client's ``default_deadline``,
-        ``None`` = wait forever) bounds the wait for the response; missing
-        it raises :class:`~repro.serving.errors.DeadlineExceeded` and drops
-        the late response if it ever arrives.  Error replies raise
-        :class:`~repro.serving.errors.RequestRejected` (or its
-        :class:`~repro.serving.errors.StaleEpochError` refinement); dead
-        connections raise :class:`~repro.serving.errors.ConnectionLost`.
+        The future's result is the decoded response frame, unchecked (see
+        :func:`check_reply`); it fails with
+        :class:`~repro.serving.errors.ConnectionLost` if the connection
+        closes first.  The caller awaits it or retrieves its exception.  A
+        dead connection raises ``ConnectionLost`` here and leaves nothing
+        pending.
         """
         if self._reader is not None and self._reader.done():
             # The read loop is gone (EOF or corrupt frame): nothing can ever
@@ -239,6 +243,22 @@ class Client:
         except (ConnectionResetError, BrokenPipeError) as exc:
             self._pending.pop(request_id, None)
             raise ConnectionLost(str(exc)) from exc
+        return future
+
+    async def request(
+        self, op: str, deadline: Any = _UNSET_DEADLINE, **fields: Any
+    ) -> Dict[str, Any]:
+        """Send one raw request and await its decoded response frame.
+
+        ``deadline`` (seconds; default: the client's ``default_deadline``,
+        ``None`` = wait forever) bounds the wait for the response; missing
+        it raises :class:`~repro.serving.errors.DeadlineExceeded` and drops
+        the late response if it ever arrives.  Error replies raise
+        :class:`~repro.serving.errors.RequestRejected` (or its
+        :class:`~repro.serving.errors.StaleEpochError` refinement); dead
+        connections raise :class:`~repro.serving.errors.ConnectionLost`.
+        """
+        future = await self.send(op, **fields)
         limit = self._default_deadline if deadline is _UNSET_DEADLINE else deadline
         if limit is None:
             response = await future
@@ -246,16 +266,14 @@ class Client:
             try:
                 response = await asyncio.wait_for(future, limit)
             except asyncio.TimeoutError:
-                self._pending.pop(request_id, None)
+                # Unregister it, so a reply that never comes leaks nothing.
+                for request_id, pending in list(self._pending.items()):
+                    if pending is future:
+                        del self._pending[request_id]
                 raise DeadlineExceeded(
                     f"{op} missed its {limit:g}s deadline"
                 ) from None
-        if not response.get("ok", True) and not response.get("overloaded"):
-            error = f"{op} failed: {response.get('error')}"
-            if response.get("stale_epoch"):
-                raise StaleEpochError(error)
-            raise RequestRejected(error)
-        return response
+        return check_reply(op, response)
 
     async def call(
         self, message: Request, deadline: Any = _UNSET_DEADLINE
@@ -354,9 +372,22 @@ class Client:
         self._transport.close()
         if self._reader is not None:
             await asyncio.gather(self._reader, return_exceptions=True)
-        if self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks), return_exceptions=True)
         await self._transport.wait_closed()
+
+
+def check_reply(op: str, response: Dict[str, Any]) -> Dict[str, Any]:
+    """``response`` to an ``op`` request, unless it is an error reply.
+
+    An error reply raises :class:`~repro.serving.errors.RequestRejected`
+    (or its :class:`~repro.serving.errors.StaleEpochError` refinement); an
+    ``overloaded`` one is returned for :meth:`Client.query` to raise on.
+    """
+    if not response.get("ok", True) and not response.get("overloaded"):
+        error = f"{op} failed: {response.get('error')}"
+        if response.get("stale_epoch"):
+            raise StaleEpochError(error)
+        raise RequestRejected(error)
+    return response
 
 
 def _refresh_responder(

@@ -27,14 +27,23 @@ distributed:
    cost charge, install) locally, and the refreshes happen in selection
    order, serialised — the order the offline simulator uses.
 
+**Fan-out.**  A query's snapshots and an update batch's forwards write
+every routable partition's frame before awaiting any reply; a partition
+whose send or reply fails falls back to its own retry loop.
+
 **Feeder topology.**  A feeder connection F registering keys spanning
 partitions gets one *upstream* link per touched partition, registered at
 the partition under F's feeder identity.  A partition's refresh RPC rides
-the upstream link back to the gateway, which forwards it to F over the
-real connection (the base class's refresh-RPC machinery).  When F drops,
-its upstream links are closed, and every partition's own PR-6 machinery —
-down-key marking, drift-widened degraded answers, epoch fencing on
-reconnect — engages exactly as if F had been connected directly.
+the upstream link back to the gateway, whose link read loop relays the
+frame to F under a fresh RPC id; F's reply, read by the gateway's read
+loop for F, is written back to the link under the partition's id.  The
+gateway holds no task, future or timer for a relayed refresh: the
+partition's own ``refresh_timeout`` bounds the wait.  A relay to a closing
+or fenced F is answered at once with an error, so the partition degrades
+the key instead of waiting.  When F drops, its upstream links are closed,
+and every partition's own machinery — down-key marking, drift-widened
+degraded answers, epoch fencing on reconnect — engages exactly as if F had
+been connected directly.
 
 **Supervision.**  Given a pool (:class:`~repro.serving.procs.`
 ``ProcessPartitionPool``), :meth:`supervise` polls worker liveness and
@@ -48,9 +57,12 @@ answers rather than forgetting them.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 from typing import (
     Any,
+    Awaitable,
+    Callable,
     ClassVar,
     Dict,
     FrozenSet,
@@ -66,7 +78,7 @@ from repro.intervals.interval import Interval
 from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.logging import get_logger
 from repro.obs.trace import TRACER
-from repro.serving.api import Client, dial
+from repro.serving.api import Client, check_reply, dial
 from repro.serving.errors import SupervisionExhausted
 from repro.serving.execution import execute_partitioned_query
 from repro.serving.partition import partition_keys, shard_index
@@ -76,7 +88,9 @@ from repro.serving.protocol import (
     ProtocolError,
     QueryRequest,
     Recovered,
+    Refresh,
     RefreshKey,
+    RefreshValues,
     RegisterAck,
     RegisterFeeder,
     Response,
@@ -89,12 +103,12 @@ from repro.serving.protocol import (
     UpdateBatchAck,
     error_response,
     parse_request,
+    update_batch_fields,
 )
 from repro.serving.server import (
     DEFAULT_ADMISSION_QUEUE_LIMIT,
     DEFAULT_DEGRADED_SLACK,
     DEFAULT_MAX_INFLIGHT_QUERIES,
-    DEFAULT_REFRESH_TIMEOUT,
     STATS_CATALOG,
     BaseFrameServer,
     ServingStatistics,
@@ -122,6 +136,15 @@ PARTITION_STATES = ("ok", "recovering", "degraded", "down")
 
 #: Connection failures that mean "the partition behind this link is gone".
 _LINK_ERRORS = (ConnectionResetError, BrokenPipeError, EOFError, OSError)
+
+
+def _refresh_error(
+    request_id: Any, message: str, values: Sequence[float] = ()
+) -> Dict[str, Any]:
+    """A refresh reply answering only ``values``, a prefix of its keys."""
+    reply = error_response(request_id, message)
+    reply["values"] = list(values)
+    return reply
 
 
 class _KeyDown(Exception):
@@ -161,6 +184,12 @@ class GatewayServer(BaseFrameServer):
         Writes wait without a deadline (they must not be dropped or
         reordered); a partition that exhausts its restart budget releases
         them to the mirror-only path.
+    registry:
+        The :class:`~repro.obs.metrics.MetricsRegistry` the gateway records
+        its fan-out histogram into (defaults to the process registry).
+
+    There is no refresh deadline here: a refresh relayed to a feeder is
+    bounded by the owning partition's ``refresh_timeout``.
     """
 
     _TASK_OPS: ClassVar[FrozenSet[str]] = frozenset({"query"})
@@ -172,14 +201,12 @@ class GatewayServer(BaseFrameServer):
         pool: Optional[Any] = None,
         max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
-        refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
         recovery_grace: float = DEFAULT_RECOVERY_GRACE,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(
             max_inflight_queries=max_inflight_queries,
             admission_queue_limit=admission_queue_limit,
-            refresh_timeout=refresh_timeout,
             registry=registry,
         )
         if not targets:
@@ -461,8 +488,10 @@ class GatewayServer(BaseFrameServer):
     # ------------------------------------------------------------------
     async def _connection_lost(self, connection: _Connection) -> None:
         # Closing the upstream links delivers EOF to every partition this
-        # feeder touched; the partitions mark its keys down and serve
-        # degraded answers — their machinery, not a gateway re-implementation.
+        # feeder touched, which also ends the refreshes relayed to it; the
+        # partitions mark its keys down and serve degraded answers — their
+        # machinery, not a gateway re-implementation.
+        connection.pending.clear()
         links = self._upstreams.pop(connection, None)
         if links:
             for link in links.values():
@@ -520,37 +549,153 @@ class GatewayServer(BaseFrameServer):
         links = self._upstreams.setdefault(connection, {})
         link = links.get(index)
         if link is None:
+            transport = await dial(self._targets[index])
             link = await Client.from_transport(
-                await dial(self._targets[index]),
-                on_request=self._refresh_forwarder(connection),
+                transport,
+                on_request=functools.partial(
+                    self._relay_refresh, connection, transport
+                ),
             )
             links[index] = link
         return link
 
-    def _refresh_forwarder(self, connection: _Connection):
-        """The upstream link's handler: partition refresh RPC -> feeder.
+    async def _relay_refresh(
+        self, connection: _Connection, upstream: Any, frame: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """A partition's ``refresh`` on ``upstream``: re-send it to the feeder.
 
-        Forwards the frame's keys as one frame to the feeder and answers
-        with the values up to the first key the feeder failed, like a
-        feeder answering directly.
+        Runs in the upstream link's read loop and only writes: the frame
+        goes to the feeder ``connection`` under a fresh RPC id, and
+        :meth:`_complete_refresh_rpc` writes the feeder's reply back to
+        ``upstream``.  A feeder connection that is closing or fenced gets
+        nothing; the partition is answered at once with an error and no
+        values.  Counts ``refresh_rpcs`` in keys and records a
+        ``refresh_rpc`` span, like a cache server's own refresh RPC.
         """
-
-        async def forward(frame: Dict[str, Any]) -> Dict[str, Any]:
-            outcomes = await self._refresh_rpcs(
-                [(connection, key) for key in frame["keys"]]
+        message = Refresh.from_wire(frame)
+        request_id = frame.get("id")
+        self.statistics.refresh_rpcs += len(message.keys)
+        if connection.closing or self._connection_fenced(connection):
+            return _refresh_error(request_id, "feeder connection closed or fenced")
+        rpc_id = next(connection.rpc_ids)
+        connection.pending[rpc_id] = (upstream, request_id, len(message.keys))
+        if TRACER.enabled:
+            TRACER.record(
+                "refresh_rpc",
+                conn=connection.ordinal,
+                frame=f"r{rpc_id}",
+                keys=[repr(key) for key in message.keys],
             )
-            values = []
-            for outcome in outcomes:
-                if isinstance(outcome, ConnectionResetError):
-                    reply = error_response(frame.get("id"), str(outcome))
-                    reply["values"] = values
-                    return reply
-                if isinstance(outcome, Exception):
-                    raise outcome
-                values.append(outcome)
-            return {"values": values}
+        await connection.send(message.to_wire(rpc_id))
+        if connection.closing and connection.pending.pop(rpc_id, None) is not None:
+            # The write failed: no reply can come.
+            return _refresh_error(request_id, "feeder connection closed")
+        return None
 
-        return forward
+    async def _complete_refresh_rpc(
+        self, connection: _Connection, frame: Dict[str, Any]
+    ) -> None:
+        """A feeder's reply to a relayed refresh, written back upstream.
+
+        It goes out under the partition's RPC id.  A reply from a fenced
+        session is an error and counts in ``stale_epoch_rejections``; a
+        prefix of the values passes through as the feeder's error reply;
+        malformed values close the upstream link, whose partition then
+        sees its feeder gone.
+        """
+        relay = connection.pending.pop(frame.get("id"), None)
+        if relay is None:
+            return
+        upstream, request_id, count = relay
+        if self._connection_fenced(connection):
+            # A reconnect superseded this session mid-RPC; its values may
+            # predate the resync and must not be trusted as exact.
+            self.statistics.stale_epoch_rejections += 1
+            reply = _refresh_error(
+                request_id, "refresh answered by a stale feeder epoch"
+            )
+        else:
+            try:
+                values = RefreshValues.from_wire(frame).values
+                if len(values) > count:
+                    raise ProtocolError(f"{len(values)} values for {count} keys")
+            except ProtocolError:
+                upstream.close()
+                return
+            if len(values) == count:
+                reply = {"values": list(values), "id": request_id, "ok": True}
+            else:
+                reply = _refresh_error(
+                    request_id,
+                    f"refresh rejected by feeder: {frame.get('error', 'no value')}",
+                    values,
+                )
+        try:
+            await upstream.write_frame(reply)
+        except _LINK_ERRORS:
+            pass  # the link is gone: its partition sees EOF
+
+    # ------------------------------------------------------------------
+    # Pipelined partition fan-out
+    # ------------------------------------------------------------------
+    async def _fan_out(
+        self,
+        connection: Optional[_Connection],
+        op: str,
+        requests: Dict[int, Dict[str, Any]],
+        parse: Callable[[Dict[str, Any]], Any],
+        retry: Callable[[int], Awaitable[Any]],
+    ) -> List[Any]:
+        """One ``op`` request per partition, all sent before any is awaited.
+
+        ``requests`` maps a partition index to its request's wire fields.
+        Each rides ``connection``'s upstream link to that partition, or the
+        control link when ``connection`` is None, and its checked reply
+        goes through ``parse``.  A partition that is not routable, or whose
+        send or reply fails with a link error, falls back to
+        ``retry(index)``, its retry loop; the fallbacks run concurrently,
+        so several failed partitions wait out recovery together.  Returns
+        the results in ``requests`` order.  Every reply future is awaited,
+        or, when an error ends the wait early, cancelled or its exception
+        retrieved.
+        """
+        issued: List[Tuple[int, Optional[asyncio.Future]]] = []
+        results: Dict[int, Any] = {}
+        try:
+            for index, fields in requests.items():
+                future = None
+                if self._partition_routable(index):
+                    try:
+                        if connection is None:
+                            link = self._control_link(index)
+                        else:
+                            link = await self._upstream(connection, index)
+                        future = await link.send(op, **fields)
+                    except _LINK_ERRORS:
+                        pass
+                issued.append((index, future))
+            for position, (index, future) in enumerate(issued):
+                if future is None:
+                    continue
+                issued[position] = (index, None)
+                try:
+                    response = await future
+                except _LINK_ERRORS:
+                    continue
+                results[index] = parse(check_reply(op, response))
+        finally:
+            for _, future in issued:
+                if future is None:
+                    continue
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()
+        failed = [index for index in requests if index not in results]
+        if failed:
+            retried = await asyncio.gather(*(retry(index) for index in failed))
+            results.update(zip(failed, retried))
+        return [results[index] for index in requests]
 
     # ------------------------------------------------------------------
     # Feeder operations
@@ -636,12 +781,13 @@ class GatewayServer(BaseFrameServer):
 
         # Per-key order is preserved inside each forwarded batch, and the
         # refresh counts of disjoint partitions commute — so the forwards
-        # can run concurrently without disturbing serialised-replay
+        # can all be in flight at once without disturbing serialised-replay
         # bit-identity, and a batch costs the slowest partition rather
         # than the sum.  The retry wraps each partition's forward, never
-        # the gather: siblings that already applied must not be re-sent
+        # the fan-out: siblings that already applied must not be re-sent
         # (re-sends would fold idempotently anyway, but why churn).
-        async def forward(index: int, updates: List[Tuple[Hashable, float]]) -> int:
+        async def forward(index: int) -> int:
+            updates = groups[index]
             while await self._await_partition(index):
                 try:
                     link = await self._upstream(connection, index)
@@ -654,8 +800,15 @@ class GatewayServer(BaseFrameServer):
             return 0  # terminal partition: mirror-only
 
         refreshes = sum(
-            await asyncio.gather(
-                *(forward(index, updates) for index, updates in groups.items())
+            await self._fan_out(
+                connection,
+                UpdateBatch.OP,
+                {
+                    index: update_batch_fields(updates, request.time)
+                    for index, updates in groups.items()
+                },
+                lambda response: UpdateBatchAck.from_wire(response).refreshes,
+                forward,
             )
         )
         for key, value in request.updates:
@@ -679,9 +832,12 @@ class GatewayServer(BaseFrameServer):
 
         self._advance_clock(time)
 
-        async def snapshot(
-            index: int, group: List[Hashable]
-        ) -> Optional[SnapshotReply]:
+        snapshots = {
+            index: Snapshot(keys=tuple(group), constraint=constraint, time=time)
+            for index, group in groups.items()
+        }
+
+        async def snapshot(index: int) -> Optional[SnapshotReply]:
             # None means "answer this partition's keys from the mirror":
             # it is terminally degraded/down, or still recovering after
             # ``recovery_grace``.  A transient failure flips it to
@@ -690,17 +846,19 @@ class GatewayServer(BaseFrameServer):
             while await self._await_partition(index, self._recovery_grace):
                 link = self._control_link(index)
                 try:
-                    response = await link.call(
-                        Snapshot(keys=tuple(group), constraint=constraint, time=time)
-                    )
+                    response = await link.call(snapshots[index])
                 except _LINK_ERRORS:
                     self._note_partition_failure(index)
                     continue
                 return SnapshotReply.from_wire(response)
             return None
 
-        replies = await asyncio.gather(
-            *(snapshot(index, group) for index, group in groups.items())
+        replies = await self._fan_out(
+            None,
+            Snapshot.OP,
+            {index: message.wire_fields() for index, message in snapshots.items()},
+            SnapshotReply.from_wire,
+            snapshot,
         )
         intervals: Dict[Hashable, Interval] = {}
         down_bounds: Dict[Hashable, Interval] = {}

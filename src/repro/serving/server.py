@@ -299,7 +299,9 @@ class _Connection:
 
     def __init__(self, transport: Any) -> None:
         self.transport = transport
-        self.pending: Dict[int, asyncio.Future] = {}
+        # Server-initiated RPCs in flight on this connection, by RPC id: a
+        # cache server's reply futures, a gateway's relayed refreshes.
+        self.pending: Dict[int, Any] = {}
         self.rpc_ids = itertools.count(1)
         # Accept ordinal on this server (1-based) and the count of request
         # frames read so far: together they are the deterministic span
@@ -346,13 +348,14 @@ class BaseFrameServer:
 
     Owns everything about *serving framed connections* — accepting them
     (loopback and TCP), the per-connection read loop, write-through sends,
-    teardown ordering, feeder-epoch fencing, and the server-initiated
-    refresh RPC — while leaving *what the operations mean* to the
-    subclass's ``_dispatch``.  It also owns query admission control
-    (:meth:`_handle_query` around the subclass's ``_execute_query``).  The
-    subclass provides a ``statistics`` object with ``connections_opened`` /
-    ``connections_closed`` / ``refresh_rpcs`` / ``stale_epoch_rejections``
-    / ``queries_rejected`` counters and a ``totals`` method (what its
+    teardown ordering and feeder-epoch fencing — while leaving *what the
+    operations mean* to the subclass's ``_dispatch``, and what a response
+    to a server-initiated RPC means to its ``_complete_refresh_rpc``.  It
+    also owns query admission control (:meth:`_handle_query` around the
+    subclass's ``_execute_query``).  The subclass provides a
+    ``statistics`` object with ``connections_opened`` /
+    ``connections_closed`` / ``stale_epoch_rejections`` /
+    ``queries_rejected`` counters and a ``totals`` method (what its
     ``metrics`` op renders); it may override the ``_connection_lost`` /
     ``_connection_removed`` teardown hooks.
     """
@@ -366,17 +369,13 @@ class BaseFrameServer:
         *,
         max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         admission_queue_limit: int = DEFAULT_ADMISSION_QUEUE_LIMIT,
-        refresh_timeout: Optional[float] = DEFAULT_REFRESH_TIMEOUT,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         at_least("max_inflight_queries", max_inflight_queries, 1, finite=True)
         at_least("admission_queue_limit", admission_queue_limit, 0, finite=True)
-        if refresh_timeout is not None:
-            positive("refresh_timeout", refresh_timeout, finite=False)
         self._query_gate = asyncio.Semaphore(max_inflight_queries)
         self._admission_queue_limit = admission_queue_limit
         self._admission_waiting = 0
-        self._refresh_timeout = refresh_timeout
         self._feeder_epochs: Dict[str, int] = {}
         self._connections: Set[_Connection] = set()
         # Each serving task and the transport it serves, registered at dial
@@ -474,22 +473,21 @@ class BaseFrameServer:
                     else:
                         await self._dispatch(connection, frame, payload)
                 else:
-                    self._complete_refresh_rpc(connection, frame)
+                    await self._complete_refresh_rpc(connection, frame)
         finally:
             await self._teardown_connection(connection)
 
     async def _teardown_connection(self, connection: _Connection) -> None:
         # Order matters: ``closing`` goes first so no query can register a
-        # *new* refresh-RPC future against this connection (the ownership
-        # check in ``_query_initiated_refreshes`` then takes the mirror
-        # fallback, and the check-to-register stretch has no await points),
-        # then the already-registered futures are failed, and only then are
-        # the in-flight query tasks awaited — every one of them can now
-        # finish: refresh RPCs against other live feeders complete normally,
-        # ones against this connection have just been failed, and replies to
-        # this connection are dropped silently.
+        # *new* refresh RPC against this connection (the ownership check in
+        # ``_query_initiated_refreshes`` then takes the mirror fallback, and
+        # the check-to-register stretch has no await points), then
+        # ``_connection_lost`` ends the RPCs already in flight, and only
+        # then are the in-flight query tasks awaited — every one of them can
+        # now finish: refresh RPCs against other live feeders complete
+        # normally, ones against this connection have just been ended, and
+        # replies to this connection are dropped silently.
         connection.closing = True
-        connection.fail_pending(ConnectionResetError("feeder connection closed"))
         await self._connection_lost(connection)
         if connection.request_tasks:
             await asyncio.gather(
@@ -502,7 +500,7 @@ class BaseFrameServer:
         self.statistics.connections_closed += 1
 
     async def _connection_lost(self, connection: _Connection) -> None:
-        """Hook: the connection is closing; pending RPCs just failed."""
+        """Hook: the connection is closing; end its RPCs in flight."""
 
     def _connection_removed(self, connection: _Connection) -> None:
         """Hook: in-flight tasks done; release key ownership state."""
@@ -536,6 +534,12 @@ class BaseFrameServer:
         raise NotImplementedError
 
     async def _execute_query(self, request: QueryRequest) -> Any:  # pragma: no cover
+        raise NotImplementedError
+
+    async def _complete_refresh_rpc(
+        self, connection: _Connection, frame: Dict[str, Any]
+    ) -> None:  # pragma: no cover - abstract
+        """Take one response ``frame`` to a server-initiated refresh RPC."""
         raise NotImplementedError
 
     async def _handle_query(self, request: QueryRequest) -> Any:
@@ -582,118 +586,6 @@ class BaseFrameServer:
             "error": "stale feeder epoch: a newer session registered this feeder",
             "stale_epoch": True,
         }
-
-    # ------------------------------------------------------------------
-    # Server-initiated refresh RPCs
-    # ------------------------------------------------------------------
-    async def _refresh_rpcs(
-        self, requests: Sequence[Tuple[_Connection, Hashable]]
-    ) -> List[Union[float, Exception]]:
-        """Pipelined refresh RPCs: one ``refresh`` frame per owner connection.
-
-        Groups the ``(owner, key)`` requests by owner, in order of each
-        owner's first key, registers one reply future per frame, sends
-        every frame, then awaits the replies under one ``refresh_timeout``
-        deadline taken after the sends.  Returns one outcome per request,
-        in request order: the exact value, or the exception that key's RPC
-        failed with — ``ConnectionResetError`` for a lost, timed-out or
-        unanswered key (a feeder answers a prefix of its frame's keys),
-        ``ValueError`` for every key of a malformed reply.  Every future's
-        result is read and every ``pending`` entry popped, whatever
-        happens, so nothing is left unretrieved.
-        """
-        loop = asyncio.get_running_loop()
-        by_owner: Dict[_Connection, List[int]] = {}
-        for index, (owner, _) in enumerate(requests):
-            by_owner.setdefault(owner, []).append(index)
-        self.statistics.refresh_rpcs += len(requests)
-        issued: List[
-            Tuple[_Connection, List[Hashable], List[int], int, asyncio.Future]
-        ] = []
-        for owner, indices in by_owner.items():
-            keys = [requests[index][1] for index in indices]
-            rpc_id = next(owner.rpc_ids)
-            future = loop.create_future()
-            owner.pending[rpc_id] = future
-            issued.append((owner, keys, indices, rpc_id, future))
-            if TRACER.enabled:
-                # The RPC id is the frame position on the server-initiated
-                # direction of this connection — deterministic like frames
-                # read.
-                TRACER.record(
-                    "refresh_rpc",
-                    conn=owner.ordinal,
-                    frame=f"r{rpc_id}",
-                    keys=[repr(key) for key in keys],
-                )
-        timeout = self._refresh_timeout
-
-        def expire() -> None:
-            for _, keys, _, _, future in issued:
-                if not future.done():
-                    future.set_exception(
-                        ConnectionResetError(
-                            f"refresh of {keys!r} timed out after "
-                            f"{timeout:g}s (unresponsive feeder)"
-                        )
-                    )
-
-        deadline = None
-        try:
-            for owner, keys, _, rpc_id, _ in issued:
-                await owner.send(Refresh(keys=keys).to_wire(rpc_id))
-            if timeout is not None:
-                deadline = loop.call_later(timeout, expire)
-            outcomes: List[Any] = [None] * len(requests)
-            for _, keys, indices, _, future in issued:
-                error: Optional[Exception] = None
-                try:
-                    reply = await future
-                    values = RefreshValues.from_wire(reply).values
-                    if len(values) > len(keys):
-                        raise ProtocolError(
-                            f"{len(values)} refresh values for {len(keys)} keys"
-                        )
-                except ConnectionResetError as exc:
-                    values, error = (), exc
-                except ProtocolError as exc:
-                    values, error = (), ValueError(f"malformed refresh reply: {exc}")
-                for index, value in zip(indices, values):
-                    outcomes[index] = value
-                if len(values) < len(keys):
-                    if error is None:
-                        error = ConnectionResetError(
-                            "refresh rejected by feeder: "
-                            f"{reply.get('error', 'no value')}"
-                        )
-                    for index in indices[len(values) :]:
-                        outcomes[index] = error
-            return outcomes
-        finally:
-            if deadline is not None:
-                deadline.cancel()
-            for owner, _, _, rpc_id, future in issued:
-                owner.pending.pop(rpc_id, None)
-                if not future.done():
-                    future.cancel()
-                elif not future.cancelled():
-                    future.exception()
-
-    def _complete_refresh_rpc(
-        self, connection: _Connection, frame: Dict[str, Any]
-    ) -> None:
-        future = connection.pending.get(frame.get("id"))
-        if future is None or future.done():
-            return
-        if self._connection_fenced(connection):
-            # A reconnect superseded this session mid-RPC; its values may
-            # predate the resync and must not be trusted as exact.
-            self.statistics.stale_epoch_rejections += 1
-            future.set_exception(
-                ConnectionResetError("refresh answered by a stale feeder epoch")
-            )
-            return
-        future.set_result(frame)
 
 
 class CacheServer(BaseFrameServer):
@@ -761,10 +653,12 @@ class CacheServer(BaseFrameServer):
         super().__init__(
             max_inflight_queries=max_inflight_queries,
             admission_queue_limit=admission_queue_limit,
-            refresh_timeout=refresh_timeout,
             registry=registry,
         )
+        if refresh_timeout is not None:
+            positive("refresh_timeout", refresh_timeout, finite=False)
         at_least("degraded_slack", degraded_slack, 1.0, finite=True)
+        self._refresh_timeout = refresh_timeout
         self._core = self._build_core(
             policy,
             ApproximateCache(capacity=capacity, eviction_policy=eviction_policy),
@@ -1041,6 +935,7 @@ class CacheServer(BaseFrameServer):
     _TASK_OPS: ClassVar[FrozenSet[str]] = frozenset({"query", "refresh_key"})
 
     async def _connection_lost(self, connection: _Connection) -> None:
+        connection.fail_pending(ConnectionResetError("feeder connection closed"))
         self._mark_connection_down(connection)
 
     def _connection_removed(self, connection: _Connection) -> None:
@@ -1535,6 +1430,118 @@ class CacheServer(BaseFrameServer):
         owner.closing = True
         self._mark_connection_down(owner)
         return values, _FeederLost(failed_key)
+
+    # ------------------------------------------------------------------
+    # Refresh RPCs to feeders
+    # ------------------------------------------------------------------
+    async def _refresh_rpcs(
+        self, requests: Sequence[Tuple[_Connection, Hashable]]
+    ) -> List[Union[float, Exception]]:
+        """Pipelined refresh RPCs: one ``refresh`` frame per owner connection.
+
+        Groups the ``(owner, key)`` requests by owner, in order of each
+        owner's first key, registers one reply future per frame, sends
+        every frame, then awaits the replies under one ``refresh_timeout``
+        deadline taken after the sends.  Returns one outcome per request,
+        in request order: the exact value, or the exception that key's RPC
+        failed with — ``ConnectionResetError`` for a lost, timed-out or
+        unanswered key (a feeder answers a prefix of its frame's keys),
+        ``ValueError`` for every key of a malformed reply.  Every future's
+        result is read and every ``pending`` entry popped, whatever
+        happens, so nothing is left unretrieved.
+        """
+        loop = asyncio.get_running_loop()
+        by_owner: Dict[_Connection, List[int]] = {}
+        for index, (owner, _) in enumerate(requests):
+            by_owner.setdefault(owner, []).append(index)
+        self.statistics.refresh_rpcs += len(requests)
+        issued: List[
+            Tuple[_Connection, List[Hashable], List[int], int, asyncio.Future]
+        ] = []
+        for owner, indices in by_owner.items():
+            keys = [requests[index][1] for index in indices]
+            rpc_id = next(owner.rpc_ids)
+            future = loop.create_future()
+            owner.pending[rpc_id] = future
+            issued.append((owner, keys, indices, rpc_id, future))
+            if TRACER.enabled:
+                # The RPC id is the frame position on the server-initiated
+                # direction of this connection — deterministic like frames
+                # read.
+                TRACER.record(
+                    "refresh_rpc",
+                    conn=owner.ordinal,
+                    frame=f"r{rpc_id}",
+                    keys=[repr(key) for key in keys],
+                )
+        timeout = self._refresh_timeout
+
+        def expire() -> None:
+            for _, keys, _, _, future in issued:
+                if not future.done():
+                    future.set_exception(
+                        ConnectionResetError(
+                            f"refresh of {keys!r} timed out after "
+                            f"{timeout:g}s (unresponsive feeder)"
+                        )
+                    )
+
+        deadline = None
+        try:
+            for owner, keys, _, rpc_id, _ in issued:
+                await owner.send(Refresh(keys=keys).to_wire(rpc_id))
+            if timeout is not None:
+                deadline = loop.call_later(timeout, expire)
+            outcomes: List[Any] = [None] * len(requests)
+            for _, keys, indices, _, future in issued:
+                error: Optional[Exception] = None
+                try:
+                    reply = await future
+                    values = RefreshValues.from_wire(reply).values
+                    if len(values) > len(keys):
+                        raise ProtocolError(
+                            f"{len(values)} refresh values for {len(keys)} keys"
+                        )
+                except ConnectionResetError as exc:
+                    values, error = (), exc
+                except ProtocolError as exc:
+                    values, error = (), ValueError(f"malformed refresh reply: {exc}")
+                for index, value in zip(indices, values):
+                    outcomes[index] = value
+                if len(values) < len(keys):
+                    if error is None:
+                        error = ConnectionResetError(
+                            "refresh rejected by feeder: "
+                            f"{reply.get('error', 'no value')}"
+                        )
+                    for index in indices[len(values) :]:
+                        outcomes[index] = error
+            return outcomes
+        finally:
+            if deadline is not None:
+                deadline.cancel()
+            for owner, _, _, rpc_id, future in issued:
+                owner.pending.pop(rpc_id, None)
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()
+
+    async def _complete_refresh_rpc(
+        self, connection: _Connection, frame: Dict[str, Any]
+    ) -> None:
+        future = connection.pending.get(frame.get("id"))
+        if future is None or future.done():
+            return
+        if self._connection_fenced(connection):
+            # A reconnect superseded this session mid-RPC; its values may
+            # predate the resync and must not be trusted as exact.
+            self.statistics.stale_epoch_rejections += 1
+            future.set_exception(
+                ConnectionResetError("refresh answered by a stale feeder epoch")
+            )
+            return
+        future.set_result(frame)
 
     # ------------------------------------------------------------------
     # Stats

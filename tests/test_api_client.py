@@ -11,7 +11,8 @@ import math
 import pytest
 
 from repro.experiments.workloads import serving_policy
-from repro.serving.api import Client, ServeConfig, dial
+from repro.serving.api import Client, ServeConfig, check_reply, dial
+from repro.serving.errors import ConnectionLost, RequestRejected
 from repro.serving.server import CacheServer
 
 
@@ -66,6 +67,88 @@ class TestClientConnect:
     def test_default_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             Client(None, default_deadline=0)
+
+
+class TestClientSend:
+    """``send`` writes a request and returns its reply future; ``request``
+    is send-then-await on top of it."""
+
+    def test_reply_equals_request_reply(self):
+        async def drive():
+            server = _server()
+            client = await Client.connect(server)
+            try:
+                await client.register(["a", "b"], [1.0, 2.0], feeder="f")
+                fields = {"keys": ["a", "b"], "aggregate": "SUM", "time": 1.0}
+                sent = await (await client.send("query", **fields))
+                requested = await client.request("query", **fields)
+            finally:
+                await client.close()
+                await server.close()
+            return sent, requested
+
+        sent, requested = asyncio.run(drive())
+        assert sent.pop("id") != requested.pop("id")
+        assert sent == requested
+
+    def test_error_reply_is_checked_only_on_request(self):
+        async def drive():
+            server = _server()
+            client = await Client.connect(server)
+            try:
+                reply = await (await client.send("no_such_op"))
+                with pytest.raises(RequestRejected, match="unknown operation"):
+                    await client.request("no_such_op")
+            finally:
+                await client.close()
+                await server.close()
+            return reply
+
+        reply = asyncio.run(drive())
+        assert reply["ok"] is False
+        with pytest.raises(RequestRejected, match="no_such_op failed"):
+            check_reply("no_such_op", reply)
+
+    @pytest.mark.parametrize("reader_done", [True, False])
+    def test_closed_link_raises_at_send_and_leaves_nothing_pending(self, reader_done):
+        async def drive():
+            server = _server()
+            client = await Client.connect(server)
+            try:
+                if reader_done:
+                    await client.close()
+                else:
+                    # The transport is closed but the read loop has not
+                    # seen it yet: the write itself fails.
+                    client._transport.close()
+                with pytest.raises(ConnectionLost):
+                    await client.send("stats")
+                pending = dict(client._pending)
+            finally:
+                await client.close()
+                await server.close()
+            return pending
+
+        assert asyncio.run(drive()) == {}
+
+    def test_ids_stay_unique_across_both_paths(self):
+        async def drive():
+            server = _server()
+            client = await Client.connect(server)
+            try:
+                first = await client.send("stats")
+                second = await client.send("stats")
+                replies = await asyncio.gather(
+                    client.request("stats"), first, client.request("stats"), second
+                )
+                late = await (await client.send("stats"))
+            finally:
+                await client.close()
+                await server.close()
+            return [reply["id"] for reply in (*replies, late)]
+
+        ids = asyncio.run(drive())
+        assert len(set(ids)) == len(ids) == 5
 
 
 class TestServeConfig:

@@ -12,6 +12,8 @@ and mirror resync.
 """
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.serving.errors import RequestRejected
 from repro.serving.faults import FaultPlan
 from repro.serving.gateway import GatewayServer
 from repro.serving.loadgen import replay_trace_deterministic
+from repro.obs.trace import configure_tracer
 from repro.serving.procs import ProcessPartitionPool
 from repro.serving.server import CacheServer
 from repro.simulation.simulator import CacheSimulation
@@ -199,6 +202,217 @@ class TestGatewayFrontDoor:
     def test_needs_at_least_one_partition(self):
         with pytest.raises(ValueError, match="at least one partition"):
             GatewayServer([])
+
+
+class TestRefreshRelay:
+    """A partition's refresh RPC relayed through the gateway to the feeder."""
+
+    def test_closing_feeder_connection_answers_degraded_at_once(self):
+        """A feeder connection marked closing by a failed write, with its
+        transport still open, gets no relayed frame: the partition is
+        answered at once and the query degrades well inside the partition's
+        30 s ``refresh_timeout``."""
+
+        async def drive():
+            server = CacheServer(serving_policy(), refresh_timeout=30.0)
+            gateway = GatewayServer([server])
+            await gateway.start()
+            values = {"h0": 5.0}
+            feeder = await Client.from_transport(
+                gateway.connect(), on_refresh=values.__getitem__
+            )
+            await feeder.register(["h0"], [5.0], feeder="f0")
+            querier = await Client.from_transport(gateway.connect())
+            try:
+                (connection,) = [
+                    c for c in gateway._connections if c.feeder_id == "f0"
+                ]
+                connection.closing = True
+                answer = await asyncio.wait_for(
+                    querier.query(["h0"], constraint=0.0, time=2.0), 2.0
+                )
+                stats = await querier.stats()
+            finally:
+                await querier.close()
+                await feeder.close()
+                await gateway.close()
+                await server.close()
+            return answer, stats
+
+        answer, stats = asyncio.run(drive())
+        assert answer.degraded
+        assert answer.degraded_keys == ("h0",)
+        assert answer.refreshed == ()
+        assert answer.low <= 5.0 <= answer.high
+        assert stats["refreshes_failed"] == 1
+
+    def test_refresh_counters_agree_on_a_replay(self):
+        """Every query-initiated refresh is one key fetched by its partition
+        and one key relayed by the gateway, and each relayed frame and each
+        partition frame records one ``refresh_rpc`` span."""
+        trace, config = _config()
+        tracer = configure_tracer(role="gateway", ring_size=1 << 20)
+        try:
+            report = asyncio.run(_replay_via_gateway(trace, config, 2))
+            spans = [
+                event
+                for event in tracer.recorder.events()
+                if event["name"] == "refresh_rpc"
+            ]
+        finally:
+            configure_tracer(role="proc", enabled=False)
+        stats = report.server_stats
+        assert stats["gateway_refresh_rpcs"] == stats["refresh_rpcs"] == 203
+        assert stats["query_refreshes"] == report.query_refreshes == 203
+        # A ``refresh_key`` fetches one key, so each frame carries one key.
+        assert len(spans) == stats["gateway_refresh_rpcs"] + stats["refresh_rpcs"]
+
+    def test_relay_records_one_span_per_relayed_frame(self):
+        async def drive():
+            servers = [CacheServer(serving_policy()) for _ in range(2)]
+            gateway = GatewayServer(servers)
+            await gateway.start()
+            values = {f"h{i}": float(i) for i in range(4)}
+            # Gateway connection 1 is the feeder, 2 the querier; each
+            # partition's connection 1 is the gateway's control link and 2
+            # the feeder's upstream link.
+            feeder = await Client.from_transport(
+                gateway.connect(), on_refresh=values.__getitem__
+            )
+            await feeder.register(list(values), list(values.values()), feeder="f0")
+            querier = await Client.from_transport(gateway.connect())
+            try:
+                answer = await querier.query(list(values), constraint=0.0, time=1.0)
+                stats = await querier.stats()
+            finally:
+                await querier.close()
+                await feeder.close()
+                await gateway.close()
+                for server in servers:
+                    await server.close()
+            return answer, stats
+
+        tracer = configure_tracer(role="t")
+        try:
+            answer, stats = asyncio.run(drive())
+            spans = [
+                (event["span"], event["keys"])
+                for event in tracer.recorder.events()
+                if event["name"] == "refresh_rpc"
+            ]
+        finally:
+            configure_tracer(role="proc", enabled=False)
+        assert answer.refreshed == ("h0", "h1", "h2", "h3")
+        assert stats["gateway_refresh_rpcs"] == stats["refresh_rpcs"] == 4
+        relayed = [span for span in spans if span[0].startswith("t:1:")]
+        assert relayed == [(f"t:1:r{n + 1}", [f"'h{n}'"]) for n in range(4)]
+        assert len(spans) == 2 * len(relayed)
+
+
+class _DroppingPartition(CacheServer):
+    """Closes the connection the first ``drop_op`` frame arrives on,
+    without answering it: the link dies between the send and the reply."""
+
+    def __init__(self, drop_op=None):
+        super().__init__(serving_policy())
+        self.drop_op = drop_op
+        self.dropped = 0
+
+    async def _dispatch(self, connection, frame, payload):
+        if frame.get("op") == self.drop_op and not self.dropped:
+            self.dropped += 1
+            connection.transport.close()
+            return
+        await super()._dispatch(connection, frame, payload)
+
+
+class _SamePartitionPool:
+    """A pool whose restart brings back the same in-process partition."""
+
+    def __init__(self, servers):
+        self.servers = servers
+        self.restarts = 0
+
+    def is_alive(self, index):
+        return True
+
+    def restart(self, index):
+        self.restarts += 1
+        return self.servers[index]
+
+
+class TestFanOutFailures:
+    """A partition link that dies mid-fan-out falls back to its retry loop."""
+
+    @pytest.mark.parametrize("recovers", [True, False], ids=["recovered", "mirror"])
+    @pytest.mark.parametrize("drop_op", ["snapshot", "update_batch"])
+    def test_link_dies_between_send_and_reply(self, drop_op, recovers):
+        async def drive():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            servers = [_DroppingPartition(drop_op), _DroppingPartition()]
+            pool = _SamePartitionPool(servers) if recovers else None
+            gateway = GatewayServer(servers, pool=pool)
+            await gateway.start()
+            if recovers:
+                gateway.start_supervisor(poll_interval=0.01)
+            values = {f"h{i}": float(i) for i in range(8)}
+            on_first = {key for key in values if gateway.partition_of(key) == 0}
+            assert 0 < len(on_first) < len(values)
+            feeder = await Client.from_transport(
+                gateway.connect(), on_refresh=values.__getitem__
+            )
+            querier = await Client.from_transport(gateway.connect())
+            try:
+                await feeder.register(list(values), list(values.values()), feeder="f0")
+                values.update((key, 100.0 + value) for key, value in values.items())
+                await asyncio.wait_for(
+                    feeder.update_batch(list(values.items()), time=1.0), 5.0
+                )
+                answer = await asyncio.wait_for(
+                    querier.query(list(values), constraint=0.0, time=1.0), 5.0
+                )
+                mirrored = [gateway._values[key] for key in values]
+                applied = {
+                    key: servers[gateway.partition_of(key)].sources[key].value
+                    for key in values
+                }
+                states = [gateway.partition_state(index) for index in range(2)]
+            finally:
+                await querier.close()
+                await feeder.close()
+                await gateway.close()
+                for server in servers:
+                    await server.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            return answer, mirrored, applied, states, on_first, reported
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            answer, mirrored, applied, states, on_first, reported = asyncio.run(
+                drive()
+            )
+            gc.collect()
+        assert reported == []
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        total = sum(mirrored)
+        assert mirrored == [100.0 + i for i in range(8)]
+        assert answer.low <= total <= answer.high
+        if recovers:
+            # The recovered partition took the re-sent batch, and the
+            # query refreshed every key through the feeder.
+            assert states == ["ok", "ok"]
+            assert applied == dict(zip(applied, mirrored))
+            assert not answer.degraded
+            assert answer.low == answer.high == total
+        else:
+            # Partition 0 is down for good: its keys answer from the
+            # gateway's mirror, which holds the batch.
+            assert states == ["down", "ok"]
+            assert answer.degraded
+            assert set(answer.degraded_keys) == on_first
 
 
 class TestProcessPartitionPool:

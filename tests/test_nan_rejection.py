@@ -72,7 +72,7 @@ NAN = math.nan
 INF = math.inf
 PARAMETERS = PrecisionParameters()
 POLICY = StaticWidthPolicy(1.0)
-SERVER_FIELDS = ("max_inflight_queries", "admission_queue_limit", "refresh_timeout")
+SERVER_FIELDS = ("max_inflight_queries", "admission_queue_limit")
 COSTS = ("value_refresh_cost", "query_refresh_cost")
 
 #: ``(class, keyword arguments it needs, numeric fields it checks)``.
@@ -226,6 +226,7 @@ CASES = [
             *COSTS,
             "latency_per_message",
             *SERVER_FIELDS,
+            "refresh_timeout",
             "degraded_slack",
         ),
     ),
@@ -336,9 +337,7 @@ ALLOWED = {
     **_allow(
         BaseFrameServer, ["admission_queue_limit"], [0.0], "reject when saturated"
     ),
-    **_allow(BaseFrameServer, ["refresh_timeout"], [INF], "no refresh deadline"),
     **_allow(GatewayServer, ["admission_queue_limit"], [0.0], "reject when saturated"),
-    **_allow(GatewayServer, ["refresh_timeout"], [INF], "no refresh deadline"),
     **_allow(GatewayServer, ["recovery_grace"], [0.0], "answer from the mirror"),
     **_allow(GatewayServer, ["recovery_grace"], [INF], "wait for recovery"),
     **_allow(CacheServer, ["admission_queue_limit"], [0.0], "reject when saturated"),
